@@ -9,11 +9,13 @@ bit-reproducible.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .integrate import SCHEMES, StepperConfig
+from .integrate import MODELS, SCHEMES, StepperConfig
 from .models import EpitaxialParams, MeanGauge, ThinFilmParams
 from .spectral import ModeSet, SpectralField, read_snapshot, wiener_norm, with_cutoff
 
@@ -30,7 +32,6 @@ __all__ = [
     "prepare_initial",
 ]
 
-MODELS = ("epitaxial", "thinfilm")
 NORM_EXPONENTS = {"a0": 0.0, "a2": 2.0, "a4": 4.0, "a6": 6.0}
 
 
@@ -81,6 +82,17 @@ class RunConfig:
     seed: int
 
 
+def _is_number(v, integer=False) -> bool:
+    """A JSON number (an integer when asked for) that fits its field.  JSON
+    integers are unbounded, so their magnitude is checked before a float or
+    numpy conversion can overflow or raise."""
+    if isinstance(v, bool) or not isinstance(v, int if integer else (int, float)):
+        return False
+    if isinstance(v, int):
+        return abs(v) < 2**64 if integer else abs(v) <= sys.float_info.max
+    return math.isfinite(v)
+
+
 class _Ctx:
     def __init__(self):
         self.errors: list[str] = []
@@ -100,11 +112,8 @@ class _Ctx:
                 self.fail(f"{path}{key}: required")
             return default
         v = d[key]
-        ok_type = isinstance(v, (int, float)) and not isinstance(v, bool)
-        if integer:
-            ok_type = isinstance(v, int) and not isinstance(v, bool)
-        if not ok_type or not np.isfinite(v):
-            kind = "an integer" if integer else "a finite number"
+        if not _is_number(v, integer):
+            kind = "an integer below 2**64 in magnitude" if integer else "a finite number"
             self.fail(f"{path}{key}: must be {kind}, got {v!r}")
             return default
         if cond is not None and not cond(v):
@@ -169,8 +178,7 @@ def _parse_initial(ctx: _Ctx, d, n, path="initial_data."):
                 if n is not None and max(abs(k1), abs(k2)) > n:
                     ctx.fail(f"{path}modes[{i}]: mode ({k1}, {k2}) outside cutoff n={n}")
                     continue
-                if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                           and np.isfinite(v) for v in (re, im)):
+                if not (_is_number(re) and _is_number(im)):
                     ctx.fail(f"{path}modes[{i}]: re, im must be finite numbers")
                     continue
                 out.append((int(k1), int(k2), float(re), float(im)))
@@ -311,7 +319,7 @@ def load_config(path) -> RunConfig:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError([f"{path}: no such file"]) from None
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an integer too long to convert
         raise ConfigError([f"{path}: invalid JSON ({e})"]) from None
     return parse_config(raw)
 

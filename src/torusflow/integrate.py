@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import EpitaxialParams, EpitaxialRhs, ThinFilmParams, ThinFilmRhs
-from .spectral import ModeSet, SpectralField
+from .spectral import ModeSet, SpectralField, _norms
 
 __all__ = [
     "SCHEMES",
@@ -214,17 +214,18 @@ def step(state: SpectralField, dt: float, params, model: str,
 
 def _trace_row(t: float, c: np.ndarray, modes: ModeSet, dt: float):
     n = modes.n
-    a = np.abs(c).ravel()
-    w2 = modes.abs2.ravel()
-    return (
-        t,
-        math.fsum(a.tolist()),
-        math.fsum((w2 * a).tolist()),
-        math.fsum((w2 * w2 * a).tolist()),
-        math.fsum((w2 * w2 * w2 * a).tolist()),
-        float(c[n, n].real),
-        dt,
-    )
+    return (t, *_norms(c, modes.abs2), float(c[n, n].real), dt)
+
+
+def _a0_exceeds(c: np.ndarray, threshold: float) -> bool:
+    """A^0(c) > threshold, decided as the correctly rounded math.fsum decides
+    it.  A plain pairwise sum of |c| is within far less than 1e-12 relative
+    of that sum, so fsum runs only when the plain sum lands that close to
+    the threshold."""
+    a0 = float(np.abs(c).sum())
+    if abs(a0 - threshold) <= 1e-12 * threshold:
+        a0 = math.fsum(np.abs(c).ravel().tolist())
+    return a0 > threshold
 
 
 def simulate(u0: SpectralField, params, stepper: StepperConfig, model: str,
@@ -278,14 +279,13 @@ def simulate(u0: SpectralField, params, stepper: StepperConfig, model: str,
             c = c_prev
             final_time = (i - 1) * dt
             break
-        a0 = math.fsum(np.abs(c).ravel().tolist())
         recorded = False
         if i % stepper.record_every == 0 or i == n_steps:
             rows.append(_trace_row(t, c, modes, dt))
             recorded = True
         if on_record is not None and (i % fields_every == 0 or i == n_steps):
             on_record(i, t, SpectralField(modes, c))
-        if a0 > threshold:
+        if _a0_exceeds(c, threshold):
             if not recorded:
                 rows.append(_trace_row(t, c, modes, dt))
                 if on_record is not None:

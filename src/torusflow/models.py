@@ -6,11 +6,16 @@ Thin film (zero-mean variable v = u - 1):
                    dv/dt = -lap^2 v - grad v . grad lap v - v lap^2 v
                            - chi lap (1 + v)^p
 
-Each quadratic term is assembled from truncated convolutions of derivative
-fields; the *_pointwise twins evaluate the same quantities by sampling on an
-alias-free grid (independent transform path, numpy.fft) and exist as oracles
-for cross-checking.  Derivative multipliers carry the analytic signs:
-d_j <-> i k_j, lap <-> -|k|^2, lap^2 <-> |k|^4.
+Nonlinear terms are formed in physical space: one batched inverse real FFT
+(spectral's half-plane layout) samples the derivative fields, they are
+multiplied pointwise, and one batched forward real FFT brings the products
+back.  Quadratic products use the 3n+1 grid, alias-free for |k| <= n, so the
+result is the Galerkin truncation up to roundoff; the thin-film quadratics
+use the divergence form grad v . grad lap v + v lap^2 v = div (v grad lap v),
+and (1 + v)^p has its own (p+1)n+1 grid.  The *_pointwise twins are
+independent oracles (complex numpy.fft on a 4n+3 grid).  Derivative
+multipliers carry the analytic signs: d_j <-> i k_j, lap <-> -|k|^2,
+lap^2 <-> |k|^4.
 """
 
 from __future__ import annotations
@@ -22,13 +27,11 @@ import numpy as np
 from scipy import fft as _sfft
 
 from .spectral import (
-    ModeSet,
     SpectralField,
-    _convolve_fft_raw,
-    _embed,
-    _extract,
+    _from_grid,
     _grids,
-    _symmetrize,
+    _pad_size,
+    _to_grid,
 )
 
 __all__ = [
@@ -111,67 +114,57 @@ def _check_power_exponent(p) -> int:
     return int(p)
 
 
-class _Quadratics:
-    """Per-cutoff derivative multipliers and the quadratic assemblies built
-    from them.  One instance per n, cached: steppers call these in the hot
-    loop."""
-
-    def __init__(self, n: int):
-        self.n = int(n)
-        k1, k2, abs2 = _grids(self.n)
-        self.abs2 = abs2
-        self._m11 = -(k1 * k1).astype(np.float64)
-        self._m22 = -(k2 * k2).astype(np.float64)
-        self._m12 = -(k1 * k2).astype(np.float64)
-        self._lap = -abs2
-        self._bih = abs2**2
-        self._d1 = 1j * k1.astype(np.float64)
-        self._d2 = 1j * k2.astype(np.float64)
-        self._d1lap = -1j * k1 * abs2
-        self._d2lap = -1j * k2 * abs2
-
-    def hessian(self, c: np.ndarray) -> np.ndarray:
-        """2 det D^2 u: weight |m|^2 |k-m|^2 - (m.(k-m))^2 on uhat(m) uhat(k-m),
-        via conv(lap u, lap u) - conv(u,11, u,11) - 2 conv(u,12, u,12)
-        - conv(u,22, u,22)."""
-        n = self.n
-        out = _convolve_fft_raw(self._lap * c, self._lap * c, n)
-        out -= _convolve_fft_raw(self._m11 * c, self._m11 * c, n)
-        out -= 2.0 * _convolve_fft_raw(self._m12 * c, self._m12 * c, n)
-        out -= _convolve_fft_raw(self._m22 * c, self._m22 * c, n)
-        return out
-
-    def ddsq(self, c: np.ndarray) -> np.ndarray:
-        """lap (lap u)^2 = 2 (lap^2 u . lap u + grad lap u . grad lap u);
-        weights -2 (|m|^4 |k-m|^2 + (m.(k-m)) |m|^2 |k-m|^2)."""
-        n = self.n
-        out = _convolve_fft_raw(self._bih * c, self._lap * c, n)
-        out += _convolve_fft_raw(self._d1lap * c, self._d1lap * c, n)
-        out += _convolve_fft_raw(self._d2lap * c, self._d2lap * c, n)
-        return 2.0 * out
-
-    def gradlap(self, c: np.ndarray) -> np.ndarray:
-        """grad v . grad lap v = v,i v,jji; weight m.(k-m) |k-m|^2."""
-        n = self.n
-        out = _convolve_fft_raw(self._d1 * c, self._d1lap * c, n)
-        out += _convolve_fft_raw(self._d2 * c, self._d2lap * c, n)
-        return out
-
-    def timesbilap(self, c: np.ndarray) -> np.ndarray:
-        """v lap^2 v; weight |k-m|^4."""
-        return _convolve_fft_raw(c, self._bih * c, self.n)
-
-    def power_hat(self, c: np.ndarray, p: int) -> np.ndarray:
-        """Galerkin coefficients of (1 + v)^p: sampled on an alias-free grid
-        (N >= (p+1) n + 1), raised pointwise, truncated once."""
-        N = _sfft.next_fast_len((p + 1) * self.n + 1)
-        s = (_sfft.ifft2(_embed(c, self.n, N)) * (N * N)).real
-        return _extract(_sfft.fft2((1.0 + s) ** p) / (N * N), self.n, N)
-
-
 @lru_cache(maxsize=None)
-def _kernel(n: int) -> _Quadratics:
-    return _Quadratics(n)
+def _symbols(n: int) -> dict:
+    """Read-only derivative multipliers for cutoff n, built on first use.
+
+    The stacks feed _galerkin, so they live on the k2 >= 0 half plane, in
+    the order the pointwise forms unpack them; "grad" (i k) acts on full
+    centered outputs.
+    """
+    k1, k2, abs2 = _grids(n)
+    h1, h2, habs2 = k1[:, n:], k2[:, n:], abs2[:, n:]
+    one = np.ones_like(habs2)
+    sym = {
+        "grad": np.stack([1j * k1, 1j * k2]),
+        "hessian": -np.stack([h1 * h1, h2 * h2, h1 * h2]).astype(np.float64),  # u,11 u,22 u,12
+        "flux": np.stack([one, -1j * h1 * habs2, -1j * h2 * habs2]),  # v, d1 lap v, d2 lap v
+        # d1 v, d2 v, d1 lap v, d2 lap v
+        "gradlap": np.stack([1j * h1, 1j * h2, -1j * h1 * habs2, -1j * h2 * habs2]),
+        "timesbilap": np.stack([one, habs2**2]),  # v, lap^2 v
+    }
+    for a in sym.values():
+        a.setflags(write=False)
+    return sym
+
+
+def _galerkin(c: np.ndarray, n: int, mult: np.ndarray, form) -> np.ndarray:
+    """Galerkin coefficients of form(*fields), where fields[i] samples
+    mult[i] * u on the 3n+1 grid, which is alias-free for quadratic forms.
+    One batched inverse and one batched forward real transform."""
+    fields = _to_grid(mult * c[:, n:], n, _pad_size(n))
+    return _from_grid(form(*fields), n)
+
+
+def _det2_and_lap_sq(u11, u22, u12):
+    lap = u11 + u22
+    return np.stack([2.0 * (u11 * u22 - u12 * u12), lap * lap])
+
+
+def _epitaxial_terms(c: np.ndarray, n: int):
+    """(2 det D^2 u, (lap u)^2) from one inverse and one forward transform."""
+    return _galerkin(c, n, _symbols(n)["hessian"], _det2_and_lap_sq)
+
+
+def _dot_pairs(d1, d2, d1lap, d2lap):
+    return d1 * d1lap + d2 * d2lap
+
+
+def _power_hat(c: np.ndarray, n: int, p: int) -> np.ndarray:
+    """Galerkin coefficients of (1 + v)^p: sampled on an alias-free grid
+    (N >= (p+1) n + 1), raised pointwise, truncated once."""
+    v = _to_grid(c[:, n:], n, _sfft.next_fast_len((p + 1) * n + 1))
+    return _from_grid((1.0 + v) ** p, n)
 
 
 class EpitaxialRhs:
@@ -182,49 +175,44 @@ class EpitaxialRhs:
     def __init__(self, n: int, params: EpitaxialParams):
         self.n = int(n)
         self.params = params
-        self.q = _kernel(self.n)
-        self.linear = -params.K0 * self.q.abs2 - params.K2 * self.q.abs2**2
+        self.abs2 = _grids(self.n)[2]
+        self.linear = -params.K0 * self.abs2 - params.K2 * self.abs2**2
         self.linear.setflags(write=False)
 
     def nonlinear(self, c: np.ndarray) -> np.ndarray:
         p = self.params
-        out = np.zeros_like(c)
-        if p.K1 != 0.0:
-            out += p.K1 * self.q.hessian(c)
-        if p.K3 != 0.0:
-            out -= 0.5 * p.K3 * self.q.ddsq(c)
-        out = _symmetrize(out)
+        if p.K1 == 0.0 and p.K3 == 0.0:
+            return np.zeros_like(c)
+        h, d = _epitaxial_terms(c, self.n)
+        # -(K3/2) lap (lap u)^2 has coefficient +(K3/2) |k|^2 d(k)
+        out = p.K1 * h + (0.5 * p.K3) * self.abs2 * d
         out[self.n, self.n] = 0.0
         return out
-
-    def full(self, c: np.ndarray) -> np.ndarray:
-        return self.linear * c + self.nonlinear(c)
 
 
 class ThinFilmRhs:
     """Stepper-facing evaluator for the zero-mean thin-film system: linear
-    symbol -|k|^4, the two quadratic convolutions and -chi lap (1+v)^p
+    symbol -|k|^4, the quadratic flux divergence and -chi lap (1+v)^p
     explicit.  k = 0 output vanishes by the divergence structure and is
     pinned exactly."""
 
     def __init__(self, n: int, params: ThinFilmParams):
         self.n = int(n)
         self.params = params
-        self.q = _kernel(self.n)
-        self.linear = -(self.q.abs2**2)
+        self.abs2 = _grids(self.n)[2]
+        self.linear = -(self.abs2**2)
         self.linear.setflags(write=False)
 
     def nonlinear(self, c: np.ndarray) -> np.ndarray:
-        out = -self.q.gradlap(c)
-        out -= self.q.timesbilap(c)
+        n, sym = self.n, _symbols(self.n)
+        # div (v grad lap v) = grad v . grad lap v + v lap^2 v is i k . F,
+        # with F the Galerkin coefficients of v grad lap v
+        flux = _galerkin(c, n, sym["flux"], lambda v, g1, g2: np.stack([v * g1, v * g2]))
         # -chi lap (1+v)^p has coefficient +chi |k|^2 power_hat(k)
-        out += self.params.chi * self.q.abs2 * self.q.power_hat(c, self.params.p)
-        out = _symmetrize(out)
-        out[self.n, self.n] = 0.0
+        out = self.params.chi * self.abs2 * _power_hat(c, n, self.params.p)
+        out -= np.sum(sym["grad"] * flux, axis=0)
+        out[n, n] = 0.0
         return out
-
-    def full(self, c: np.ndarray) -> np.ndarray:
-        return self.linear * c + self.nonlinear(c)
 
 
 def hessian_det2(u: SpectralField) -> SpectralField:
@@ -233,14 +221,13 @@ def hessian_det2(u: SpectralField) -> SpectralField:
     The k = 0 coefficient vanishes to roundoff: det D^2 u is a null
     Lagrangian, so its torus integral is zero.
     """
-    return SpectralField(u.modes, _symmetrize(_kernel(u.n).hessian(u.coeff)))
+    return SpectralField(u.modes, _epitaxial_terms(u.coeff, u.n)[0])
 
 
 def delta_of_delta_sq(u: SpectralField) -> SpectralField:
-    """Spectral lap (lap u)^2, assembled from the two stated convolutions;
-    identical (to roundoff) to the -|k|^2 multiplier applied to
-    conv(lap u, lap u)."""
-    return SpectralField(u.modes, _symmetrize(_kernel(u.n).ddsq(u.coeff)))
+    """Spectral lap (lap u)^2: the -|k|^2 multiplier applied to the Galerkin
+    coefficients of (lap u)^2."""
+    return SpectralField(u.modes, -u.modes.abs2 * _epitaxial_terms(u.coeff, u.n)[1])
 
 
 def _check_finite_term(arr: np.ndarray, term: str) -> None:
@@ -250,55 +237,57 @@ def _check_finite_term(arr: np.ndarray, term: str) -> None:
 
 def epitaxial_rhs(u: SpectralField, params: EpitaxialParams) -> SpectralField:
     """Full epitaxial right-hand side in spectral form; conserves the mean."""
-    q = _kernel(u.n)
-    out = (-params.K0 * q.abs2 - params.K2 * q.abs2**2) * u.coeff
+    abs2 = u.modes.abs2
+    out = (-params.K0 * abs2 - params.K2 * abs2**2) * u.coeff
     _check_finite_term(out, "K0*lap(u) - K2*lap^2(u)")
+    h, d = _epitaxial_terms(u.coeff, u.n)
     if params.K1 != 0.0:
-        t = params.K1 * q.hessian(u.coeff)
+        t = params.K1 * h
         _check_finite_term(t, "K1 * 2 det D^2 u")
         out = out + t
     if params.K3 != 0.0:
-        t = -0.5 * params.K3 * q.ddsq(u.coeff)
+        t = 0.5 * params.K3 * abs2 * d
         _check_finite_term(t, "-(K3/2) lap (lap u)^2")
         out = out + t
     # k = 0 stays zero to roundoff on its own: every term is an exact
     # derivative except det D^2 u, which is a null Lagrangian.
-    return SpectralField(u.modes, _symmetrize(out))
+    return SpectralField(u.modes, out)
 
 
 def power_term(v: SpectralField, p) -> SpectralField:
     """Galerkin coefficients of (1 + v)^p for integer p >= 2."""
     p = _check_power_exponent(p)
-    return SpectralField(v.modes, _symmetrize(_kernel(v.n).power_hat(v.coeff, p)))
+    return SpectralField(v.modes, _power_hat(v.coeff, v.n, p))
 
 
 def grad_dot_grad_lap(v: SpectralField) -> SpectralField:
     """Spectral grad v . grad lap v = v,i v,jji; weight m.(k-m) |k-m|^2."""
-    return SpectralField(v.modes, _symmetrize(_kernel(v.n).gradlap(v.coeff)))
+    return SpectralField(v.modes, _galerkin(v.coeff, v.n, _symbols(v.n)["gradlap"], _dot_pairs))
 
 
 def times_bilap(v: SpectralField) -> SpectralField:
     """Spectral v lap^2 v; weight |k-m|^4."""
-    return SpectralField(v.modes, _symmetrize(_kernel(v.n).timesbilap(v.coeff)))
+    return SpectralField(v.modes, _galerkin(v.coeff, v.n, _symbols(v.n)["timesbilap"], np.multiply))
 
 
 def thinfilm_rhs(v: SpectralField, params: ThinFilmParams) -> SpectralField:
     """Full thin-film right-hand side in the zero-mean variable v."""
     _require_zero_mean(v, "thin-film state")
-    q = _kernel(v.n)
-    out = -(q.abs2**2) * v.coeff
+    abs2 = v.modes.abs2
+    out = -(abs2**2) * v.coeff
     _check_finite_term(out, "-lap^2 v")
-    t = -q.gradlap(v.coeff)
+    sym = _symbols(v.n)
+    t = -_galerkin(v.coeff, v.n, sym["gradlap"], _dot_pairs)
     _check_finite_term(t, "-grad v . grad lap v")
     out = out + t
-    t = -q.timesbilap(v.coeff)
+    t = -_galerkin(v.coeff, v.n, sym["timesbilap"], np.multiply)
     _check_finite_term(t, "-v lap^2 v")
     out = out + t
-    t = params.chi * q.abs2 * q.power_hat(v.coeff, params.p)
+    t = params.chi * abs2 * _power_hat(v.coeff, v.n, params.p)
     _check_finite_term(t, "-chi lap (1+v)^p")
     out = out + t
     # k = 0 cancels to roundoff: the whole right side is in divergence form.
-    return SpectralField(v.modes, _symmetrize(out))
+    return SpectralField(v.modes, out)
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +315,6 @@ def _gather(big_hat: np.ndarray, n: int, N: int) -> np.ndarray:
     return big_hat[np.ix_(idx, idx)]
 
 
-def _oracle_field(modes: ModeSet, raw: np.ndarray) -> SpectralField:
-    return SpectralField(modes, _symmetrize(raw))
-
-
 def hessian_det2_pointwise(u: SpectralField, pad: int | None = None) -> SpectralField:
     n = u.n
     N = pad or (4 * n + 3)
@@ -338,7 +323,7 @@ def hessian_det2_pointwise(u: SpectralField, pad: int | None = None) -> Spectral
     u22 = _sample(u.coeff, n, N, -(k2 * k2).astype(float))
     u12 = _sample(u.coeff, n, N, -(k1 * k2).astype(float))
     w = 2.0 * (u11 * u22 - u12 * u12)
-    return _oracle_field(u.modes, _gather(np.fft.fft2(w) / (N * N), n, N))
+    return SpectralField(u.modes, _gather(np.fft.fft2(w) / (N * N), n, N))
 
 
 def delta_of_delta_sq_pointwise(u: SpectralField, pad: int | None = None) -> SpectralField:
@@ -348,7 +333,7 @@ def delta_of_delta_sq_pointwise(u: SpectralField, pad: int | None = None) -> Spe
     lap = _sample(u.coeff, n, N, -abs2)
     w_hat = np.fft.fft2(lap * lap) / (N * N)
     out = -_big_wavenumbers(N) * w_hat
-    return _oracle_field(u.modes, _gather(out, n, N))
+    return SpectralField(u.modes, _gather(out, n, N))
 
 
 def grad_dot_grad_lap_pointwise(v: SpectralField, pad: int | None = None) -> SpectralField:
@@ -360,7 +345,7 @@ def grad_dot_grad_lap_pointwise(v: SpectralField, pad: int | None = None) -> Spe
     d1l = _sample(v.coeff, n, N, -1j * k1 * abs2)
     d2l = _sample(v.coeff, n, N, -1j * k2 * abs2)
     w = d1 * d1l + d2 * d2l
-    return _oracle_field(v.modes, _gather(np.fft.fft2(w) / (N * N), n, N))
+    return SpectralField(v.modes, _gather(np.fft.fft2(w) / (N * N), n, N))
 
 
 def times_bilap_pointwise(v: SpectralField, pad: int | None = None) -> SpectralField:
@@ -369,7 +354,7 @@ def times_bilap_pointwise(v: SpectralField, pad: int | None = None) -> SpectralF
     _, _, abs2 = _grids(n)
     vs = _sample(v.coeff, n, N)
     bih = _sample(v.coeff, n, N, abs2**2)
-    return _oracle_field(v.modes, _gather(np.fft.fft2(vs * bih) / (N * N), n, N))
+    return SpectralField(v.modes, _gather(np.fft.fft2(vs * bih) / (N * N), n, N))
 
 
 def epitaxial_rhs_pointwise(u: SpectralField, params: EpitaxialParams,
@@ -389,7 +374,7 @@ def epitaxial_rhs_pointwise(u: SpectralField, params: EpitaxialParams,
     if params.K3 != 0.0:
         w_hat = np.fft.fft2(lap * lap) / (N * N)
         out += 0.5 * params.K3 * _big_wavenumbers(N) * w_hat
-    return _oracle_field(u.modes, _gather(out, n, N))
+    return SpectralField(u.modes, _gather(out, n, N))
 
 
 def thinfilm_rhs_pointwise(v: SpectralField, params: ThinFilmParams,
@@ -408,4 +393,4 @@ def thinfilm_rhs_pointwise(v: SpectralField, params: ThinFilmParams,
     out = np.fft.fft2(point) / (N * N)
     w_hat = np.fft.fft2((1.0 + vs) ** params.p) / (N * N)
     out += params.chi * _big_wavenumbers(N) * w_hat
-    return _oracle_field(v.modes, _gather(out, n, N))
+    return SpectralField(v.modes, _gather(out, n, N))

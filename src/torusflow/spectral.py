@@ -192,16 +192,22 @@ def wiener_norm(f: SpectralField, s: float) -> float:
     return math.fsum(a.ravel().tolist())
 
 
+def _norms(c: np.ndarray, abs2: np.ndarray) -> tuple:
+    """(A^0, A^2, A^4, A^6) of a centered coefficient block from a single
+    |c| pass, each a correctly rounded math.fsum."""
+    a = np.abs(c).ravel()
+    w2 = abs2.ravel()
+    return (
+        math.fsum(a.tolist()),
+        math.fsum((w2 * a).tolist()),
+        math.fsum((w2 * w2 * a).tolist()),
+        math.fsum((w2 * w2 * w2 * a).tolist()),
+    )
+
+
 def norm_vector(f: SpectralField) -> NormVector:
     """A^0, A^2, A^4, A^6 norms computed from a single |coeff| pass."""
-    a = np.abs(f.coeff).ravel()
-    w2 = f.modes.abs2.ravel()
-    return NormVector(
-        a0=math.fsum(a.tolist()),
-        a2=math.fsum((w2 * a).tolist()),
-        a4=math.fsum((w2 * w2 * a).tolist()),
-        a6=math.fsum((w2 * w2 * w2 * a).tolist()),
-    )
+    return NormVector(*_norms(f.coeff, f.modes.abs2))
 
 
 @lru_cache(maxsize=None)
@@ -211,38 +217,40 @@ def _pad_size(n: int) -> int:
     return _fft.next_fast_len(3 * n + 1)
 
 
-@lru_cache(maxsize=None)
-def _wrap_indices(n: int, N: int) -> np.ndarray:
-    idx = np.arange(-n, n + 1) % N
-    idx.setflags(write=False)
-    return idx
+# The transform layout.  A real field is carried by the k2 >= 0 half of its
+# coefficients, scattered into the (N, N//2 + 1) layout of scipy's rfft2 on
+# an N x N grid; the k2 < 0 half follows from uhat(-k) = conj(uhat(k)).  Every
+# array may carry leading batch axes, so one call transforms a whole stack.
 
 
-def _embed(coeff: np.ndarray, n: int, N: int) -> np.ndarray:
-    """Scatter a centered coefficient block into standard FFT layout of size N."""
-    out = np.zeros((N, N), dtype=np.complex128)
-    idx = _wrap_indices(n, N)
-    out[np.ix_(idx, idx)] = coeff
+def _embed(half: np.ndarray, n: int, N: int) -> np.ndarray:
+    """Scatter k2 >= 0 half blocks (..., 2n+1, n+1), rows k1 = -n..n, into
+    rfft2 layout (..., N, N//2 + 1).  Needs N >= 2n + 1."""
+    out = np.zeros(half.shape[:-2] + (N, N // 2 + 1), dtype=np.complex128)
+    out[..., : n + 1, : n + 1] = half[..., n:, :]
+    out[..., N - n :, : n + 1] = half[..., :n, :]
     return out
 
 
-def _extract(arr: np.ndarray, n: int, N: int) -> np.ndarray:
-    """Gather the centered block |k| <= n back out of FFT layout."""
-    idx = _wrap_indices(n, N)
-    return arr[np.ix_(idx, idx)]
+def _extract(spec: np.ndarray, n: int, N: int) -> np.ndarray:
+    """Gather |k| <= n out of rfft2 layout and rebuild the k2 < 0 half, giving
+    exactly Hermitian centered blocks (..., 2n+1, 2n+1)."""
+    half = np.concatenate([spec[..., N - n :, : n + 1], spec[..., : n + 1, : n + 1]], axis=-2)
+    # The k2 = 0 column is its own mirror; average away its roundoff asymmetry.
+    half[..., 0] = 0.5 * (half[..., 0] + np.conj(half[..., ::-1, 0]))
+    return np.concatenate([np.conj(half[..., ::-1, :0:-1]), half], axis=-1)
 
 
-def _symmetrize(c: np.ndarray) -> np.ndarray:
-    """Project onto the Hermitian subspace (removes ~1e-16 FFT roundoff)."""
-    return 0.5 * (c + _hermitian_flip(c))
+def _to_grid(half: np.ndarray, n: int, N: int) -> np.ndarray:
+    """Samples u(2 pi a / N, 2 pi b / N) of the fields whose k2 >= 0 half
+    blocks are given; one batched inverse real transform."""
+    return _fft.irfft2(_embed(half, n, N), s=(N, N), norm="forward")
 
 
-def _convolve_fft_raw(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    N = _pad_size(n)
-    fa = _fft.ifft2(_embed(a, n, N))
-    fb = _fft.ifft2(_embed(b, n, N))
-    w = _fft.fft2(fa * fb) * (N * N)
-    return _extract(w, n, N)
+def _from_grid(values: np.ndarray, n: int) -> np.ndarray:
+    """Centered coefficients |k| <= n of real samples on an N x N grid; one
+    batched forward real transform."""
+    return _extract(_fft.rfft2(values, norm="forward"), n, values.shape[-1])
 
 
 def _convolve_direct_raw(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -274,13 +282,13 @@ def convolve(f: SpectralField, g: SpectralField, method: str = "fft") -> Spectra
     """
     if f.modes != g.modes:
         raise ValueError(f"mode-set mismatch: n={f.n} vs n={g.n}")
+    n = f.n
     if method == "fft":
-        raw = _convolve_fft_raw(f.coeff, g.coeff, f.n)
-    elif method == "direct":
-        raw = _convolve_direct_raw(f.coeff, g.coeff, f.n)
-    else:
-        raise ValueError(f"unknown convolution method {method!r}")
-    return SpectralField(f.modes, _symmetrize(raw))
+        fa, fb = _to_grid(np.stack([f.coeff, g.coeff])[..., n:], n, _pad_size(n))
+        return SpectralField(f.modes, _from_grid(fa * fb, n))
+    if method == "direct":
+        return SpectralField(f.modes, _convolve_direct_raw(f.coeff, g.coeff, n))
+    raise ValueError(f"unknown convolution method {method!r}")
 
 
 def mode_multiplier(f: SpectralField, symbol) -> SpectralField:
@@ -328,8 +336,7 @@ def to_real_samples(f: SpectralField, grid_n: int) -> np.ndarray:
     N = int(grid_n)
     if N < 2 * f.n + 2:
         raise ValueError(f"grid size {N} too small for cutoff {f.n}; need N >= {2 * f.n + 2}")
-    u = _fft.ifft2(_embed(f.coeff, f.n, N)) * (N * N)
-    return np.ascontiguousarray(u.real)
+    return _to_grid(f.coeff[:, f.n :], f.n, N)
 
 
 def from_real_samples(samples: np.ndarray, n: int) -> SpectralField:
@@ -340,8 +347,7 @@ def from_real_samples(samples: np.ndarray, n: int) -> SpectralField:
     N = s.shape[0]
     if N < 2 * n + 2:
         raise ValueError(f"grid size {N} too small for cutoff {n}; need N >= {2 * n + 2}")
-    u = _fft.fft2(s) / (N * N)
-    return SpectralField(ModeSet(n), _extract(u, n, N))
+    return SpectralField(ModeSet(n), _from_grid(s, n))
 
 
 def scale_modes(f: SpectralField, lam: int, n_out: int | None = None) -> SpectralField:

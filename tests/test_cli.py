@@ -89,6 +89,12 @@ class TestCheckCommand:
         assert report["theorems"][0]["theorem_id"] == "EpitaxialA2_K0zero"
         assert report["theorems"][0]["lambda"] == pytest.approx(0.7)
 
+    def test_oversized_integer_is_a_config_error(self, tmp_path, capsys):
+        cfgp = tmp_path / "cfg.json"
+        write_config(cfgp, n=10**31)
+        assert main(["check", str(cfgp)]) == 2
+        assert capsys.readouterr().err.startswith("config error: n:")
+
     def test_report_to_file(self, tmp_path):
         cfgp = tmp_path / "cfg.json"
         write_config(cfgp)

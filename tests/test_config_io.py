@@ -104,6 +104,31 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="no such file"):
             load_config(tmp_path / "nope.json")
 
+    @pytest.mark.parametrize("section,key,value", [
+        (None, "n", 10**31),
+        (None, "seed", 10**31),
+        ("params", "p", -10**31),
+        ("stepper", "record_every", 10**31),
+        ("params", "K2", 10**400),
+    ], ids=["n", "seed", "p", "record_every", "K2"])
+    def test_oversized_integer_rejected_with_message(self, section, key, value):
+        raw = minimal_epitaxial()
+        if key == "p":
+            raw.update(model="thinfilm", params={"chi": 0.3, "p": 3})
+            raw["initial_data"]["zero_mean"] = True
+        target = raw if section is None else raw.setdefault(section, {})
+        target[key] = value
+        with pytest.raises(ConfigError) as exc:
+            parse_config(raw)
+        assert [msg.split(":")[0] for msg in exc.value.errors] == \
+            [key if section is None else f"{section}.{key}"]
+
+    def test_load_config_overlong_integer(self, tmp_path):
+        p = tmp_path / "long.json"
+        p.write_text('{"n": ' + "9" * 5000 + "}")
+        with pytest.raises(ConfigError, match="invalid JSON"):
+            load_config(p)
+
     def test_load_config_bad_json(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{not json")

@@ -199,6 +199,26 @@ class TestBlowup:
         assert out.final_time < 2.0
         assert detect_blowup(out.trace, 10.0 * wiener_norm(u0, 0)) is not None
 
+    def test_threshold_within_roundoff_of_a_step_a0(self):
+        # The crossing is decided on the correctly rounded A^0: one ulp below
+        # the A^0 after step 1 trips at step 1, the value itself does not.
+        u0 = scaled_to(random_field(8, seed=98, sigma=2.0), 0, 4.0)
+        params = EpitaxialParams(K0=0.0, K1=5.0, K2=0.05, K3=0.0)
+
+        def run(threshold):
+            return simulate(u0, params,
+                            StepperConfig(dt=1e-3, t_end=4e-3, record_every=1,
+                                          blowup_threshold=threshold),
+                            "epitaxial")
+
+        a1 = float(run(None).trace.a0[1])
+        below = run(math.nextafter(a1, 0.0))
+        assert below.status == "blowup_detected"
+        assert below.final_time == 1e-3
+        at = run(a1)
+        assert at.status == "blowup_detected"
+        assert at.final_time == 2 * 1e-3
+
     def test_failure_keeps_last_finite_state(self):
         # absurd dt on an explosive run drives coefficients to overflow
         u0 = scaled_to(random_field(6, seed=99, sigma=1.0), 0, 50.0)

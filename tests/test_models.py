@@ -27,6 +27,7 @@ from torusflow import (
     wiener_norm,
     with_cutoff,
 )
+from torusflow.models import EpitaxialRhs, ThinFilmRhs
 from _helpers import (
     brute_bilinear,
     max_abs_diff,
@@ -152,11 +153,16 @@ class TestEpitaxialRhs:
         assert max_abs_diff(out, want) < 1e-15
 
     def test_matches_pointwise_oracle(self):
-        u = random_field(8, seed=41)
+        # both parities of the padded grid, and the smallest grid
         params = EpitaxialParams(K0=0.2, K1=0.8, K2=1.0, K3=0.5)
-        got = epitaxial_rhs(u, params)
-        want = epitaxial_rhs_pointwise(u, params)
-        assert rel_err(got.coeff, want.coeff) < 1e-10
+        for n in (1, 2, 3, 8, 16, 32):
+            u = random_field(n, seed=41)
+            got = epitaxial_rhs(u, params)
+            want = epitaxial_rhs_pointwise(u, params)
+            assert rel_err(got.coeff, want.coeff) < 1e-10, n
+            rhs = EpitaxialRhs(n, params)
+            stepper = rhs.linear * u.coeff + rhs.nonlinear(u.coeff)
+            assert rel_err(stepper, want.coeff) < 1e-10, n
 
     def test_mean_conserved(self):
         u = random_field(8, seed=42)
@@ -259,11 +265,17 @@ class TestThinFilmRhs:
         assert got == pytest.approx(-1.0 + chi * p, abs=10 * eps**2)
 
     def test_matches_pointwise_oracle(self):
-        v = random_field(8, seed=71)
-        params = ThinFilmParams(chi=0.4, p=3)
-        got = thinfilm_rhs(v, params)
-        want = thinfilm_rhs_pointwise(v, params)
-        assert rel_err(got.coeff, want.coeff) < 1e-10
+        # both parities of the 3n+1 and (p+1)n+1 grids, and the smallest grid
+        for n in (1, 2, 3, 8, 16, 32):
+            v = random_field(n, seed=71)
+            for p in (2, 3, 5):
+                params = ThinFilmParams(chi=0.4, p=p)
+                got = thinfilm_rhs(v, params)
+                want = thinfilm_rhs_pointwise(v, params)
+                assert rel_err(got.coeff, want.coeff) < 1e-10, (n, p)
+                rhs = ThinFilmRhs(n, params)
+                stepper = rhs.linear * v.coeff + rhs.nonlinear(v.coeff)
+                assert rel_err(stepper, want.coeff) < 1e-10, (n, p)
 
     def test_mean_conserved(self):
         v = random_field(8, seed=72)

@@ -62,6 +62,10 @@ class TestRunSweep:
         failing = [r for r in rows if r["status"] == "config_error"]
         assert all("K2 > 0" in r["error"] for r in failing)
 
+    def test_oversized_integer_is_a_config_error_row(self, tmp_path):
+        rows = run_sweep(base_config(), [("seed", [3, 10**31])], str(tmp_path))
+        assert [r["status"] for r in rows] == ["completed", "config_error"]
+
     def test_threshold_flip_matches_checker(self, tmp_path):
         # margin = K2 - 2 (K1 + K3) a2 = 1 - a2: flips at a2 = 1
         values = [0.25, 0.75, 1.25, 1.75]
