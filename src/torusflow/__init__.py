@@ -25,7 +25,6 @@ from .spectral import (
 from .models import (
     EpitaxialParams,
     ThinFilmParams,
-    MeanGauge,
     hessian_det2,
     delta_of_delta_sq,
     epitaxial_rhs,

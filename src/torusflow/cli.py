@@ -15,11 +15,11 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, load_config, prepare_initial
+from .config import MAX_STEPS, ConfigError, _Ctx, load_config, prepare_initial, read_json
 from .driver import check_only, execute_run
 from .integrate import simulate
 from .output import read_trace_csv, write_report_json
-from .sweep import run_sweep
+from .sweep import DEFAULT_MAX_RUNS, run_sweep
 from .theory import verify_decay_envelope
 
 EXIT_OK = 0
@@ -91,33 +91,25 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg_raw_path, axes_path = args.config, args.axes
-    try:
-        with open(cfg_raw_path) as fh:
-            base = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise ConfigError([f"{cfg_raw_path}: {e}"]) from None
-    try:
-        with open(axes_path) as fh:
-            axes_raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise ConfigError([f"{axes_path}: {e}"]) from None
-    if not isinstance(axes_raw, dict) or "axes" not in axes_raw:
-        raise ConfigError([f"{axes_path}: expected an object with an 'axes' list"])
-    extra = set(axes_raw) - {"axes", "max_runs", "workers"}
-    if extra:
-        raise ConfigError([f"{axes_path}: unknown keys {sorted(extra)}"])
+    base = read_json(args.config)
+    axes_raw = read_json(args.axes)
+    where = f"{args.axes}: "
+    if not isinstance(axes_raw, dict) or not isinstance(axes_raw.get("axes"), list):
+        raise ConfigError([f"{where}expected an object with an 'axes' list"])
+    ctx = _Ctx()
+    ctx.known(axes_raw, where, {"axes", "max_runs", "workers"})
     axes = []
     for i, ax in enumerate(axes_raw["axes"]):
         if not isinstance(ax, dict) or set(ax) != {"path", "values"}:
-            raise ConfigError([f"{axes_path}: axes[{i}] must be {{'path', 'values'}}"])
-        axes.append((ax["path"], ax["values"]))
-    kwargs = {}
-    if "max_runs" in axes_raw:
-        kwargs["max_runs"] = int(axes_raw["max_runs"])
-    if "workers" in axes_raw:
-        kwargs["workers"] = int(axes_raw["workers"])
-    rows = run_sweep(base, axes, args.outdir, **kwargs)
+            ctx.fail(f"{where}axes[{i}] must be {{'path', 'values'}}")
+        else:
+            axes.append((ax["path"], ax["values"]))
+    positive = {"integer": True, "cond": lambda v: v >= 1, "msg": "must be an integer >= 1"}
+    max_runs = ctx.number(axes_raw, where, "max_runs", DEFAULT_MAX_RUNS, **positive)
+    ctx.number(axes_raw, where, "workers", **positive)  # accepted; members run one at a time
+    if ctx.errors:
+        raise ConfigError(ctx.errors)
+    rows = run_sweep(base, axes, args.outdir, max_runs=max_runs)
     n_ok = sum(1 for r in rows if r["status"] == "completed")
     print(f"sweep finished: {len(rows)} runs, {n_ok} completed; summary in "
           f"{args.outdir}/summary.csv")
@@ -138,6 +130,9 @@ def _cmd_convergence(args) -> int:
     cfg = load_config(args.config)
     if args.levels < 1:
         raise ConfigError(["--levels must be >= 1"])
+    if round(cfg.stepper.t_end / cfg.stepper.dt) > MAX_STEPS >> args.levels:
+        raise ConfigError([f"--levels: {args.levels} halvings of dt need more than "
+                           f"{MAX_STEPS} steps"])
     initial, _ = prepare_initial(cfg)
     finals = []
     dts = [cfg.stepper.dt / 2**i for i in range(args.levels + 1)]

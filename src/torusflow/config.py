@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrate import MODELS, SCHEMES, StepperConfig
-from .models import EpitaxialParams, MeanGauge, ThinFilmParams
+from .models import EpitaxialParams, ThinFilmParams
 from .spectral import ModeSet, SpectralField, read_snapshot, wiener_norm, with_cutoff
 
 __all__ = [
@@ -25,7 +25,12 @@ __all__ = [
     "InitialDataSpec",
     "OutputSpec",
     "RunConfig",
+    "MAX_GRID",
+    "MAX_N",
+    "MAX_P",
+    "MAX_STEPS",
     "parse_config",
+    "read_json",
     "load_config",
     "config_to_dict",
     "generate_initial",
@@ -33,6 +38,14 @@ __all__ = [
 ]
 
 NORM_EXPONENTS = {"a0": 0.0, "a2": 2.0, "a4": 4.0, "a6": 6.0}
+
+# Resource caps, checked before any allocation.  MAX_GRID bounds the points
+# per axis of the 3n+1 quadratic grid and the (p+1)n+1 thin-film power grid;
+# MAX_P keeps p! a finite double; MAX_STEPS bounds round(t_end / dt).
+MAX_GRID = 4096
+MAX_N = (MAX_GRID - 1) // 3
+MAX_P = 170
+MAX_STEPS = 10**7
 
 
 class ConfigError(ValueError):
@@ -139,8 +152,8 @@ def _parse_params(ctx: _Ctx, model: str, d, path="params."):
     ctx.known(d, path, {"chi", "p", "c_estimate"})
     chi = ctx.number(d, path, "chi", required=True, cond=lambda v: 0 < v < 1,
                      msg="must satisfy 0 < chi < 1")
-    p = ctx.number(d, path, "p", required=True, integer=True, cond=lambda v: v >= 2,
-                   msg="must be an integer p >= 2")
+    p = ctx.number(d, path, "p", required=True, integer=True, cond=lambda v: 2 <= v <= MAX_P,
+                   msg=f"must be an integer 2 <= p <= {MAX_P}")
     c = ctx.number(d, path, "c_estimate", 1.0, cond=lambda v: v > 0,
                    msg="must satisfy c_estimate > 0")
     if ctx.errors:
@@ -244,6 +257,10 @@ def _parse_stepper(ctx: _Ctx, d, path="stepper."):
     if t_end < dt:
         ctx.fail(f"{path}t_end: must be >= dt ({dt})")
         return None
+    steps = t_end / dt
+    if not math.isfinite(steps) or round(steps) > MAX_STEPS:
+        ctx.fail(f"{path}t_end: t_end / dt = {steps:.6g} exceeds the cap of {MAX_STEPS} steps")
+        return None
     return StepperConfig(dt=float(dt), t_end=float(t_end), scheme=scheme,
                          record_every=int(rec),
                          blowup_threshold=None if thr is None else float(thr))
@@ -282,8 +299,9 @@ def parse_config(raw: dict) -> RunConfig:
     model = raw.get("model")
     if model not in MODELS:
         ctx.fail(f"model: must be one of {MODELS}, got {model!r}")
-    n = ctx.number(raw, "", "n", None, required=True, integer=True, cond=lambda v: v >= 1,
-                   msg="must be an integer >= 1")
+    n = ctx.number(raw, "", "n", None, required=True, integer=True,
+                   cond=lambda v: 1 <= v <= MAX_N,
+                   msg=f"must be an integer 1 <= n <= {MAX_N} (3n+1 <= {MAX_GRID} grid points)")
     seed = ctx.number(raw, "", "seed", 0, integer=True, cond=lambda v: 0 <= v < 2**64,
                       msg="must be a 64-bit unsigned integer")
     params = None
@@ -294,6 +312,10 @@ def parse_config(raw: dict) -> RunConfig:
             sub = _Ctx()
             params = _parse_params(sub, model, raw["params"])
             ctx.errors.extend(sub.errors)
+    if isinstance(params, ThinFilmParams) and n is not None \
+            and (params.p + 1) * n + 1 > MAX_GRID:
+        ctx.fail(f"params.p: the power grid (p+1)n+1 = {(params.p + 1) * n + 1} "
+                 f"exceeds {MAX_GRID} points")
     initial = None
     if "initial_data" not in raw:
         ctx.fail("initial_data: required")
@@ -313,15 +335,19 @@ def parse_config(raw: dict) -> RunConfig:
                      stepper=stepper, outputs=outputs, seed=int(seed))
 
 
-def load_config(path) -> RunConfig:
+def read_json(path):
+    """Parsed JSON file contents; a missing file or bad JSON is a ConfigError."""
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError:
         raise ConfigError([f"{path}: no such file"]) from None
     except ValueError as e:  # JSONDecodeError, or an integer too long to convert
         raise ConfigError([f"{path}: invalid JSON ({e})"]) from None
-    return parse_config(raw)
+
+
+def load_config(path) -> RunConfig:
+    return parse_config(read_json(path))
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
@@ -405,7 +431,7 @@ def prepare_initial(cfg: RunConfig):
     """
     f = generate_initial(cfg.initial_data, cfg.n, cfg.seed)
     if cfg.model == "epitaxial":
-        return f, {"variable": "u", "mean_gauge": None}
+        return f, {"variable": "u"}
     m = f.coeff[cfg.n, cfg.n]
     if abs(m) <= 1e-12:
         v = f
@@ -418,4 +444,4 @@ def prepare_initial(cfg: RunConfig):
             "initial_data: thin-film data must be u0 with mean 1 "
             f"or a zero-mean fluctuation, got mean {m!r}"
         ])
-    return v, {"variable": "v", "mean_gauge": MeanGauge(mean_u0=1.0)}
+    return v, {"variable": "v"}

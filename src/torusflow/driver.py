@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .config import RunConfig, config_to_dict, prepare_initial
 from .integrate import RunOutcome, simulate
 from .output import write_report_json, write_trace_csv
-from .spectral import NormVector, SpectralField, norm_vector, write_snapshot
+from .spectral import NormVector, norm_vector, write_snapshot
 from .theory import (
     EnvelopeVerdict,
     TheoremReport,
@@ -45,9 +45,9 @@ class ExecutionResult:
     report: dict
 
 
-def theorem_reports(cfg: RunConfig, initial: SpectralField) -> list:
-    """Applicable smallness checks for this model; the first is primary."""
-    nv = norm_vector(initial)
+def theorem_reports(cfg: RunConfig, nv: NormVector) -> list:
+    """Applicable smallness checks for this model, evaluated on the initial
+    norms; the first is primary."""
     if cfg.model == "epitaxial":
         reports = [check_epitaxial_A2(cfg.params, nv.a2)]
         if cfg.params.K3 == 0 and cfg.params.K0 == 0:
@@ -60,8 +60,12 @@ def _envelope_norm(report: TheoremReport) -> str:
     return "a2" if report.theorem_id.startswith("EpitaxialA2") else "a0"
 
 
-def _base_report(cfg: RunConfig, meta: dict, nv: NormVector, reports) -> dict:
-    out = {
+def _prepare(cfg: RunConfig):
+    """Initial field, its norms, the theorem reports and the report skeleton."""
+    initial, meta = prepare_initial(cfg)
+    nv = norm_vector(initial)
+    reports = theorem_reports(cfg, nv)
+    return initial, nv, reports, {
         "config": config_to_dict(cfg),
         "variable": meta["variable"],
         "initial_norms": {"a0": nv.a0, "a2": nv.a2, "a4": nv.a4, "a6": nv.a6},
@@ -70,15 +74,11 @@ def _base_report(cfg: RunConfig, meta: dict, nv: NormVector, reports) -> dict:
         "run": None,
         "notes": THINFILM_NOTES if cfg.model == "thinfilm" else [],
     }
-    return out
 
 
 def check_only(cfg: RunConfig) -> ExecutionResult:
     """Theorem reports without time stepping."""
-    initial, meta = prepare_initial(cfg)
-    nv = norm_vector(initial)
-    reports = theorem_reports(cfg, initial)
-    report = _base_report(cfg, meta, nv, reports)
+    _, nv, reports, report = _prepare(cfg)
     return ExecutionResult(outcome=None, reports=reports, envelope=None,
                            initial_norms=nv, report=report)
 
@@ -86,9 +86,7 @@ def check_only(cfg: RunConfig) -> ExecutionResult:
 def execute_run(cfg: RunConfig, outdir=None, write_outputs: bool = True) -> ExecutionResult:
     """Full pipeline; writes trace CSV, report JSON and optional snapshots
     under outdir (default: the config's output directory)."""
-    initial, meta = prepare_initial(cfg)
-    nv = norm_vector(initial)
-    reports = theorem_reports(cfg, initial)
+    initial, nv, reports, report = _prepare(cfg)
 
     outdir = cfg.outputs.directory if outdir is None else outdir
     on_record = None
@@ -111,7 +109,6 @@ def execute_run(cfg: RunConfig, outdir=None, write_outputs: bool = True) -> Exec
                                          primary.lam, ENVELOPE_TOL)
 
     fnv = norm_vector(outcome.final_field)
-    report = _base_report(cfg, meta, nv, reports)
     report["envelope"] = envelope.to_dict() if envelope is not None else None
     mean_final = float(outcome.trace.mean[-1])
     report["run"] = {

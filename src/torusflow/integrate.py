@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import EpitaxialParams, EpitaxialRhs, ThinFilmParams, ThinFilmRhs
-from .spectral import ModeSet, SpectralField, _norms
+from .models import (EpitaxialParams, EpitaxialRhs, ThinFilmParams, ThinFilmRhs,
+                     _require_zero_mean)
+from .spectral import ModeSet, SpectralField, _norms, wiener_norm
 
 __all__ = [
     "SCHEMES",
@@ -237,15 +238,14 @@ def simulate(u0: SpectralField, params, stepper: StepperConfig, model: str,
     "numerical_failure" on NaN/Inf (final_field is then the last finite
     state).  on_record(step_index, t, field), when given, is called at step
     0, every record_fields_every steps (default: the trace cadence) and at
-    the final recorded step.
+    the last step, including the step that detects blow-up.  The trace gets
+    a row at the same last step.
     """
     rhs = _make_rhs(u0.n, params, model)
     if model == "thinfilm":
-        m = abs(u0.coeff[u0.n, u0.n])
-        if m > 1e-12:
-            raise ValueError(f"thin-film initial state must have zero mean, |vhat(0)| = {m:.3e}")
+        _require_zero_mean(u0, "thin-film initial state")
 
-    a0_init = math.fsum(np.abs(u0.coeff).ravel().tolist())
+    a0_init = wiener_norm(u0, 0)
     threshold = stepper.blowup_threshold
     if threshold is None:
         threshold = 1e6 * a0_init if a0_init > 0 else 1.0
@@ -279,17 +279,13 @@ def simulate(u0: SpectralField, params, stepper: StepperConfig, model: str,
             c = c_prev
             final_time = (i - 1) * dt
             break
-        recorded = False
-        if i % stepper.record_every == 0 or i == n_steps:
+        blowup = _a0_exceeds(c, threshold)
+        last = blowup or i == n_steps
+        if last or i % stepper.record_every == 0:
             rows.append(_trace_row(t, c, modes, dt))
-            recorded = True
-        if on_record is not None and (i % fields_every == 0 or i == n_steps):
+        if on_record is not None and (last or i % fields_every == 0):
             on_record(i, t, SpectralField(modes, c))
-        if _a0_exceeds(c, threshold):
-            if not recorded:
-                rows.append(_trace_row(t, c, modes, dt))
-                if on_record is not None:
-                    on_record(i, t, SpectralField(modes, c))
+        if blowup:
             status = STATUS_BLOWUP
             final_time = t
             break

@@ -37,7 +37,6 @@ from .spectral import (
 __all__ = [
     "EpitaxialParams",
     "ThinFilmParams",
-    "MeanGauge",
     "EpitaxialRhs",
     "ThinFilmRhs",
     "hessian_det2",
@@ -93,13 +92,6 @@ class ThinFilmParams:
         object.__setattr__(self, "p", int(self.p))
         if not (np.isfinite(self.c_estimate) and self.c_estimate > 0):
             raise ValueError(f"c_estimate > 0 required, got {self.c_estimate!r}")
-
-
-@dataclass(frozen=True)
-class MeanGauge:
-    """Conserved mean of u; thin-film runs are normalized to mean_u0 = 1."""
-
-    mean_u0: float = 1.0
 
 
 def _require_zero_mean(v: SpectralField, what: str) -> None:

@@ -1,9 +1,9 @@
-"""Parameter sweeps: Cartesian products of config overrides, run concurrently.
+"""Parameter sweeps: Cartesian products of config overrides, run in turn.
 
 Every combination executes in isolation with its own output directory; a
 failure (config violation, numerical failure, blow-up) becomes a summary row
-rather than aborting the sweep.  Results are deterministic per run and the
-summary order follows the Cartesian product, independent of scheduling.
+rather than aborting the sweep.  Members run one after another in product
+order, which is also the summary order.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import copy
 import csv
 import itertools
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 from .config import ConfigError, parse_config
 from .driver import execute_run
@@ -85,8 +84,7 @@ def _run_one(run_id: int, base: dict, overrides: dict, outdir: str) -> dict:
     return row
 
 
-def run_sweep(base: dict, axes, outdir: str, max_runs: int = DEFAULT_MAX_RUNS,
-              workers: int | None = None) -> list[dict]:
+def run_sweep(base: dict, axes, outdir: str, max_runs: int = DEFAULT_MAX_RUNS) -> list[dict]:
     """Execute the Cartesian product of axes over a base config dict.
 
     axes: list of (parameter path, list of values).  Returns summary rows in
@@ -103,13 +101,7 @@ def run_sweep(base: dict, axes, outdir: str, max_runs: int = DEFAULT_MAX_RUNS,
             f"sweep size {len(combos)} exceeds the cap of {max_runs} runs"
         ])
     os.makedirs(outdir, exist_ok=True)
-    workers = workers or min(8, os.cpu_count() or 1)
-    rows: list = [None] * len(combos)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(_run_one, i, base, combo, outdir): i
-                   for i, combo in enumerate(combos)}
-        for fut, i in futures.items():
-            rows[i] = fut.result()
+    rows = [_run_one(i, base, combo, outdir) for i, combo in enumerate(combos)]
     write_sweep_summary(rows, paths, os.path.join(outdir, "summary.csv"))
     return rows
 

@@ -95,6 +95,13 @@ class TestCheckCommand:
         assert main(["check", str(cfgp)]) == 2
         assert capsys.readouterr().err.startswith("config error: n:")
 
+    def test_factorial_overflow_p_is_a_config_error(self, tmp_path, capsys):
+        # 200! is not a finite double; the thin-film checker needs p!
+        cfgp = tmp_path / "cfg.json"
+        write_config(cfgp, model="thinfilm", params={"chi": 0.1, "p": 200})
+        assert main(["check", str(cfgp)]) == 2
+        assert capsys.readouterr().err.startswith("config error: params.p:")
+
     def test_report_to_file(self, tmp_path):
         cfgp = tmp_path / "cfg.json"
         write_config(cfgp)
@@ -147,6 +154,34 @@ class TestSweepCommand:
         axesp.write_text(json.dumps({"axes": "nope"}))
         assert main(["sweep", str(cfgp), str(axesp)]) == 2
 
+    @pytest.mark.parametrize("extra", [
+        '"max_runs": Infinity',
+        '"max_runs": 1e400',
+        '"workers": 1e400',
+        '"max_runs": true',
+        '"workers": 0',
+    ])
+    def test_bad_axes_number_is_a_config_error(self, tmp_path, capsys, extra):
+        cfgp = tmp_path / "cfg.json"
+        write_config(cfgp)
+        axesp = tmp_path / "axes.json"
+        axesp.write_text('{"axes": [{"path": "seed", "values": [1]}], ' + extra + "}")
+        assert main(["sweep", str(cfgp), str(axesp), "--outdir", str(tmp_path / "sw")]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "sw").exists()
+
+    def test_axes_errors_reported_at_once(self, tmp_path, capsys):
+        cfgp = tmp_path / "cfg.json"
+        write_config(cfgp)
+        axesp = tmp_path / "axes.json"
+        axesp.write_text(json.dumps({"axes": [{"path": "seed"}], "max_runs": 0,
+                                     "workers": 1.5, "extra": 1}))
+        assert main(["sweep", str(cfgp), str(axesp)]) == 2
+        err = capsys.readouterr().err
+        for frag in ("extra: unknown key", "axes[0]", "max_runs:", "workers:"):
+            assert frag in err
+        assert err.count("config error: ") == 4
+
 
 class TestConvergenceCommand:
     def test_prints_ratio_table(self, tmp_path, capsys):
@@ -159,6 +194,13 @@ class TestConvergenceCommand:
         out = capsys.readouterr().out
         assert "err_a0_vs_half" in out
         assert len(out.strip().splitlines()) >= 3
+
+    @pytest.mark.parametrize("levels", [40, 10**9])
+    def test_step_count_cap(self, tmp_path, capsys, levels):
+        cfgp = tmp_path / "cfg.json"
+        write_config(cfgp)  # 40 steps at the coarsest dt
+        assert main(["convergence", str(cfgp), "--levels", str(levels)]) == 2
+        assert capsys.readouterr().err.startswith("config error: --levels:")
 
 
 class TestEntryPoint:

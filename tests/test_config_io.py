@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from torusflow import (
     write_report_json,
     write_trace_csv,
 )
-from torusflow.config import InitialDataSpec, NormalizeSpec
+from torusflow.config import MAX_GRID, MAX_N, MAX_P, MAX_STEPS, InitialDataSpec, NormalizeSpec
 from torusflow.output import CSV_HEADER, read_report_json
 from _helpers import random_field
 
@@ -140,6 +141,61 @@ class TestParseConfig:
         raw["initial_data"]["modes"] = [[2, 0, 0.5, 0.0], [-2, 0, 0.5, 0.0]]
         with pytest.raises(ConfigError, match="outside cutoff"):
             parse_config(raw)
+
+
+def thinfilm(n, p, **overrides):
+    return minimal_epitaxial(model="thinfilm", n=n, params={"chi": 0.3, "p": p},
+                             **overrides)
+
+
+def parse_errors(raw):
+    """parse_config's violations, checked to come without a grid-sized
+    allocation."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError) as exc:
+            parse_config(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    return exc.value.errors
+
+
+class TestResourceCaps:
+    def test_n_cap(self):
+        errors = parse_errors(minimal_epitaxial(n=10**18))
+        assert [msg.split(":")[0] for msg in errors] == ["n"]
+        assert parse_errors(minimal_epitaxial(n=MAX_N + 1))[0].startswith("n:")
+
+    def test_p_factorial_cap(self):
+        assert math.isfinite(float(math.factorial(MAX_P)))
+        errors = parse_errors(thinfilm(4, 200))
+        assert [msg.split(":")[0] for msg in errors] == ["params.p"]
+        assert parse_errors(thinfilm(4, MAX_P + 1))[0].startswith("params.p:")
+
+    def test_power_grid_cap(self):
+        # (p+1)n+1 = 171 * 24 + 1 = 4105 points per axis
+        errors = parse_errors(thinfilm(24, MAX_P))
+        assert len(errors) == 1
+        assert errors[0].startswith("params.p: the power grid")
+
+    def test_step_count_cap(self):
+        errors = parse_errors(minimal_epitaxial(stepper={"dt": 1e-300, "t_end": 1.0}))
+        assert [msg.split(":")[0] for msg in errors] == ["stepper.t_end"]
+        errors = parse_errors(minimal_epitaxial(stepper={"dt": 5e-324, "t_end": 1e300}))
+        assert errors[0].startswith("stepper.t_end:")
+        errors = parse_errors(minimal_epitaxial(stepper={"dt": 1.0, "t_end": MAX_STEPS + 1}))
+        assert errors[0].startswith("stepper.t_end:")
+
+    def test_configs_at_the_caps_are_accepted(self):
+        assert parse_config(minimal_epitaxial(n=MAX_N)).n == MAX_N
+        assert 3 * MAX_N + 1 <= MAX_GRID
+        # (p+1)n+1 = 4096 exactly
+        assert parse_config(thinfilm(63, 64)).params.p == 64
+        assert parse_config(thinfilm(1, MAX_P)).params.p == MAX_P
+        cfg = parse_config(minimal_epitaxial(stepper={"dt": 1.0, "t_end": MAX_STEPS}))
+        assert round(cfg.stepper.t_end / cfg.stepper.dt) == MAX_STEPS
 
 
 class TestGenerateInitial:

