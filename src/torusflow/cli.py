@@ -10,15 +10,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
-
-import numpy as np
 
 from .config import MAX_STEPS, ConfigError, _Ctx, load_config, prepare_initial, read_json
 from .driver import check_only, execute_run
 from .integrate import simulate
 from .output import read_trace_csv, write_report_json
+from .spectral import SpectralField, wiener_norm
 from .sweep import DEFAULT_MAX_RUNS, run_sweep
 from .theory import verify_decay_envelope
 
@@ -151,7 +149,7 @@ def _cmd_convergence(args) -> int:
     for i in range(len(dts) - 1):
         if finals[i] is None or finals[i + 1] is None:
             continue
-        err = math.fsum(np.abs(finals[i].coeff - finals[i + 1].coeff).ravel().tolist())
+        err = wiener_norm(SpectralField(finals[i].modes, finals[i].coeff - finals[i + 1].coeff), 0)
         ratio = "" if prev_err is None or err == 0 else f"{prev_err / err:8.3f}"
         print(f"{dts[i]:12.6g} {err:16.6e} {ratio:>8}")
         prev_err = err

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -352,12 +352,7 @@ def load_config(path) -> RunConfig:
 
 def config_to_dict(cfg: RunConfig) -> dict:
     """Serializable echo; parse_config(config_to_dict(cfg)) == cfg."""
-    if isinstance(cfg.params, EpitaxialParams):
-        params = {"K0": cfg.params.K0, "K1": cfg.params.K1,
-                  "K2": cfg.params.K2, "K3": cfg.params.K3}
-    else:
-        params = {"chi": cfg.params.chi, "p": cfg.params.p,
-                  "c_estimate": cfg.params.c_estimate}
+    params = asdict(cfg.params)
     ini: dict = {"kind": cfg.initial_data.kind, "zero_mean": cfg.initial_data.zero_mean}
     if cfg.initial_data.kind == "modes":
         ini["modes"] = [list(entry) for entry in cfg.initial_data.modes]

@@ -7,13 +7,16 @@ decay envelope when a condition holds, and write trace/report/snapshots.
 
 from __future__ import annotations
 
+import math
 import os
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
-from .config import RunConfig, config_to_dict, prepare_initial
+import numpy as np
+
+from .config import NORM_EXPONENTS, ConfigError, RunConfig, config_to_dict, prepare_initial
 from .integrate import RunOutcome, simulate
 from .output import write_report_json, write_trace_csv
-from .spectral import NormVector, norm_vector, write_snapshot
+from .spectral import NormVector, norm_vector, wiener_norm, write_snapshot
 from .theory import (
     EnvelopeVerdict,
     TheoremReport,
@@ -60,10 +63,33 @@ def _envelope_norm(report: TheoremReport) -> str:
     return "a2" if report.theorem_id.startswith("EpitaxialA2") else "a0"
 
 
+def _finite_norm(f, s: float) -> bool:
+    try:
+        return math.isfinite(wiener_norm(f, s))
+    except OverflowError:  # math.fsum of finite terms beyond the float range
+        return False
+
+
+def _initial_norms(initial) -> NormVector:
+    """Norms of the initial field.  A norm beyond the float range would make
+    the reports and the trace non-finite, so it is a config error naming
+    each such norm."""
+    with np.errstate(over="ignore"):
+        try:
+            nv = norm_vector(initial)
+            if all(math.isfinite(x) for x in astuple(nv)):
+                return nv
+        except OverflowError:
+            pass
+        bad = [name for name, s in NORM_EXPONENTS.items() if not _finite_norm(initial, s)]
+    raise ConfigError([f"initial_data: the Wiener norm {name} of the initial field "
+                       "overflows the float range" for name in bad])
+
+
 def _prepare(cfg: RunConfig):
     """Initial field, its norms, the theorem reports and the report skeleton."""
     initial, meta = prepare_initial(cfg)
-    nv = norm_vector(initial)
+    nv = _initial_norms(initial)
     reports = theorem_reports(cfg, nv)
     return initial, nv, reports, {
         "config": config_to_dict(cfg),
@@ -83,7 +109,7 @@ def check_only(cfg: RunConfig) -> ExecutionResult:
                            initial_norms=nv, report=report)
 
 
-def execute_run(cfg: RunConfig, outdir=None, write_outputs: bool = True) -> ExecutionResult:
+def execute_run(cfg: RunConfig, outdir=None) -> ExecutionResult:
     """Full pipeline; writes trace CSV, report JSON and optional snapshots
     under outdir (default: the config's output directory)."""
     initial, nv, reports, report = _prepare(cfg)
@@ -91,7 +117,7 @@ def execute_run(cfg: RunConfig, outdir=None, write_outputs: bool = True) -> Exec
     outdir = cfg.outputs.directory if outdir is None else outdir
     on_record = None
     fields_every = None
-    if write_outputs and cfg.outputs.snapshot_every > 0:
+    if cfg.outputs.snapshot_every > 0:
         os.makedirs(outdir, exist_ok=True)
         prefix = os.path.join(outdir, cfg.outputs.snapshot_prefix)
         fields_every = cfg.outputs.snapshot_every
@@ -119,10 +145,9 @@ def execute_run(cfg: RunConfig, outdir=None, write_outputs: bool = True) -> Exec
         "mean_u_final": mean_final + (1.0 if cfg.model == "thinfilm" else 0.0),
     }
 
-    if write_outputs:
-        os.makedirs(outdir, exist_ok=True)
-        write_trace_csv(outcome.trace, os.path.join(outdir, cfg.outputs.trace_csv))
-        write_report_json(report, os.path.join(outdir, cfg.outputs.report_json))
+    os.makedirs(outdir, exist_ok=True)
+    write_trace_csv(outcome.trace, os.path.join(outdir, cfg.outputs.trace_csv))
+    write_report_json(report, os.path.join(outdir, cfg.outputs.report_json))
 
     return ExecutionResult(outcome=outcome, reports=reports, envelope=envelope,
                            initial_norms=nv, report=report)

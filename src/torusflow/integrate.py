@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import (EpitaxialParams, EpitaxialRhs, ThinFilmParams, ThinFilmRhs,
-                     _require_zero_mean)
+from .models import RHS, _require_zero_mean, make_rhs
 from .spectral import ModeSet, SpectralField, _norms, wiener_norm
 
 __all__ = [
@@ -29,7 +28,7 @@ __all__ = [
 ]
 
 SCHEMES = ("ETD2", "IMEX1")
-MODELS = ("epitaxial", "thinfilm")
+MODELS = tuple(RHS)
 
 STATUS_COMPLETED = "completed"
 STATUS_BLOWUP = "blowup_detected"
@@ -146,18 +145,6 @@ def _phi2(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _make_rhs(n: int, params, model: str):
-    if model == "epitaxial":
-        if not isinstance(params, EpitaxialParams):
-            raise TypeError(f"epitaxial model needs EpitaxialParams, got {type(params).__name__}")
-        return EpitaxialRhs(n, params)
-    if model == "thinfilm":
-        if not isinstance(params, ThinFilmParams):
-            raise TypeError(f"thinfilm model needs ThinFilmParams, got {type(params).__name__}")
-        return ThinFilmRhs(n, params)
-    raise ValueError(f"model must be one of {MODELS}, got {model!r}")
-
-
 class _Etd2:
     """Two-stage exponential time differencing (exact linear propagation):
 
@@ -205,7 +192,7 @@ def step(state: SpectralField, dt: float, params, model: str,
     """Advance one step; convenience wrapper over the run loop's stepper."""
     if dt <= 0:
         raise ValueError(f"dt > 0 required, got {dt}")
-    rhs = _make_rhs(state.n, params, model)
+    rhs = make_rhs(model, state.n, params)
     stepper = _make_stepper(rhs, scheme, dt)
     c = stepper.advance(state.coeff.copy())
     if not np.isfinite(c).all():
@@ -241,7 +228,7 @@ def simulate(u0: SpectralField, params, stepper: StepperConfig, model: str,
     the last step, including the step that detects blow-up.  The trace gets
     a row at the same last step.
     """
-    rhs = _make_rhs(u0.n, params, model)
+    rhs = make_rhs(model, u0.n, params)
     if model == "thinfilm":
         _require_zero_mean(u0, "thin-film initial state")
 

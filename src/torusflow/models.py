@@ -16,6 +16,10 @@ and (1 + v)^p has its own (p+1)n+1 grid.  The *_pointwise twins are
 independent oracles (complex numpy.fft on a 4n+3 grid).  Derivative
 multipliers carry the analytic signs: d_j <-> i k_j, lap <-> -|k|^2,
 lap^2 <-> |k|^4.
+
+Each equation is written once, in the terms() of its *Rhs evaluator: the
+stepper, the public right-hand sides, the a priori monitor and the weak
+residual all evaluate through it.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ __all__ = [
     "ThinFilmParams",
     "EpitaxialRhs",
     "ThinFilmRhs",
+    "make_rhs",
     "hessian_det2",
     "delta_of_delta_sq",
     "epitaxial_rhs",
@@ -164,6 +169,9 @@ class EpitaxialRhs:
     nonlinearity, with the k = 0 output pinned to zero (both nonlinearities
     integrate to zero over the torus, and the mean is frozen structurally)."""
 
+    params_type = EpitaxialParams
+    linear_label = "K0*lap(u) - K2*lap^2(u)"
+
     def __init__(self, n: int, params: EpitaxialParams):
         self.n = int(n)
         self.params = params
@@ -171,15 +179,22 @@ class EpitaxialRhs:
         self.linear = -params.K0 * self.abs2 - params.K2 * self.abs2**2
         self.linear.setflags(write=False)
 
-    def nonlinear(self, c: np.ndarray) -> np.ndarray:
+    def terms(self, c: np.ndarray) -> list:
+        """Explicit terms as (label, coefficients); zero constants omitted."""
         p = self.params
         if p.K1 == 0.0 and p.K3 == 0.0:
-            return np.zeros_like(c)
+            return []
         h, d = _epitaxial_terms(c, self.n)
-        # -(K3/2) lap (lap u)^2 has coefficient +(K3/2) |k|^2 d(k)
-        out = p.K1 * h + (0.5 * p.K3) * self.abs2 * d
-        out[self.n, self.n] = 0.0
+        out = []
+        if p.K1 != 0.0:
+            out.append(("K1 * 2 det D^2 u", p.K1 * h))
+        if p.K3 != 0.0:
+            # -(K3/2) lap (lap u)^2 has coefficient +(K3/2) |k|^2 d(k)
+            out.append(("-(K3/2) lap (lap u)^2", (0.5 * p.K3) * self.abs2 * d))
         return out
+
+    def nonlinear(self, c: np.ndarray) -> np.ndarray:
+        return _sum_terms(self.terms(c), c, self.n)
 
 
 class ThinFilmRhs:
@@ -188,6 +203,9 @@ class ThinFilmRhs:
     explicit.  k = 0 output vanishes by the divergence structure and is
     pinned exactly."""
 
+    params_type = ThinFilmParams
+    linear_label = "-lap^2 v"
+
     def __init__(self, n: int, params: ThinFilmParams):
         self.n = int(n)
         self.params = params
@@ -195,16 +213,62 @@ class ThinFilmRhs:
         self.linear = -(self.abs2**2)
         self.linear.setflags(write=False)
 
-    def nonlinear(self, c: np.ndarray) -> np.ndarray:
+    def terms(self, c: np.ndarray) -> list:
+        """Explicit terms as (label, coefficients)."""
         n, sym = self.n, _symbols(self.n)
         # div (v grad lap v) = grad v . grad lap v + v lap^2 v is i k . F,
         # with F the Galerkin coefficients of v grad lap v
         flux = _galerkin(c, n, sym["flux"], lambda v, g1, g2: np.stack([v * g1, v * g2]))
-        # -chi lap (1+v)^p has coefficient +chi |k|^2 power_hat(k)
-        out = self.params.chi * self.abs2 * _power_hat(c, n, self.params.p)
-        out -= np.sum(sym["grad"] * flux, axis=0)
-        out[n, n] = 0.0
-        return out
+        return [
+            ("-grad v . grad lap v - v lap^2 v", -np.sum(sym["grad"] * flux, axis=0)),
+            # -chi lap (1+v)^p has coefficient +chi |k|^2 power_hat(k)
+            ("-chi lap (1+v)^p", self.params.chi * self.abs2 * _power_hat(c, n, self.params.p)),
+        ]
+
+    def nonlinear(self, c: np.ndarray) -> np.ndarray:
+        return _sum_terms(self.terms(c), c, self.n)
+
+
+def _sum_terms(terms: list, c: np.ndarray, n: int) -> np.ndarray:
+    if not terms:
+        return np.zeros_like(c)
+    out = terms[0][1]
+    for _, t in terms[1:]:
+        out += t
+    out[n, n] = 0.0
+    return out
+
+
+RHS = {"epitaxial": EpitaxialRhs, "thinfilm": ThinFilmRhs}
+
+
+def make_rhs(model: str, n: int, params):
+    """The evaluator of one model; rejects unknown models and params of the
+    wrong type."""
+    if model not in RHS:
+        raise ValueError(f"model must be one of {tuple(RHS)}, got {model!r}")
+    cls = RHS[model]
+    if not isinstance(params, cls.params_type):
+        raise TypeError(f"{model} model needs {cls.params_type.__name__}, "
+                        f"got {type(params).__name__}")
+    return cls(n, params)
+
+
+def _check_finite_term(arr: np.ndarray, term: str) -> None:
+    if not np.isfinite(arr).all():
+        raise FloatingPointError(f"non-finite values in term {term}")
+
+
+def _evaluate(rhs, u: SpectralField) -> SpectralField:
+    """Full right-hand side linear * u + terms through an evaluator; each
+    term is checked finite under its label, and k = 0 is pinned."""
+    out = rhs.linear * u.coeff
+    _check_finite_term(out, rhs.linear_label)
+    for label, t in rhs.terms(u.coeff):
+        _check_finite_term(t, label)
+        out += t
+    out[u.n, u.n] = 0.0
+    return SpectralField(u.modes, out)
 
 
 def hessian_det2(u: SpectralField) -> SpectralField:
@@ -222,28 +286,9 @@ def delta_of_delta_sq(u: SpectralField) -> SpectralField:
     return SpectralField(u.modes, -u.modes.abs2 * _epitaxial_terms(u.coeff, u.n)[1])
 
 
-def _check_finite_term(arr: np.ndarray, term: str) -> None:
-    if not np.isfinite(arr).all():
-        raise FloatingPointError(f"non-finite values in term {term}")
-
-
 def epitaxial_rhs(u: SpectralField, params: EpitaxialParams) -> SpectralField:
     """Full epitaxial right-hand side in spectral form; conserves the mean."""
-    abs2 = u.modes.abs2
-    out = (-params.K0 * abs2 - params.K2 * abs2**2) * u.coeff
-    _check_finite_term(out, "K0*lap(u) - K2*lap^2(u)")
-    h, d = _epitaxial_terms(u.coeff, u.n)
-    if params.K1 != 0.0:
-        t = params.K1 * h
-        _check_finite_term(t, "K1 * 2 det D^2 u")
-        out = out + t
-    if params.K3 != 0.0:
-        t = 0.5 * params.K3 * abs2 * d
-        _check_finite_term(t, "-(K3/2) lap (lap u)^2")
-        out = out + t
-    # k = 0 stays zero to roundoff on its own: every term is an exact
-    # derivative except det D^2 u, which is a null Lagrangian.
-    return SpectralField(u.modes, out)
+    return _evaluate(EpitaxialRhs(u.n, params), u)
 
 
 def power_term(v: SpectralField, p) -> SpectralField:
@@ -265,21 +310,7 @@ def times_bilap(v: SpectralField) -> SpectralField:
 def thinfilm_rhs(v: SpectralField, params: ThinFilmParams) -> SpectralField:
     """Full thin-film right-hand side in the zero-mean variable v."""
     _require_zero_mean(v, "thin-film state")
-    abs2 = v.modes.abs2
-    out = -(abs2**2) * v.coeff
-    _check_finite_term(out, "-lap^2 v")
-    sym = _symbols(v.n)
-    t = -_galerkin(v.coeff, v.n, sym["gradlap"], _dot_pairs)
-    _check_finite_term(t, "-grad v . grad lap v")
-    out = out + t
-    t = -_galerkin(v.coeff, v.n, sym["timesbilap"], np.multiply)
-    _check_finite_term(t, "-v lap^2 v")
-    out = out + t
-    t = params.chi * abs2 * _power_hat(v.coeff, v.n, params.p)
-    _check_finite_term(t, "-chi lap (1+v)^p")
-    out = out + t
-    # k = 0 cancels to roundoff: the whole right side is in divergence form.
-    return SpectralField(v.modes, out)
+    return _evaluate(ThinFilmRhs(v.n, params), v)
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +338,9 @@ def _gather(big_hat: np.ndarray, n: int, N: int) -> np.ndarray:
     return big_hat[np.ix_(idx, idx)]
 
 
-def hessian_det2_pointwise(u: SpectralField, pad: int | None = None) -> SpectralField:
+def hessian_det2_pointwise(u: SpectralField) -> SpectralField:
     n = u.n
-    N = pad or (4 * n + 3)
+    N = 4 * n + 3
     k1, k2, _ = _grids(n)
     u11 = _sample(u.coeff, n, N, -(k1 * k1).astype(float))
     u22 = _sample(u.coeff, n, N, -(k2 * k2).astype(float))
@@ -318,9 +349,9 @@ def hessian_det2_pointwise(u: SpectralField, pad: int | None = None) -> Spectral
     return SpectralField(u.modes, _gather(np.fft.fft2(w) / (N * N), n, N))
 
 
-def delta_of_delta_sq_pointwise(u: SpectralField, pad: int | None = None) -> SpectralField:
+def delta_of_delta_sq_pointwise(u: SpectralField) -> SpectralField:
     n = u.n
-    N = pad or (4 * n + 3)
+    N = 4 * n + 3
     _, _, abs2 = _grids(n)
     lap = _sample(u.coeff, n, N, -abs2)
     w_hat = np.fft.fft2(lap * lap) / (N * N)
@@ -328,9 +359,9 @@ def delta_of_delta_sq_pointwise(u: SpectralField, pad: int | None = None) -> Spe
     return SpectralField(u.modes, _gather(out, n, N))
 
 
-def grad_dot_grad_lap_pointwise(v: SpectralField, pad: int | None = None) -> SpectralField:
+def grad_dot_grad_lap_pointwise(v: SpectralField) -> SpectralField:
     n = v.n
-    N = pad or (4 * n + 3)
+    N = 4 * n + 3
     k1, k2, abs2 = _grids(n)
     d1 = _sample(v.coeff, n, N, 1j * k1.astype(float))
     d2 = _sample(v.coeff, n, N, 1j * k2.astype(float))
@@ -340,19 +371,18 @@ def grad_dot_grad_lap_pointwise(v: SpectralField, pad: int | None = None) -> Spe
     return SpectralField(v.modes, _gather(np.fft.fft2(w) / (N * N), n, N))
 
 
-def times_bilap_pointwise(v: SpectralField, pad: int | None = None) -> SpectralField:
+def times_bilap_pointwise(v: SpectralField) -> SpectralField:
     n = v.n
-    N = pad or (4 * n + 3)
+    N = 4 * n + 3
     _, _, abs2 = _grids(n)
     vs = _sample(v.coeff, n, N)
     bih = _sample(v.coeff, n, N, abs2**2)
     return SpectralField(v.modes, _gather(np.fft.fft2(vs * bih) / (N * N), n, N))
 
 
-def epitaxial_rhs_pointwise(u: SpectralField, params: EpitaxialParams,
-                            pad: int | None = None) -> SpectralField:
+def epitaxial_rhs_pointwise(u: SpectralField, params: EpitaxialParams) -> SpectralField:
     n = u.n
-    N = pad or (4 * n + 3)
+    N = 4 * n + 3
     k1, k2, abs2 = _grids(n)
     lap = _sample(u.coeff, n, N, -abs2)
     bih = _sample(u.coeff, n, N, abs2**2)
@@ -369,11 +399,10 @@ def epitaxial_rhs_pointwise(u: SpectralField, params: EpitaxialParams,
     return SpectralField(u.modes, _gather(out, n, N))
 
 
-def thinfilm_rhs_pointwise(v: SpectralField, params: ThinFilmParams,
-                           pad: int | None = None) -> SpectralField:
+def thinfilm_rhs_pointwise(v: SpectralField, params: ThinFilmParams) -> SpectralField:
     _require_zero_mean(v, "thin-film state")
     n = v.n
-    N = pad or max(4 * n + 3, (params.p + 1) * n + 2)
+    N = max(4 * n + 3, (params.p + 1) * n + 2)
     k1, k2, abs2 = _grids(n)
     vs = _sample(v.coeff, n, N)
     bih = _sample(v.coeff, n, N, abs2**2)

@@ -14,22 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import (
-    EpitaxialParams,
-    ThinFilmParams,
-    epitaxial_rhs,
-    hessian_det2,
-    power_term,
-)
-from .spectral import (
-    SpectralField,
-    biharmonic,
-    convolve,
-    derivative,
-    inner,
-    laplacian,
-    norm_vector,
-)
+from .models import EpitaxialParams, ThinFilmParams, _evaluate, epitaxial_rhs, make_rhs
+from .spectral import SpectralField, inner, norm_vector
 from .integrate import NormTrace
 
 __all__ = [
@@ -222,37 +208,19 @@ class TimeProfile:
         return cls(tuple(c))
 
 
-def _epitaxial_weak_integrand(u, phi, lap_phi, bih_phi, params, g, gp, t):
-    val = gp * inner(u, phi)
-    val += g * params.K0 * inner(u, lap_phi)
-    if params.K3 != 0.0:
-        lap_u = laplacian(u)
-        val -= g * 0.5 * params.K3 * inner(convolve(lap_u, lap_u), lap_phi)
-    if params.K1 != 0.0:
-        val += g * params.K1 * inner(hessian_det2(u), phi)
-    val -= g * params.K2 * inner(u, bih_phi)
-    return val
-
-
-def _thinfilm_weak_integrand(v, phi, lap_phi, bih_phi, d1_phi, d2_phi, params, g, gp, t):
-    val = -gp * inner(v, phi)
-    val += g * inner(v, bih_phi)
-    grad_lap = (derivative(laplacian(v), 0), derivative(laplacian(v), 1))
-    val -= g * (inner(convolve(v, grad_lap[0]), d1_phi)
-                + inner(convolve(v, grad_lap[1]), d2_phi))
-    val += g * params.chi * inner(power_term(v, params.p), lap_phi)
-    return val
-
-
 def weak_residual(times, states, phi_space: SpectralField, profile: TimeProfile,
                   model: str, params) -> float:
     """|weak-form integral| of a trajectory against phi(t,x) = g(t) phi(x).
 
-    Spatial integrals are exact spectral inner products (the test function
-    lives inside the mode set, so truncated products lose nothing); the time
-    integral is the trapezoid rule on the sample times.  A trajectory of the
-    Galerkin system therefore leaves a residual of order dt^2 plus the
-    quadrature error.  Requires times[0] = 0 and g(times[-1]) = 0.
+    The integrand is g'(t) <u, phi> + g(t) <rhs(u), phi>, with rhs the
+    model's full right-hand side; the boundary term is g(0) <u(0), phi>.
+    Because phi lies in the mode set, <rhs(u), phi> equals, by Parseval,
+    the weak form with every derivative moved onto phi, and the truncation
+    of the products loses nothing.  Spatial integrals are exact spectral
+    inner products; the time integral is the trapezoid rule on the sample
+    times.  A trajectory of the Galerkin system therefore leaves a residual
+    of order dt^2 plus the quadrature error.  Requires times[0] = 0 and
+    g(times[-1]) = 0.
     """
     times = np.asarray(times, dtype=np.float64)
     if len(times) != len(states) or len(times) < 2:
@@ -270,29 +238,9 @@ def weak_residual(times, states, phi_space: SpectralField, profile: TimeProfile,
         if s.modes != phi_space.modes:
             raise ValueError("test function and states must share one mode set")
 
-    phi = phi_space
-    lap_phi = laplacian(phi)
-    bih_phi = biharmonic(phi)
-
-    vals = np.empty(len(times))
-    if model == "epitaxial":
-        if not isinstance(params, EpitaxialParams):
-            raise TypeError("epitaxial model needs EpitaxialParams")
-        for i, (t, u) in enumerate(zip(times, states)):
-            vals[i] = _epitaxial_weak_integrand(
-                u, phi, lap_phi, bih_phi, params, profile.value(t), profile.slope(t), t)
-        boundary = profile.value(0.0) * inner(states[0], phi)
-    elif model == "thinfilm":
-        if not isinstance(params, ThinFilmParams):
-            raise TypeError("thinfilm model needs ThinFilmParams")
-        d1_phi = derivative(phi, 0)
-        d2_phi = derivative(phi, 1)
-        for i, (t, v) in enumerate(zip(times, states)):
-            vals[i] = _thinfilm_weak_integrand(
-                v, phi, lap_phi, bih_phi, d1_phi, d2_phi, params,
-                profile.value(t), profile.slope(t), t)
-        boundary = -profile.value(0.0) * inner(states[0], phi)
-    else:
-        raise ValueError(f"model must be 'epitaxial' or 'thinfilm', got {model!r}")
-
+    rhs = make_rhs(model, phi_space.n, params)
+    vals = [profile.slope(t) * inner(u, phi_space)
+            + profile.value(t) * inner(_evaluate(rhs, u), phi_space)
+            for t, u in zip(times, states)]
+    boundary = profile.value(0.0) * inner(states[0], phi_space)
     return abs(boundary + float(np.trapezoid(vals, times)))

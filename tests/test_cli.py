@@ -62,6 +62,16 @@ class TestSimulateCommand:
                      stepper={"dt": 0.001, "t_end": 2.0, "blowup_threshold": 40.0})
         assert main(["simulate", str(cfgp)]) == 4
 
+    def test_overflowing_initial_norm_is_a_config_error(self, tmp_path, capsys):
+        cfgp = tmp_path / "cfg.json"
+        write_config(cfgp, params={"K0": 0.0, "K1": 0.0, "K2": 1.0, "K3": 0.0},
+                     initial_data={"kind": "modes",
+                                   "modes": [[3, 3, 1e306, 0], [-3, -3, 1e306, 0]]})
+        assert main(["simulate", str(cfgp)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: initial_data: the Wiener norm a4 ")
+        assert not (tmp_path / "out").exists()
+
     def test_bit_reproducible_trace(self, tmp_path):
         cfgp = tmp_path / "cfg.json"
         write_config(cfgp)
@@ -101,6 +111,25 @@ class TestCheckCommand:
         write_config(cfgp, model="thinfilm", params={"chi": 0.1, "p": 200})
         assert main(["check", str(cfgp)]) == 2
         assert capsys.readouterr().err.startswith("config error: params.p:")
+
+    @pytest.mark.parametrize("modes, names", [
+        # |k|^4 |uhat| overflows a double; the A^0 and A^2 sums stay finite
+        ([[3, 3, 1e306, 0], [-3, -3, 1e306, 0]], ["a4", "a6"]),
+        # every term is finite, but their sum overflows inside math.fsum
+        ([[1, 0, 5e307, 0], [-1, 0, 5e307, 0], [0, 1, 5e307, 0], [0, -1, 5e307, 0]],
+         ["a0", "a2", "a4", "a6"]),
+    ])
+    def test_overflowing_initial_norm_is_a_config_error(self, tmp_path, capsys, modes, names):
+        cfgp = tmp_path / "cfg.json"
+        write_config(cfgp, params={"K0": 0.0, "K1": 0.0, "K2": 1.0, "K3": 0.0},
+                     initial_data={"kind": "modes", "modes": modes})
+        assert main(["check", str(cfgp)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == len(names)
+        for line, name in zip(lines, names):
+            assert line.startswith(f"config error: initial_data: the Wiener norm {name} ")
 
     def test_report_to_file(self, tmp_path):
         cfgp = tmp_path / "cfg.json"

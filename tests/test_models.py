@@ -179,6 +179,14 @@ class TestEpitaxialRhs:
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="det D"):
             epitaxial_rhs(big, EpitaxialParams(K1=1.0, K2=1.0))
 
+    def test_mean_mode_pinned_exactly(self):
+        # det D^2 u integrates to zero only up to roundoff on the grid
+        for seed in range(40, 46):
+            u = random_field(8, seed=seed, zero_mean=False)
+            assert u.mean != 0.0
+            out = epitaxial_rhs(u, EpitaxialParams(K0=0.1, K1=1.0, K2=1.0, K3=1.0))
+            assert out.coeff[8, 8] == 0.0, seed
+
 
 class TestPowerTerm:
     def test_zero_field_gives_one(self):
@@ -291,3 +299,11 @@ class TestThinFilmRhs:
         v = random_field(6, seed=73)
         out = thinfilm_rhs(v, ThinFilmParams(chi=0.3, p=4))
         assert hermitian_asymmetry(out) < 1e-13
+
+    def test_non_finite_identifies_term(self):
+        c = np.full((5, 5), 1e200, dtype=complex)
+        c[2, 2] = 0.0
+        big = SpectralField(ModeSet(2), c)
+        with np.errstate(all="ignore"), pytest.raises(
+                FloatingPointError, match=r"term -grad v \. grad lap v - v lap\^2 v$"):
+            thinfilm_rhs(big, ThinFilmParams(chi=0.3, p=2))

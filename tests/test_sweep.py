@@ -66,6 +66,13 @@ class TestRunSweep:
         rows = run_sweep(base_config(), [("seed", [3, 10**31])], str(tmp_path))
         assert [r["status"] for r in rows] == ["completed", "config_error"]
 
+    def test_overflowing_initial_norm_is_a_config_error_row(self, tmp_path):
+        axes = [("initial_data", [{"kind": "modes", "modes": [[3, 3, 1e-3, 0], [-3, -3, 1e-3, 0]]},
+                                  {"kind": "modes", "modes": [[3, 3, 1e306, 0], [-3, -3, 1e306, 0]]}])]
+        rows = run_sweep(base_config(), axes, str(tmp_path))
+        assert [r["status"] for r in rows] == ["completed", "config_error"]
+        assert "Wiener norm a4" in rows[1]["error"]
+
     def test_threshold_flip_matches_checker(self, tmp_path):
         # margin = K2 - 2 (K1 + K3) a2 = 1 - a2: flips at a2 = 1
         values = [0.25, 0.75, 1.25, 1.75]

@@ -288,6 +288,16 @@ class TestWeakResidual:
             weak_residual(times, states, cos_x1(), prof, "epitaxial",
                           EpitaxialParams(K2=1.0))
 
+    def test_model_dispatch_errors(self):
+        times = np.linspace(0, 1, 5)
+        states = [SpectralField.zeros(4) for _ in times]
+        prof = TimeProfile.vanishing_at(1.0)
+        with pytest.raises(TypeError, match="needs EpitaxialParams, got ThinFilmParams"):
+            weak_residual(times, states, cos_x1(), prof, "epitaxial",
+                          ThinFilmParams(chi=0.1, p=2))
+        with pytest.raises(ValueError, match=r"model must be one of \('epitaxial', 'thinfilm'\)"):
+            weak_residual(times, states, cos_x1(), prof, "porous", EpitaxialParams(K2=1.0))
+
     def test_must_start_at_zero(self):
         times = np.array([0.5, 1.0])
         states = [SpectralField.zeros(4)] * 2
