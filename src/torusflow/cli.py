@@ -12,12 +12,12 @@ import dataclasses
 import json
 import sys
 
-from .config import MAX_STEPS, ConfigError, _Ctx, load_config, prepare_initial, read_json
-from .driver import check_only, execute_run
+from .config import MAX_STEPS, ConfigError, _Ctx, load_config, read_json
+from .driver import _prepare, check_only, execute_run
 from .integrate import simulate
 from .output import read_trace_csv, write_report_json
 from .spectral import SpectralField, wiener_norm
-from .sweep import DEFAULT_MAX_RUNS, run_sweep
+from .sweep import DEFAULT_MAX_RUNS, axis_errors, run_sweep
 from .theory import verify_decay_envelope
 
 EXIT_OK = 0
@@ -102,6 +102,7 @@ def _cmd_sweep(args) -> int:
             ctx.fail(f"{where}axes[{i}] must be {{'path', 'values'}}")
         else:
             axes.append((ax["path"], ax["values"]))
+            ctx.errors.extend(axis_errors(ax["path"], ax["values"], f"{where}axes[{i}]."))
     positive = {"integer": True, "cond": lambda v: v >= 1, "msg": "must be an integer >= 1"}
     max_runs = ctx.number(axes_raw, where, "max_runs", DEFAULT_MAX_RUNS, **positive)
     ctx.number(axes_raw, where, "workers", **positive)  # accepted; members run one at a time
@@ -131,7 +132,7 @@ def _cmd_convergence(args) -> int:
     if round(cfg.stepper.t_end / cfg.stepper.dt) > MAX_STEPS >> args.levels:
         raise ConfigError([f"--levels: {args.levels} halvings of dt need more than "
                            f"{MAX_STEPS} steps"])
-    initial, _ = prepare_initial(cfg)
+    initial, *_ = _prepare(cfg)
     finals = []
     dts = [cfg.stepper.dt / 2**i for i in range(args.levels + 1)]
     worst = EXIT_OK

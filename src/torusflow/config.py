@@ -350,30 +350,15 @@ def load_config(path) -> RunConfig:
     return parse_config(read_json(path))
 
 
+def _as_json(v):
+    return [_as_json(x) for x in v] if isinstance(v, tuple) else v
+
+
 def config_to_dict(cfg: RunConfig) -> dict:
-    """Serializable echo; parse_config(config_to_dict(cfg)) == cfg."""
-    params = asdict(cfg.params)
-    ini: dict = {"kind": cfg.initial_data.kind, "zero_mean": cfg.initial_data.zero_mean}
-    if cfg.initial_data.kind == "modes":
-        ini["modes"] = [list(entry) for entry in cfg.initial_data.modes]
-    elif cfg.initial_data.kind == "random_decay":
-        ini["amplitude"] = cfg.initial_data.amplitude
-        ini["sigma"] = cfg.initial_data.sigma
-    else:
-        ini["path"] = cfg.initial_data.path
-    if cfg.initial_data.normalize is not None:
-        ini["normalize"] = {"norm": cfg.initial_data.normalize.norm,
-                            "value": cfg.initial_data.normalize.value}
-    stepper = {"scheme": cfg.stepper.scheme, "dt": cfg.stepper.dt,
-               "t_end": cfg.stepper.t_end, "record_every": cfg.stepper.record_every}
-    if cfg.stepper.blowup_threshold is not None:
-        stepper["blowup_threshold"] = cfg.stepper.blowup_threshold
-    outputs = {"directory": cfg.outputs.directory, "trace_csv": cfg.outputs.trace_csv,
-               "report_json": cfg.outputs.report_json,
-               "snapshot_every": cfg.outputs.snapshot_every,
-               "snapshot_prefix": cfg.outputs.snapshot_prefix}
-    return {"model": cfg.model, "n": cfg.n, "params": params, "initial_data": ini,
-            "stepper": stepper, "outputs": outputs, "seed": cfg.seed}
+    """Serializable echo; parse_config(config_to_dict(cfg)) == cfg.  Unset
+    fields (None, or no modes) are left out."""
+    return asdict(cfg, dict_factory=lambda items: {k: _as_json(v) for k, v in items
+                                                   if v is not None and v != ()})
 
 
 def generate_initial(spec: InitialDataSpec, n: int, seed: int) -> SpectralField:
@@ -411,6 +396,9 @@ def generate_initial(spec: InitialDataSpec, n: int, seed: int) -> SpectralField:
     if spec.normalize is not None:
         s = NORM_EXPONENTS[spec.normalize.norm]
         cur = wiener_norm(f, s)
+        if not math.isfinite(cur):
+            raise ConfigError([f"initial_data.normalize: the Wiener norm {spec.normalize.norm} "
+                               "of the generated field overflows the float range"])
         if cur == 0.0:
             raise ValueError(f"cannot normalize a field with zero {spec.normalize.norm} norm")
         f = SpectralField(f.modes, f.coeff * (spec.normalize.value / cur))

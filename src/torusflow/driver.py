@@ -9,14 +9,12 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import astuple, dataclass
+from dataclasses import asdict, dataclass
 
-import numpy as np
-
-from .config import NORM_EXPONENTS, ConfigError, RunConfig, config_to_dict, prepare_initial
+from .config import ConfigError, RunConfig, config_to_dict, prepare_initial
 from .integrate import RunOutcome, simulate
 from .output import write_report_json, write_trace_csv
-from .spectral import NormVector, norm_vector, wiener_norm, write_snapshot
+from .spectral import NormVector, norm_vector, write_snapshot
 from .theory import (
     EnvelopeVerdict,
     TheoremReport,
@@ -63,27 +61,16 @@ def _envelope_norm(report: TheoremReport) -> str:
     return "a2" if report.theorem_id.startswith("EpitaxialA2") else "a0"
 
 
-def _finite_norm(f, s: float) -> bool:
-    try:
-        return math.isfinite(wiener_norm(f, s))
-    except OverflowError:  # math.fsum of finite terms beyond the float range
-        return False
-
-
 def _initial_norms(initial) -> NormVector:
     """Norms of the initial field.  A norm beyond the float range would make
     the reports and the trace non-finite, so it is a config error naming
     each such norm."""
-    with np.errstate(over="ignore"):
-        try:
-            nv = norm_vector(initial)
-            if all(math.isfinite(x) for x in astuple(nv)):
-                return nv
-        except OverflowError:
-            pass
-        bad = [name for name, s in NORM_EXPONENTS.items() if not _finite_norm(initial, s)]
-    raise ConfigError([f"initial_data: the Wiener norm {name} of the initial field "
-                       "overflows the float range" for name in bad])
+    nv = norm_vector(initial)
+    bad = [name for name, x in asdict(nv).items() if not math.isfinite(x)]
+    if bad:
+        raise ConfigError([f"initial_data: the Wiener norm {name} of the initial field "
+                           "overflows the float range" for name in bad])
+    return nv
 
 
 def _prepare(cfg: RunConfig):
@@ -94,7 +81,7 @@ def _prepare(cfg: RunConfig):
     return initial, nv, reports, {
         "config": config_to_dict(cfg),
         "variable": meta["variable"],
-        "initial_norms": {"a0": nv.a0, "a2": nv.a2, "a4": nv.a4, "a6": nv.a6},
+        "initial_norms": asdict(nv),
         "theorems": [r.to_dict() for r in reports],
         "envelope": None,
         "run": None,
@@ -134,13 +121,12 @@ def execute_run(cfg: RunConfig, outdir=None) -> ExecutionResult:
         envelope = verify_decay_envelope(outcome.trace, _envelope_norm(primary),
                                          primary.lam, ENVELOPE_TOL)
 
-    fnv = norm_vector(outcome.final_field)
     report["envelope"] = envelope.to_dict() if envelope is not None else None
     mean_final = float(outcome.trace.mean[-1])
     report["run"] = {
         "status": outcome.status,
         "final_time": outcome.final_time,
-        "final_norms": {"a0": fnv.a0, "a2": fnv.a2, "a4": fnv.a4, "a6": fnv.a6},
+        "final_norms": asdict(norm_vector(outcome.final_field)),
         "mean_final": mean_final,
         "mean_u_final": mean_final + (1.0 if cfg.model == "thinfilm" else 0.0),
     }

@@ -27,7 +27,6 @@ __all__ = [
     "detect_blowup",
 ]
 
-SCHEMES = ("ETD2", "IMEX1")
 MODELS = tuple(RHS)
 
 STATUS_COMPLETED = "completed"
@@ -179,22 +178,16 @@ class _Imex1:
         return (c + self.dt * self.rhs.nonlinear(c)) / self.denom
 
 
-def _make_stepper(rhs, scheme: str, dt: float):
-    if scheme == "ETD2":
-        return _Etd2(rhs, dt)
-    if scheme == "IMEX1":
-        return _Imex1(rhs, dt)
-    raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+_STEPPERS = {"ETD2": _Etd2, "IMEX1": _Imex1}
+SCHEMES = tuple(_STEPPERS)
 
 
 def step(state: SpectralField, dt: float, params, model: str,
          scheme: str = "ETD2") -> SpectralField:
     """Advance one step; convenience wrapper over the run loop's stepper."""
-    if dt <= 0:
-        raise ValueError(f"dt > 0 required, got {dt}")
+    StepperConfig(dt=dt, t_end=dt, scheme=scheme)  # validates dt and scheme
     rhs = make_rhs(model, state.n, params)
-    stepper = _make_stepper(rhs, scheme, dt)
-    c = stepper.advance(state.coeff.copy())
+    c = _STEPPERS[scheme](rhs, dt).advance(state.coeff.copy())
     if not np.isfinite(c).all():
         raise FloatingPointError("time step produced non-finite coefficients")
     return SpectralField(state.modes, c)
@@ -247,7 +240,7 @@ def simulate(u0: SpectralField, params, stepper: StepperConfig, model: str,
     if fields_every < 1:
         raise ValueError(f"record_fields_every must be >= 1, got {fields_every}")
 
-    impl = _make_stepper(rhs, stepper.scheme, dt)
+    impl = _STEPPERS[stepper.scheme](rhs, dt)
     modes = u0.modes
     c = u0.coeff.copy()
 

@@ -93,9 +93,11 @@ def _hermitian_flip(c: np.ndarray) -> np.ndarray:
 
 
 def hermitian_asymmetry(field_or_coeff) -> float:
-    """max_k |uhat(-k) - conj(uhat(k))|."""
+    """max_k |uhat(-k) - conj(uhat(k))|; inf when the difference passes the
+    float range."""
     c = field_or_coeff.coeff if isinstance(field_or_coeff, SpectralField) else np.asarray(field_or_coeff)
-    return float(np.max(np.abs(c - _hermitian_flip(c))))
+    with np.errstate(over="ignore"):
+        return float(np.max(np.abs(c - _hermitian_flip(c))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,14 +120,17 @@ class SpectralField:
             raise ValueError(f"coefficient array must be {(size, size)}, got {c.shape}")
         if not np.isfinite(c).all():
             raise ValueError("non-finite Fourier coefficient")
-        asym = float(np.max(np.abs(c - _hermitian_flip(c))))
-        scale = max(1.0, float(np.max(np.abs(c))))
+        asym = hermitian_asymmetry(c)
+        with np.errstate(over="ignore"):
+            scale = max(1.0, float(np.max(np.abs(c))))
         if asym > _HERMITIAN_RTOL * scale:
             raise ValueError(
                 f"coefficients are not Hermitian-symmetric (max deviation {asym:.3e}); "
                 "the field must represent a real function"
             )
-        c = 0.5 * (c + _hermitian_flip(c))
+        # Halving before adding keeps finite coefficients near the float
+        # maximum finite; for normal numbers it is the same as halving the sum.
+        c = 0.5 * c + 0.5 * _hermitian_flip(c)
         c.setflags(write=False)
         object.__setattr__(self, "coeff", c)
 
@@ -177,32 +182,39 @@ def project(f: SpectralField, n: int) -> SpectralField:
     return SpectralField(f.modes, c)
 
 
+def _wiener_sums(c: np.ndarray, weights) -> tuple:
+    """sum_k w(k) |c(k)| for each weight w over one |c| pass, each a correctly
+    rounded math.fsum.  This is the one place that decides overflow: a term
+    or a sum past the float range gives inf, with no exception and no numpy
+    warning."""
+    sums = []
+    with np.errstate(over="ignore"):
+        a = np.abs(c)
+        for w in weights:
+            try:
+                sums.append(math.fsum((w * a).ravel().tolist()))
+            except OverflowError:  # finite terms whose sum passes the float range
+                sums.append(math.inf)
+    return tuple(sums)
+
+
 def wiener_norm(f: SpectralField, s: float) -> float:
     """sum_k |k|^s |uhat(k)|, with the convention 0^0 = 1.
 
     A^0 therefore includes the modulus of the mean, while every s > 0
     seminorm ignores it.  Summation uses math.fsum, so the result is the
-    correctly rounded sum independent of storage layout.
+    correctly rounded sum independent of storage layout; past the float
+    range it is inf.
     """
     if s < 0:
         raise ValueError(f"Wiener exponent must be >= 0, got {s}")
-    a = np.abs(f.coeff)
-    if s != 0:
-        a = f.modes.abs2 ** (s / 2.0) * a
-    return math.fsum(a.ravel().tolist())
+    return _wiener_sums(f.coeff, [f.modes.abs2 ** (s / 2.0)])[0]
 
 
 def _norms(c: np.ndarray, abs2: np.ndarray) -> tuple:
-    """(A^0, A^2, A^4, A^6) of a centered coefficient block from a single
-    |c| pass, each a correctly rounded math.fsum."""
-    a = np.abs(c).ravel()
-    w2 = abs2.ravel()
-    return (
-        math.fsum(a.tolist()),
-        math.fsum((w2 * a).tolist()),
-        math.fsum((w2 * w2 * a).tolist()),
-        math.fsum((w2 * w2 * w2 * a).tolist()),
-    )
+    """(A^0, A^2, A^4, A^6) of a centered coefficient block."""
+    w4 = abs2 * abs2
+    return _wiener_sums(c, (1.0, abs2, w4, w4 * abs2))
 
 
 def norm_vector(f: SpectralField) -> NormVector:
@@ -443,7 +455,7 @@ def read_snapshot(path) -> SpectralField:
         raise ValueError(f"{path}: missing mode lines")
     if not np.isfinite(c).all():
         raise ValueError(f"{path}: non-finite coefficient")
-    asym = float(np.max(np.abs(c - _hermitian_flip(c))))
+    asym = hermitian_asymmetry(c)
     if asym > SNAPSHOT_HERMITIAN_TOL:
         raise ValueError(
             f"{path}: snapshot violates Hermitian symmetry (max deviation {asym:.3e} > {SNAPSHOT_HERMITIAN_TOL})"

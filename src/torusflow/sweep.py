@@ -41,6 +41,17 @@ def set_by_path(d: dict, path: str, value) -> None:
     cur[keys[-1]] = value
 
 
+def axis_errors(path, values, where: str) -> list[str]:
+    """Violations of the rules for one (path, values) axis, each message
+    prefixed by where."""
+    errors = []
+    if not isinstance(path, str) or not path:
+        errors.append(f"{where}path: must be a nonempty string, got {path!r}")
+    if not isinstance(values, (list, tuple)) or not values:
+        errors.append(f"{where}values: must be a nonempty list")
+    return errors
+
+
 def expand_axes(axes):
     """Cartesian product of (path, values) axes as override dicts, row-major."""
     paths = [path for path, _ in axes]
@@ -90,11 +101,10 @@ def run_sweep(base: dict, axes, outdir: str, max_runs: int = DEFAULT_MAX_RUNS) -
     axes: list of (parameter path, list of values).  Returns summary rows in
     product order and writes summary.csv under outdir.
     """
-    for path, values in axes:
-        if not isinstance(path, str) or not path:
-            raise ConfigError([f"sweep axis path must be a nonempty string, got {path!r}"])
-        if not isinstance(values, (list, tuple)) or not values:
-            raise ConfigError([f"sweep axis {path!r} needs a nonempty value list"])
+    errors = [e for i, (path, values) in enumerate(axes)
+              for e in axis_errors(path, values, f"axes[{i}].")]
+    if errors:
+        raise ConfigError(errors)
     paths, combos = expand_axes(axes)
     if len(combos) > max_runs:
         raise ConfigError([

@@ -10,7 +10,7 @@ products in space and trapezoidal quadrature in time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -89,8 +89,7 @@ def check_epitaxial_A2(params: EpitaxialParams, u0_a2: float) -> TheoremReport:
     K0 > 0 branch: margin = rate = min(K2 - 2 K3 a2(0), K0 - 2 K1 a2(0)).
     """
     x = _check_norm_arg(u0_a2, "u0_a2")
-    inputs = {"K0": params.K0, "K1": params.K1, "K2": params.K2, "K3": params.K3,
-              "u0_a2": x}
+    inputs = {**asdict(params), "u0_a2": x}
     if params.K0 == 0:
         margin = params.K2 - 2.0 * (params.K3 + params.K1) * x
         tid = EPITAXIAL_A2_K0ZERO
@@ -114,8 +113,7 @@ def check_epitaxial_A0(params: EpitaxialParams, u0_a0: float) -> TheoremReport:
         )
     x = _check_norm_arg(u0_a0, "u0_a0")
     margin = params.K2 - 2.0 * params.K1 * x
-    inputs = {"K0": params.K0, "K1": params.K1, "K2": params.K2, "K3": params.K3,
-              "u0_a0": x}
+    inputs = {**asdict(params), "u0_a0": x}
     return TheoremReport(EPITAXIAL_A0, inputs, margin, margin, margin > 0)
 
 
@@ -129,14 +127,16 @@ def check_thinfilm_A0(params: ThinFilmParams, v0_a0: float) -> TheoremReport:
     both are reported without reconciliation.
     """
     x = _check_norm_arg(v0_a0, "v0_a0")
-    geom = math.fsum(x**q for q in range(1, params.p))
+    try:
+        geom = math.fsum(x**q for q in range(1, params.p))
+    except OverflowError:  # S passes the float range: margin and rate are -inf
+        geom = math.inf
     s = x + 2.0 * geom
     base = 1.0 - params.chi - 2.0 * x
     cpfac = params.c_estimate * params.chi * math.factorial(params.p)
     margin = base - 0.5 * cpfac * s
     lam = base - cpfac * s
-    inputs = {"chi": params.chi, "p": params.p, "c_estimate": params.c_estimate,
-              "v0_a0": x}
+    inputs = {**asdict(params), "v0_a0": x}
     return TheoremReport(THINFILM_A0, inputs, margin, lam, margin > 0)
 
 

@@ -25,6 +25,53 @@ def write_config(path, **overrides):
     return cfg
 
 
+def _with_conjugates(modes):
+    return modes + [[-k1, -k2, re, -im] for k1, k2, re, im in modes]
+
+
+# Initial data past the float range, and the norms its config errors name.
+ALL_NORMS = ["a0", "a2", "a4", "a6"]
+OVERFLOWING_DATA = {
+    "weighted_term": ({"kind": "modes", "modes": _with_conjugates([[3, 3, 1e306, 0]])},
+                      ["a4", "a6"]),
+    "finite_terms": ({"kind": "modes",
+                      "modes": _with_conjugates([[1, 0, 5e307, 0], [2, 0, 5e307, 0]])},
+                     ALL_NORMS),
+    "normalize": ({"kind": "modes", "modes": _with_conjugates([[3, 3, 1e306, 0]]),
+                   "normalize": {"norm": "a4", "value": 1}}, ["a4"]),
+    "symmetrize": ({"kind": "modes", "modes": _with_conjugates([[1, 0, 1e308, 0]])},
+                   ALL_NORMS),
+    "modulus": ({"kind": "modes", "modes": _with_conjugates([[1, 0, 1.5e308, 1.5e308]])},
+                ALL_NORMS),
+}
+
+
+def _assert_overflow_is_a_config_error(tmp_path, capsys, argv, shape):
+    initial_data, names = OVERFLOWING_DATA[shape]
+    cfgp = tmp_path / "cfg.json"
+    write_config(cfgp, params={"K0": 0.0, "K1": 0.0, "K2": 1.0, "K3": 0.0},
+                 initial_data=initial_data)
+    assert main([*argv, str(cfgp)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert [line.split("Wiener norm ")[1][:2] for line in lines] == names
+    assert all(line.startswith("config error: initial_data") for line in lines)
+    assert not (tmp_path / "out").exists()
+
+
+class TestOverflowingInitialData:
+    @pytest.mark.parametrize("shape", ["normalize", "symmetrize", "modulus"])
+    @pytest.mark.parametrize("command", ["check", "simulate"])
+    def test_check_and_simulate(self, tmp_path, capsys, command, shape):
+        _assert_overflow_is_a_config_error(tmp_path, capsys, [command], shape)
+
+    @pytest.mark.parametrize("shape", list(OVERFLOWING_DATA))
+    def test_convergence(self, tmp_path, capsys, shape):
+        _assert_overflow_is_a_config_error(tmp_path, capsys, ["convergence", "--levels", "1"],
+                                           shape)
+
+
 class TestSimulateCommand:
     def test_successful_run_writes_outputs(self, tmp_path, capsys):
         cfgp = tmp_path / "cfg.json"
@@ -210,6 +257,21 @@ class TestSweepCommand:
         for frag in ("extra: unknown key", "axes[0]", "max_runs:", "workers:"):
             assert frag in err
         assert err.count("config error: ") == 4
+
+
+    def test_axis_rules_reported_with_the_other_errors(self, tmp_path, capsys):
+        cfgp = tmp_path / "cfg.json"
+        write_config(cfgp)
+        axesp = tmp_path / "axes.json"
+        axesp.write_text(json.dumps({"axes": [{"path": 5, "values": [1]},
+                                              {"path": "seed", "values": []}],
+                                     "max_runs": 0}))
+        assert main(["sweep", str(cfgp), str(axesp)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: {axesp}: axes[0].path: must be a nonempty string, got 5",
+            f"config error: {axesp}: axes[1].values: must be a nonempty list",
+            f"config error: {axesp}: max_runs: must be an integer >= 1",
+        ]
 
 
 class TestConvergenceCommand:

@@ -80,6 +80,11 @@ class TestStep:
             out = step(z, 0.1, EpitaxialParams(K1=1.0, K2=1.0, K3=1.0), "epitaxial", scheme)
             assert np.max(np.abs(out.coeff)) == 0.0
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_rejects_non_finite_dt(self, dt):
+        with pytest.raises(ValueError, match="dt"):
+            step(cos_x1(), dt, LINEAR, "epitaxial")
+
     def test_model_params_mismatch(self):
         with pytest.raises(TypeError):
             step(cos_x1(), 0.1, LINEAR, "thinfilm")

@@ -44,6 +44,12 @@ class TestConstruction:
         with pytest.raises(ValueError, match="finite"):
             SpectralField(ModeSet(4), c)
 
+    @pytest.mark.parametrize("value", [1e308, complex(1.5e308, 1.5e308)])
+    def test_coefficients_near_float_max_are_kept(self, value):
+        # c + flip(c) overflows here; symmetrizing must not
+        f = SpectralField.from_modes(4, [((1, 0), value), ((-1, 0), np.conj(value))])
+        assert f.coeff[5, 4] == value
+
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError, match="coefficient array"):
             SpectralField(ModeSet(4), np.zeros((3, 3), dtype=complex))
@@ -124,6 +130,18 @@ class TestWienerNorm:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             wiener_norm(cos_x1(), -1.0)
+
+    @pytest.mark.parametrize("modes, names", [
+        ([((3, 3), 1e306)], {"a4", "a6"}),  # |k|^s |uhat| overflows
+        ([((1, 0), 5e307), ((2, 0), 5e307)], {"a0", "a2", "a4", "a6"}),  # the sum overflows
+        ([((1, 0), complex(1.5e308, 1.5e308))], {"a0", "a2", "a4", "a6"}),  # |uhat| overflows
+    ])
+    def test_overflow_is_inf(self, modes, names):
+        f = SpectralField.from_modes(4, modes + [((-k1, -k2), np.conj(v)) for (k1, k2), v in modes])
+        nv = norm_vector(f)
+        for name, s in (("a0", 0), ("a2", 2), ("a4", 4), ("a6", 6)):
+            assert math.isinf(getattr(nv, name)) == (name in names)
+            assert math.isinf(wiener_norm(f, s)) == (name in names)
 
     def test_norm_vector_matches(self):
         f = random_field(6, seed=9)

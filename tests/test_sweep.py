@@ -73,6 +73,22 @@ class TestRunSweep:
         assert [r["status"] for r in rows] == ["completed", "config_error"]
         assert "Wiener norm a4" in rows[1]["error"]
 
+    def test_float_max_initial_data_is_a_config_error_row(self, tmp_path):
+        axes = [("initial_data", [
+            {"kind": "modes", "modes": [[3, 3, 1e306, 0], [-3, -3, 1e306, 0]],
+             "normalize": {"norm": "a4", "value": 1.0}},
+            {"kind": "modes", "modes": [[1, 0, 1e308, 0], [-1, 0, 1e308, 0]]},
+            {"kind": "modes", "modes": [[1, 0, 1.5e308, 1.5e308], [-1, 0, 1.5e308, -1.5e308]]},
+        ])]
+        rows = run_sweep(base_config(), axes, str(tmp_path))
+        assert [r["status"] for r in rows] == ["config_error"] * 3
+
+    def test_axis_errors_reported_at_once(self, tmp_path):
+        with pytest.raises(ConfigError) as e:
+            run_sweep(base_config(), [(5, [1]), ("seed", [])], str(tmp_path))
+        assert e.value.errors == ["axes[0].path: must be a nonempty string, got 5",
+                                  "axes[1].values: must be a nonempty list"]
+
     def test_threshold_flip_matches_checker(self, tmp_path):
         # margin = K2 - 2 (K1 + K3) a2 = 1 - a2: flips at a2 = 1
         values = [0.25, 0.75, 1.25, 1.75]

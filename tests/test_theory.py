@@ -115,6 +115,12 @@ class TestThinFilmChecker:
         assert r.margin < 0
         assert not r.satisfied
 
+    def test_sum_past_float_range_fails_by_any_margin(self):
+        # S carries x^(p-1) = 1e1690
+        r = check_thinfilm_A0(ThinFilmParams(chi=0.1, p=170), 1e10)
+        assert r.margin == r.lam == -math.inf
+        assert not r.satisfied
+
     def test_rate_below_margin_rate_relation(self):
         # lam differs from margin by the extra half of the c chi p! S term
         params = ThinFilmParams(chi=0.2, p=3, c_estimate=1.5)
