@@ -399,9 +399,15 @@ def generate_initial(spec: InitialDataSpec, n: int, seed: int) -> SpectralField:
         if not math.isfinite(cur):
             raise ConfigError([f"initial_data.normalize: the Wiener norm {spec.normalize.norm} "
                                "of the generated field overflows the float range"])
+        where = f"initial_data.normalize: {spec.normalize.norm} = {spec.normalize.value!r}: "
         if cur == 0.0:
-            raise ValueError(f"cannot normalize a field with zero {spec.normalize.norm} norm")
-        f = SpectralField(f.modes, f.coeff * (spec.normalize.value / cur))
+            raise ConfigError([f"{where}the generated field has zero {spec.normalize.norm} norm"])
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = f.coeff * (spec.normalize.value / cur)
+        if not np.isfinite(c).all():
+            raise ConfigError([f"{where}rescaling the generated field "
+                               "overflows the float range"])
+        f = SpectralField(f.modes, c)
     return f
 
 

@@ -12,7 +12,7 @@ import os
 from dataclasses import asdict, dataclass
 
 from .config import ConfigError, RunConfig, config_to_dict, prepare_initial
-from .integrate import RunOutcome, simulate
+from .integrate import RunOutcome, _blowup_threshold, simulate
 from .output import write_report_json, write_trace_csv
 from .spectral import NormVector, norm_vector, write_snapshot
 from .theory import (
@@ -74,9 +74,14 @@ def _initial_norms(initial) -> NormVector:
 
 
 def _prepare(cfg: RunConfig):
-    """Initial field, its norms, the theorem reports and the report skeleton."""
+    """Initial field, its norms, the theorem reports and the report skeleton.
+    A blow-up threshold the initial field already meets is a config error."""
     initial, meta = prepare_initial(cfg)
     nv = _initial_norms(initial)
+    try:
+        _blowup_threshold(cfg.stepper, nv.a0)
+    except ValueError as e:
+        raise ConfigError([f"stepper.blowup_threshold: {e}"]) from None
     reports = theorem_reports(cfg, nv)
     return initial, nv, reports, {
         "config": config_to_dict(cfg),

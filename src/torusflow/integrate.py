@@ -3,7 +3,8 @@
 The diagonal linear symbol (epitaxial: -K0|k|^2 - K2|k|^4; thin film:
 -|k|^4) is handled exactly by the two-stage exponential scheme ETD2 and
 implicitly by IMEX1; nonlinear terms are explicit in both.  The k = 0 mode
-is frozen rather than integrated, so the mean is conserved exactly.
+is frozen rather than integrated, so the mean is conserved exactly.  The run
+state is the k2 >= 0 half block; full fields are built only at the edges.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import RHS, _require_zero_mean, make_rhs
-from .spectral import ModeSet, SpectralField, _norms, wiener_norm
+from .spectral import ModeSet, SpectralField, _full, _norms, _wiener_sums, wiener_norm
 
 __all__ = [
     "SCHEMES",
@@ -184,28 +185,38 @@ SCHEMES = tuple(_STEPPERS)
 
 def step(state: SpectralField, dt: float, params, model: str,
          scheme: str = "ETD2") -> SpectralField:
-    """Advance one step; convenience wrapper over the run loop's stepper."""
-    StepperConfig(dt=dt, t_end=dt, scheme=scheme)  # validates dt and scheme
-    rhs = make_rhs(model, state.n, params)
-    c = _STEPPERS[scheme](rhs, dt).advance(state.coeff.copy())
-    if not np.isfinite(c).all():
+    """Advance one step as a one-step simulate; FloatingPointError if not finite."""
+    out = simulate(state, params, StepperConfig(dt=dt, t_end=dt, scheme=scheme), model)
+    if out.status == STATUS_FAILURE:
         raise FloatingPointError("time step produced non-finite coefficients")
-    return SpectralField(state.modes, c)
+    return out.final_field
+
+
+def _blowup_threshold(stepper: StepperConfig, a0_init: float) -> float:
+    """The A^0 level past which a run from data of norm a0_init is a
+    blow-up; ValueError unless it exceeds a0_init."""
+    threshold = stepper.blowup_threshold
+    if threshold is None:
+        threshold = 1e6 * a0_init if a0_init > 0 else 1.0
+    if threshold <= a0_init:
+        raise ValueError(
+            f"blowup_threshold ({threshold}) must exceed the initial A^0 norm ({a0_init})"
+        )
+    return threshold
 
 
 def _trace_row(t: float, c: np.ndarray, modes: ModeSet, dt: float):
-    n = modes.n
-    return (t, *_norms(c, modes.abs2), float(c[n, n].real), dt)
+    return (t, *_norms(c, modes.abs2[:, modes.n :]), float(c[modes.n, 0].real), dt)
 
 
 def _a0_exceeds(c: np.ndarray, threshold: float) -> bool:
-    """A^0(c) > threshold, decided as the correctly rounded math.fsum decides
-    it.  A plain pairwise sum of |c| is within far less than 1e-12 relative
-    of that sum, so fsum runs only when the plain sum lands that close to
-    the threshold."""
-    a0 = float(np.abs(c).sum())
+    """A^0 > threshold for the half block c, decided as the correctly rounded
+    norm decides it.  A plain sum of |c| is within far less than 1e-12
+    relative of that norm, so the exact sum runs only when the plain sum
+    lands that close to the threshold."""
+    a0 = float(np.abs(c[:, 0]).sum() + 2.0 * np.abs(c[:, 1:]).sum())
     if abs(a0 - threshold) <= 1e-12 * threshold:
-        a0 = math.fsum(np.abs(c).ravel().tolist())
+        a0 = _wiener_sums(c, (1.0,))[0]
     return a0 > threshold
 
 
@@ -225,14 +236,7 @@ def simulate(u0: SpectralField, params, stepper: StepperConfig, model: str,
     if model == "thinfilm":
         _require_zero_mean(u0, "thin-film initial state")
 
-    a0_init = wiener_norm(u0, 0)
-    threshold = stepper.blowup_threshold
-    if threshold is None:
-        threshold = 1e6 * a0_init if a0_init > 0 else 1.0
-    if threshold <= a0_init:
-        raise ValueError(
-            f"blowup_threshold ({threshold}) must exceed the initial A^0 norm ({a0_init})"
-        )
+    threshold = _blowup_threshold(stepper, wiener_norm(u0, 0))
 
     dt = stepper.dt
     n_steps = max(1, round(stepper.t_end / dt))
@@ -242,29 +246,32 @@ def simulate(u0: SpectralField, params, stepper: StepperConfig, model: str,
 
     impl = _STEPPERS[stepper.scheme](rhs, dt)
     modes = u0.modes
-    c = u0.coeff.copy()
+    c = u0.half
 
     rows = [_trace_row(0.0, c, modes, dt)]
     if on_record is not None:
-        on_record(0, 0.0, SpectralField(modes, c))
+        on_record(0, 0.0, u0)
 
     status = STATUS_COMPLETED
     final_time = n_steps * dt
     for i in range(1, n_steps + 1):
         c_prev = c
-        c = impl.advance(c)
+        # overflow in a step is judged by the isfinite test, not by warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = impl.advance(c)
+            finite = np.isfinite(c).all()
+            blowup = finite and _a0_exceeds(c, threshold)
         t = i * dt
-        if not np.isfinite(c).all():
+        if not finite:
             status = STATUS_FAILURE
             c = c_prev
             final_time = (i - 1) * dt
             break
-        blowup = _a0_exceeds(c, threshold)
         last = blowup or i == n_steps
         if last or i % stepper.record_every == 0:
             rows.append(_trace_row(t, c, modes, dt))
         if on_record is not None and (last or i % fields_every == 0):
-            on_record(i, t, SpectralField(modes, c))
+            on_record(i, t, SpectralField(modes, _full(c)))
         if blowup:
             status = STATUS_BLOWUP
             final_time = t
@@ -274,7 +281,7 @@ def simulate(u0: SpectralField, params, stepper: StepperConfig, model: str,
         status=status,
         final_time=final_time,
         trace=NormTrace.from_rows(rows),
-        final_field=SpectralField(modes, c),
+        final_field=SpectralField(modes, _full(c)),
     )
 
 

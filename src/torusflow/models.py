@@ -19,7 +19,7 @@ lap^2 <-> |k|^4.
 
 Each equation is written once, in the terms() of its *Rhs evaluator: the
 stepper, the public right-hand sides, the a priori monitor and the weak
-residual all evaluate through it.
+residual all evaluate through it, on k2 >= 0 half blocks (2n+1, n+1).
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from scipy import fft as _sfft
 from .spectral import (
     SpectralField,
     _from_grid,
+    _full,
     _grids,
     _pad_size,
     _to_grid,
@@ -113,17 +114,15 @@ def _check_power_exponent(p) -> int:
 
 @lru_cache(maxsize=None)
 def _symbols(n: int) -> dict:
-    """Read-only derivative multipliers for cutoff n, built on first use.
-
-    The stacks feed _galerkin, so they live on the k2 >= 0 half plane, in
-    the order the pointwise forms unpack them; "grad" (i k) acts on full
-    centered outputs.
+    """Read-only derivative multipliers for cutoff n on the k2 >= 0 half
+    plane, built on first use; the stacks fed to _galerkin are in the order
+    the pointwise forms unpack them.
     """
     k1, k2, abs2 = _grids(n)
     h1, h2, habs2 = k1[:, n:], k2[:, n:], abs2[:, n:]
     one = np.ones_like(habs2)
     sym = {
-        "grad": np.stack([1j * k1, 1j * k2]),
+        "grad": np.stack([1j * h1, 1j * h2]),
         "hessian": -np.stack([h1 * h1, h2 * h2, h1 * h2]).astype(np.float64),  # u,11 u,22 u,12
         "flux": np.stack([one, -1j * h1 * habs2, -1j * h2 * habs2]),  # v, d1 lap v, d2 lap v
         # d1 v, d2 v, d1 lap v, d2 lap v
@@ -139,7 +138,7 @@ def _galerkin(c: np.ndarray, n: int, mult: np.ndarray, form) -> np.ndarray:
     """Galerkin coefficients of form(*fields), where fields[i] samples
     mult[i] * u on the 3n+1 grid, which is alias-free for quadratic forms.
     One batched inverse and one batched forward real transform."""
-    fields = _to_grid(mult * c[:, n:], n, _pad_size(n))
+    fields = _to_grid(mult * c, n, _pad_size(n))
     return _from_grid(form(*fields), n)
 
 
@@ -160,7 +159,7 @@ def _dot_pairs(d1, d2, d1lap, d2lap):
 def _power_hat(c: np.ndarray, n: int, p: int) -> np.ndarray:
     """Galerkin coefficients of (1 + v)^p: sampled on an alias-free grid
     (N >= (p+1) n + 1), raised pointwise, truncated once."""
-    v = _to_grid(c[:, n:], n, _sfft.next_fast_len((p + 1) * n + 1))
+    v = _to_grid(c, n, _sfft.next_fast_len((p + 1) * n + 1))
     return _from_grid((1.0 + v) ** p, n)
 
 
@@ -175,7 +174,7 @@ class EpitaxialRhs:
     def __init__(self, n: int, params: EpitaxialParams):
         self.n = int(n)
         self.params = params
-        self.abs2 = _grids(self.n)[2]
+        self.abs2 = _grids(self.n)[2][:, self.n :]
         self.linear = -params.K0 * self.abs2 - params.K2 * self.abs2**2
         self.linear.setflags(write=False)
 
@@ -209,7 +208,7 @@ class ThinFilmRhs:
     def __init__(self, n: int, params: ThinFilmParams):
         self.n = int(n)
         self.params = params
-        self.abs2 = _grids(self.n)[2]
+        self.abs2 = _grids(self.n)[2][:, self.n :]
         self.linear = -(self.abs2**2)
         self.linear.setflags(write=False)
 
@@ -235,7 +234,7 @@ def _sum_terms(terms: list, c: np.ndarray, n: int) -> np.ndarray:
     out = terms[0][1]
     for _, t in terms[1:]:
         out += t
-    out[n, n] = 0.0
+    out[n, 0] = 0.0
     return out
 
 
@@ -261,14 +260,16 @@ def _check_finite_term(arr: np.ndarray, term: str) -> None:
 
 def _evaluate(rhs, u: SpectralField) -> SpectralField:
     """Full right-hand side linear * u + terms through an evaluator; each
-    term is checked finite under its label, and k = 0 is pinned."""
-    out = rhs.linear * u.coeff
-    _check_finite_term(out, rhs.linear_label)
-    for label, t in rhs.terms(u.coeff):
-        _check_finite_term(t, label)
-        out += t
-    out[u.n, u.n] = 0.0
-    return SpectralField(u.modes, out)
+    term is checked finite under its label, and k = 0 is pinned.  Overflow
+    inside a term is left to that check, so it raises no numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = rhs.linear * u.half
+        _check_finite_term(out, rhs.linear_label)
+        for label, t in rhs.terms(u.half):
+            _check_finite_term(t, label)
+            out += t
+    out[u.n, 0] = 0.0
+    return SpectralField(u.modes, _full(out))
 
 
 def hessian_det2(u: SpectralField) -> SpectralField:
@@ -277,13 +278,13 @@ def hessian_det2(u: SpectralField) -> SpectralField:
     The k = 0 coefficient vanishes to roundoff: det D^2 u is a null
     Lagrangian, so its torus integral is zero.
     """
-    return SpectralField(u.modes, _epitaxial_terms(u.coeff, u.n)[0])
+    return SpectralField(u.modes, _full(_epitaxial_terms(u.half, u.n)[0]))
 
 
 def delta_of_delta_sq(u: SpectralField) -> SpectralField:
     """Spectral lap (lap u)^2: the -|k|^2 multiplier applied to the Galerkin
     coefficients of (lap u)^2."""
-    return SpectralField(u.modes, -u.modes.abs2 * _epitaxial_terms(u.coeff, u.n)[1])
+    return SpectralField(u.modes, _full(-u.modes.abs2[:, u.n :] * _epitaxial_terms(u.half, u.n)[1]))
 
 
 def epitaxial_rhs(u: SpectralField, params: EpitaxialParams) -> SpectralField:
@@ -294,17 +295,19 @@ def epitaxial_rhs(u: SpectralField, params: EpitaxialParams) -> SpectralField:
 def power_term(v: SpectralField, p) -> SpectralField:
     """Galerkin coefficients of (1 + v)^p for integer p >= 2."""
     p = _check_power_exponent(p)
-    return SpectralField(v.modes, _power_hat(v.coeff, v.n, p))
+    return SpectralField(v.modes, _full(_power_hat(v.half, v.n, p)))
 
 
 def grad_dot_grad_lap(v: SpectralField) -> SpectralField:
     """Spectral grad v . grad lap v = v,i v,jji; weight m.(k-m) |k-m|^2."""
-    return SpectralField(v.modes, _galerkin(v.coeff, v.n, _symbols(v.n)["gradlap"], _dot_pairs))
+    half = _galerkin(v.half, v.n, _symbols(v.n)["gradlap"], _dot_pairs)
+    return SpectralField(v.modes, _full(half))
 
 
 def times_bilap(v: SpectralField) -> SpectralField:
     """Spectral v lap^2 v; weight |k-m|^4."""
-    return SpectralField(v.modes, _galerkin(v.coeff, v.n, _symbols(v.n)["timesbilap"], np.multiply))
+    half = _galerkin(v.half, v.n, _symbols(v.n)["timesbilap"], np.multiply)
+    return SpectralField(v.modes, _full(half))
 
 
 def thinfilm_rhs(v: SpectralField, params: ThinFilmParams) -> SpectralField:

@@ -88,8 +88,8 @@ class ModeSet:
 
 
 def _hermitian_flip(c: np.ndarray) -> np.ndarray:
-    """conj(uhat(-k)) laid out on the same centered grid."""
-    return np.conj(c[::-1, ::-1])
+    """conj(uhat(-k)) on the same centered grid, over the last two axes."""
+    return np.conj(c[..., ::-1, ::-1])
 
 
 def hermitian_asymmetry(field_or_coeff) -> float:
@@ -123,7 +123,8 @@ class SpectralField:
         asym = hermitian_asymmetry(c)
         with np.errstate(over="ignore"):
             scale = max(1.0, float(np.max(np.abs(c))))
-        if asym > _HERMITIAN_RTOL * scale:
+        # inf > 1e-10 * inf is false: an infinite asymmetry is rejected apart
+        if asym > _HERMITIAN_RTOL * scale or math.isinf(asym):
             raise ValueError(
                 f"coefficients are not Hermitian-symmetric (max deviation {asym:.3e}); "
                 "the field must represent a real function"
@@ -137,6 +138,11 @@ class SpectralField:
     @property
     def n(self) -> int:
         return self.modes.n
+
+    @property
+    def half(self) -> np.ndarray:
+        """Read-only k2 >= 0 half block (2n+1, n+1); it determines the field."""
+        return self.coeff[:, self.n :]
 
     @property
     def mean(self) -> float:
@@ -182,17 +188,19 @@ def project(f: SpectralField, n: int) -> SpectralField:
     return SpectralField(f.modes, c)
 
 
-def _wiener_sums(c: np.ndarray, weights) -> tuple:
-    """sum_k w(k) |c(k)| for each weight w over one |c| pass, each a correctly
-    rounded math.fsum.  This is the one place that decides overflow: a term
-    or a sum past the float range gives inf, with no exception and no numpy
-    warning."""
+def _wiener_sums(half: np.ndarray, weights) -> tuple:
+    """sum_k w(k) |c(k)| for each weight w over one |c| pass of a k2 >= 0 half
+    block, each a correctly rounded math.fsum; a k2 > 0 term stands for k and
+    -k, so it is doubled after weighting (exact).  The one place that decides
+    overflow: past the float range gives inf, with no exception or warning."""
     sums = []
     with np.errstate(over="ignore"):
-        a = np.abs(c)
+        a = np.abs(half)
         for w in weights:
+            t = w * a
+            t[..., 1:] *= 2.0
             try:
-                sums.append(math.fsum((w * a).ravel().tolist()))
+                sums.append(math.fsum(t.ravel().tolist()))
             except OverflowError:  # finite terms whose sum passes the float range
                 sums.append(math.inf)
     return tuple(sums)
@@ -208,18 +216,18 @@ def wiener_norm(f: SpectralField, s: float) -> float:
     """
     if s < 0:
         raise ValueError(f"Wiener exponent must be >= 0, got {s}")
-    return _wiener_sums(f.coeff, [f.modes.abs2 ** (s / 2.0)])[0]
+    return _wiener_sums(f.half, [f.modes.abs2[:, f.n :] ** (s / 2.0)])[0]
 
 
-def _norms(c: np.ndarray, abs2: np.ndarray) -> tuple:
-    """(A^0, A^2, A^4, A^6) of a centered coefficient block."""
+def _norms(half: np.ndarray, abs2: np.ndarray) -> tuple:
+    """(A^0, A^2, A^4, A^6) of a k2 >= 0 half block; abs2 is |k|^2 on it."""
     w4 = abs2 * abs2
-    return _wiener_sums(c, (1.0, abs2, w4, w4 * abs2))
+    return _wiener_sums(half, (1.0, abs2, w4, w4 * abs2))
 
 
 def norm_vector(f: SpectralField) -> NormVector:
     """A^0, A^2, A^4, A^6 norms computed from a single |coeff| pass."""
-    return NormVector(*_norms(f.coeff, f.modes.abs2))
+    return NormVector(*_norms(f.half, f.modes.abs2[:, f.n :]))
 
 
 @lru_cache(maxsize=None)
@@ -245,12 +253,16 @@ def _embed(half: np.ndarray, n: int, N: int) -> np.ndarray:
 
 
 def _extract(spec: np.ndarray, n: int, N: int) -> np.ndarray:
-    """Gather |k| <= n out of rfft2 layout and rebuild the k2 < 0 half, giving
-    exactly Hermitian centered blocks (..., 2n+1, 2n+1)."""
+    """k2 >= 0 half blocks (..., 2n+1, n+1) of |k| <= n, out of rfft2 layout."""
     half = np.concatenate([spec[..., N - n :, : n + 1], spec[..., : n + 1, : n + 1]], axis=-2)
     # The k2 = 0 column is its own mirror; average away its roundoff asymmetry.
     half[..., 0] = 0.5 * (half[..., 0] + np.conj(half[..., ::-1, 0]))
-    return np.concatenate([np.conj(half[..., ::-1, :0:-1]), half], axis=-1)
+    return half
+
+
+def _full(half: np.ndarray) -> np.ndarray:
+    """Exactly Hermitian centered blocks (..., 2n+1, 2n+1) of half blocks."""
+    return np.concatenate([_hermitian_flip(half)[..., :-1], half], axis=-1)
 
 
 def _to_grid(half: np.ndarray, n: int, N: int) -> np.ndarray:
@@ -260,7 +272,7 @@ def _to_grid(half: np.ndarray, n: int, N: int) -> np.ndarray:
 
 
 def _from_grid(values: np.ndarray, n: int) -> np.ndarray:
-    """Centered coefficients |k| <= n of real samples on an N x N grid; one
+    """k2 >= 0 half blocks of |k| <= n of real samples on an N x N grid; one
     batched forward real transform."""
     return _extract(_fft.rfft2(values, norm="forward"), n, values.shape[-1])
 
@@ -296,8 +308,8 @@ def convolve(f: SpectralField, g: SpectralField, method: str = "fft") -> Spectra
         raise ValueError(f"mode-set mismatch: n={f.n} vs n={g.n}")
     n = f.n
     if method == "fft":
-        fa, fb = _to_grid(np.stack([f.coeff, g.coeff])[..., n:], n, _pad_size(n))
-        return SpectralField(f.modes, _from_grid(fa * fb, n))
+        fa, fb = _to_grid(np.stack([f.half, g.half]), n, _pad_size(n))
+        return SpectralField(f.modes, _full(_from_grid(fa * fb, n)))
     if method == "direct":
         return SpectralField(f.modes, _convolve_direct_raw(f.coeff, g.coeff, n))
     raise ValueError(f"unknown convolution method {method!r}")
@@ -348,7 +360,7 @@ def to_real_samples(f: SpectralField, grid_n: int) -> np.ndarray:
     N = int(grid_n)
     if N < 2 * f.n + 2:
         raise ValueError(f"grid size {N} too small for cutoff {f.n}; need N >= {2 * f.n + 2}")
-    return _to_grid(f.coeff[:, f.n :], f.n, N)
+    return _to_grid(f.half, f.n, N)
 
 
 def from_real_samples(samples: np.ndarray, n: int) -> SpectralField:
@@ -359,7 +371,7 @@ def from_real_samples(samples: np.ndarray, n: int) -> SpectralField:
     N = s.shape[0]
     if N < 2 * n + 2:
         raise ValueError(f"grid size {N} too small for cutoff {n}; need N >= {2 * n + 2}")
-    return SpectralField(ModeSet(n), _from_grid(s, n))
+    return SpectralField(ModeSet(n), _full(_from_grid(s, n)))
 
 
 def scale_modes(f: SpectralField, lam: int, n_out: int | None = None) -> SpectralField:

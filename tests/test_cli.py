@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import subprocess
@@ -70,6 +71,78 @@ class TestOverflowingInitialData:
     def test_convergence(self, tmp_path, capsys, shape):
         _assert_overflow_is_a_config_error(tmp_path, capsys, ["convergence", "--levels", "1"],
                                            shape)
+
+
+class TestThresholdAtInitialNorm:
+    """A blowup_threshold the initial A^0 already meets is a config error in
+    every command."""
+
+    def _config(self, tmp_path):
+        cfgp = tmp_path / "cfg.json"
+        write_config(cfgp, initial_data={"kind": "modes",
+                                         "modes": [[1, 0, 0.5, 0], [-1, 0, 0.5, 0]]},
+                     stepper={"dt": 0.005, "t_end": 0.02, "blowup_threshold": 0.5})
+        return cfgp
+
+    @pytest.mark.parametrize("argv", [["check"], ["simulate"], ["convergence", "--levels", "1"]])
+    def test_commands(self, tmp_path, capsys, argv):
+        assert main([*argv, str(self._config(tmp_path))]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: stepper.blowup_threshold: ")
+        assert "initial A^0 norm (1.0)" in captured.err
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_row(self, tmp_path, capsys):
+        axesp = tmp_path / "axes.json"
+        axesp.write_text(json.dumps({"axes": [{"path": "stepper.blowup_threshold",
+                                               "values": [0.5, 2.0]}]}))
+        assert main(["sweep", str(self._config(tmp_path)), str(axesp),
+                     "--outdir", str(tmp_path / "sw")]) == 0
+        with open(tmp_path / "sw" / "summary.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["status"] for r in rows] == ["config_error", "completed"]
+        assert rows[0]["error"].startswith("stepper.blowup_threshold: ")
+
+
+class TestInitialDataRescaling:
+    @pytest.mark.parametrize("initial_data, message", [
+        ({"kind": "modes", "modes": _with_conjugates([[1, 0, 1e-300, 0]]),
+          "normalize": {"norm": "a0", "value": 1e10}}, "overflows the float range"),
+        # the mean is not weighted by |k|^2, so only it overflows
+        ({"kind": "modes", "zero_mean": False,
+          "modes": [[0, 0, 1e300, 0], *_with_conjugates([[1, 0, 1e-290, 0]])],
+          "normalize": {"norm": "a2", "value": 1e10}}, "overflows the float range"),
+        ({"kind": "random_decay", "amplitude": 5e-324, "sigma": 2.0,
+          "normalize": {"norm": "a2", "value": 1.0}}, "zero a2 norm"),
+    ])
+    def test_is_a_config_error(self, tmp_path, capsys, initial_data, message):
+        cfgp = tmp_path / "cfg.json"
+        write_config(cfgp, initial_data=initial_data)
+        assert main(["check", str(cfgp)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: initial_data.normalize: ")
+        assert message in err
+        assert len(err.splitlines()) == 1
+
+
+class TestOverflowingRun:
+    @pytest.mark.parametrize("model, params, normalize", [
+        ("thinfilm", {"chi": 0.3, "p": 170}, {"norm": "a0", "value": 1e10}),
+        ("epitaxial", {"K1": 1.0, "K2": 1.0, "K3": 1.0}, {"norm": "a2", "value": 1e300}),
+    ])
+    def test_exits_numerical_failure_without_a_warning(self, tmp_path, capsys, model, params,
+                                                       normalize):
+        # no errstate here: pytest turns a RuntimeWarning into an error
+        cfgp = tmp_path / "cfg.json"
+        write_config(cfgp, model=model, params=params,
+                     initial_data={"kind": "random_decay", "amplitude": 0.1, "sigma": 2.0,
+                                   "normalize": normalize},
+                     stepper={"dt": 1e-3, "t_end": 0.01})
+        assert main(["simulate", str(cfgp)]) == 3
+        assert capsys.readouterr().err == ""
+        report = read_report_json(tmp_path / "out" / "report.json")
+        assert report["run"]["status"] == "numerical_failure"
 
 
 class TestSimulateCommand:

@@ -5,6 +5,7 @@ import pytest
 
 from torusflow import (
     EpitaxialParams,
+    ModeSet,
     NormTrace,
     SpectralField,
     StepperConfig,
@@ -15,7 +16,9 @@ from torusflow import (
     step,
     wiener_norm,
 )
+from torusflow import integrate
 from torusflow.integrate import _phi1, _phi2
+from torusflow.models import EpitaxialRhs
 from _helpers import random_field, scaled_to
 
 
@@ -88,6 +91,33 @@ class TestStep:
     def test_model_params_mismatch(self):
         with pytest.raises(TypeError):
             step(cos_x1(), 0.1, LINEAR, "thinfilm")
+
+    @pytest.mark.parametrize("scheme", ["ETD2", "IMEX1"])
+    def test_is_one_step_of_simulate(self, scheme):
+        u = random_field(6, seed=31, zero_mean=False)
+        params = EpitaxialParams(K0=0.1, K1=0.5, K2=1.0, K3=0.3)
+        out = simulate(u, params, StepperConfig(dt=0.01, t_end=0.01, scheme=scheme),
+                       "epitaxial")
+        assert np.array_equal(step(u, 0.01, params, "epitaxial", scheme).coeff,
+                              out.final_field.coeff)
+
+    def test_non_finite_step_raises(self):
+        # no errstate here: pytest turns a RuntimeWarning into an error
+        big = SpectralField(ModeSet(2), np.full((5, 5), 1e300, dtype=complex))
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            step(big, 0.1, EpitaxialParams(K1=1.0, K2=1.0, K3=1.0), "epitaxial")
+
+    def test_thinfilm_state_with_mean_rejected(self):
+        v = SpectralField.from_modes(4, [((0, 0), 0.3), ((1, 0), 0.1), ((-1, 0), 0.1)])
+        with pytest.raises(ValueError, match="zero mean"):
+            step(v, 0.01, ThinFilmParams(chi=0.1, p=2), "thinfilm")
+
+    def test_infinite_a0_meets_the_threshold_rule(self):
+        u = SpectralField.from_modes(4, [((1, 0), 1e308), ((-1, 0), 1e308),
+                                         ((2, 0), 1e308), ((-2, 0), 1e308)])
+        assert wiener_norm(u, 0) == math.inf
+        with pytest.raises(ValueError, match="blowup_threshold"):
+            step(u, 0.01, LINEAR, "epitaxial")
 
 
 class TestSimulateLinear:
@@ -172,6 +202,34 @@ class TestSimulateInvariants:
         with pytest.raises(ValueError, match="zero mean"):
             simulate(v0, ThinFilmParams(chi=0.1, p=2), StepperConfig(dt=0.01, t_end=0.1),
                      "thinfilm")
+
+    def test_loop_carries_the_half_block(self, monkeypatch):
+        n = 5
+        shapes, built = [], []
+        nonlinear = EpitaxialRhs.nonlinear
+        full = integrate._full
+        monkeypatch.setattr(EpitaxialRhs, "nonlinear",
+                            lambda self, c: shapes.append(c.shape) or nonlinear(self, c))
+        monkeypatch.setattr(integrate, "_full", lambda c: built.append(c.shape) or full(c))
+        u0 = random_field(n, seed=93)
+        out = simulate(u0, EpitaxialParams(K1=0.3, K2=1.0), StepperConfig(dt=0.01, t_end=0.2),
+                       "epitaxial")
+        assert out.status == "completed"
+        assert shapes and set(shapes) == {(2 * n + 1, n + 1)}
+        assert built == [(2 * n + 1, n + 1)]  # the final field only
+
+    @pytest.mark.parametrize("model, params, norm, value", [
+        ("thinfilm", ThinFilmParams(chi=0.3, p=170), 0, 1e10),
+        ("epitaxial", EpitaxialParams(K1=1.0, K2=1.0, K3=1.0), 2, 1e300),
+    ])
+    def test_overflow_is_a_numerical_failure_without_a_warning(self, model, params, norm,
+                                                               value):
+        # no errstate here: pytest turns a RuntimeWarning into an error
+        u0 = scaled_to(random_field(4, seed=94, sigma=2.0), norm, value)
+        out = simulate(u0, params, StepperConfig(dt=1e-3, t_end=0.01), model)
+        assert out.status == "numerical_failure"
+        assert out.final_time == 0.0
+        assert np.array_equal(out.final_field.coeff, u0.coeff)
 
     def test_threshold_must_exceed_initial_norm(self):
         u0 = cos_x1(eps=1.0)

@@ -50,6 +50,12 @@ class TestConstruction:
         f = SpectralField.from_modes(4, [((1, 0), value), ((-1, 0), np.conj(value))])
         assert f.coeff[5, 4] == value
 
+    def test_rejects_infinite_asymmetry(self):
+        # the deviation and the scale both pass the float range
+        v = complex(1.5e308, 1.5e308)
+        with pytest.raises(ValueError, match="Hermitian"):
+            SpectralField.from_modes(4, [((1, 0), v), ((-1, 0), -v)])
+
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError, match="coefficient array"):
             SpectralField(ModeSet(4), np.zeros((3, 3), dtype=complex))
@@ -150,6 +156,38 @@ class TestWienerNorm:
         assert nv.a2 == wiener_norm(f, 2)
         assert nv.a4 == wiener_norm(f, 4)
         assert nv.a6 == wiener_norm(f, 6)
+
+
+def _full_plane_fsum(f, s):
+    """Independent oracle: math.fsum of |k|^s |uhat(k)| over every mode."""
+    with np.errstate(over="ignore"):
+        terms = (f.modes.abs2 ** (s / 2.0) * np.abs(f.coeff)).ravel().tolist()
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
+
+
+class TestHalfPlaneNorms:
+    """The norms sum the k2 >= 0 half; they must equal the full-plane fsum
+    bit for bit, subnormal and overflowing terms included."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 24, 64])
+    def test_bit_identical_to_full_plane_fsum(self, n):
+        rng = np.random.default_rng(n)
+        size = 2 * n + 1
+        for exponent in (-320, -310, -300, -150, -20, 0, 20, 150, 300, 305):
+            # magnitudes spread over six decades around the scale
+            mag = 10.0 ** (exponent + rng.uniform(-3.0, 3.0, (size, size)))
+            c = mag * np.exp(2j * np.pi * rng.uniform(size=(size, size)))
+            c = 0.5 * c + 0.5 * np.conj(c[::-1, ::-1])
+            c[n, n] = c[n, n].real
+            f = SpectralField(ModeSet(n), c)
+            for s in (0, 0.5, 1, 2, 3, 4, 6):
+                assert wiener_norm(f, s) == _full_plane_fsum(f, s), (exponent, s)
+            nv = norm_vector(f)
+            assert (nv.a0, nv.a2, nv.a4, nv.a6) == tuple(
+                _full_plane_fsum(f, s) for s in (0, 2, 4, 6)), exponent
 
 
 class TestConvolve:
