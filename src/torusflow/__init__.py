@@ -45,6 +45,7 @@ from .integrate import (
     RunOutcome,
     step,
     simulate,
+    simulate_batch,
     detect_blowup,
 )
 from .theory import (

@@ -12,7 +12,7 @@ import os
 from dataclasses import asdict, dataclass
 
 from .config import ConfigError, RunConfig, config_to_dict, prepare_initial
-from .integrate import RunOutcome, _blowup_threshold, simulate
+from .integrate import RunOutcome, _blowup_threshold, simulate, simulate_batch
 from .output import write_report_json, write_trace_csv
 from .spectral import NormVector, norm_vector, write_snapshot
 from .theory import (
@@ -101,25 +101,22 @@ def check_only(cfg: RunConfig) -> ExecutionResult:
                            initial_norms=nv, report=report)
 
 
-def execute_run(cfg: RunConfig, outdir=None) -> ExecutionResult:
-    """Full pipeline; writes trace CSV, report JSON and optional snapshots
-    under outdir (default: the config's output directory)."""
-    initial, nv, reports, report = _prepare(cfg)
+def _snapshot_writer(cfg: RunConfig, outdir):
+    """The on_record that writes the config's snapshots under outdir, or None."""
+    if cfg.outputs.snapshot_every <= 0:
+        return None
+    os.makedirs(outdir, exist_ok=True)
+    prefix = os.path.join(outdir, cfg.outputs.snapshot_prefix)
 
-    outdir = cfg.outputs.directory if outdir is None else outdir
-    on_record = None
-    fields_every = None
-    if cfg.outputs.snapshot_every > 0:
-        os.makedirs(outdir, exist_ok=True)
-        prefix = os.path.join(outdir, cfg.outputs.snapshot_prefix)
-        fields_every = cfg.outputs.snapshot_every
+    def on_record(step, t, field):
+        write_snapshot(field, f"{prefix}_{step:08d}.txt")
 
-        def on_record(step, t, field):
-            write_snapshot(field, f"{prefix}_{step:08d}.txt")
+    return on_record
 
-    outcome = simulate(initial, cfg.params, cfg.stepper, cfg.model,
-                       on_record=on_record, record_fields_every=fields_every)
 
+def _finish(cfg: RunConfig, outdir, prepared, outcome: RunOutcome) -> ExecutionResult:
+    """Decay envelope, report and trace of a finished march."""
+    _, nv, reports, report = prepared
     envelope = None
     primary = reports[0]
     if primary.satisfied and outcome.status == "completed":
@@ -142,3 +139,25 @@ def execute_run(cfg: RunConfig, outdir=None) -> ExecutionResult:
 
     return ExecutionResult(outcome=outcome, reports=reports, envelope=envelope,
                            initial_norms=nv, report=report)
+
+
+def execute_run(cfg: RunConfig, outdir=None) -> ExecutionResult:
+    """Full pipeline; writes trace CSV, report JSON and optional snapshots
+    under outdir (default: the config's output directory)."""
+    outdir = cfg.outputs.directory if outdir is None else outdir
+    prepared = _prepare(cfg)
+    outcome = simulate(prepared[0], cfg.params, cfg.stepper, cfg.model,
+                       _snapshot_writer(cfg, outdir), cfg.outputs.snapshot_every or None)
+    return _finish(cfg, outdir, prepared, outcome)
+
+
+def execute_batch(runs) -> list:
+    """execute_run for each (cfg, outdir, _prepare(cfg)) of runs, stepped
+    together in one march; the configs may differ only in initial data,
+    blow-up threshold and outputs other than snapshot_every."""
+    cfg = runs[0][0]
+    outcomes = simulate_batch([p[0] for _, _, p in runs], cfg.params,
+                              [c.stepper for c, _, _ in runs], cfg.model,
+                              [_snapshot_writer(c, d) for c, d, _ in runs],
+                              cfg.outputs.snapshot_every or None)
+    return [_finish(*run, outcome) for run, outcome in zip(runs, outcomes)]

@@ -10,12 +10,13 @@ state is the k2 >= 0 half block; full fields are built only at the edges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .models import RHS, _require_zero_mean, make_rhs
-from .spectral import ModeSet, SpectralField, _full, _norms, _wiener_sums, wiener_norm
+from .spectral import ModeSet, SpectralField, _full, _norms, _wiener_sums
 
 __all__ = [
     "SCHEMES",
@@ -25,6 +26,7 @@ __all__ = [
     "RunOutcome",
     "step",
     "simulate",
+    "simulate_batch",
     "detect_blowup",
 ]
 
@@ -185,10 +187,11 @@ SCHEMES = tuple(_STEPPERS)
 
 def step(state: SpectralField, dt: float, params, model: str,
          scheme: str = "ETD2") -> SpectralField:
-    """Advance one step as a one-step simulate; FloatingPointError if not finite."""
+    """Advance one step as a one-step simulate; FloatingPointError if a
+    coefficient or a norm leaves the float range."""
     out = simulate(state, params, StepperConfig(dt=dt, t_end=dt, scheme=scheme), model)
     if out.status == STATUS_FAILURE:
-        raise FloatingPointError("time step produced non-finite coefficients")
+        raise FloatingPointError("time step produced non-finite coefficients or norms")
     return out.final_field
 
 
@@ -209,15 +212,22 @@ def _trace_row(t: float, c: np.ndarray, modes: ModeSet, dt: float):
     return (t, *_norms(c, modes.abs2[:, modes.n :]), float(c[modes.n, 0].real), dt)
 
 
-def _a0_exceeds(c: np.ndarray, threshold: float) -> bool:
-    """A^0 > threshold for the half block c, decided as the correctly rounded
-    norm decides it.  A plain sum of |c| is within far less than 1e-12
-    relative of that norm, so the exact sum runs only when the plain sum
-    lands that close to the threshold."""
-    a0 = float(np.abs(c[:, 0]).sum() + 2.0 * np.abs(c[:, 1:]).sum())
+def _a0_exceeds(c: np.ndarray, a0: float, threshold: float) -> bool:
+    """A^0 > threshold for the half block c, whose plain sum of |c| is a0,
+    decided as the correctly rounded norm decides it.  The plain sum is
+    within far less than 1e-12 relative of that norm, so the exact sum runs
+    only when the plain sum lands that close to the threshold."""
     if abs(a0 - threshold) <= 1e-12 * threshold:
         a0 = _wiener_sums(c, (1.0,))[0]
     return a0 > threshold
+
+
+def _norms_overflow(c: np.ndarray, a0: float, abs2: np.ndarray) -> bool:
+    """Whether a Wiener norm of the half block c passes the float range.
+    A^s <= (2n^2)^(s/2) A^0 on the mode set, so the exact norms run only when
+    the plain A^0 sum a0, so scaled, comes within 1e-12 of the float maximum."""
+    return (a0 * float(abs2[0, -1]) ** 3 * (1.0 + 1e-12) >= sys.float_info.max
+            and not all(map(math.isfinite, _norms(c, abs2))))
 
 
 def simulate(u0: SpectralField, params, stepper: StepperConfig, model: str,
@@ -226,63 +236,88 @@ def simulate(u0: SpectralField, params, stepper: StepperConfig, model: str,
 
     Deterministic for a fixed configuration.  Terminates early with status
     "blowup_detected" when the A^0 norm exceeds the threshold and with
-    "numerical_failure" on NaN/Inf (final_field is then the last finite
-    state).  on_record(step_index, t, field), when given, is called at step
-    0, every record_fields_every steps (default: the trace cadence) and at
-    the last step, including the step that detects blow-up.  The trace gets
-    a row at the same last step.
+    "numerical_failure" when a coefficient or a norm leaves the float range
+    (final_field is then the last state before it).  on_record(step_index,
+    t, field), when given, is called at step 0, every record_fields_every
+    steps (default: the trace cadence) and at the last step, including the
+    step that detects blow-up.  The trace gets a row at the same last step.
+    Initial data with a norm past the float range is a ValueError.
     """
-    rhs = make_rhs(model, u0.n, params)
+    return simulate_batch([u0], params, [stepper], model, [on_record], record_fields_every)[0]
+
+
+def simulate_batch(u0s, params, steppers, model: str, on_record=None,
+                   record_fields_every: int | None = None) -> list:
+    """simulate for several initial fields of one system, stepped together
+    as one stacked (B, 2n+1, n+1) state; returns one RunOutcome per member,
+    each what simulate gives for that member alone.  steppers[b] and
+    on_record[b] (a list, or None) belong to member b; the steppers may
+    differ only in blowup_threshold.  A member that blows up or fails leaves
+    the stack."""
+    on_record = on_record or [None] * len(u0s)
+    rhs = make_rhs(model, u0s[0].n, params)
+    if len({u.n for u in u0s}) > 1 or len({replace(s, blowup_threshold=None) for s in steppers}) > 1:
+        raise ValueError("batched members must share n and the stepper apart from blowup_threshold")
     if model == "thinfilm":
-        _require_zero_mean(u0, "thin-film initial state")
+        for u0 in u0s:
+            _require_zero_mean(u0, "thin-film initial state")
 
-    threshold = _blowup_threshold(stepper, wiener_norm(u0, 0))
-
-    dt = stepper.dt
+    stepper, modes = steppers[0], u0s[0].modes
+    dt, abs2 = stepper.dt, modes.abs2[:, modes.n :]
+    rows = [[_trace_row(0.0, u0.half, modes, dt)] for u0 in u0s]
+    thresholds = [_blowup_threshold(s, row[0][1]) for s, row in zip(steppers, rows)]
     n_steps = max(1, round(stepper.t_end / dt))
     fields_every = record_fields_every if record_fields_every is not None else stepper.record_every
     if fields_every < 1:
         raise ValueError(f"record_fields_every must be >= 1, got {fields_every}")
+    for row in rows:
+        for name, x in zip(("a0", "a2", "a4", "a6"), row[0][1:5]):
+            if not math.isfinite(x):
+                raise ValueError(f"the Wiener norm {name} of the initial field overflows the float range")
+    for u0, record in zip(u0s, on_record):
+        if record is not None:
+            record(0, 0.0, u0)
 
     impl = _STEPPERS[stepper.scheme](rhs, dt)
-    modes = u0.modes
-    c = u0.half
 
-    rows = [_trace_row(0.0, c, modes, dt)]
-    if on_record is not None:
-        on_record(0, 0.0, u0)
-
-    status = STATUS_COMPLETED
-    final_time = n_steps * dt
+    # A lone member steps the bare half block; cb views any state as (B, 2n+1, n+1).
+    c = u0s[0].half if len(u0s) == 1 else np.stack([u0.half for u0 in u0s])
+    live = list(range(len(u0s)))
+    ends = [None] * len(u0s)  # (status, final_time, final half block) of each member
     for i in range(1, n_steps + 1):
-        c_prev = c
+        cb_prev = c.reshape(-1, *abs2.shape)
         # overflow in a step is judged by the isfinite test, not by warnings
         with np.errstate(over="ignore", invalid="ignore"):
             c = impl.advance(c)
-            finite = np.isfinite(c).all()
-            blowup = finite and _a0_exceeds(c, threshold)
+            cb = c.reshape(-1, *abs2.shape)
+            a = np.abs(cb)
+            a0 = (a[:, :, 0].sum(axis=1) + 2.0 * a[:, :, 1:].sum(axis=(1, 2))).tolist()
         t = i * dt
-        if not finite:
-            status = STATUS_FAILURE
-            c = c_prev
-            final_time = (i - 1) * dt
-            break
-        last = blowup or i == n_steps
-        if last or i % stepper.record_every == 0:
-            rows.append(_trace_row(t, c, modes, dt))
-        if on_record is not None and (last or i % fields_every == 0):
-            on_record(i, t, SpectralField(modes, _full(c)))
-        if blowup:
-            status = STATUS_BLOWUP
-            final_time = t
-            break
+        keep = []
+        for j, b in enumerate(live):
+            # a NaN or Inf coefficient makes a0 non-finite, as can finite ones
+            finite = math.isfinite(a0[j]) or np.isfinite(cb[j]).all()
+            if not finite or _norms_overflow(cb[j], a0[j], abs2):
+                ends[b] = (STATUS_FAILURE, (i - 1) * dt, cb_prev[j])
+                continue
+            blowup = _a0_exceeds(cb[j], a0[j], thresholds[b])
+            last = blowup or i == n_steps
+            if last or i % stepper.record_every == 0:
+                rows[b].append(_trace_row(t, cb[j], modes, dt))
+            if on_record[b] is not None and (last or i % fields_every == 0):
+                on_record[b](i, t, SpectralField(modes, _full(cb[j])))
+            if last:
+                ends[b] = (STATUS_BLOWUP if blowup else STATUS_COMPLETED, t, cb[j])
+            else:
+                keep.append(j)
+        if len(keep) < len(live):
+            live, c = [live[j] for j in keep], cb[keep]
+            if not live:
+                break
 
-    return RunOutcome(
-        status=status,
-        final_time=final_time,
-        trace=NormTrace.from_rows(rows),
-        final_field=SpectralField(modes, _full(c)),
-    )
+    return [RunOutcome(status=s, final_time=ft, trace=NormTrace.from_rows(r),
+                       final_field=SpectralField(modes, _full(f)))
+            for (s, ft, f), r in zip(ends, rows)]
 
 
 def detect_blowup(trace: NormTrace, threshold: float):

@@ -137,14 +137,15 @@ def _symbols(n: int) -> dict:
 def _galerkin(c: np.ndarray, n: int, mult: np.ndarray, form) -> np.ndarray:
     """Galerkin coefficients of form(*fields), where fields[i] samples
     mult[i] * u on the 3n+1 grid, which is alias-free for quadratic forms.
-    One batched inverse and one batched forward real transform."""
-    fields = _to_grid(mult * c, n, _pad_size(n))
-    return _from_grid(form(*fields), n)
+    c may carry one leading batch axis; the fields and the forms' outputs
+    stack on axis -3.  One batched inverse and one batched forward real
+    transform; the samples are freed before the forward one runs."""
+    return _from_grid(form(*_to_grid(mult * c[..., None, :, :], n, _pad_size(n)).swapaxes(0, -3)), n)
 
 
 def _det2_and_lap_sq(u11, u22, u12):
     lap = u11 + u22
-    return np.stack([2.0 * (u11 * u22 - u12 * u12), lap * lap])
+    return np.stack([2.0 * (u11 * u22 - u12 * u12), lap * lap], axis=-3)
 
 
 def _epitaxial_terms(c: np.ndarray, n: int):
@@ -177,13 +178,15 @@ class EpitaxialRhs:
         self.abs2 = _grids(self.n)[2][:, self.n :]
         self.linear = -params.K0 * self.abs2 - params.K2 * self.abs2**2
         self.linear.setflags(write=False)
+        self.points = 3 * _pad_size(self.n) ** 2  # samples per member, largest transform
 
     def terms(self, c: np.ndarray) -> list:
         """Explicit terms as (label, coefficients); zero constants omitted."""
         p = self.params
         if p.K1 == 0.0 and p.K3 == 0.0:
             return []
-        h, d = _epitaxial_terms(c, self.n)
+        hd = _epitaxial_terms(c, self.n)
+        h, d = hd[..., 0, :, :], hd[..., 1, :, :]
         out = []
         if p.K1 != 0.0:
             out.append(("K1 * 2 det D^2 u", p.K1 * h))
@@ -211,15 +214,16 @@ class ThinFilmRhs:
         self.abs2 = _grids(self.n)[2][:, self.n :]
         self.linear = -(self.abs2**2)
         self.linear.setflags(write=False)
+        self.points = 3 * _sfft.next_fast_len((params.p + 1) * self.n + 1) ** 2
 
     def terms(self, c: np.ndarray) -> list:
         """Explicit terms as (label, coefficients)."""
         n, sym = self.n, _symbols(self.n)
         # div (v grad lap v) = grad v . grad lap v + v lap^2 v is i k . F,
         # with F the Galerkin coefficients of v grad lap v
-        flux = _galerkin(c, n, sym["flux"], lambda v, g1, g2: np.stack([v * g1, v * g2]))
+        flux = _galerkin(c, n, sym["flux"], lambda v, g1, g2: np.stack([v * g1, v * g2], axis=-3))
         return [
-            ("-grad v . grad lap v - v lap^2 v", -np.sum(sym["grad"] * flux, axis=0)),
+            ("-grad v . grad lap v - v lap^2 v", -np.sum(sym["grad"] * flux, axis=-3)),
             # -chi lap (1+v)^p has coefficient +chi |k|^2 power_hat(k)
             ("-chi lap (1+v)^p", self.params.chi * self.abs2 * _power_hat(c, n, self.params.p)),
         ]
@@ -234,7 +238,7 @@ def _sum_terms(terms: list, c: np.ndarray, n: int) -> np.ndarray:
     out = terms[0][1]
     for _, t in terms[1:]:
         out += t
-    out[n, 0] = 0.0
+    out[..., n, 0] = 0.0
     return out
 
 

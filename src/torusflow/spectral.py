@@ -415,16 +415,17 @@ def inner(f: SpectralField, g: SpectralField) -> float:
     return 4.0 * math.pi**2 * float(np.real(np.vdot(g.coeff, f.coeff)))
 
 
+@lru_cache(maxsize=1)
+def _snapshot_template(n: int) -> str:
+    """The mode lines of a cutoff-n snapshot with %.17g slots for re and im."""
+    return "".join(f"{k1} {k2} %.17g %.17g\n" for k1 in range(-n, n + 1) for k2 in range(-n, n + 1))
+
+
 def write_snapshot(f: SpectralField, path) -> None:
     """Text snapshot: magic header, then 'k1 k2 re im' per retained mode."""
-    n = f.n
-    lines = [f"{SNAPSHOT_MAGIC} n={n}"]
-    for k1 in range(-n, n + 1):
-        for k2 in range(-n, n + 1):
-            v = f.coeff[k1 + n, k2 + n]
-            lines.append(f"{k1} {k2} {v.real:.17g} {v.imag:.17g}")
+    body = _snapshot_template(f.n) % tuple(f.coeff.view(np.float64).ravel().tolist())
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{SNAPSHOT_MAGIC} n={f.n}\n" + body)
 
 
 def read_snapshot(path) -> SpectralField:

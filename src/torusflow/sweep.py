@@ -1,9 +1,10 @@
-"""Parameter sweeps: Cartesian products of config overrides, run in turn.
+"""Parameter sweeps: Cartesian products of config overrides.
 
-Every combination executes in isolation with its own output directory; a
-failure (config violation, numerical failure, blow-up) becomes a summary row
-rather than aborting the sweep.  Members run one after another in product
-order, which is also the summary order.
+Every combination has its own output directory and summary row, in product
+order; a failure (config violation, numerical failure, blow-up) becomes a
+row rather than aborting the sweep.  Members that share model, n, params,
+stepper (but for blowup_threshold) and snapshot cadence are stepped as one
+batch; if a batch raises, its members rerun alone, for their solo rows.
 """
 
 from __future__ import annotations
@@ -12,13 +13,21 @@ import copy
 import csv
 import itertools
 import os
+from dataclasses import replace
 
 from .config import ConfigError, parse_config
-from .driver import execute_run
+from .driver import _prepare, execute_batch, execute_run
+from .models import make_rhs
 
 __all__ = ["set_by_path", "expand_axes", "run_sweep", "write_sweep_summary"]
 
 DEFAULT_MAX_RUNS = 256
+
+# Samples per batched transform (members x 3 fields x N^2, larger grid).  One
+# batched ETD2 step over as many solo steps (2-vCPU host; CHANGES.md has the
+# scan at n = 8, 16, 32): below the cap every batch won, e.g. epitaxial n=16
+# 0.73 at 9 members; past it some lost, e.g. 1.05 at 16.
+BATCH_POINTS = 65536
 
 SUMMARY_FIXED_FIELDS = ("status", "margin", "lambda", "satisfied",
                         "envelope_passed", "worst_ratio", "final_a0", "final_a2", "error")
@@ -59,26 +68,18 @@ def expand_axes(axes):
     return paths, [dict(zip(paths, combo)) for combo in combos]
 
 
-def _run_one(run_id: int, base: dict, overrides: dict, outdir: str) -> dict:
-    row: dict = {"run_id": run_id, **overrides}
-    for key in SUMMARY_FIXED_FIELDS:
-        row[key] = None
-    run_dir = os.path.join(outdir, f"run_{run_id:04d}")
-    raw = copy.deepcopy(base)
-    for path, value in overrides.items():
-        set_by_path(raw, path, value)
-    set_by_path(raw, "outputs.directory", run_dir)
+def _guarded(row: dict, fn):
+    """fn(), or None with the row's status and error set from what it raised."""
     try:
-        cfg = parse_config(raw)
-        result = execute_run(cfg, outdir=run_dir)
+        return fn()
     except ConfigError as e:
-        row["status"] = "config_error"
-        row["error"] = "; ".join(e.errors)
-        return row
+        row.update(status="config_error", error="; ".join(e.errors))
     except Exception as e:  # per-run isolation: never abort the sweep
-        row["status"] = "error"
-        row["error"] = f"{type(e).__name__}: {e}"
-        return row
+        row.update(status="error", error=f"{type(e).__name__}: {e}")
+    return None
+
+
+def _fill(row: dict, result) -> None:
     primary = result.reports[0]
     fnv = result.report["run"]["final_norms"]
     row.update({
@@ -92,7 +93,25 @@ def _run_one(run_id: int, base: dict, overrides: dict, outdir: str) -> dict:
         "final_a2": fnv["a2"],
         "error": None,
     })
-    return row
+
+
+def _run_batch(members) -> None:
+    """Prepare, march and finish (row, cfg, run_dir) members whose configs
+    share a batch key, filling each row as a solo run would."""
+    runs = []
+    for row, cfg, run_dir in members:
+        prepared = _guarded(row, lambda: _prepare(cfg))
+        if prepared is not None:
+            runs.append((row, (cfg, run_dir, prepared)))
+    if not runs:
+        return
+    try:
+        results = execute_batch([run for _, run in runs])
+    except Exception:  # each member on its own, as the row of a solo run
+        results = [_guarded(row, lambda: execute_run(run[0], outdir=run[1])) for row, run in runs]
+    for (row, _), result in zip(runs, results):
+        if result is not None:
+            _fill(row, result)
 
 
 def run_sweep(base: dict, axes, outdir: str, max_runs: int = DEFAULT_MAX_RUNS) -> list[dict]:
@@ -111,7 +130,24 @@ def run_sweep(base: dict, axes, outdir: str, max_runs: int = DEFAULT_MAX_RUNS) -
             f"sweep size {len(combos)} exceeds the cap of {max_runs} runs"
         ])
     os.makedirs(outdir, exist_ok=True)
-    rows = [_run_one(i, base, combo, outdir) for i, combo in enumerate(combos)]
+    rows, groups = [], {}
+    for i, combo in enumerate(combos):
+        rows.append({"run_id": i, **combo, **dict.fromkeys(SUMMARY_FIXED_FIELDS)})
+        run_dir = os.path.join(outdir, f"run_{i:04d}")
+        raw = copy.deepcopy(base)
+        for path, value in combo.items():
+            set_by_path(raw, path, value)
+        set_by_path(raw, "outputs.directory", run_dir)
+        cfg = _guarded(rows[-1], lambda: parse_config(raw))
+        if cfg is not None:
+            key = (cfg.model, cfg.n, cfg.params, replace(cfg.stepper, blowup_threshold=None),
+                   cfg.outputs.snapshot_every)  # what one batched march must share
+            groups.setdefault(key, []).append((rows[-1], cfg, run_dir))
+    for group in groups.values():
+        cfg = group[0][1]
+        size = max(1, BATCH_POINTS // make_rhs(cfg.model, cfg.n, cfg.params).points)
+        for k in range(0, len(group), size):  # prepared batch by batch: memory follows the cap
+            _run_batch(group[k : k + size])
     write_sweep_summary(rows, paths, os.path.join(outdir, "summary.csv"))
     return rows
 

@@ -13,6 +13,7 @@ from torusflow import (
     detect_blowup,
     hermitian_asymmetry,
     simulate,
+    simulate_batch,
     step,
     wiener_norm,
 )
@@ -308,3 +309,83 @@ class TestBlowup:
                            "epitaxial")
         assert out.status in ("numerical_failure", "blowup_detected")
         assert np.isfinite(out.final_field.coeff).all()
+
+
+def corner_field(n, value):
+    """value at k = +-(n, n): the largest |k|, so A^6 is (2n^2)^3 A^0."""
+    return SpectralField.from_modes(n, [((n, n), value), ((-n, -n), value)])
+
+
+class TestNormOverflow:
+    def test_initial_norm_past_the_float_range_is_rejected_before_stepping(self):
+        u0 = corner_field(8, 1e303)  # A^0 = 2e303, A^6 = inf
+        seen = []
+        with pytest.raises(ValueError, match="Wiener norm a6 of the initial field"):
+            simulate(u0, LINEAR, StepperConfig(dt=0.01, t_end=0.1), "epitaxial",
+                     on_record=lambda i, t, f: seen.append(i))
+        assert seen == []
+
+    def test_step_rejects_initial_norm_past_the_float_range(self):
+        with pytest.raises(ValueError, match="Wiener norm a6 of the initial field"):
+            step(corner_field(8, 1e303), 0.01, LINEAR, "epitaxial")
+
+    def test_norm_overflow_during_run_is_a_numerical_failure(self, monkeypatch):
+        monkeypatch.setattr(integrate._Etd2, "advance", lambda self, c: c * 10.0)
+        u0 = corner_field(8, 0.5e300)  # A^0 = 1e300; A^6 passes the float range at step 2
+        out = simulate(u0, LINEAR, StepperConfig(dt=0.01, t_end=0.1, record_every=1,
+                                                 blowup_threshold=1e305), "epitaxial")
+        assert out.status == "numerical_failure"
+        assert out.final_time == 0.01
+        assert np.array_equal(out.final_field.coeff, u0.coeff * 10.0)
+        assert list(out.trace.t) == [0.0, 0.01]
+        for col in (out.trace.a0, out.trace.a2, out.trace.a4, out.trace.a6):
+            assert np.isfinite(col).all()
+        assert all(math.isfinite(wiener_norm(out.final_field, s)) for s in (0, 2, 4, 6))
+
+    def test_step_into_norm_overflow_is_a_floating_point_error(self, monkeypatch):
+        monkeypatch.setattr(integrate._Etd2, "advance", lambda self, c: c * 10.0)
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            step(corner_field(8, 0.5e301), 0.01, LINEAR, "epitaxial")
+
+
+EXPLOSIVE = EpitaxialParams(K0=0.0, K1=5.0, K2=0.05, K3=0.0)
+
+
+class TestSimulateBatch:
+    def members(self):
+        # a quiet run, two blow-ups at different steps and an overflow
+        u0s = [scaled_to(random_field(6, seed=90 + i, sigma=2.0), 0, a)
+               for i, a in enumerate([0.1, 3.0, 0.5, 4.0])]
+        steppers = [StepperConfig(dt=1e-3, t_end=0.05, record_every=3, blowup_threshold=b)
+                    for b in (20.0, 20.0, 20.0, 1e300)]
+        return u0s, steppers
+
+    def assert_same(self, got, want):
+        assert got.status == want.status
+        assert got.final_time == want.final_time
+        for name in ("t", "a0", "a2", "a4", "a6", "mean", "dt_used"):
+            np.testing.assert_allclose(getattr(got.trace, name), getattr(want.trace, name),
+                                       rtol=1e-14, atol=0)
+        np.testing.assert_allclose(got.final_field.coeff, want.final_field.coeff,
+                                   rtol=1e-14, atol=1e-300)
+
+    def test_members_match_solo_runs(self):
+        u0s, steppers = self.members()
+        seen = [[] for _ in u0s]
+        outs = simulate_batch(u0s, EXPLOSIVE, steppers, "epitaxial",
+                              [lambda i, t, f, s=s: s.append(i) for s in seen], 10)
+        assert [o.status for o in outs] == ["completed", "blowup_detected", "blowup_detected",
+                                            "numerical_failure"]
+        assert outs[1].final_time < outs[2].final_time
+        for u0, stepper, out, steps in zip(u0s, steppers, outs, seen):
+            solo_steps = []
+            solo = simulate(u0, EXPLOSIVE, stepper, "epitaxial",
+                            lambda i, t, f: solo_steps.append(i), 10)
+            self.assert_same(out, solo)
+            assert steps == solo_steps
+
+    def test_members_must_share_the_stepper(self):
+        u0s, _ = self.members()
+        with pytest.raises(ValueError, match="share n and the stepper"):
+            simulate_batch(u0s[:2], EXPLOSIVE, [StepperConfig(dt=1e-3, t_end=0.05),
+                                                StepperConfig(dt=2e-3, t_end=0.05)], "epitaxial")

@@ -443,3 +443,35 @@ class TestAlgebraProperties:
         for out in (project(f, max(1, f.n - 1)), convolve(f, g),
                     laplacian(f), scale_modes(f, 2)):
             assert hermitian_asymmetry(out) < 1e-13
+
+
+def _per_line_snapshot(f, path):
+    """The one-line-at-a-time snapshot writer, kept as a byte-level oracle."""
+    n = f.n
+    lines = [f"torusflow-spectral v1 n={n}"]
+    for k1 in range(-n, n + 1):
+        for k2 in range(-n, n + 1):
+            v = f.coeff[k1 + n, k2 + n]
+            lines.append(f"{k1} {k2} {v.real:.17g} {v.imag:.17g}")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+class TestSnapshotBytes:
+    @pytest.mark.parametrize("n", [1, 2, 8, 24, 32, 64, 200])
+    def test_matches_per_line_writer(self, tmp_path, n):
+        f = random_field(n, seed=61 + n, sigma=1.0, zero_mean=False)
+        write_snapshot(f, tmp_path / "a.txt")
+        _per_line_snapshot(f, tmp_path / "b.txt")
+        assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+
+    def test_extreme_values_match_per_line_writer(self, tmp_path):
+        f = SpectralField.from_modes(3, [
+            ((1, 0), -0.0 + 5e-324j), ((-1, 0), -0.0 - 5e-324j),
+            ((2, 1), -1.5e-320 + 1e-300j), ((-2, -1), -1.5e-320 - 1e-300j),
+            ((0, 3), -1e308), ((0, -3), -1e308), ((0, 0), -0.0),
+        ])
+        write_snapshot(f, tmp_path / "a.txt")
+        _per_line_snapshot(f, tmp_path / "b.txt")
+        assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+        assert "-1e+308" in (tmp_path / "a.txt").read_text()

@@ -1,9 +1,14 @@
 import csv
+import json
 
+import numpy as np
 import pytest
 
-from torusflow import ConfigError, run_sweep
-from torusflow.sweep import expand_axes, set_by_path
+from torusflow import ConfigError, parse_config, read_trace_csv, run_sweep, simulate
+from torusflow import EpitaxialParams, driver, sweep
+from torusflow.models import make_rhs
+from torusflow.driver import _prepare
+from torusflow.sweep import SUMMARY_FIXED_FIELDS, expand_axes, set_by_path
 
 
 def base_config(outdir="."):
@@ -119,3 +124,94 @@ class TestRunSweep:
             assert a == b
         assert ((tmp_path / "w1" / "summary.csv").read_text()
                 == (tmp_path / "w4" / "summary.csv").read_text())
+
+
+MIXED = {
+    # (params, blow-up threshold, A^0 of each member): completes, blows up
+    # early, blows up late, threshold below A^0, snapshot write fails
+    "epitaxial": ({"K0": 0.0, "K1": 5.0, "K2": 0.05, "K3": 0.0}, 20.0, [0.1, 3.0, 0.5, 25.0, 0.2]),
+    "thinfilm": ({"chi": 0.9, "p": 5}, 10.0, [0.3, 2.5, 1.0, 12.0, 0.2]),
+}
+MIXED_STATUSES = ["completed", "blowup_detected", "blowup_detected", "config_error", "error"]
+AXIS = "initial_data.normalize.value"
+
+
+def mixed_base(model):
+    params, threshold, _ = MIXED[model]
+    return {
+        "model": model, "n": 6, "params": params, "seed": 5,
+        "initial_data": {"kind": "random_decay", "amplitude": 0.1, "sigma": 2.0,
+                         "normalize": {"norm": "a0", "value": 1.0}},
+        "stepper": {"dt": 1e-3, "t_end": 0.1, "record_every": 3, "blowup_threshold": threshold},
+        "outputs": {"snapshot_every": 10},
+    }
+
+
+def block_snapshot(run_dir):
+    # a directory where the step-10 snapshot goes makes on_record raise OSError
+    (run_dir / "snapshot_00000010.txt").mkdir(parents=True)
+
+
+class TestBatchIsolation:
+    @pytest.mark.parametrize("model", ["epitaxial", "thinfilm"])
+    @pytest.mark.parametrize("blocked", [False, True])
+    def test_members_get_their_solo_rows_and_traces(self, tmp_path, monkeypatch, model, blocked):
+        # unblocked, the four valid members march as one batch; blocked, the
+        # batch raises in member 4's snapshot and every member reruns alone
+        values = MIXED[model][2]
+        statuses = MIXED_STATUSES if blocked else MIXED_STATUSES[:4] + ["completed"]
+        batches = []
+        march = driver.simulate_batch
+        monkeypatch.setattr(driver, "simulate_batch",
+                            lambda u0s, *a: batches.append(len(u0s)) or march(u0s, *a))
+        if blocked:
+            block_snapshot(tmp_path / "batch" / "run_0004")
+        rows = run_sweep(mixed_base(model), [(AXIS, values)], str(tmp_path / "batch"))
+        assert batches[0] == 4
+        assert [r["status"] for r in rows] == statuses
+        if blocked:
+            assert rows[4]["error"].startswith("IsADirectoryError: ")
+
+        times = []
+        for i, (value, row) in enumerate(zip(values, rows)):
+            batch_dir = tmp_path / "batch" / f"run_{i:04d}"
+            solo_dir = tmp_path / f"solo{i}"
+            if blocked and i == 4:
+                block_snapshot(solo_dir / "run_0000")
+            base = mixed_base(model)
+            set_by_path(base, AXIS, value)
+            (solo,) = run_sweep(base, [], str(solo_dir))
+            want = {k: solo[k] for k in SUMMARY_FIXED_FIELDS}
+            got = {k: row[k] for k in SUMMARY_FIXED_FIELDS}
+            if got["error"] is not None:
+                got["error"] = got["error"].replace(str(batch_dir), "RUN")
+                want["error"] = want["error"].replace(str(solo_dir / "run_0000"), "RUN")
+            assert got == want, i
+            if row["status"] not in ("completed", "blowup_detected"):
+                continue
+
+            # the member's outputs against its own simulate
+            cfg = parse_config(base)
+            out = simulate(_prepare(cfg)[0], cfg.params, cfg.stepper, cfg.model)
+            assert out.status == row["status"]
+            final_time = json.loads((batch_dir / "report.json").read_text())["run"]["final_time"]
+            assert final_time == out.final_time
+            times.append(final_time)
+            trace = read_trace_csv(batch_dir / "trace.csv")
+            for name in ("t", "a0", "a2", "a4", "a6", "mean", "dt_used"):
+                np.testing.assert_allclose(getattr(trace, name), getattr(out.trace, name),
+                                           rtol=1e-14, atol=0)
+        assert times[1] < times[2] < times[0]
+
+    def test_batches_follow_the_cap(self, tmp_path, monkeypatch):
+        base, values = mixed_base("epitaxial"), MIXED["epitaxial"][2]
+        want = run_sweep(base, [(AXIS, values)], str(tmp_path / "uncapped"))
+        batches = []
+        march = driver.simulate_batch
+        monkeypatch.setattr(driver, "simulate_batch",
+                            lambda u0s, *a: batches.append(len(u0s)) or march(u0s, *a))
+        monkeypatch.setattr(sweep, "BATCH_POINTS", 2 * make_rhs("epitaxial", 6, EpitaxialParams(
+            **base["params"])).points)
+        got = run_sweep(base, [(AXIS, values)], str(tmp_path / "capped"))
+        assert batches == [2, 1, 1]  # member 3 is a config error
+        assert got == want
