@@ -102,7 +102,7 @@ def _cmd_sweep(args) -> int:
             ctx.fail(f"{where}axes[{i}] must be {{'path', 'values'}}")
         else:
             axes.append((ax["path"], ax["values"]))
-            ctx.errors.extend(axis_errors(ax["path"], ax["values"], f"{where}axes[{i}]."))
+            ctx.errors.extend(axis_errors(ax["path"], ax["values"], f"{where}axes[{i}].", base))
     positive = {"integer": True, "cond": lambda v: v >= 1, "msg": "must be an integer >= 1"}
     max_runs = ctx.number(axes_raw, where, "max_runs", DEFAULT_MAX_RUNS, **positive)
     ctx.number(axes_raw, where, "workers", **positive)  # accepted; members run one at a time

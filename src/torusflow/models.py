@@ -28,10 +28,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft as _sfft
 
 from .spectral import (
     SpectralField,
+    _fast_len,
     _from_grid,
     _full,
     _grids,
@@ -160,7 +160,7 @@ def _dot_pairs(d1, d2, d1lap, d2lap):
 def _power_hat(c: np.ndarray, n: int, p: int) -> np.ndarray:
     """Galerkin coefficients of (1 + v)^p: sampled on an alias-free grid
     (N >= (p+1) n + 1), raised pointwise, truncated once."""
-    v = _to_grid(c, n, _sfft.next_fast_len((p + 1) * n + 1))
+    v = _to_grid(c, n, _fast_len((p + 1) * n + 1))
     return _from_grid((1.0 + v) ** p, n)
 
 
@@ -214,7 +214,7 @@ class ThinFilmRhs:
         self.abs2 = _grids(self.n)[2][:, self.n :]
         self.linear = -(self.abs2**2)
         self.linear.setflags(write=False)
-        self.points = 3 * _sfft.next_fast_len((params.p + 1) * self.n + 1) ** 2
+        self.points = 3 * _fast_len((params.p + 1) * self.n + 1) ** 2
 
     def terms(self, c: np.ndarray) -> list:
         """Explicit terms as (label, coefficients)."""

@@ -9,11 +9,11 @@ validated on construction and exact afterwards.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft as _fft
 
 __all__ = [
     "ModeSet",
@@ -231,30 +231,57 @@ def norm_vector(f: SpectralField) -> NormVector:
 
 
 @lru_cache(maxsize=None)
+def _fast_len(target: int) -> int:
+    """Smallest 2*3*5*7*11-smooth integer >= target, a size pocketfft
+    transforms without a Bluestein pass; a power of 2 bounds the search."""
+    for m in range(target, 2 * target + 1):
+        r = m
+        while (g := math.gcd(r, 2310)) > 1:  # 2310 = 2 * 3 * 5 * 7 * 11
+            r //= g
+        if r == 1:
+            return m
+
+
+@lru_cache(maxsize=None)
 def _pad_size(n: int) -> int:
     # N >= 3n+1 keeps every retained mode |k| <= n of a quadratic product
     # alias-free (product modes reach 2n; the nearest alias is at N - n > 2n).
-    return _fft.next_fast_len(3 * n + 1)
+    return _fast_len(3 * n + 1)
 
 
 # The transform layout.  A real field is carried by the k2 >= 0 half of its
-# coefficients, scattered into the (N, N//2 + 1) layout of scipy's rfft2 on
-# an N x N grid; the k2 < 0 half follows from uhat(-k) = conj(uhat(k)).  Every
-# array may carry leading batch axes, so one call transforms a whole stack.
+# coefficients in an (N, n+1) block, row a holding k1 = a (a <= n) or a - N
+# (a >= N - n); uhat(-k) = conj(uhat(k)) gives the rest.  A 2-D real
+# transform is two pruned 1-D passes, complex over k1 on the n+1 columns and
+# real over k2 zero-padded to N, into per-thread work arrays reused from call
+# to call.  Leading batch axes let one call transform a whole stack.
+
+_WORK = threading.local()
+_WORK_SETS = 8  # the thin film alternates two grids; a batch shrinks as members leave
 
 
-def _embed(half: np.ndarray, n: int, N: int) -> np.ndarray:
-    """Scatter k2 >= 0 half blocks (..., 2n+1, n+1), rows k1 = -n..n, into
-    rfft2 layout (..., N, N//2 + 1).  Needs N >= 2n + 1."""
-    out = np.zeros(half.shape[:-2] + (N, N // 2 + 1), dtype=np.complex128)
-    out[..., : n + 1, : n + 1] = half[..., n:, :]
-    out[..., N - n :, : n + 1] = half[..., :n, :]
+def _work(*specs) -> list:
+    """This thread's work arrays, one per (shape, dtype) in specs, zeroed when
+    made and reused by every later call with the same specs."""
+    cache = vars(_WORK).setdefault("arrays", {})  # this thread's own dict
+    if specs not in cache:
+        if len(cache) >= _WORK_SETS:
+            cache.clear()
+        cache[specs] = [np.zeros(shape, dtype) for shape, dtype in specs]
+    return cache[specs]
+
+
+def _embed(half: np.ndarray, n: int, N: int, out: np.ndarray) -> np.ndarray:
+    """Scatter k2 >= 0 half blocks (..., 2n+1, n+1), rows k1 = -n..n, into the
+    zeroed (..., N, n+1) block out; its other rows stay zero.  Needs N >= 2n + 1."""
+    out[..., : n + 1, :] = half[..., n:, :]
+    out[..., N - n :, :] = half[..., :n, :]
     return out
 
 
 def _extract(spec: np.ndarray, n: int, N: int) -> np.ndarray:
-    """k2 >= 0 half blocks (..., 2n+1, n+1) of |k| <= n, out of rfft2 layout."""
-    half = np.concatenate([spec[..., N - n :, : n + 1], spec[..., : n + 1, : n + 1]], axis=-2)
+    """k2 >= 0 half blocks (..., 2n+1, n+1) of |k| <= n, out of (..., N, n+1) blocks."""
+    half = np.concatenate([spec[..., N - n :, :], spec[..., : n + 1, :]], axis=-2)
     # The k2 = 0 column is its own mirror; average away its roundoff asymmetry.
     half[..., 0] = 0.5 * (half[..., 0] + np.conj(half[..., ::-1, 0]))
     return half
@@ -267,14 +294,24 @@ def _full(half: np.ndarray) -> np.ndarray:
 
 def _to_grid(half: np.ndarray, n: int, N: int) -> np.ndarray:
     """Samples u(2 pi a / N, 2 pi b / N) of the fields whose k2 >= 0 half
-    blocks are given; one batched inverse real transform."""
-    return _fft.irfft2(_embed(half, n, N), s=(N, N), norm="forward")
+    blocks are given; one batched inverse real transform.  The result is a
+    work array that the next call with the same shapes overwrites."""
+    block = half.shape[:-2] + (N, n + 1)
+    emb, col, grid = _work((block, complex), (block, complex), (block[:-1] + (N,), float))
+    np.fft.ifft(_embed(half, n, N, emb), axis=-2, norm="forward", out=col)
+    return np.fft.irfft(col, n=N, axis=-1, norm="forward", out=grid)
 
 
 def _from_grid(values: np.ndarray, n: int) -> np.ndarray:
     """k2 >= 0 half blocks of |k| <= n of real samples on an N x N grid; one
     batched forward real transform."""
-    return _extract(_fft.rfft2(values, norm="forward"), n, values.shape[-1])
+    N, block = values.shape[-1], values.shape[:-1] + (n + 1,)
+    row, col, spec = _work((values.shape[:-1] + (N // 2 + 1,), complex), (block, complex), (block, complex))
+    np.fft.rfft(values, axis=-1, out=row)
+    # Scale once, after the row pass, real and imaginary parts alike: the
+    # order and factor of pocketfft's 2-D r2c with norm="forward".
+    np.multiply(row[..., : n + 1].view(float), 1.0 / (N * N), out=col.view(float))
+    return _extract(np.fft.fft(col, axis=-2, out=spec), n, N)
 
 
 def _convolve_direct_raw(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -360,7 +397,7 @@ def to_real_samples(f: SpectralField, grid_n: int) -> np.ndarray:
     N = int(grid_n)
     if N < 2 * f.n + 2:
         raise ValueError(f"grid size {N} too small for cutoff {f.n}; need N >= {2 * f.n + 2}")
-    return _to_grid(f.half, f.n, N)
+    return _to_grid(f.half, f.n, N).copy()
 
 
 def from_real_samples(samples: np.ndarray, n: int) -> SpectralField:

@@ -34,10 +34,11 @@ SUMMARY_FIXED_FIELDS = ("status", "margin", "lambda", "satisfied",
 
 
 def set_by_path(d: dict, path: str, value) -> None:
-    """Assign into a nested dict by dotted path, creating missing objects."""
+    """Assign into a nested dict by dotted path, creating missing objects;
+    ConfigError for an empty segment or a descent through a non-object."""
     keys = path.split(".")
     if not all(keys):
-        raise ValueError(f"invalid parameter path {path!r}")
+        raise ConfigError([f"invalid parameter path {path!r}"])
     cur = d
     for key in keys[:-1]:
         nxt = cur.get(key)
@@ -45,17 +46,23 @@ def set_by_path(d: dict, path: str, value) -> None:
             nxt = {}
             cur[key] = nxt
         elif not isinstance(nxt, dict):
-            raise ValueError(f"parameter path {path!r} descends into non-object {key!r}")
+            raise ConfigError([f"parameter path {path!r} descends into non-object {key!r}"])
         cur = nxt
     cur[keys[-1]] = value
 
 
-def axis_errors(path, values, where: str) -> list[str]:
+def axis_errors(path, values, where: str, base) -> list[str]:
     """Violations of the rules for one (path, values) axis, each message
-    prefixed by where."""
+    prefixed by where, a path that cannot be set in the base config dict
+    among them."""
     errors = []
     if not isinstance(path, str) or not path:
         errors.append(f"{where}path: must be a nonempty string, got {path!r}")
+    elif isinstance(base, dict):
+        try:
+            set_by_path(copy.deepcopy(base), path, None)
+        except ConfigError as e:
+            errors += [f"{where}path: {msg}" for msg in e.errors]
     if not isinstance(values, (list, tuple)) or not values:
         errors.append(f"{where}values: must be a nonempty list")
     return errors
@@ -114,14 +121,24 @@ def _run_batch(members) -> None:
             _fill(row, result)
 
 
+def _member_config(base: dict, combo: dict, run_dir: str) -> dict:
+    """The base config with a combo's overrides and the member's directory;
+    ConfigError when an earlier axis value leaves no object to descend into."""
+    raw = copy.deepcopy(base)
+    for path, value in [*combo.items(), ("outputs.directory", run_dir)]:
+        set_by_path(raw, path, value)
+    return raw
+
+
 def run_sweep(base: dict, axes, outdir: str, max_runs: int = DEFAULT_MAX_RUNS) -> list[dict]:
     """Execute the Cartesian product of axes over a base config dict.
 
     axes: list of (parameter path, list of values).  Returns summary rows in
     product order and writes summary.csv under outdir.
     """
-    errors = [e for i, (path, values) in enumerate(axes)
-              for e in axis_errors(path, values, f"axes[{i}].")]
+    errors = [] if isinstance(base, dict) else ["config: must be a JSON object"]
+    errors += [e for i, (path, values) in enumerate(axes)
+               for e in axis_errors(path, values, f"axes[{i}].", base)]
     if errors:
         raise ConfigError(errors)
     paths, combos = expand_axes(axes)
@@ -134,11 +151,7 @@ def run_sweep(base: dict, axes, outdir: str, max_runs: int = DEFAULT_MAX_RUNS) -
     for i, combo in enumerate(combos):
         rows.append({"run_id": i, **combo, **dict.fromkeys(SUMMARY_FIXED_FIELDS)})
         run_dir = os.path.join(outdir, f"run_{i:04d}")
-        raw = copy.deepcopy(base)
-        for path, value in combo.items():
-            set_by_path(raw, path, value)
-        set_by_path(raw, "outputs.directory", run_dir)
-        cfg = _guarded(rows[-1], lambda: parse_config(raw))
+        cfg = _guarded(rows[-1], lambda: parse_config(_member_config(base, combo, run_dir)))
         if cfg is not None:
             key = (cfg.model, cfg.n, cfg.params, replace(cfg.stepper, blowup_threshold=None),
                    cfg.outputs.snapshot_every)  # what one batched march must share

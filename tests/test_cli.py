@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -347,6 +348,20 @@ class TestSweepCommand:
         ]
 
 
+    def test_axis_path_through_a_scalar_is_a_config_error(self, tmp_path, capsys):
+        cfgp = tmp_path / "cfg.json"
+        write_config(cfgp)
+        axesp = tmp_path / "axes.json"
+        axesp.write_text(json.dumps({"axes": [{"path": "seed", "values": [1]},
+                                              {"path": "params.K1.x", "values": [1]}]}))
+        assert main(["sweep", str(cfgp), str(axesp), "--outdir", str(tmp_path / "sw")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: {axesp}: axes[1].path: parameter path 'params.K1.x' "
+            "descends into non-object 'K1'",
+        ]
+        assert not (tmp_path / "sw").exists()
+
+
 class TestConvergenceCommand:
     def test_prints_ratio_table(self, tmp_path, capsys):
         cfgp = tmp_path / "cfg.json"
@@ -376,3 +391,23 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["theorems"]
+
+    def test_runtime_imports_no_scipy(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        readme_cfg = tmp_path / "readme.json"
+        readme_cfg.write_text(readme.split("```json\n", 1)[1].split("```", 1)[0])
+        tf = tmp_path / "tf.json"
+        write_config(tf, model="thinfilm", params={"chi": 0.3, "p": 3},
+                     initial_data={"kind": "random_decay", "amplitude": 0.05, "sigma": 3.0,
+                                   "normalize": {"norm": "a0", "value": 0.05}},
+                     stepper={"dt": 0.001, "t_end": 0.005})
+        code = (
+            "import sys, torusflow\n"
+            "from torusflow.cli import main\n"
+            f"torusflow.check_only(torusflow.load_config({str(readme_cfg)!r}))\n"
+            f"assert main(['simulate', {str(tf)!r}, '--outdir', {str(tmp_path / 'out')!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"

@@ -1,12 +1,16 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from torusflow import (
+    EpitaxialParams,
     ModeSet,
     SpectralField,
+    StepperConfig,
     biharmonic,
     convolve,
     derivative,
@@ -19,11 +23,13 @@ from torusflow import (
     project,
     read_snapshot,
     scale_modes,
+    simulate,
     to_real_samples,
     wiener_norm,
     with_cutoff,
     write_snapshot,
 )
+from torusflow.spectral import _extract, _fast_len, _from_grid, _pad_size, _to_grid
 from _helpers import brute_bilinear, max_abs_diff, random_field, w_plain
 
 
@@ -475,3 +481,80 @@ class TestSnapshotBytes:
         _per_line_snapshot(f, tmp_path / "b.txt")
         assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
         assert "-1e+308" in (tmp_path / "a.txt").read_text()
+
+
+class TestTransformLayer:
+    """The pruned 1-D passes into reused work arrays, against scipy's 2-D real
+    transforms as the oracle."""
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 24, 32, 64])
+    @pytest.mark.parametrize("lead", [(), (3,), (8, 3)])
+    def test_bit_identical_to_scipy(self, n, lead):
+        sfft = pytest.importorskip("scipy.fft")
+        rng = np.random.default_rng(n)
+        # the 3n+1 grid of the quadratic terms and the p = 3 thin-film power grid
+        for N in (_pad_size(n), _fast_len(4 * n + 1)):
+            half = rng.standard_normal(lead + (2 * n + 1, n + 1)) \
+                + 1j * rng.standard_normal(lead + (2 * n + 1, n + 1))
+            spec = np.zeros(lead + (N, N // 2 + 1), dtype=complex)
+            spec[..., : n + 1, : n + 1] = half[..., n:, :]
+            spec[..., N - n :, : n + 1] = half[..., :n, :]
+            want = sfft.irfft2(spec, s=(N, N), norm="forward")
+            for _ in range(2):  # fresh work arrays, then reused ones
+                assert _to_grid(half, n, N).tobytes() == want.tobytes()
+            values = rng.standard_normal(lead + (N, N))
+            want = _extract(sfft.rfft2(values, norm="forward")[..., : n + 1], n, N)
+            for _ in range(2):
+                assert _from_grid(values, n).tobytes() == want.tobytes()
+
+    def test_fast_len_matches_scipy(self):
+        sfft = pytest.importorskip("scipy.fft")
+        assert [_fast_len(t) for t in range(1, 4097)] == \
+            [sfft.next_fast_len(t) for t in range(1, 4097)]
+
+    @pytest.mark.parametrize("target, size", [
+        (1, 1), (13, 14), (17, 18), (23, 24), (25, 25), (49, 49), (73, 75), (97, 98),
+        (121, 121), (193, 196), (289, 294), (2311, 2352), (4096, 4096), (4097, 4116),
+    ])
+    def test_fast_len_table(self, target, size):
+        assert _fast_len(target) == size
+
+    def test_returned_samples_are_not_work_arrays(self):
+        f, g = random_field(8, 1), random_field(8, 2)
+        samples = to_real_samples(f, 26)
+        kept = samples.copy()
+        to_real_samples(g, 26)
+        _to_grid(g.half, 8, 26)
+        convolve(f, g)
+        assert samples.tobytes() == kept.tobytes()
+
+    def test_threads_do_not_share_work_arrays(self):
+        # more threads than cores, switching often: shared work arrays would
+        # mix the members' samples
+        params = EpitaxialParams(K0=0.0, K1=0.25, K2=1.0, K3=0.25)
+        stepper = StepperConfig(dt=1e-3, t_end=0.3, record_every=1)
+        fields = [random_field(8, 11 + i) for i in range(4)]
+        alone = [simulate(u, params, stepper, "epitaxial") for u in fields]
+        assert [o.status for o in alone] == ["completed"] * 4
+        together = [None] * 4
+        start = threading.Barrier(4)
+
+        def run(i):
+            start.wait()
+            together[i] = simulate(fields[i], params, stepper, "epitaxial")
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for a, b in zip(alone, together):
+            for name in ("t", "a0", "a2", "a4", "a6", "mean"):
+                assert getattr(a.trace, name).tobytes() == getattr(b.trace, name).tobytes()
+            assert a.final_field.coeff.tobytes() == b.final_field.coeff.tobytes()

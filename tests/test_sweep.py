@@ -94,6 +94,27 @@ class TestRunSweep:
         assert e.value.errors == ["axes[0].path: must be a nonempty string, got 5",
                                   "axes[1].values: must be a nonempty list"]
 
+    def test_axis_path_through_a_scalar_fails_before_any_member(self, tmp_path):
+        axes = [("params.K1.x", [1]), ("params..K2", [1]), ("seed", [1])]
+        with pytest.raises(ConfigError) as e:
+            run_sweep(base_config(), axes, str(tmp_path / "sw"))
+        assert e.value.errors == [
+            "axes[0].path: parameter path 'params.K1.x' descends into non-object 'K1'",
+            "axes[1].path: invalid parameter path 'params..K2'",
+        ]
+        assert not (tmp_path / "sw").exists()
+
+    def test_axis_value_that_is_not_an_object_is_a_config_error_row(self, tmp_path):
+        axes = [("params", [{"K0": 0.0, "K1": 0.25, "K2": 1.0}, 5]), ("params.K3", [0.25])]
+        rows = run_sweep(base_config(), axes, str(tmp_path))
+        assert [r["status"] for r in rows] == ["completed", "config_error"]
+        assert "descends into non-object 'params'" in rows[1]["error"]
+
+    def test_non_object_base_config_is_a_config_error(self, tmp_path):
+        with pytest.raises(ConfigError) as e:
+            run_sweep([1], [("seed", [1])], str(tmp_path / "sw"))
+        assert e.value.errors == ["config: must be a JSON object"]
+
     def test_threshold_flip_matches_checker(self, tmp_path):
         # margin = K2 - 2 (K1 + K3) a2 = 1 - a2: flips at a2 = 1
         values = [0.25, 0.75, 1.25, 1.75]
