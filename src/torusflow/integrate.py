@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .models import RHS, _require_zero_mean, make_rhs
-from .spectral import ModeSet, SpectralField, _full, _norms, _wiener_sums
+from .spectral import ModeSet, SpectralField, _full, _norms, _release_work, _wiener_sums
 
 __all__ = [
     "SCHEMES",
@@ -208,8 +208,10 @@ def _blowup_threshold(stepper: StepperConfig, a0_init: float) -> float:
     return threshold
 
 
-def _trace_row(t: float, c: np.ndarray, modes: ModeSet, dt: float):
-    return (t, *_norms(c, modes.abs2[:, modes.n :]), float(c[modes.n, 0].real), dt)
+def _trace_row(t: float, c: np.ndarray, modes: ModeSet, dt: float) -> list:
+    """The trace rows at time t of the stacked half blocks c (B, 2n+1, n+1)."""
+    return [(t, *nv, mean, dt) for nv, mean in
+            zip(_norms(c, modes.abs2[:, modes.n :]), c[:, modes.n, 0].real.tolist())]
 
 
 def _a0_exceeds(c: np.ndarray, a0: float, threshold: float) -> bool:
@@ -264,7 +266,9 @@ def simulate_batch(u0s, params, steppers, model: str, on_record=None,
 
     stepper, modes = steppers[0], u0s[0].modes
     dt, abs2 = stepper.dt, modes.abs2[:, modes.n :]
-    rows = [[_trace_row(0.0, u0.half, modes, dt)] for u0 in u0s]
+    # A lone member steps the bare half block; cb views any state as (B, 2n+1, n+1).
+    c = u0s[0].half if len(u0s) == 1 else np.stack([u0.half for u0 in u0s])
+    rows = [[row] for row in _trace_row(0.0, c.reshape(-1, *abs2.shape), modes, dt)]
     thresholds = [_blowup_threshold(s, row[0][1]) for s, row in zip(steppers, rows)]
     n_steps = max(1, round(stepper.t_end / dt))
     fields_every = record_fields_every if record_fields_every is not None else stepper.record_every
@@ -280,40 +284,44 @@ def simulate_batch(u0s, params, steppers, model: str, on_record=None,
 
     impl = _STEPPERS[stepper.scheme](rhs, dt)
 
-    # A lone member steps the bare half block; cb views any state as (B, 2n+1, n+1).
-    c = u0s[0].half if len(u0s) == 1 else np.stack([u0.half for u0 in u0s])
     live = list(range(len(u0s)))
     ends = [None] * len(u0s)  # (status, final_time, final half block) of each member
-    for i in range(1, n_steps + 1):
-        cb_prev = c.reshape(-1, *abs2.shape)
-        # overflow in a step is judged by the isfinite test, not by warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            c = impl.advance(c)
-            cb = c.reshape(-1, *abs2.shape)
-            a = np.abs(cb)
-            a0 = (a[:, :, 0].sum(axis=1) + 2.0 * a[:, :, 1:].sum(axis=(1, 2))).tolist()
-        t = i * dt
-        keep = []
-        for j, b in enumerate(live):
-            # a NaN or Inf coefficient makes a0 non-finite, as can finite ones
-            finite = math.isfinite(a0[j]) or np.isfinite(cb[j]).all()
-            if not finite or _norms_overflow(cb[j], a0[j], abs2):
-                ends[b] = (STATUS_FAILURE, (i - 1) * dt, cb_prev[j])
-                continue
-            blowup = _a0_exceeds(cb[j], a0[j], thresholds[b])
-            last = blowup or i == n_steps
-            if last or i % stepper.record_every == 0:
-                rows[b].append(_trace_row(t, cb[j], modes, dt))
-            if on_record[b] is not None and (last or i % fields_every == 0):
-                on_record[b](i, t, SpectralField(modes, _full(cb[j])))
-            if last:
-                ends[b] = (STATUS_BLOWUP if blowup else STATUS_COMPLETED, t, cb[j])
-            else:
-                keep.append(j)
-        if len(keep) < len(live):
-            live, c = [live[j] for j in keep], cb[keep]
-            if not live:
-                break
+    try:
+        for i in range(1, n_steps + 1):
+            cb_prev = c.reshape(-1, *abs2.shape)
+            # overflow in a step is judged by the isfinite test, not by warnings
+            with np.errstate(over="ignore", invalid="ignore"):
+                c = impl.advance(c)
+                cb = c.reshape(-1, *abs2.shape)
+                a = np.abs(cb)
+                a0 = (a[:, :, 0].sum(axis=1) + 2.0 * a[:, :, 1:].sum(axis=(1, 2))).tolist()
+            t = i * dt
+            keep, recorded = [], []
+            for j, b in enumerate(live):
+                # a NaN or Inf coefficient makes a0 non-finite, as can finite ones
+                finite = math.isfinite(a0[j]) or np.isfinite(cb[j]).all()
+                if not finite or _norms_overflow(cb[j], a0[j], abs2):
+                    ends[b] = (STATUS_FAILURE, (i - 1) * dt, cb_prev[j])
+                    continue
+                blowup = _a0_exceeds(cb[j], a0[j], thresholds[b])
+                last = blowup or i == n_steps
+                if last or i % stepper.record_every == 0:
+                    recorded.append(j)
+                if on_record[b] is not None and (last or i % fields_every == 0):
+                    on_record[b](i, t, SpectralField(modes, _full(cb[j])))
+                if last:
+                    ends[b] = (STATUS_BLOWUP if blowup else STATUS_COMPLETED, t, cb[j])
+                else:
+                    keep.append(j)
+            if recorded:
+                for j, row in zip(recorded, _trace_row(t, cb[recorded], modes, dt)):
+                    rows[live[j]].append(row)
+            if len(keep) < len(live):
+                live, c = [live[j] for j in keep], cb[keep]
+                if not live:
+                    break
+    finally:
+        _release_work()
 
     return [RunOutcome(status=s, final_time=ft, trace=NormTrace.from_rows(r),
                        final_field=SpectralField(modes, _full(f)))

@@ -12,6 +12,7 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 import numpy as np
 
@@ -188,39 +189,107 @@ def project(f: SpectralField, n: int) -> SpectralField:
     return SpectralField(f.modes, c)
 
 
-def _wiener_sums(half: np.ndarray, weights) -> tuple:
-    """sum_k w(k) |c(k)| for each weight w over one |c| pass of a k2 >= 0 half
-    block, each a correctly rounded math.fsum; a k2 > 0 term stands for k and
-    -k, so it is doubled after weighting (exact).  The one place that decides
-    overflow: past the float range gives inf, with no exception or warning."""
-    sums = []
+# Exact norm sums without a per-term Python loop.  A term x >= 0 is q 2^(e - 1075)
+# with an integer q < 2^53 and e = max(biased exponent, 1), read off its bits
+# (subnormals included).  q splits into three 18-bit parts at bit positions
+# e - 1, e + 17 and e + 35 above 2^-1074; a part at position p adds itself
+# shifted left by p % 8, an integer below 2^25, to bin p // 8 of its row.  The
+# three parts of a term land in different bins, so a row of M terms keeps
+# every bin sum below M 2^25: exact in float64 up to M = 2^28, and below 2^47
+# for any half block up to MAX_N.  Bin b scaled by 2^(8b - 1074) is still
+# exact, so one math.fsum over a row's bins is the correctly rounded sum of its
+# terms.  Lanes spread the consecutive terms of a row over copies of its bins,
+# so that bincount's adds do not wait on each other.  A chunk of _CHUNK terms
+# keeps each temporary under 128 KB, which malloc reuses instead of mapping
+# (and faulting in) fresh pages.  Below _FSUM_BELOW terms the fixed cost of
+# binning exceeds that of math.fsum, which then sums each row itself.
+_FSUM_BELOW = 1536
+_CHUNK = 5000
+_LANES = 8
+_BINS = 261  # bit positions 0 .. 2081 of finite terms, eight to a bin
+_PART_POS = np.array([-1, 17, 35]).reshape(3, 1, 1)
+_PART_SHIFT = np.array([0, 18, 36]).reshape(3, 1, 1)
+_BIN_SCALE = np.array([math.ldexp(1.0, 8 * b - 1074) for b in range(_BINS)])
+
+
+def _fsum(values) -> float:
+    try:
+        return math.fsum(values)
+    except OverflowError:  # finite terms whose sum passes the float range
+        return math.inf
+
+
+def _row_sums(t: np.ndarray) -> list:
+    """math.fsum of each row of t, an (R, M) float64 array of terms >= 0 with
+    M <= 2^28, bit for bit; inf where finite terms pass the float range."""
+    if t.size < _FSUM_BELOW:
+        return [_fsum(row) for row in t.tolist()]
+    finite = np.isfinite(t).all(axis=1)
+    if not finite.all():  # a row holding an inf or nan term is math.fsum-ed as it stands
+        return [s if ok else _fsum(row.tolist()) for s, ok, row in
+                zip(_row_sums(np.where(finite[:, None], t, 0.0)), finite, t)]
+    R, M = t.shape
+    bits = t.view(np.int64)
+    # the bins span the exponents of the nonzero terms; a zero adds nothing anywhere
+    emax = max(int(bits.max()) >> 52, 1)
+    emin = max(int(np.min(bits, where=bits > 0, initial=emax << 52)) >> 52, 1)
+    lo = (emin - 1) >> 3
+    nb = (emax + 35 >> 3) - lo + 1
+    width = min(M, max(1, _CHUNK // R))
+    # column j of row r adds to bin copy (j % _LANES) R + r
+    base = np.add.outer(np.arange(R) * (8 * nb) - 8 * lo,
+                        (np.arange(width) & _LANES - 1) * (8 * nb * R))
+    bins = np.zeros(_LANES * R * nb)
+    for j in range(0, M, width):
+        b = bits[:, j : j + width]
+        e = np.maximum(b >> 52, 1)
+        q = b - ((e - 1) << 52)
+        np.maximum(e, emin, out=e)
+        e += base[:, : b.shape[1]]
+        pos = e + _PART_POS
+        parts = (q >> _PART_SHIFT) & 0x3FFFF
+        parts <<= pos & 7
+        pos >>= 3
+        bins += np.bincount(pos.ravel(), parts.ravel(), bins.size)
+    with np.errstate(over="ignore"):
+        rows = bins.reshape(_LANES, R, nb).sum(axis=0) * _BIN_SCALE[lo : lo + nb]
+    return [_fsum(r) for r in rows.tolist()]
+
+
+def _wiener_sums(half: np.ndarray, weights) -> list:
+    """sum_k w(k) |c(k)| for each weight w over one |c| pass of the k2 >= 0
+    half blocks (..., 2n+1, n+1): a list of the sums, one list per block of
+    a stack.  A k2 > 0 term stands for k and -k, so it is doubled after
+    weighting (exact).  Each sum is correctly rounded, bit for bit math.fsum
+    of its terms (see _row_sums).  The one place that decides overflow: past
+    the float range gives inf, with no exception or warning."""
+    lead, block = half.shape[:-2], half.shape[-2:]
     with np.errstate(over="ignore"):
         a = np.abs(half)
-        for w in weights:
-            t = w * a
-            t[..., 1:] *= 2.0
-            try:
-                sums.append(math.fsum(t.ravel().tolist()))
-            except OverflowError:  # finite terms whose sum passes the float range
-                sums.append(math.inf)
-    return tuple(sums)
+        t = np.empty(lead + (len(weights),) + block)
+        for k, w in enumerate(weights):
+            np.multiply(w, a, out=t[..., k, :, :])
+        t[..., 1:] *= 2.0
+    sums = _row_sums(t.reshape(-1, block[0] * block[1]))
+    return np.reshape(sums, lead + (len(weights),)).tolist()
 
 
 def wiener_norm(f: SpectralField, s: float) -> float:
     """sum_k |k|^s |uhat(k)|, with the convention 0^0 = 1.
 
     A^0 therefore includes the modulus of the mean, while every s > 0
-    seminorm ignores it.  Summation uses math.fsum, so the result is the
-    correctly rounded sum independent of storage layout; past the float
-    range it is inf.
+    seminorm ignores it.  The result is the correctly rounded sum (exact
+    bins, one rounding), independent of storage layout and bit for bit
+    math.fsum of the terms; past the float range it is inf.
     """
     if s < 0:
         raise ValueError(f"Wiener exponent must be >= 0, got {s}")
     return _wiener_sums(f.half, [f.modes.abs2[:, f.n :] ** (s / 2.0)])[0]
 
 
-def _norms(half: np.ndarray, abs2: np.ndarray) -> tuple:
-    """(A^0, A^2, A^4, A^6) of a k2 >= 0 half block; abs2 is |k|^2 on it."""
+def _norms(half: np.ndarray, abs2: np.ndarray) -> list:
+    """[A^0, A^2, A^4, A^6] of a k2 >= 0 half block, or one such list per block
+    of a stack; abs2 is |k|^2 on a block."""
     w4 = abs2 * abs2
     return _wiener_sums(half, (1.0, abs2, w4, w4 * abs2))
 
@@ -269,6 +338,12 @@ def _work(*specs) -> list:
             cache.clear()
         cache[specs] = [np.zeros(shape, dtype) for shape, dtype in specs]
     return cache[specs]
+
+
+def _release_work() -> None:
+    """Drop this thread's work arrays, so that a finished run does not keep
+    the transform memory of its grids."""
+    vars(_WORK).get("arrays", {}).clear()
 
 
 def _embed(half: np.ndarray, n: int, N: int, out: np.ndarray) -> np.ndarray:
@@ -453,16 +528,47 @@ def inner(f: SpectralField, g: SpectralField) -> float:
 
 
 @lru_cache(maxsize=1)
-def _snapshot_template(n: int) -> str:
-    """The mode lines of a cutoff-n snapshot with %.17g slots for re and im."""
-    return "".join(f"{k1} {k2} %.17g %.17g\n" for k1 in range(-n, n + 1) for k2 in range(-n, n + 1))
+def _snapshot_layout(n: int):
+    """For a cutoff-n snapshot: a %.17g format of the (re, im) pairs of the
+    k2 = 0 column and then of the k2 > 0 entries (row-major); the mode lines
+    with %s slots for re and im; and the getter that orders for those slots
+    the formatted strings followed by the k2 < 0 strings, each pair at the
+    place of the k2 > 0 entry its line mirrors."""
+    a, s = 2 * (2 * n + 1), 2 * (2 * n + 1) * n
+    lines, order = [], []
+    for r in range(2 * n + 1):
+        for k2 in range(-n, n + 1):
+            lines.append(f"{r - n} {k2} %s %s\n")
+            if k2 == 0:
+                i = 2 * r
+            elif k2 > 0:
+                i = a + 2 * (r * n + k2 - 1)
+            else:
+                i = a + s + 2 * ((2 * n - r) * n - k2 - 1)
+            order += [i, i + 1]
+    return "%.17g " * (a + s), "".join(lines), itemgetter(*order)
 
 
 def write_snapshot(f: SpectralField, path) -> None:
-    """Text snapshot: magic header, then 'k1 k2 re im' per retained mode."""
-    body = _snapshot_template(f.n) % tuple(f.coeff.view(np.float64).ravel().tolist())
+    """Text snapshot: magic header, then 'k1 k2 re im' per retained mode.
+
+    Only the k2 >= 0 half is formatted.  A k2 < 0 line reuses the strings of
+    the mode it mirrors, the imaginary one negated, wherever its stored value
+    is bitwise the conjugate of that mode's; elsewhere (signed zeros, which
+    the symmetrization need not mirror) its stored value is formatted."""
+    n = f.n
+    half_fmt, template, order = _snapshot_layout(n)
+    upper = f.half[:, 1:]
+    values = np.concatenate([f.half[:, 0], upper.ravel()]).view(np.float64)
+    strings = (half_fmt % tuple(values.tolist())).split()
+    mirror = strings[2 * (2 * n + 1) :]
+    mirror[1::2] = [x[1:] if x[0] == "-" else "-" + x for x in mirror[1::2]]
+    lower = np.ascontiguousarray(f.coeff[::-1, n - 1 :: -1]).view(np.float64).ravel()
+    want = np.conj(upper).view(np.float64).ravel()
+    for k in np.flatnonzero(lower.view(np.int64) != want.view(np.int64)).tolist():
+        mirror[k] = "%.17g" % lower[k].item()
     with open(path, "w") as fh:
-        fh.write(f"{SNAPSHOT_MAGIC} n={f.n}\n" + body)
+        fh.write(f"{SNAPSHOT_MAGIC} n={n}\n" + template % order(strings + mirror))
 
 
 def read_snapshot(path) -> SpectralField:

@@ -29,7 +29,8 @@ from torusflow import (
     with_cutoff,
     write_snapshot,
 )
-from torusflow.spectral import _extract, _fast_len, _from_grid, _pad_size, _to_grid
+from torusflow import spectral
+from torusflow.spectral import _extract, _fast_len, _from_grid, _full, _pad_size, _to_grid
 from _helpers import brute_bilinear, max_abs_diff, random_field, w_plain
 
 
@@ -194,6 +195,68 @@ class TestHalfPlaneNorms:
             nv = norm_vector(f)
             assert (nv.a0, nv.a2, nv.a4, nv.a6) == tuple(
                 _full_plane_fsum(f, s) for s in (0, 2, 4, 6)), exponent
+
+
+def _fsum_rows(t):
+    """Independent oracle: math.fsum of each row, inf where it overflows."""
+    sums = []
+    for row in t.tolist():
+        try:
+            sums.append(math.fsum(row))
+        except OverflowError:
+            sums.append(math.inf)
+    return sums
+
+
+@st.composite
+def term_arrays(draw):
+    """(R, M) arrays of terms >= 0: ordinary, subnormal, full-range and
+    near-float-max magnitudes, some zeros, and inf or nan in some rows."""
+    shape = (draw(st.integers(1, 40)), draw(st.integers(1, 3000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from(["unit", "decades", "subnormal", "full_range", "near_max"]))
+    if scale == "unit":
+        t = np.abs(rng.standard_normal(shape))
+    elif scale == "decades":
+        t = 10.0 ** rng.uniform(-30.0, 30.0, shape)
+    elif scale == "subnormal":
+        t = rng.uniform(0.0, 2.0**-1022, shape)
+    elif scale == "full_range":
+        t = np.ldexp(rng.uniform(1.0, 2.0, shape), rng.integers(-1074, 1024, shape))
+    else:  # two such terms already pass the float range
+        t = rng.uniform(0.5, 1.0, shape) * sys.float_info.max
+    t[rng.uniform(size=shape) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = 0.0
+    special = draw(st.sampled_from([None, math.inf, math.nan]))
+    if special is not None:
+        t[rng.uniform(size=shape) < 1e-3] = special
+    return t
+
+
+class TestBinnedSums:
+    """_row_sums bins the terms by exponent; every row must equal math.fsum
+    of its terms bit for bit."""
+
+    @staticmethod
+    def binned(t):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "_FSUM_BELOW", 0)  # bin every input, however small
+            return spectral._row_sums(t)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(term_arrays())
+    def test_bit_identical_to_fsum(self, t):
+        want = _fsum_rows(t)
+        assert np.array(self.binned(t)).tobytes() == np.array(want).tobytes()
+        assert np.array(spectral._row_sums(t)).tobytes() == np.array(want).tobytes()
+
+    def test_a_full_bin(self):
+        # 2^16 terms with all 53 mantissa bits set and equal exponents put
+        # every part of every term of a row into the same three bins
+        t = np.full((3, 2**16), np.nextafter(4.0, 0.0))
+        t[1] *= 2.0**-1000
+        t[2] *= 2.0**1000
+        assert self.binned(t) == _fsum_rows(t)
+        assert self.binned(t)[0] == 2**16 * np.nextafter(4.0, 0.0)
 
 
 class TestConvolve:
@@ -482,6 +545,37 @@ class TestSnapshotBytes:
         assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
         assert "-1e+308" in (tmp_path / "a.txt").read_text()
 
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_signed_zero_mirrors_match_per_line_writer(self, tmp_path, n):
+        # k2 < 0 lines are written from their k2 > 0 mirrors; signed zeros,
+        # which the symmetrization need not mirror, must still come out as stored
+        rng = np.random.default_rng(n)
+        size = 2 * n + 1
+        c = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        for part in (c.real, c.imag):
+            zero = rng.uniform(size=c.shape) < 0.3
+            zero[:, n + 1] = True  # every k2 = 1 mode
+            zero |= zero[::-1, ::-1]  # zero at k and at -k
+            part[zero] = rng.choice([0.0, -0.0], size=c.shape)[zero]
+        raw = 0.5 * c + 0.5 * np.conj(c[::-1, ::-1])  # Hermitian up to signed zeros
+        fields = [SpectralField(ModeSet(n), raw), SpectralField(ModeSet(n), _full(raw[:, n:]))]
+        lower = np.ascontiguousarray(fields[0].coeff[::-1, n - 1 :: -1])
+        # some stored k2 < 0 value is not bitwise the conjugate of its mirror
+        assert (lower.view(np.int64) != np.conj(fields[0].half[:, 1:]).view(np.int64)).any()
+        for f in fields:
+            write_snapshot(f, tmp_path / "a.txt")
+            _per_line_snapshot(f, tmp_path / "b.txt")
+            assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_averaged_zero_column_matches_per_line_writer(self, tmp_path, n):
+        # from_real_samples takes its k2 = 0 column through _extract's averaging
+        samples = np.random.default_rng(n).standard_normal((2 * n + 4, 2 * n + 4))
+        f = from_real_samples(samples, n)
+        write_snapshot(f, tmp_path / "a.txt")
+        _per_line_snapshot(f, tmp_path / "b.txt")
+        assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+
 
 class TestTransformLayer:
     """The pruned 1-D passes into reused work arrays, against scipy's 2-D real
@@ -527,6 +621,23 @@ class TestTransformLayer:
         _to_grid(g.half, 8, 26)
         convolve(f, g)
         assert samples.tobytes() == kept.tobytes()
+
+    def test_a_finished_run_releases_its_work_arrays(self):
+        def held():
+            return sum(a.nbytes for arrays in vars(spectral._WORK)["arrays"].values() for a in arrays)
+
+        params = EpitaxialParams(K0=0.0, K1=0.25, K2=1.0, K3=0.25)
+        stepper = StepperConfig(dt=1e-4, t_end=2e-4)
+        out = simulate(random_field(64, 3), params, stepper, "epitaxial")
+        assert out.status == "completed" and held() == 0
+
+        def fail(step, t, field):
+            if step:
+                raise OSError("disk full")
+
+        with pytest.raises(OSError):
+            simulate(random_field(64, 3), params, stepper, "epitaxial", fail, 1)
+        assert held() == 0
 
     def test_threads_do_not_share_work_arrays(self):
         # more threads than cores, switching often: shared work arrays would

@@ -224,6 +224,34 @@ class TestBatchIsolation:
                                            rtol=1e-14, atol=0)
         assert times[1] < times[2] < times[0]
 
+    def test_thin_film_batch_writes_the_solo_bytes(self, tmp_path, monkeypatch):
+        # every norm is correctly rounded, so a batched member's trace and
+        # snapshots are its solo run's, byte for byte
+        base = {
+            "model": "thinfilm", "n": 8, "params": {"chi": 0.3, "p": 3}, "seed": 5,
+            "initial_data": {"kind": "random_decay", "amplitude": 0.05, "sigma": 2.0,
+                             "normalize": {"norm": "a0", "value": 0.05}},
+            "stepper": {"dt": 1e-3, "t_end": 0.02, "record_every": 1},
+            "outputs": {"snapshot_every": 3},
+        }
+        values = [0.02, 0.05, 0.08]
+        batches = []
+        march = driver.simulate_batch
+        monkeypatch.setattr(driver, "simulate_batch",
+                            lambda u0s, *a: batches.append(len(u0s)) or march(u0s, *a))
+        run_sweep(base, [(AXIS, values)], str(tmp_path / "batch"))
+        assert batches == [3]
+        for i, value in enumerate(values):
+            solo_base = json.loads(json.dumps(base))
+            set_by_path(solo_base, AXIS, value)
+            run_sweep(solo_base, [], str(tmp_path / f"solo{i}"))
+            batch_dir, solo_dir = tmp_path / "batch" / f"run_{i:04d}", tmp_path / f"solo{i}" / "run_0000"
+            names = sorted(p.name for p in solo_dir.iterdir() if p.suffix in (".csv", ".txt"))
+            assert len(names) == 9  # the trace and snapshots at steps 0, 3, ..., 18 and 20
+            assert sorted(p.name for p in batch_dir.iterdir() if p.suffix in (".csv", ".txt")) == names
+            for name in names:
+                assert (batch_dir / name).read_bytes() == (solo_dir / name).read_bytes(), (i, name)
+
     def test_batches_follow_the_cap(self, tmp_path, monkeypatch):
         base, values = mixed_base("epitaxial"), MIXED["epitaxial"][2]
         want = run_sweep(base, [(AXIS, values)], str(tmp_path / "uncapped"))
