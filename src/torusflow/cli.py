@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 from .config import MAX_STEPS, ConfigError, _Ctx, load_config, read_json
@@ -116,6 +117,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    errors = [] if math.isfinite(args.lam) else [f"--lambda must be finite, got {args.lam!r}"]
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        errors.append(f"--tol must be finite and >= 0, got {args.tol!r}")
+    if errors:
+        raise ConfigError(errors)
     trace = read_trace_csv(args.trace)
     verdict = verify_decay_envelope(trace, args.norm, args.lam, args.tol)
     print(f"envelope {args.norm} lambda={args.lam:g}: passed={verdict.passed} "

@@ -17,7 +17,7 @@ import numpy as np
 
 from .integrate import MODELS, SCHEMES, StepperConfig
 from .models import EpitaxialParams, ThinFilmParams
-from .spectral import ModeSet, SpectralField, read_snapshot, wiener_norm, with_cutoff
+from .spectral import ModeSet, SpectralField, _grids, read_snapshot, wiener_norm, with_cutoff
 
 __all__ = [
     "ConfigError",
@@ -364,25 +364,31 @@ def config_to_dict(cfg: RunConfig) -> dict:
 def generate_initial(spec: InitialDataSpec, n: int, seed: int) -> SpectralField:
     """Realize an initial-data spec on cutoff n.
 
-    random_decay draws one phase per half-plane mode in a fixed order from
-    Philox(seed), with |uhat(k)| = amplitude * |k|^-sigma; the same seed
-    always produces the same field.
+    random_decay draws one phase per half-plane mode (k1 > 0, or k1 = 0 and
+    k2 > 0, in row-major order) from Philox(seed), with |uhat(k)| =
+    amplitude * |k|^-sigma, and mirrors it to -k; the same seed always
+    produces the same field.
     """
     if spec.kind == "modes":
         f = SpectralField.from_modes(
             n, [((k1, k2), complex(re, im)) for k1, k2, re, im in spec.modes])
     elif spec.kind == "random_decay":
+        abs2 = _grids(n)[2]
+        # the half plane k1 > 0, or k1 = 0 and k2 > 0; row-major order is the draw order
+        half = np.zeros(abs2.shape, dtype=bool)
+        half[n + 1 :] = True
+        half[n, n + 1 :] = True
         rng = np.random.Generator(np.random.Philox(key=int(seed)))
-        size = 2 * n + 1
-        c = np.zeros((size, size), dtype=np.complex128)
-        for k1 in range(0, n + 1):
-            k2_start = -n if k1 > 0 else 1
-            for k2 in range(k2_start, n + 1):
-                theta = rng.uniform(0.0, 2.0 * np.pi)
-                mag = spec.amplitude * float(k1 * k1 + k2 * k2) ** (-spec.sigma / 2.0)
-                val = mag * np.exp(1j * theta)
-                c[k1 + n, k2 + n] = val
-                c[n - k1, n - k2] = np.conj(val)
+        theta = rng.uniform(0.0, 2.0 * np.pi, size=2 * n * (n + 1))
+        # Python's ** per mode: numpy's SIMD power can differ from libm pow in the last bit
+        mag = np.array([spec.amplitude * a ** (-spec.sigma / 2.0) for a in abs2[half].tolist()])
+        e = np.exp(1j * theta)
+        # mag * e as a scalar complex product rounds it; numpy's SIMD complex
+        # multiply fuses it and can flip the sign of an underflowed zero
+        c = np.zeros(abs2.shape, dtype=np.complex128)
+        c.real[half] = mag * e.real - 0.0 * e.imag
+        c.imag[half] = mag * e.imag + 0.0 * e.real
+        c[::-1, ::-1][half] = np.conj(c[half])
         f = SpectralField(ModeSet(n), c)
     elif spec.kind == "snapshot":
         f = with_cutoff(read_snapshot(spec.path), n)

@@ -4,7 +4,8 @@ The diagonal linear symbol (epitaxial: -K0|k|^2 - K2|k|^4; thin film:
 -|k|^4) is handled exactly by the two-stage exponential scheme ETD2 and
 implicitly by IMEX1; nonlinear terms are explicit in both.  The k = 0 mode
 is frozen rather than integrated, so the mean is conserved exactly.  The run
-state is the k2 >= 0 half block; full fields are built only at the edges.
+state is a (B, 2n+1, n+1) stack of k2 >= 0 half blocks, one per member; full
+fields are built only at the edges.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .models import RHS, _require_zero_mean, make_rhs
-from .spectral import ModeSet, SpectralField, _full, _norms, _release_work, _wiener_sums
+from .spectral import ModeSet, SpectralField, _full, _norms, _release_work
 
 __all__ = [
     "SCHEMES",
@@ -214,22 +215,22 @@ def _trace_row(t: float, c: np.ndarray, modes: ModeSet, dt: float) -> list:
             zip(_norms(c, modes.abs2[:, modes.n :]), c[:, modes.n, 0].real.tolist())]
 
 
-def _a0_exceeds(c: np.ndarray, a0: float, threshold: float) -> bool:
-    """A^0 > threshold for the half block c, whose plain sum of |c| is a0,
-    decided as the correctly rounded norm decides it.  The plain sum is
-    within far less than 1e-12 relative of that norm, so the exact sum runs
-    only when the plain sum lands that close to the threshold."""
-    if abs(a0 - threshold) <= 1e-12 * threshold:
-        a0 = _wiener_sums(c, (1.0,))[0]
-    return a0 > threshold
-
-
-def _norms_overflow(c: np.ndarray, a0: float, abs2: np.ndarray) -> bool:
-    """Whether a Wiener norm of the half block c passes the float range.
-    A^s <= (2n^2)^(s/2) A^0 on the mode set, so the exact norms run only when
-    the plain A^0 sum a0, so scaled, comes within 1e-12 of the float maximum."""
-    return (a0 * float(abs2[0, -1]) ** 3 * (1.0 + 1e-12) >= sys.float_info.max
-            and not all(map(math.isfinite, _norms(c, abs2))))
+def _verdict(c: np.ndarray, a0: float, threshold: float, abs2: np.ndarray) -> tuple:
+    """(failed, blew_up) for the half block c after a step, whose plain sum
+    of |c| is a0: failed when a coefficient or a norm passes the float range,
+    blew_up when A^0 exceeds threshold.  The plain sum is within far less
+    than 1e-12 relative of the correctly rounded A^0, so it decides both
+    unless it is non-finite or within 1e-12 of a boundary: the threshold, or
+    the float maximum over (2n^2)^3, as A^s <= (2n^2)^(s/2) A^0 on the mode
+    set.  There one exact norm row decides both."""
+    if abs(a0 - threshold) > 1e-12 * threshold \
+            and a0 * float(abs2[0, -1]) ** 3 * (1.0 + 1e-12) < sys.float_info.max:
+        return False, a0 > threshold
+    if not math.isfinite(a0) and not np.isfinite(c).all():
+        return True, False  # a nan or inf coefficient, judged without a norm or a warning
+    nv = _norms(c, abs2)
+    failed = not all(map(math.isfinite, nv))
+    return failed, not failed and nv[0] > threshold
 
 
 def simulate(u0: SpectralField, params, stepper: StepperConfig, model: str,
@@ -266,9 +267,8 @@ def simulate_batch(u0s, params, steppers, model: str, on_record=None,
 
     stepper, modes = steppers[0], u0s[0].modes
     dt, abs2 = stepper.dt, modes.abs2[:, modes.n :]
-    # A lone member steps the bare half block; cb views any state as (B, 2n+1, n+1).
-    c = u0s[0].half if len(u0s) == 1 else np.stack([u0.half for u0 in u0s])
-    rows = [[row] for row in _trace_row(0.0, c.reshape(-1, *abs2.shape), modes, dt)]
+    c = np.stack([u0.half for u0 in u0s])
+    rows = [[row] for row in _trace_row(0.0, c, modes, dt)]
     thresholds = [_blowup_threshold(s, row[0][1]) for s, row in zip(steppers, rows)]
     n_steps = max(1, round(stepper.t_end / dt))
     fields_every = record_fields_every if record_fields_every is not None else stepper.record_every
@@ -288,36 +288,32 @@ def simulate_batch(u0s, params, steppers, model: str, on_record=None,
     ends = [None] * len(u0s)  # (status, final_time, final half block) of each member
     try:
         for i in range(1, n_steps + 1):
-            cb_prev = c.reshape(-1, *abs2.shape)
-            # overflow in a step is judged by the isfinite test, not by warnings
+            # overflow in a step is judged by _verdict, not by warnings
             with np.errstate(over="ignore", invalid="ignore"):
-                c = impl.advance(c)
-                cb = c.reshape(-1, *abs2.shape)
-                a = np.abs(cb)
+                c_prev, c = c, impl.advance(c)
+                a = np.abs(c)
                 a0 = (a[:, :, 0].sum(axis=1) + 2.0 * a[:, :, 1:].sum(axis=(1, 2))).tolist()
             t = i * dt
             keep, recorded = [], []
             for j, b in enumerate(live):
-                # a NaN or Inf coefficient makes a0 non-finite, as can finite ones
-                finite = math.isfinite(a0[j]) or np.isfinite(cb[j]).all()
-                if not finite or _norms_overflow(cb[j], a0[j], abs2):
-                    ends[b] = (STATUS_FAILURE, (i - 1) * dt, cb_prev[j])
+                failed, blowup = _verdict(c[j], a0[j], thresholds[b], abs2)
+                if failed:
+                    ends[b] = (STATUS_FAILURE, (i - 1) * dt, c_prev[j])
                     continue
-                blowup = _a0_exceeds(cb[j], a0[j], thresholds[b])
                 last = blowup or i == n_steps
                 if last or i % stepper.record_every == 0:
                     recorded.append(j)
                 if on_record[b] is not None and (last or i % fields_every == 0):
-                    on_record[b](i, t, SpectralField(modes, _full(cb[j])))
+                    on_record[b](i, t, SpectralField(modes, _full(c[j])))
                 if last:
-                    ends[b] = (STATUS_BLOWUP if blowup else STATUS_COMPLETED, t, cb[j])
+                    ends[b] = (STATUS_BLOWUP if blowup else STATUS_COMPLETED, t, c[j])
                 else:
                     keep.append(j)
             if recorded:
-                for j, row in zip(recorded, _trace_row(t, cb[recorded], modes, dt)):
+                for j, row in zip(recorded, _trace_row(t, c[recorded], modes, dt)):
                     rows[live[j]].append(row)
             if len(keep) < len(live):
-                live, c = [live[j] for j in keep], cb[keep]
+                live, c = [live[j] for j in keep], c[keep]
                 if not live:
                     break
     finally:

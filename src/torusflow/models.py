@@ -139,7 +139,7 @@ def _galerkin(c: np.ndarray, n: int, mult: np.ndarray, form) -> np.ndarray:
     mult[i] * u on the 3n+1 grid, which is alias-free for quadratic forms.
     c may carry one leading batch axis; the fields and the forms' outputs
     stack on axis -3.  One batched inverse and one batched forward real
-    transform; the samples are freed before the forward one runs."""
+    transform; the samples live in a work array reused by the next call."""
     return _from_grid(form(*_to_grid(mult * c[..., None, :, :], n, _pad_size(n)).swapaxes(0, -3)), n)
 
 

@@ -142,9 +142,14 @@ def check_thinfilm_A0(params: ThinFilmParams, v0_a0: float) -> TheoremReport:
 
 def verify_decay_envelope(trace: NormTrace, norm_index: str, lam: float,
                           tol: float = 1e-6) -> EnvelopeVerdict:
-    """Check norm(t) <= exp(-lam (t - t0)) * norm(t0) * (1 + tol) row by row."""
+    """Check norm(t) <= exp(-lam (t - t0)) * norm(t0) * (1 + tol) row by row;
+    lam must be finite and tol finite and >= 0."""
     if norm_index not in ("a0", "a2"):
         raise ValueError(f"norm_index must be 'a0' or 'a2', got {norm_index!r}")
+    if not math.isfinite(lam):
+        raise ValueError(f"lambda must be finite, got {lam!r}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     if len(trace) == 0:
         raise ValueError("empty trace")
     norms = getattr(trace, norm_index)

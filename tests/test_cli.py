@@ -283,6 +283,26 @@ class TestVerifyCommand:
         assert main(["verify", str(p), "--lambda", "0.5", "--norm", "a0"]) == 5
         assert "first_violation_t" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("lam, tol, bad", [
+        ("nan", "1e-6", ["--lambda"]),
+        ("inf", "1e-6", ["--lambda"]),
+        ("-inf", "1e-6", ["--lambda"]),
+        ("1e9", "nan", ["--tol"]),
+        ("1e9", "inf", ["--tol"]),
+        ("0.5", "-5", ["--tol"]),
+        ("nan", "-inf", ["--lambda", "--tol"]),
+    ])
+    def test_non_finite_lambda_or_bad_tol_is_a_config_error(self, tmp_path, capsys,
+                                                             lam, tol, bad):
+        p = tmp_path / "trace.csv"
+        self._write_trace(p, lam=0.5)
+        assert main(["verify", str(p), f"--lambda={lam}", f"--tol={tol}", "--norm", "a0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert [line.split()[2] for line in lines] == bad
+        assert all(line.startswith("config error: ") for line in lines)
+
 
 class TestSweepCommand:
     def test_sweep_runs_and_summarizes(self, tmp_path, capsys):

@@ -223,6 +223,20 @@ class TestGenerateInitial:
         direct = math.fsum(np.abs(f.coeff).ravel().tolist())
         assert wiener_norm(f, 0) == direct
 
+    def test_random_decay_matches_the_per_mode_draw(self):
+        # random_field draws and stores one mode at a time, in the same order,
+        # and leaves the mean zero; it symmetrizes once, as zero_mean=False
+        # does, so signed and underflowed zeros (sigma = 400, 1e6) compare too
+        for n in (1, 2, 5, 8, 13, 20, 32):
+            for sigma in (0.0, 0.5, 1.0, 2.0, 3.0, 3.7, 7.25, 400.0, 1e6):
+                for amplitude in (1e-3, 0.1, 1.0, 1e200):
+                    for seed in (0, 7, 2**64 - 1):
+                        spec = InitialDataSpec(kind="random_decay", amplitude=amplitude,
+                                               sigma=sigma, zero_mean=False)
+                        got = generate_initial(spec, n, seed).coeff
+                        want = random_field(n, seed, amplitude=amplitude, sigma=sigma).coeff
+                        assert got.tobytes() == want.tobytes(), (n, sigma, amplitude, seed)
+
     def test_random_decay_magnitude_law(self):
         spec = InitialDataSpec(kind="random_decay", amplitude=0.2, sigma=2.0)
         f = generate_initial(spec, 5, seed=9)

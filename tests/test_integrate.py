@@ -17,7 +17,7 @@ from torusflow import (
     step,
     wiener_norm,
 )
-from torusflow import integrate
+from torusflow import integrate, spectral
 from torusflow.integrate import _phi1, _phi2
 from torusflow.models import EpitaxialRhs
 from _helpers import random_field, scaled_to
@@ -216,8 +216,23 @@ class TestSimulateInvariants:
         out = simulate(u0, EpitaxialParams(K1=0.3, K2=1.0), StepperConfig(dt=0.01, t_end=0.2),
                        "epitaxial")
         assert out.status == "completed"
-        assert shapes and set(shapes) == {(2 * n + 1, n + 1)}
+        assert shapes and set(shapes) == {(1, 2 * n + 1, n + 1)}
         assert built == [(2 * n + 1, n + 1)]  # the final field only
+
+    def test_exact_sums_only_for_trace_rows_far_from_the_boundaries(self, monkeypatch):
+        # 100 steps recorded every 10: the initial row and ten more; the
+        # per-step verdict needs no exact sum far from the threshold and the
+        # float range.
+        u0 = scaled_to(random_field(6, seed=95), 2, 0.3)
+        calls = []
+        sums = spectral._wiener_sums
+        monkeypatch.setattr(spectral, "_wiener_sums",
+                            lambda *a: calls.append(1) or sums(*a))
+        out = simulate(u0, EpitaxialParams(K1=0.25, K2=1.0, K3=0.25),
+                       StepperConfig(dt=1e-3, t_end=0.1, record_every=10), "epitaxial")
+        assert out.status == "completed"
+        assert len(out.trace) == 11
+        assert len(calls) == 11
 
     @pytest.mark.parametrize("model, params, norm, value", [
         ("thinfilm", ThinFilmParams(chi=0.3, p=170), 0, 1e10),
@@ -297,6 +312,34 @@ class TestBlowup:
         at = run(a1)
         assert at.status == "blowup_detected"
         assert at.final_time == 2 * 1e-3
+
+    @staticmethod
+    def plain_a0(c):
+        """The plain A^0 sum the run loop hands to _verdict."""
+        a = np.abs(c)
+        return float(a[:, 0].sum() + 2.0 * a[:, 1:].sum())
+
+    def test_exact_a0_decides_within_roundoff_of_the_threshold(self):
+        # The plain sum rounds 1 + x + x to 1, the exact A^0 is 1 + 2^-52: at
+        # a threshold of 1 the exact row, not the plain sum, decides.
+        x = 0.75 * 2.0**-53
+        u = SpectralField.from_modes(1, [((0, 0), 1.0), ((1, 0), x), ((-1, 0), x)])
+        abs2 = u.modes.abs2[:, 1:]
+        a0 = self.plain_a0(u.half)
+        assert a0 == 1.0 and wiener_norm(u, 0) == 1.0 + 2.0**-52
+        assert integrate._verdict(u.half, a0, 1.0, abs2) == (False, True)
+        assert integrate._verdict(u.half, a0, 1.0 + 2.0**-52, abs2) == (False, False)
+
+    def test_non_finite_coefficient_fails_without_a_norm(self, monkeypatch):
+        def no_norms(*args):
+            raise AssertionError("a norm of a non-finite block")
+
+        monkeypatch.setattr(integrate, "_norms", no_norms)
+        c = random_field(3, seed=97).half.copy()
+        abs2 = ModeSet(3).abs2[:, 3:]
+        for bad in (np.nan, np.inf, complex(np.inf, np.nan)):
+            c[4, 2] = bad
+            assert integrate._verdict(c, self.plain_a0(c), 10.0, abs2) == (True, False)
 
     def test_failure_keeps_last_finite_state(self):
         # absurd dt on an explosive run drives coefficients to overflow

@@ -180,6 +180,19 @@ class TestEnvelope:
         with pytest.raises(ValueError):
             verify_decay_envelope(trace, "a4", 0.3)
 
+    @pytest.mark.parametrize("lam, tol", [
+        (math.nan, 1e-6), (math.inf, 1e-6), (-math.inf, 1e-6),
+        (1e9, math.nan), (1e9, math.inf), (0.3, -5.0), (0.3, -1e-300),
+    ])
+    def test_non_finite_lambda_or_bad_tol_is_rejected(self, lam, tol):
+        trace = synthetic_trace(0.3, 1.0, np.linspace(0, 1, 5))
+        with pytest.raises(ValueError, match="lambda|tol"):
+            verify_decay_envelope(trace, "a0", lam, tol)
+
+    def test_zero_tol_is_accepted(self):
+        trace = synthetic_trace(0.3, 1.0, [0.0])
+        assert verify_decay_envelope(trace, "a0", 0.3, tol=0.0).passed
+
 
 class TestMonitor:
     def test_single_mode_hand_value(self):
