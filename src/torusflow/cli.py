@@ -10,22 +10,25 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 
-from .config import MAX_STEPS, ConfigError, _Ctx, load_config, read_json
+from .config import MAX_STEPS, ConfigError, load_config, read_json
 from .driver import _prepare, check_only, execute_run
 from .integrate import simulate
+from .models import config_lines, unknown_keys, violations
 from .output import read_trace_csv, write_report_json
 from .spectral import SpectralField, wiener_norm
 from .sweep import DEFAULT_MAX_RUNS, axis_errors, run_sweep
-from .theory import verify_decay_envelope
+from .theory import envelope_arg_errors, verify_decay_envelope
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_BLOWUP = 4
 EXIT_ENVELOPE = 5
+
+_SWEEP_RULES = [(key, True, lambda v: v >= 1, "must be an integer >= 1")
+                for key in ("max_runs", "workers")]
 
 _STATUS_EXIT = {
     "completed": EXIT_OK,
@@ -34,9 +37,20 @@ _STATUS_EXIT = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a token that parses as a float ("-inf", "-1e-3") as a value."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="torusflow",
-                                 description="Spectral simulation and decay verification on the 2-torus")
+    ap = _Parser(prog="torusflow",
+                 description="Spectral simulation and decay verification on the 2-torus")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run one configuration and write trace + report")
@@ -95,34 +109,40 @@ def _cmd_sweep(args) -> int:
     where = f"{args.axes}: "
     if not isinstance(axes_raw, dict) or not isinstance(axes_raw.get("axes"), list):
         raise ConfigError([f"{where}expected an object with an 'axes' list"])
-    ctx = _Ctx()
-    ctx.known(axes_raw, where, {"axes", "max_runs", "workers"})
+    errors = unknown_keys(axes_raw, where, {"axes", "max_runs", "workers"})
     axes = []
     for i, ax in enumerate(axes_raw["axes"]):
         if not isinstance(ax, dict) or set(ax) != {"path", "values"}:
-            ctx.fail(f"{where}axes[{i}] must be {{'path', 'values'}}")
+            errors.append(f"{where}axes[{i}] must be {{'path', 'values'}}")
         else:
             axes.append((ax["path"], ax["values"]))
-            ctx.errors.extend(axis_errors(ax["path"], ax["values"], f"{where}axes[{i}].", base))
-    positive = {"integer": True, "cond": lambda v: v >= 1, "msg": "must be an integer >= 1"}
-    max_runs = ctx.number(axes_raw, where, "max_runs", DEFAULT_MAX_RUNS, **positive)
-    ctx.number(axes_raw, where, "workers", **positive)  # accepted; members run one at a time
-    if ctx.errors:
-        raise ConfigError(ctx.errors)
-    rows = run_sweep(base, axes, args.outdir, max_runs=max_runs)
+            errors += axis_errors(ax["path"], ax["values"], f"{where}axes[{i}].", base)
+    # workers is accepted but has no effect: members run one at a time
+    errors += config_lines(violations(_SWEEP_RULES, axes_raw), where)
+    if errors:
+        raise ConfigError(errors)
+    rows = run_sweep(base, axes, args.outdir, max_runs=axes_raw.get("max_runs", DEFAULT_MAX_RUNS))
     n_ok = sum(1 for r in rows if r["status"] == "completed")
     print(f"sweep finished: {len(rows)} runs, {n_ok} completed; summary in "
           f"{args.outdir}/summary.csv")
     return EXIT_OK
 
 
+def _read_trace(path):
+    """The trace at path; an unreadable or malformed file is a ConfigError."""
+    try:
+        return read_trace_csv(path)
+    except FileNotFoundError:
+        raise ConfigError([f"{path}: no such file"]) from None
+    except (OSError, ValueError) as e:  # read_trace_csv's ValueError names path
+        raise ConfigError([f"{path}: {e.strerror}" if isinstance(e, OSError) else str(e)]) from None
+
+
 def _cmd_verify(args) -> int:
-    errors = [] if math.isfinite(args.lam) else [f"--lambda must be finite, got {args.lam!r}"]
-    if not (math.isfinite(args.tol) and args.tol >= 0):
-        errors.append(f"--tol must be finite and >= 0, got {args.tol!r}")
+    errors = envelope_arg_errors(args.lam, args.tol, ("--lambda", "--tol"))
     if errors:
         raise ConfigError(errors)
-    trace = read_trace_csv(args.trace)
+    trace = _read_trace(args.trace)
     verdict = verify_decay_envelope(trace, args.norm, args.lam, args.tol)
     print(f"envelope {args.norm} lambda={args.lam:g}: passed={verdict.passed} "
           f"worst_ratio={verdict.worst_ratio:.9g}"

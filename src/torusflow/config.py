@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import json
 import math
-import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .integrate import MODELS, SCHEMES, StepperConfig
-from .models import EpitaxialParams, ThinFilmParams
+from .integrate import MODELS, StepperConfig
+from .models import (MAX_GRID, MAX_N, MAX_P, MAX_STEPS, N_RULE, RHS, config_lines,
+                     grid_violations, is_number, unknown_keys, violations)
 from .spectral import ModeSet, SpectralField, _grids, read_snapshot, wiener_norm, with_cutoff
 
 __all__ = [
@@ -39,13 +39,12 @@ __all__ = [
 
 NORM_EXPONENTS = {"a0": 0.0, "a2": 2.0, "a4": 4.0, "a6": 6.0}
 
-# Resource caps, checked before any allocation.  MAX_GRID bounds the points
-# per axis of the 3n+1 quadratic grid and the (p+1)n+1 thin-film power grid;
-# MAX_P keeps p! a finite double; MAX_STEPS bounds round(t_end / dt).
-MAX_GRID = 4096
-MAX_N = (MAX_GRID - 1) // 3
-MAX_P = 170
-MAX_STEPS = 10**7
+_TOP_RULES = (N_RULE, ("seed", True, lambda v: 0 <= v < 2**64, "must be a 64-bit unsigned integer"))
+_DECAY_RULES = (("amplitude", False, lambda v: v > 0, "must be > 0"),
+                ("sigma", False, lambda v: v >= 0, "must be >= 0"))
+_NORMALIZE_RULES = (("value", False, lambda v: v > 0, "must be > 0"),)
+_SNAPSHOT_RULES = (("snapshot_every", True, lambda v: v >= 0, "must be an integer >= 0"),)
+_REQUIRED_PARAMS = {"epitaxial": {"K2"}, "thinfilm": {"chi", "p"}}
 
 
 class ConfigError(ValueError):
@@ -95,244 +94,122 @@ class RunConfig:
     seed: int
 
 
-def _is_number(v, integer=False) -> bool:
-    """A JSON number (an integer when asked for) that fits its field.  JSON
-    integers are unbounded, so their magnitude is checked before a float or
-    numpy conversion can overflow or raise."""
-    if isinstance(v, bool) or not isinstance(v, int if integer else (int, float)):
-        return False
-    if isinstance(v, int):
-        return abs(v) < 2**64 if integer else abs(v) <= sys.float_info.max
-    return math.isfinite(v)
-
-
-class _Ctx:
-    def __init__(self):
-        self.errors: list[str] = []
-
-    def fail(self, msg: str):
-        self.errors.append(msg)
-
-    def known(self, d: dict, path: str, allowed):
-        for key in d:
-            if key not in allowed:
-                self.fail(f"{path}{key}: unknown key")
-
-    def number(self, d: dict, path: str, key: str, default=None, required=False,
-               cond=None, msg=None, integer=False):
-        if key not in d:
-            if required:
-                self.fail(f"{path}{key}: required")
-            return default
-        v = d[key]
-        if not _is_number(v, integer):
-            kind = "an integer below 2**64 in magnitude" if integer else "a finite number"
-            self.fail(f"{path}{key}: must be {kind}, got {v!r}")
-            return default
-        if cond is not None and not cond(v):
-            self.fail(f"{path}{key}: {msg}")
-            return default
-        return v
-
-
-def _parse_params(ctx: _Ctx, model: str, d, path="params."):
+def _section(cls, d, path: str, required=(), defaults=None):
+    """(cls from d and defaults, or None; d's config-error lines under path):
+    unknown keys, cls.RULES in table order, then, if all else holds, cls.CROSS."""
     if not isinstance(d, dict):
-        ctx.fail("params: must be an object")
-        return None
-    if model == "epitaxial":
-        ctx.known(d, path, {"K0", "K1", "K2", "K3"})
-        k0 = ctx.number(d, path, "K0", 0.0, cond=lambda v: v >= 0, msg="must satisfy K0 >= 0")
-        k1 = ctx.number(d, path, "K1", 0.0, cond=lambda v: v >= 0, msg="must satisfy K1 >= 0")
-        k2 = ctx.number(d, path, "K2", required=True, cond=lambda v: v > 0,
-                        msg="must satisfy K2 > 0")
-        k3 = ctx.number(d, path, "K3", 0.0, cond=lambda v: v >= 0, msg="must satisfy K3 >= 0")
-        if ctx.errors:
-            return None
-        return EpitaxialParams(K0=float(k0), K1=float(k1), K2=float(k2), K3=float(k3))
-    ctx.known(d, path, {"chi", "p", "c_estimate"})
-    chi = ctx.number(d, path, "chi", required=True, cond=lambda v: 0 < v < 1,
-                     msg="must satisfy 0 < chi < 1")
-    p = ctx.number(d, path, "p", required=True, integer=True, cond=lambda v: 2 <= v <= MAX_P,
-                   msg=f"must be an integer 2 <= p <= {MAX_P}")
-    c = ctx.number(d, path, "c_estimate", 1.0, cond=lambda v: v > 0,
-                   msg="must satisfy c_estimate > 0")
-    if ctx.errors:
-        return None
-    return ThinFilmParams(chi=float(chi), p=int(p), c_estimate=float(c))
+        return None, [f"{path[:-1]}: must be an object"]
+    errors = unknown_keys(d, path, {f.name for f in fields(cls)})
+    values = {**(defaults or {}), **d}
+    errors += config_lines(violations(cls.RULES, values, required,
+                                      () if errors else getattr(cls, "CROSS", ())), path)
+    return (None if errors else cls(**values)), errors
 
 
-def _parse_initial(ctx: _Ctx, d, n, path="initial_data."):
+def _parse_initial(d, n, path="initial_data."):
     if not isinstance(d, dict):
-        ctx.fail("initial_data: must be an object")
-        return None
+        return None, ["initial_data: must be an object"]
     kinds = ("modes", "random_decay", "snapshot")
     kind = d.get("kind")
     if kind not in kinds:
-        ctx.fail(f"{path}kind: must be one of {kinds}, got {kind!r}")
-        return None
+        return None, [f"{path}kind: must be one of {kinds}, got {kind!r}"]
+    errors = []
     allowed = {"kind", "zero_mean", "normalize"}
-    modes: tuple = ()
-    amplitude = sigma = spath = None
+    modes = []
     if kind == "modes":
         allowed |= {"modes"}
         raw = d.get("modes")
         if not isinstance(raw, list) or not raw:
-            ctx.fail(f"{path}modes: must be a nonempty list of [k1, k2, re, im]")
-        else:
-            out = []
-            for i, entry in enumerate(raw):
-                if (not isinstance(entry, list)) or len(entry) != 4:
-                    ctx.fail(f"{path}modes[{i}]: must be [k1, k2, re, im]")
-                    continue
-                k1, k2, re, im = entry
-                if not all(isinstance(k, int) and not isinstance(k, bool) for k in (k1, k2)):
-                    ctx.fail(f"{path}modes[{i}]: k1, k2 must be integers")
-                    continue
-                if n is not None and max(abs(k1), abs(k2)) > n:
-                    ctx.fail(f"{path}modes[{i}]: mode ({k1}, {k2}) outside cutoff n={n}")
-                    continue
-                if not (_is_number(re) and _is_number(im)):
-                    ctx.fail(f"{path}modes[{i}]: re, im must be finite numbers")
-                    continue
-                out.append((int(k1), int(k2), float(re), float(im)))
-            modes = tuple(out)
+            errors.append(f"{path}modes: must be a nonempty list of [k1, k2, re, im]")
+            raw = []
+        for i, entry in enumerate(raw):
+            if (not isinstance(entry, list)) or len(entry) != 4:
+                errors.append(f"{path}modes[{i}]: must be [k1, k2, re, im]")
+                continue
+            k1, k2, re, im = entry
+            if not all(isinstance(k, int) and not isinstance(k, bool) for k in (k1, k2)):
+                errors.append(f"{path}modes[{i}]: k1, k2 must be integers")
+            elif n is not None and max(abs(k1), abs(k2)) > n:
+                errors.append(f"{path}modes[{i}]: mode ({k1}, {k2}) outside cutoff n={n}")
+            elif not (is_number(re) and is_number(im)):
+                errors.append(f"{path}modes[{i}]: re, im must be finite numbers")
+            else:
+                modes.append((k1, k2, float(re), float(im)))
     elif kind == "random_decay":
         allowed |= {"amplitude", "sigma"}
-        amplitude = ctx.number(d, path, "amplitude", required=True, cond=lambda v: v > 0,
-                               msg="must be > 0")
-        sigma = ctx.number(d, path, "sigma", required=True, cond=lambda v: v >= 0,
-                           msg="must be >= 0")
+        errors += config_lines(violations(_DECAY_RULES, d, {"amplitude", "sigma"}), path)
     else:
         allowed |= {"path"}
-        spath = d.get("path")
-        if not isinstance(spath, str) or not spath:
-            ctx.fail(f"{path}path: snapshot kind requires a file path")
-    ctx.known(d, path, allowed)
+        if not isinstance(d.get("path"), str) or not d.get("path"):
+            errors.append(f"{path}path: snapshot kind requires a file path")
+    errors += unknown_keys(d, path, allowed)
     zero_mean = d.get("zero_mean", True)
     if not isinstance(zero_mean, bool):
-        ctx.fail(f"{path}zero_mean: must be a boolean")
-        zero_mean = True
-    normalize = None
-    if "normalize" in d:
-        nd = d["normalize"]
-        if not isinstance(nd, dict):
-            ctx.fail(f"{path}normalize: must be an object")
-        else:
-            ctx.known(nd, path + "normalize.", {"norm", "value"})
-            which = nd.get("norm")
-            if which not in NORM_EXPONENTS:
-                ctx.fail(f"{path}normalize.norm: must be one of {tuple(NORM_EXPONENTS)}")
-            value = ctx.number(nd, path + "normalize.", "value", required=True,
-                               cond=lambda v: v > 0, msg="must be > 0")
-            if which in NORM_EXPONENTS and value is not None:
-                normalize = NormalizeSpec(norm=which, value=float(value))
-    if ctx.errors:
-        return None
-    return InitialDataSpec(kind=kind, modes=modes,
-                           amplitude=None if amplitude is None else float(amplitude),
-                           sigma=None if sigma is None else float(sigma),
-                           path=spath, zero_mean=zero_mean, normalize=normalize)
+        errors.append(f"{path}zero_mean: must be a boolean")
+    nd = d.get("normalize")
+    if "normalize" in d and not isinstance(nd, dict):
+        errors.append(f"{path}normalize: must be an object")
+    elif nd is not None:
+        errors += unknown_keys(nd, path + "normalize.", {"norm", "value"})
+        if nd.get("norm") not in NORM_EXPONENTS:
+            errors.append(f"{path}normalize.norm: must be one of {tuple(NORM_EXPONENTS)}")
+        errors += config_lines(violations(_NORMALIZE_RULES, nd, {"value"}), path + "normalize.")
+    if errors:
+        return None, errors
+    decay = {k: float(d[k]) for k in ("amplitude", "sigma") if kind == "random_decay"}
+    normalize = None if nd is None else NormalizeSpec(norm=nd["norm"], value=float(nd["value"]))
+    return InitialDataSpec(kind=kind, modes=tuple(modes), path=d.get("path"),
+                           zero_mean=zero_mean, normalize=normalize, **decay), []
 
 
-def _parse_stepper(ctx: _Ctx, d, path="stepper."):
-    if d is None:
-        d = {}
+def _parse_outputs(d, path="outputs."):
     if not isinstance(d, dict):
-        ctx.fail("stepper: must be an object")
-        return None
-    ctx.known(d, path, {"scheme", "dt", "t_end", "record_every", "blowup_threshold"})
-    scheme = d.get("scheme", "ETD2")
-    if scheme not in SCHEMES:
-        ctx.fail(f"{path}scheme: must be one of {SCHEMES}, got {scheme!r}")
-        scheme = "ETD2"
-    dt = ctx.number(d, path, "dt", 1e-3, cond=lambda v: v > 0, msg="must satisfy dt > 0")
-    t_end = ctx.number(d, path, "t_end", 1.0, cond=lambda v: v > 0,
-                       msg="must satisfy t_end > 0")
-    rec = ctx.number(d, path, "record_every", 10, integer=True, cond=lambda v: v >= 1,
-                     msg="must be an integer >= 1")
-    thr = ctx.number(d, path, "blowup_threshold", None, cond=lambda v: v > 0,
-                     msg="must be > 0")
-    if ctx.errors:
-        return None
-    if t_end < dt:
-        ctx.fail(f"{path}t_end: must be >= dt ({dt})")
-        return None
-    steps = t_end / dt
-    if not math.isfinite(steps) or round(steps) > MAX_STEPS:
-        ctx.fail(f"{path}t_end: t_end / dt = {steps:.6g} exceeds the cap of {MAX_STEPS} steps")
-        return None
-    return StepperConfig(dt=float(dt), t_end=float(t_end), scheme=scheme,
-                         record_every=int(rec),
-                         blowup_threshold=None if thr is None else float(thr))
-
-
-def _parse_outputs(ctx: _Ctx, d, path="outputs."):
-    if d is None:
-        d = {}
-    if not isinstance(d, dict):
-        ctx.fail("outputs: must be an object")
-        return None
-    ctx.known(d, path, {"directory", "trace_csv", "report_json", "snapshot_every",
-                        "snapshot_prefix"})
-    directory = d.get("directory", ".")
-    trace_csv = d.get("trace_csv", "trace.csv")
-    report_json = d.get("report_json", "report.json")
-    prefix = d.get("snapshot_prefix", "snapshot")
-    for key, v in (("directory", directory), ("trace_csv", trace_csv),
-                   ("report_json", report_json), ("snapshot_prefix", prefix)):
-        if not isinstance(v, str) or not v:
-            ctx.fail(f"{path}{key}: must be a nonempty string")
-    every = ctx.number(d, path, "snapshot_every", 0, integer=True, cond=lambda v: v >= 0,
-                       msg="must be an integer >= 0")
-    if ctx.errors:
-        return None
-    return OutputSpec(directory=directory, trace_csv=trace_csv, report_json=report_json,
-                      snapshot_every=int(every), snapshot_prefix=prefix)
+        return None, ["outputs: must be an object"]
+    errors = unknown_keys(d, path, {f.name for f in fields(OutputSpec)})
+    values = {**asdict(OutputSpec()), **d}
+    for key in ("directory", "trace_csv", "report_json", "snapshot_prefix"):
+        if not isinstance(values[key], str) or not values[key]:
+            errors.append(f"{path}{key}: must be a nonempty string")
+    errors += config_lines(violations(_SNAPSHOT_RULES, d), path)
+    return (None if errors else OutputSpec(**values)), errors
 
 
 def parse_config(raw: dict) -> RunConfig:
     """Validate a raw config dict, reporting every violation at once."""
-    ctx = _Ctx()
     if not isinstance(raw, dict):
         raise ConfigError(["config: must be a JSON object"])
-    ctx.known(raw, "", {"model", "n", "params", "initial_data", "stepper", "outputs", "seed"})
+    errors = unknown_keys(raw, "", {f.name for f in fields(RunConfig)})
     model = raw.get("model")
     if model not in MODELS:
-        ctx.fail(f"model: must be one of {MODELS}, got {model!r}")
-    n = ctx.number(raw, "", "n", None, required=True, integer=True,
-                   cond=lambda v: 1 <= v <= MAX_N,
-                   msg=f"must be an integer 1 <= n <= {MAX_N} (3n+1 <= {MAX_GRID} grid points)")
-    seed = ctx.number(raw, "", "seed", 0, integer=True, cond=lambda v: 0 <= v < 2**64,
-                      msg="must be a 64-bit unsigned integer")
+        errors.append(f"model: must be one of {MODELS}, got {model!r}")
+    top = violations(_TOP_RULES, raw, {"n"})
+    errors += config_lines(top)
+    n = None if any(field == "n" for field, *_ in top) else raw["n"]
     params = None
     if model in MODELS:
         if "params" not in raw:
-            ctx.fail("params: required")
+            errors.append("params: required")
         else:
-            sub = _Ctx()
-            params = _parse_params(sub, model, raw["params"])
-            ctx.errors.extend(sub.errors)
-    if isinstance(params, ThinFilmParams) and n is not None \
-            and (params.p + 1) * n + 1 > MAX_GRID:
-        ctx.fail(f"params.p: the power grid (p+1)n+1 = {(params.p + 1) * n + 1} "
-                 f"exceeds {MAX_GRID} points")
+            params, sub = _section(RHS[model].params_type, raw["params"], "params.",
+                                   _REQUIRED_PARAMS[model])
+            errors += sub
+    if params is not None and n is not None:
+        errors += config_lines(grid_violations(model, n, params), "params.")
     initial = None
     if "initial_data" not in raw:
-        ctx.fail("initial_data: required")
+        errors.append("initial_data: required")
     else:
-        sub = _Ctx()
-        initial = _parse_initial(sub, raw["initial_data"], n if isinstance(n, int) else None)
-        ctx.errors.extend(sub.errors)
-    sub = _Ctx()
-    stepper = _parse_stepper(sub, raw.get("stepper"))
-    ctx.errors.extend(sub.errors)
-    sub = _Ctx()
-    outputs = _parse_outputs(sub, raw.get("outputs"))
-    ctx.errors.extend(sub.errors)
-    if ctx.errors:
-        raise ConfigError(ctx.errors)
+        initial, sub = _parse_initial(raw["initial_data"], n)
+        errors += sub
+    opt = {k: {} if raw.get(k) is None else raw[k] for k in ("stepper", "outputs")}
+    stepper, sub = _section(StepperConfig, opt["stepper"], "stepper.",
+                            defaults={"dt": 1e-3, "t_end": 1.0})
+    outputs, sub2 = _parse_outputs(opt["outputs"])
+    errors += sub + sub2
+    if errors:
+        raise ConfigError(errors)
     return RunConfig(model=model, n=int(n), params=params, initial_data=initial,
-                     stepper=stepper, outputs=outputs, seed=int(seed))
+                     stepper=stepper, outputs=outputs, seed=int(raw.get("seed", 0)))
 
 
 def read_json(path):
@@ -396,9 +273,7 @@ def generate_initial(spec: InitialDataSpec, n: int, seed: int) -> SpectralField:
         raise ValueError(f"unknown initial-data kind {spec.kind!r}")
 
     if spec.zero_mean:
-        c = f.coeff.copy()
-        c[n, n] = 0.0
-        f = SpectralField(f.modes, c)
+        f = _without_mean(f)
     if spec.normalize is not None:
         s = NORM_EXPONENTS[spec.normalize.norm]
         cur = wiener_norm(f, s)
@@ -413,8 +288,16 @@ def generate_initial(spec: InitialDataSpec, n: int, seed: int) -> SpectralField:
         if not np.isfinite(c).all():
             raise ConfigError([f"{where}rescaling the generated field "
                                "overflows the float range"])
-        f = SpectralField(f.modes, c)
+        f = SpectralField._exact(f.modes, c)  # a real factor keeps f exactly Hermitian
     return f
+
+
+def _without_mean(f: SpectralField) -> SpectralField:
+    """f with uhat(0) = 0: zeroing the (real) mean keeps f exactly Hermitian,
+    so it needs no second symmetrization pass."""
+    c = f.coeff.copy()
+    c[f.n, f.n] = 0.0
+    return SpectralField._exact(f.modes, c)
 
 
 def prepare_initial(cfg: RunConfig):
@@ -428,15 +311,11 @@ def prepare_initial(cfg: RunConfig):
     if cfg.model == "epitaxial":
         return f, {"variable": "u"}
     m = f.coeff[cfg.n, cfg.n]
-    if abs(m) <= 1e-12:
-        v = f
-    elif abs(m - 1.0) <= 1e-12:
-        c = f.coeff.copy()
-        c[cfg.n, cfg.n] = 0.0
-        v = SpectralField(f.modes, c)
-    else:
+    if abs(m - 1.0) <= 1e-12:
+        f = _without_mean(f)
+    elif abs(m) > 1e-12:
         raise ConfigError([
             "initial_data: thin-film data must be u0 with mean 1 "
             f"or a zero-mean fluctuation, got mean {m!r}"
         ])
-    return v, {"variable": "v"}
+    return f, {"variable": "v"}

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .models import RHS, _require_zero_mean, make_rhs
+from .models import MAX_STEPS, RHS, _require_zero_mean, check_fields, make_rhs
 from .spectral import ModeSet, SpectralField, _full, _norms, _release_work
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 MODELS = tuple(RHS)
+SCHEMES = ("ETD2", "IMEX1")
 
 STATUS_COMPLETED = "completed"
 STATUS_BLOWUP = "blowup_detected"
@@ -52,20 +53,21 @@ class StepperConfig:
     record_every: int = 10
     blowup_threshold: float | None = None
 
+    RULES = (
+        ("scheme", None, lambda v: v in SCHEMES, f"must be one of {SCHEMES}"),
+        ("dt", False, lambda v: v > 0, "must satisfy dt > 0"),
+        ("t_end", False, lambda v: v > 0, "must satisfy t_end > 0"),
+        ("record_every", True, lambda v: v >= 1, "must be an integer >= 1"),
+        ("blowup_threshold", False, lambda v: v > 0, "must be > 0"),
+    )
+    CROSS = (
+        ("t_end", lambda s: s["t_end"] >= s["dt"], lambda s: f"must be >= dt ({s['dt']})"),
+        ("t_end", lambda s: math.isfinite(q := s["t_end"] / s["dt"]) and round(q) <= MAX_STEPS,
+         lambda s: f"t_end / dt = {s['t_end'] / s['dt']:.6g} exceeds the cap of {MAX_STEPS} steps"),
+    )
+
     def __post_init__(self):
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt > 0 required, got {self.dt!r}")
-        if not (np.isfinite(self.t_end) and self.t_end >= self.dt):
-            raise ValueError(f"t_end >= dt required, got t_end={self.t_end!r}")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if isinstance(self.record_every, bool) or not isinstance(self.record_every, (int, np.integer)) \
-                or self.record_every < 1:
-            raise ValueError(f"record_every must be an integer >= 1, got {self.record_every!r}")
-        object.__setattr__(self, "record_every", int(self.record_every))
-        if self.blowup_threshold is not None and not (np.isfinite(self.blowup_threshold)
-                                                      and self.blowup_threshold > 0):
-            raise ValueError(f"blowup_threshold must be positive, got {self.blowup_threshold!r}")
+        check_fields(self, self.RULES, self.CROSS)
 
 
 @dataclass(frozen=True)
@@ -182,8 +184,7 @@ class _Imex1:
         return (c + self.dt * self.rhs.nonlinear(c)) / self.denom
 
 
-_STEPPERS = {"ETD2": _Etd2, "IMEX1": _Imex1}
-SCHEMES = tuple(_STEPPERS)
+_STEPPERS = dict(zip(SCHEMES, (_Etd2, _Imex1)))
 
 
 def step(state: SpectralField, dt: float, params, model: str,

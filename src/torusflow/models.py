@@ -20,11 +20,20 @@ lap^2 <-> |k|^4.
 Each equation is written once, in the terms() of its *Rhs evaluator: the
 stepper, the public right-hand sides, the a priori monitor and the weak
 residual all evaluate through it, on k2 >= 0 half blocks (2n+1, n+1).
+
+Each config domain and cap rule is stated once, here, as a row (field,
+integer, ok, message): an integer (integer=True), a real number (False) or
+any value (None) for which ok holds; a cross row (field, ok(values),
+message(values)) relates fields that each hold.  The parser reports every
+violation (config_lines), the dataclasses and make_rhs the first
+(raise_first).  The checks are plain Python, not numpy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import sys
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -62,6 +71,69 @@ __all__ = [
 
 ZERO_MEAN_TOL = 1e-12
 
+# Resource caps, checked before any allocation.  MAX_GRID bounds the points
+# per axis of the 3n+1 quadratic grid and the (p+1)n+1 thin-film power grid;
+# MAX_P keeps p! a finite double; MAX_STEPS bounds round(t_end / dt).
+MAX_GRID = 4096
+MAX_N = (MAX_GRID - 1) // 3
+MAX_P = 170
+MAX_STEPS = 10**7
+
+_INT = (int, np.integer)
+_KIND = {True: "an integer below 2**64 in magnitude", False: "a finite number"}
+
+
+def is_number(v, integer=False) -> bool:
+    """A number (an integer when asked for), not a bool, that fits its field;
+    an integer's magnitude is checked before a conversion can overflow."""
+    if isinstance(v, bool) or not isinstance(v, _INT if integer else (*_INT, float, np.floating)):
+        return False
+    if isinstance(v, _INT):
+        return abs(int(v)) < 2**64 if integer else abs(int(v)) <= sys.float_info.max
+    return math.isfinite(v)
+
+
+def violations(rules, values: dict, required=(), cross=()) -> list:
+    """(field, message, value, echo) per rule values break, in table order; an
+    absent field is skipped, or reported if required.  echo: the config-error
+    line shows the value (of the wrong type, or for an untyped rule)."""
+    found = []
+    for field, integer, ok, message in rules:
+        if field not in values:
+            if field in required:
+                found.append((field, "required", None, False))
+        elif integer is not None and not is_number(values[field], integer):
+            found.append((field, f"must be {_KIND[integer]}", values[field], True))
+        elif not ok(values[field]):
+            found.append((field, message, values[field], integer is None))
+    return found or [(field, message(values), values[field], False)
+                     for field, ok, message in cross if not ok(values)]
+
+
+def config_lines(found, prefix: str = "") -> list[str]:
+    return [f"{prefix}{field}: {message}" + (f", got {v!r}" if echo else "")
+            for field, message, v, echo in found]
+
+
+def raise_first(found) -> None:
+    for field, message, v, _ in found[:1]:
+        raise ValueError(f"{field}: {message}, got {v!r}")
+
+
+def unknown_keys(d: dict, prefix: str, allowed) -> list[str]:
+    return [f"{prefix}{key}: unknown key" for key in d if key not in allowed]
+
+
+def check_fields(obj, rules, cross=()) -> None:
+    """Raise the first rule a frozen dataclass breaks, then store its number
+    fields as plain ints and floats; a field at a default of None is unset."""
+    unset = {f.name for f in fields(obj) if f.default is None and getattr(obj, f.name) is None}
+    values = {field: getattr(obj, field) for field, *_ in rules if field not in unset}
+    raise_first(violations(rules, values, cross=cross))
+    for field, integer, _, _ in rules:
+        if field in values and integer is not None:
+            object.__setattr__(obj, field, (int if integer else float)(values[field]))
+
 
 @dataclass(frozen=True)
 class EpitaxialParams:
@@ -72,44 +144,51 @@ class EpitaxialParams:
     K2: float = 1.0
     K3: float = 0.0
 
+    RULES = (("K0", False, lambda v: v >= 0, "must satisfy K0 >= 0"),
+             ("K1", False, lambda v: v >= 0, "must satisfy K1 >= 0"),
+             ("K2", False, lambda v: v > 0, "must satisfy K2 > 0"),
+             ("K3", False, lambda v: v >= 0, "must satisfy K3 >= 0"))
+
     def __post_init__(self):
-        for name in ("K0", "K1", "K3"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v >= 0):
-                raise ValueError(f"{name} >= 0 required, got {v!r}")
-        if not (np.isfinite(self.K2) and self.K2 > 0):
-            raise ValueError(f"K2 > 0 required, got {self.K2!r}")
+        check_fields(self, self.RULES)
 
 
 @dataclass(frozen=True)
 class ThinFilmParams:
-    """Porous-medium coupling chi in (0, 1), integer exponent p >= 2, and the
-    estimate constant c (not fixed by the theory; every report echoes it)."""
+    """Porous-medium coupling chi in (0, 1), integer exponent 2 <= p <= MAX_P
+    and the estimate constant c (not fixed by the theory; reports echo it)."""
 
     chi: float
     p: int
     c_estimate: float = 1.0
 
+    RULES = (("chi", False, lambda v: 0 < v < 1, "must satisfy 0 < chi < 1"),
+             ("p", True, lambda v: 2 <= v <= MAX_P, f"must be an integer 2 <= p <= {MAX_P}"),
+             ("c_estimate", False, lambda v: v > 0, "must satisfy c_estimate > 0"))
+
     def __post_init__(self):
-        if not (np.isfinite(self.chi) and 0.0 < self.chi < 1.0):
-            raise ValueError(f"0 < chi < 1 required, got {self.chi!r}")
-        if isinstance(self.p, bool) or not isinstance(self.p, (int, np.integer)) or self.p < 2:
-            raise ValueError(f"p must be an integer >= 2, got {self.p!r}")
-        object.__setattr__(self, "p", int(self.p))
-        if not (np.isfinite(self.c_estimate) and self.c_estimate > 0):
-            raise ValueError(f"c_estimate > 0 required, got {self.c_estimate!r}")
+        check_fields(self, self.RULES)
+
+
+N_RULE = ("n", True, lambda v: 1 <= v <= MAX_N,
+          f"must be an integer 1 <= n <= {MAX_N} (3n+1 <= {MAX_GRID} grid points)")
+
+
+def grid_violations(model: str, n, params) -> list:
+    """Violations of the grid caps by model at cutoff n: 3n+1 <= MAX_GRID
+    points per axis for the quadratic products and, for the thin film,
+    (p+1)n+1 <= MAX_GRID for the power term."""
+    power = ("p", lambda s: (s["p"] + 1) * s["n"] + 1 <= MAX_GRID,
+             lambda s: f"the power grid (p+1)n+1 = {(s['p'] + 1) * s['n'] + 1} exceeds "
+                       f"{MAX_GRID} points")
+    return violations((N_RULE,), {"n": n, **vars(params)},
+                      cross=(power,) if model == "thinfilm" else ())
 
 
 def _require_zero_mean(v: SpectralField, what: str) -> None:
     m = abs(v.coeff[v.n, v.n])
     if m > ZERO_MEAN_TOL:
         raise ValueError(f"{what} must have zero mean, |vhat(0)| = {m:.3e}")
-
-
-def _check_power_exponent(p) -> int:
-    if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or p < 2:
-        raise ValueError(f"power exponent must be an integer >= 2, got {p!r}")
-    return int(p)
 
 
 @lru_cache(maxsize=None)
@@ -246,14 +325,15 @@ RHS = {"epitaxial": EpitaxialRhs, "thinfilm": ThinFilmRhs}
 
 
 def make_rhs(model: str, n: int, params):
-    """The evaluator of one model; rejects unknown models and params of the
-    wrong type."""
+    """The evaluator of one model; rejects unknown models, params of the
+    wrong type and grids past the caps."""
     if model not in RHS:
         raise ValueError(f"model must be one of {tuple(RHS)}, got {model!r}")
     cls = RHS[model]
     if not isinstance(params, cls.params_type):
         raise TypeError(f"{model} model needs {cls.params_type.__name__}, "
                         f"got {type(params).__name__}")
+    raise_first(grid_violations(model, n, params))
     return cls(n, params)
 
 
@@ -293,13 +373,13 @@ def delta_of_delta_sq(u: SpectralField) -> SpectralField:
 
 def epitaxial_rhs(u: SpectralField, params: EpitaxialParams) -> SpectralField:
     """Full epitaxial right-hand side in spectral form; conserves the mean."""
-    return _evaluate(EpitaxialRhs(u.n, params), u)
+    return _evaluate(make_rhs("epitaxial", u.n, params), u)
 
 
 def power_term(v: SpectralField, p) -> SpectralField:
-    """Galerkin coefficients of (1 + v)^p for integer p >= 2."""
-    p = _check_power_exponent(p)
-    return SpectralField(v.modes, _full(_power_hat(v.half, v.n, p)))
+    """Galerkin coefficients of (1 + v)^p for integer 2 <= p <= MAX_P."""
+    raise_first(violations(ThinFilmParams.RULES, {"p": p}))
+    return SpectralField(v.modes, _full(_power_hat(v.half, v.n, int(p))))
 
 
 def grad_dot_grad_lap(v: SpectralField) -> SpectralField:
@@ -317,7 +397,7 @@ def times_bilap(v: SpectralField) -> SpectralField:
 def thinfilm_rhs(v: SpectralField, params: ThinFilmParams) -> SpectralField:
     """Full thin-film right-hand side in the zero-mean variable v."""
     _require_zero_mean(v, "thin-film state")
-    return _evaluate(ThinFilmRhs(v.n, params), v)
+    return _evaluate(make_rhs("thinfilm", v.n, params), v)
 
 
 # ---------------------------------------------------------------------------

@@ -31,18 +31,21 @@ def write_trace_csv(trace: NormTrace, path) -> None:
 
 
 def read_trace_csv(path) -> NormTrace:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != CSV_HEADER:
-        head = lines[0] if lines else ""
-        raise ValueError(f"{path}: bad trace header {head!r}, expected {CSV_HEADER!r}")
-    rows = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 7:
-            raise ValueError(f"{path}: malformed trace row {ln!r}")
-        rows.append([float(p) for p in parts])
-    return NormTrace.from_rows(rows)
+    """The trace in a CSV file; a malformed file is a ValueError naming path."""
+    try:
+        with open(path) as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+        if not lines or lines[0] != CSV_HEADER:
+            raise ValueError(f"bad trace header {(lines or [''])[0]!r}, expected {CSV_HEADER!r}")
+        rows = []
+        for ln in lines[1:]:
+            parts = ln.split(",")
+            if len(parts) != 7:
+                raise ValueError(f"malformed trace row {ln!r}")
+            rows.append([float(p) for p in parts])
+        return NormTrace.from_rows(rows)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def write_report_json(report: dict, path) -> None:

@@ -156,6 +156,15 @@ class SpectralField:
         return cls(m, np.zeros((m.size, m.size), dtype=np.complex128))
 
     @classmethod
+    def _exact(cls, modes: ModeSet, c: np.ndarray) -> "SpectralField":
+        """A field over c, already finite and exactly Hermitian, kept as it is:
+        no checks and no symmetrization pass."""
+        f = object.__new__(cls)
+        c.setflags(write=False)
+        f.__dict__.update(modes=modes, coeff=c)
+        return f
+
+    @classmethod
     def from_modes(cls, n: int, entries) -> "SpectralField":
         """Build from ((k1, k2), value) pairs; repeated modes accumulate."""
         m = ModeSet(n)

@@ -140,16 +140,22 @@ def check_thinfilm_A0(params: ThinFilmParams, v0_a0: float) -> TheoremReport:
     return TheoremReport(THINFILM_A0, inputs, margin, lam, margin > 0)
 
 
+def envelope_arg_errors(lam, tol, names=("lambda", "tol")) -> list[str]:
+    """Breaches, under names, of the envelope's rule: lam finite, tol finite and >= 0."""
+    errors = [] if math.isfinite(lam) else [f"{names[0]} must be finite, got {lam!r}"]
+    if not (math.isfinite(tol) and tol >= 0):
+        errors.append(f"{names[1]} must be finite and >= 0, got {tol!r}")
+    return errors
+
+
 def verify_decay_envelope(trace: NormTrace, norm_index: str, lam: float,
                           tol: float = 1e-6) -> EnvelopeVerdict:
     """Check norm(t) <= exp(-lam (t - t0)) * norm(t0) * (1 + tol) row by row;
     lam must be finite and tol finite and >= 0."""
     if norm_index not in ("a0", "a2"):
         raise ValueError(f"norm_index must be 'a0' or 'a2', got {norm_index!r}")
-    if not math.isfinite(lam):
-        raise ValueError(f"lambda must be finite, got {lam!r}")
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    for msg in envelope_arg_errors(lam, tol)[:1]:
+        raise ValueError(msg)
     if len(trace) == 0:
         raise ValueError("empty trace")
     norms = getattr(trace, norm_index)

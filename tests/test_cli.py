@@ -303,6 +303,31 @@ class TestVerifyCommand:
         assert [line.split()[2] for line in lines] == bad
         assert all(line.startswith("config error: ") for line in lines)
 
+    @pytest.mark.parametrize("lam, code", [("-inf", 2), ("-1e-3", 5), ("-0.5", 0)])
+    def test_negative_lambda_is_a_value_not_a_flag(self, tmp_path, capsys, lam, code):
+        p = tmp_path / "trace.csv"
+        self._write_trace(p, lam=0.5, inflate=7)
+        assert main(["verify", str(p), "--lambda", lam, "--norm", "a0"]) == code
+        err = capsys.readouterr().err
+        assert err == ("config error: --lambda must be finite, got -inf\n" if code == 2 else "")
+
+    @pytest.mark.parametrize("content", [
+        None,
+        "t,a0\n",
+        "t,a0,a2,a4,a6,mean,dt\n0,1,1,1\n",
+        "t,a0,a2,a4,a6,mean,dt\n0,1,1,1,1,0,x\n",
+        "t,a0,a2,a4,a6,mean,dt\n0,1,1,1,1,0,0.1\n0,1,1,1,1,0,0.1\n",
+    ], ids=["missing", "header", "short_row", "not_a_number", "repeated_time"])
+    def test_unreadable_or_malformed_trace_is_a_config_error(self, tmp_path, capsys, content):
+        p = tmp_path / "trace.csv"
+        if content is not None:
+            p.write_text(content)
+        assert main(["verify", str(p), "--lambda", "0.5"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"config error: {p}: ")
+        assert main(["verify", str(tmp_path), "--lambda", "0.5"]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {tmp_path}: ")
+
 
 class TestSweepCommand:
     def test_sweep_runs_and_summarizes(self, tmp_path, capsys):

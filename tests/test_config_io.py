@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -5,11 +6,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from torusflow import (
     ConfigError,
     EpitaxialParams,
     NormTrace,
     SpectralField,
+    StepperConfig,
+    ThinFilmParams,
     config_to_dict,
     generate_initial,
     load_config,
@@ -22,6 +27,7 @@ from torusflow import (
     write_trace_csv,
 )
 from torusflow.config import MAX_GRID, MAX_N, MAX_P, MAX_STEPS, InitialDataSpec, NormalizeSpec
+from torusflow.models import make_rhs
 from torusflow.output import CSV_HEADER, read_report_json
 from _helpers import random_field
 
@@ -198,6 +204,77 @@ class TestResourceCaps:
         assert round(cfg.stepper.t_end / cfg.stepper.dt) == MAX_STEPS
 
 
+# Leaves for the params and stepper of a config: values each field takes,
+# and values no field takes or only some do.
+VALID_LEAVES = {
+    "K0": [0.0, 0.5], "K1": [0.0, 0.25], "K2": [1.0, 2], "K3": [0.0, 0.25],
+    "chi": [0.3, 0.5], "p": [2, 3, MAX_P], "c_estimate": [1.0, 2],
+    "scheme": ["ETD2", "IMEX1"], "dt": [1e-3, 0.01], "t_end": [0.02, 1.0, 1e5],
+    "record_every": [1, 10], "blowup_threshold": [5.0, 1e300],
+}
+HOSTILE_LEAVES = [True, False, 10**400, -(10**400), 2**64, math.inf, -math.inf, math.nan,
+                  1e-300, -1.0, 0, MAX_P + 1, 2.5, "1", ""]
+
+
+@st.composite
+def _sections(draw):
+    model = draw(st.sampled_from(["epitaxial", "thinfilm"]))
+    cls = EpitaxialParams if model == "epitaxial" else ThinFilmParams
+    names = {"params": [f.name for f in dataclasses.fields(cls)],
+             "stepper": [f.name for f in dataclasses.fields(StepperConfig)]}
+    leaf = lambda name: draw(st.one_of(st.sampled_from(VALID_LEAVES[name]),
+                                       st.sampled_from(HOSTILE_LEAVES)))
+    return model, cls, {sec: {name: leaf(name) for name in names[sec]} for sec in names}
+
+
+class TestOneRuleTable:
+    """parse_config and the dataclasses apply one table of rules."""
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda: ThinFilmParams(chi=0.5, p=10**6), "p"),
+        (lambda: StepperConfig(dt=1e-300, t_end=1.0), "t_end"),
+        (lambda: EpitaxialParams(K0=True), "K0"),
+        (lambda: StepperConfig(dt=True, t_end=2), "dt"),
+        (lambda: EpitaxialParams(K2="1"), "K2"),
+        # (p+1)n+1 = 171 * 24 + 1 = 4105 points per axis
+        (lambda: make_rhs("thinfilm", 24, ThinFilmParams(chi=0.5, p=MAX_P)), "p"),
+        (lambda: make_rhs("epitaxial", MAX_N + 1, EpitaxialParams()), "n"),
+    ], ids=["p_cap", "step_cap", "bool_K0", "bool_dt", "string_K2", "power_grid", "n_cap"])
+    def test_library_path_enforces_the_caps_and_domains(self, build, field):
+        with pytest.raises(ValueError, match=f"^{field}: .*, got "):
+            build()
+
+    def test_numpy_scalars_are_accepted_and_stored_plain(self):
+        tf = ThinFilmParams(chi=np.float32(0.5), p=np.int64(3))
+        stepper = StepperConfig(dt=np.float64(0.1), t_end=1, record_every=np.int32(2))
+        assert (tf.chi, tf.p, stepper.record_every, stepper.t_end) == (0.5, 3, 2, 1.0)
+        assert {type(v) for v in (tf.p, stepper.record_every)} == {int}
+        assert {type(v) for v in (tf.chi, stepper.t_end)} == {float}
+
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(_sections())
+    def test_parser_and_dataclasses_agree(self, drawn):
+        model, cls, sections = drawn
+        raw = minimal_epitaxial(model=model, **sections)
+        try:
+            parse_config(raw)
+            errors = []
+        except ConfigError as e:
+            errors = e.errors
+        for sec, build in (("params", cls), ("stepper", StepperConfig)):
+            lines = [msg[len(sec) + 1:] for msg in errors if msg.startswith(sec + ".")]
+            try:
+                build(**sections[sec])
+                raised = None
+            except ValueError as e:
+                raised = str(e)
+            assert (raised is None) == (not lines), (sec, lines, raised)
+            if lines:
+                # the parser shows the value only when its type is wrong
+                value = sections[sec][lines[0].split(":")[0]]
+                assert raised in (lines[0], f"{lines[0]}, got {value!r}"), (lines[0], raised)
+
+
 class TestGenerateInitial:
     def test_modes_give_cosine(self):
         spec = InitialDataSpec(kind="modes",
@@ -236,6 +313,19 @@ class TestGenerateInitial:
                         got = generate_initial(spec, n, seed).coeff
                         want = random_field(n, seed, amplitude=amplitude, sigma=sigma).coeff
                         assert got.tobytes() == want.tobytes(), (n, sigma, amplitude, seed)
+
+    def test_zero_mean_field_is_built_in_one_pass(self):
+        # the mean of random_decay data is zero already; a second
+        # symmetrization pass for zero_mean=True would turn the -0.0 parts of
+        # underflowed coefficients into +0.0
+        for n in (1, 2, 5, 8, 13):
+            for amplitude in (1e-3, 0.1, 1.0, 1e200):
+                for seed in (0, 7, 2**64 - 1):
+                    spec = InitialDataSpec(kind="random_decay", amplitude=amplitude,
+                                           sigma=400.0, zero_mean=True)
+                    got = generate_initial(spec, n, seed).coeff
+                    want = random_field(n, seed, amplitude=amplitude, sigma=400.0).coeff
+                    assert got.tobytes() == want.tobytes(), (n, amplitude, seed)
 
     def test_random_decay_magnitude_law(self):
         spec = InitialDataSpec(kind="random_decay", amplitude=0.2, sigma=2.0)

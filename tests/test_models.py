@@ -233,6 +233,8 @@ class TestPowerTerm:
             power_term(v, 2.5)
         with pytest.raises(ValueError):
             power_term(v, True)
+        with pytest.raises(ValueError, match=r"^p: must be an integer 2 <= p <= 170, got 171$"):
+            power_term(v, 171)
 
 
 class TestThinFilmQuadratics:
