@@ -12,7 +12,7 @@ import dataclasses
 import json
 import sys
 
-from .config import MAX_STEPS, ConfigError, load_config, read_json
+from .config import MAX_STEPS, ConfigError, file_errors, load_config, read_json
 from .driver import _prepare, check_only, execute_run
 from .integrate import simulate
 from .models import config_lines, unknown_keys, violations
@@ -29,6 +29,13 @@ EXIT_ENVELOPE = 5
 
 _SWEEP_RULES = [(key, True, lambda v: v >= 1, "must be an integer >= 1")
                 for key in ("max_runs", "workers")]
+
+# convergence --levels, and the step cap on the finest of its halved steps.
+# Their config-error texts are older than the rule rows, so each message
+# carries its own separator from the field name.
+_LEVELS_RULES = (("--levels", True, lambda v: v >= 1, " must be >= 1"),)
+_LEVELS_CAP = (("--levels", lambda s: s["steps"] <= MAX_STEPS >> s["--levels"],
+                lambda s: f": {s['--levels']} halvings of dt need more than {MAX_STEPS} steps"),)
 
 _STATUS_EXIT = {
     "completed": EXIT_OK,
@@ -130,12 +137,11 @@ def _cmd_sweep(args) -> int:
 
 def _read_trace(path):
     """The trace at path; an unreadable or malformed file is a ConfigError."""
-    try:
-        return read_trace_csv(path)
-    except FileNotFoundError:
-        raise ConfigError([f"{path}: no such file"]) from None
-    except (OSError, ValueError) as e:  # read_trace_csv's ValueError names path
-        raise ConfigError([f"{path}: {e.strerror}" if isinstance(e, OSError) else str(e)]) from None
+    with file_errors(path):
+        try:
+            return read_trace_csv(path)
+        except ValueError as e:  # read_trace_csv's messages name path
+            raise ConfigError([str(e)]) from None
 
 
 def _cmd_verify(args) -> int:
@@ -153,11 +159,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_convergence(args) -> int:
     cfg = load_config(args.config)
-    if args.levels < 1:
-        raise ConfigError(["--levels must be >= 1"])
-    if round(cfg.stepper.t_end / cfg.stepper.dt) > MAX_STEPS >> args.levels:
-        raise ConfigError([f"--levels: {args.levels} halvings of dt need more than "
-                           f"{MAX_STEPS} steps"])
+    found = violations(_LEVELS_RULES, {"--levels": args.levels,
+                                       "steps": round(cfg.stepper.t_end / cfg.stepper.dt)},
+                       cross=_LEVELS_CAP)
+    if found:
+        raise ConfigError([field + message for field, message, *_ in found])
     initial, *_ = _prepare(cfg)
     finals = []
     dts = [cfg.stepper.dt / 2**i for i in range(args.levels + 1)]

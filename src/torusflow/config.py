@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -53,6 +54,18 @@ class ConfigError(ValueError):
     def __init__(self, errors):
         self.errors = list(errors)
         super().__init__("; ".join(self.errors))
+
+
+@contextmanager
+def file_errors(path, prefix: str = ""):
+    """Turn an OSError on the way to the file at path into a ConfigError
+    that names it."""
+    try:
+        yield
+    except FileNotFoundError:
+        raise ConfigError([f"{prefix}{path}: no such file"]) from None
+    except OSError as e:
+        raise ConfigError([f"{prefix}{path}: {e.strerror or e}"]) from None
 
 
 @dataclass(frozen=True)
@@ -213,14 +226,13 @@ def parse_config(raw: dict) -> RunConfig:
 
 
 def read_json(path):
-    """Parsed JSON file contents; a missing file or bad JSON is a ConfigError."""
-    try:
-        with open(path) as fh:
+    """Parsed JSON file contents; a file that cannot be read, or bad JSON,
+    is a ConfigError."""
+    with file_errors(path), open(path) as fh:
+        try:
             return json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError([f"{path}: no such file"]) from None
-    except ValueError as e:  # JSONDecodeError, or an integer too long to convert
-        raise ConfigError([f"{path}: invalid JSON ({e})"]) from None
+        except ValueError as e:  # JSONDecodeError, or an integer too long to convert
+            raise ConfigError([f"{path}: invalid JSON ({e})"]) from None
 
 
 def load_config(path) -> RunConfig:
@@ -268,7 +280,11 @@ def generate_initial(spec: InitialDataSpec, n: int, seed: int) -> SpectralField:
         c[::-1, ::-1][half] = np.conj(c[half])
         f = SpectralField(ModeSet(n), c)
     elif spec.kind == "snapshot":
-        f = with_cutoff(read_snapshot(spec.path), n)
+        with file_errors(spec.path, "initial_data.path: "):
+            try:
+                f = with_cutoff(read_snapshot(spec.path), n)
+            except ValueError as e:  # read_snapshot's messages name the path
+                raise ConfigError([f"initial_data.path: {e}"]) from None
     else:
         raise ValueError(f"unknown initial-data kind {spec.kind!r}")
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .models import MAX_STEPS, RHS, _require_zero_mean, check_fields, make_rhs
-from .spectral import ModeSet, SpectralField, _full, _norms, _release_work
+from .spectral import SpectralField, _full, _moduli, _norms, _release_work
 
 __all__ = [
     "SCHEMES",
@@ -210,10 +210,10 @@ def _blowup_threshold(stepper: StepperConfig, a0_init: float) -> float:
     return threshold
 
 
-def _trace_row(t: float, c: np.ndarray, modes: ModeSet, dt: float) -> list:
-    """The trace rows at time t of the stacked half blocks c (B, 2n+1, n+1)."""
-    return [(t, *nv, mean, dt) for nv, mean in
-            zip(_norms(c, modes.abs2[:, modes.n :]), c[:, modes.n, 0].real.tolist())]
+def _trace_row(t: float, c: np.ndarray, a: np.ndarray, n: int, dt: float) -> list:
+    """The trace rows at time t of the stacked half blocks c (B, 2n+1, n+1),
+    whose moduli are a."""
+    return [(t, *nv, mean, dt) for nv, mean in zip(_norms(c, a), c[:, n, 0].real.tolist())]
 
 
 def _verdict(c: np.ndarray, a0: float, threshold: float, abs2: np.ndarray) -> tuple:
@@ -229,7 +229,7 @@ def _verdict(c: np.ndarray, a0: float, threshold: float, abs2: np.ndarray) -> tu
         return False, a0 > threshold
     if not math.isfinite(a0) and not np.isfinite(c).all():
         return True, False  # a nan or inf coefficient, judged without a norm or a warning
-    nv = _norms(c, abs2)
+    nv = _norms(c)
     failed = not all(map(math.isfinite, nv))
     return failed, not failed and nv[0] > threshold
 
@@ -269,7 +269,7 @@ def simulate_batch(u0s, params, steppers, model: str, on_record=None,
     stepper, modes = steppers[0], u0s[0].modes
     dt, abs2 = stepper.dt, modes.abs2[:, modes.n :]
     c = np.stack([u0.half for u0 in u0s])
-    rows = [[row] for row in _trace_row(0.0, c, modes, dt)]
+    rows = [[row] for row in _trace_row(0.0, c, _moduli(c), modes.n, dt)]
     thresholds = [_blowup_threshold(s, row[0][1]) for s, row in zip(steppers, rows)]
     n_steps = max(1, round(stepper.t_end / dt))
     fields_every = record_fields_every if record_fields_every is not None else stepper.record_every
@@ -311,7 +311,8 @@ def simulate_batch(u0s, params, steppers, model: str, on_record=None,
                 else:
                     keep.append(j)
             if recorded:
-                for j, row in zip(recorded, _trace_row(t, c[recorded], modes, dt)):
+                some = recorded if len(recorded) < len(live) else slice(None)
+                for j, row in zip(recorded, _trace_row(t, c[some], a[some], modes.n, dt)):
                     rows[live[j]].append(row)
             if len(keep) < len(live):
                 live, c = [live[j] for j in keep], c[keep]

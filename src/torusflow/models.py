@@ -202,7 +202,9 @@ def _symbols(n: int) -> dict:
     one = np.ones_like(habs2)
     sym = {
         "grad": np.stack([1j * h1, 1j * h2]),
-        "hessian": -np.stack([h1 * h1, h2 * h2, h1 * h2]).astype(np.float64),  # u,11 u,22 u,12
+        # u,11 u,22 u,12; real, but stored complex as the product with a
+        # complex block casts it: the same values, without a cast per call
+        "hessian": -np.stack([h1 * h1, h2 * h2, h1 * h2]).astype(np.complex128),
         "flux": np.stack([one, -1j * h1 * habs2, -1j * h2 * habs2]),  # v, d1 lap v, d2 lap v
         # d1 v, d2 v, d1 lap v, d2 lap v
         "gradlap": np.stack([1j * h1, 1j * h2, -1j * h1 * habs2, -1j * h2 * habs2]),
@@ -214,17 +216,23 @@ def _symbols(n: int) -> dict:
 
 
 def _galerkin(c: np.ndarray, n: int, mult: np.ndarray, form) -> np.ndarray:
-    """Galerkin coefficients of form(*fields), where fields[i] samples
-    mult[i] * u on the 3n+1 grid, which is alias-free for quadratic forms.
-    c may carry one leading batch axis; the fields and the forms' outputs
-    stack on axis -3.  One batched inverse and one batched forward real
-    transform; the samples live in a work array reused by the next call."""
-    return _from_grid(form(*_to_grid(mult * c[..., None, :, :], n, _pad_size(n)).swapaxes(0, -3)), n)
+    """Galerkin coefficients of the products form(fields) returns, where
+    fields[i] samples mult[i] * u on the 3n+1 grid, which is alias-free for
+    quadratic forms.  c may carry one leading batch axis; the fields, and
+    the products, stack on a new leading axis.  One batched inverse and one
+    batched forward real transform.  The fields are a work array reused by
+    the next call, and a form writes its products over them."""
+    return _from_grid(form(_to_grid(c, n, _pad_size(n), mult)), n)
 
 
-def _det2_and_lap_sq(u11, u22, u12):
-    lap = u11 + u22
-    return np.stack([2.0 * (u11 * u22 - u12 * u12), lap * lap], axis=-3)
+def _det2_and_lap_sq(fields):
+    u11, u22, u12 = fields
+    det = np.multiply(u11, u22)
+    np.subtract(det, np.multiply(u12, u12, out=u12), out=det)
+    np.add(u11, u22, out=u22)
+    np.multiply(u22, u22, out=u22)
+    np.multiply(2.0, det, out=u11)
+    return fields[:2]
 
 
 def _epitaxial_terms(c: np.ndarray, n: int):
@@ -232,15 +240,33 @@ def _epitaxial_terms(c: np.ndarray, n: int):
     return _galerkin(c, n, _symbols(n)["hessian"], _det2_and_lap_sq)
 
 
-def _dot_pairs(d1, d2, d1lap, d2lap):
-    return d1 * d1lap + d2 * d2lap
+def _flux(fields):
+    v, g1, g2 = fields
+    np.multiply(v, g1, out=g1)
+    np.multiply(v, g2, out=g2)
+    return fields[1:]
+
+
+def _dot_pairs(fields):
+    d1, d2, d1lap, d2lap = fields
+    d1 *= d1lap
+    d1 += np.multiply(d2, d2lap, out=d2)
+    return d1
+
+
+def _times(fields):
+    v, w = fields
+    v *= w
+    return v
 
 
 def _power_hat(c: np.ndarray, n: int, p: int) -> np.ndarray:
     """Galerkin coefficients of (1 + v)^p: sampled on an alias-free grid
-    (N >= (p+1) n + 1), raised pointwise, truncated once."""
+    (N >= (p+1) n + 1), raised pointwise in place, truncated once."""
     v = _to_grid(c, n, _fast_len((p + 1) * n + 1))
-    return _from_grid((1.0 + v) ** p, n)
+    np.add(1.0, v, out=v)
+    v **= p  # ** keeps numpy's p = 2 fast path
+    return _from_grid(v, n)
 
 
 class EpitaxialRhs:
@@ -257,6 +283,8 @@ class EpitaxialRhs:
         self.abs2 = _grids(self.n)[2][:, self.n :]
         self.linear = -params.K0 * self.abs2 - params.K2 * self.abs2**2
         self.linear.setflags(write=False)
+        # -(K3/2) lap (lap u)^2 has coefficient +(K3/2) |k|^2 d(k)
+        self.lap_k3 = (0.5 * params.K3) * self.abs2
         self.points = 3 * _pad_size(self.n) ** 2  # samples per member, largest transform
 
     def terms(self, c: np.ndarray) -> list:
@@ -264,14 +292,12 @@ class EpitaxialRhs:
         p = self.params
         if p.K1 == 0.0 and p.K3 == 0.0:
             return []
-        hd = _epitaxial_terms(c, self.n)
-        h, d = hd[..., 0, :, :], hd[..., 1, :, :]
+        h, d = _epitaxial_terms(c, self.n)
         out = []
         if p.K1 != 0.0:
-            out.append(("K1 * 2 det D^2 u", p.K1 * h))
+            out.append(("K1 * 2 det D^2 u", np.multiply(p.K1, h, out=h)))
         if p.K3 != 0.0:
-            # -(K3/2) lap (lap u)^2 has coefficient +(K3/2) |k|^2 d(k)
-            out.append(("-(K3/2) lap (lap u)^2", (0.5 * p.K3) * self.abs2 * d))
+            out.append(("-(K3/2) lap (lap u)^2", np.multiply(self.lap_k3, d, out=d)))
         return out
 
     def nonlinear(self, c: np.ndarray) -> np.ndarray:
@@ -293,6 +319,8 @@ class ThinFilmRhs:
         self.abs2 = _grids(self.n)[2][:, self.n :]
         self.linear = -(self.abs2**2)
         self.linear.setflags(write=False)
+        # -chi lap (1+v)^p has coefficient +chi |k|^2 power_hat(k)
+        self.lap_chi = params.chi * self.abs2
         self.points = 3 * _fast_len((params.p + 1) * self.n + 1) ** 2
 
     def terms(self, c: np.ndarray) -> list:
@@ -300,11 +328,14 @@ class ThinFilmRhs:
         n, sym = self.n, _symbols(self.n)
         # div (v grad lap v) = grad v . grad lap v + v lap^2 v is i k . F,
         # with F the Galerkin coefficients of v grad lap v
-        flux = _galerkin(c, n, sym["flux"], lambda v, g1, g2: np.stack([v * g1, v * g2], axis=-3))
+        flux = _galerkin(c, n, sym["flux"], _flux)
+        grad = sym["grad"].reshape((2,) + (1,) * (c.ndim - 2) + c.shape[-2:])
+        div = np.multiply(grad, flux, out=flux)[0]
+        np.negative(np.add(div, flux[1], out=div), out=div)
+        power = _power_hat(c, n, self.params.p)
         return [
-            ("-grad v . grad lap v - v lap^2 v", -np.sum(sym["grad"] * flux, axis=-3)),
-            # -chi lap (1+v)^p has coefficient +chi |k|^2 power_hat(k)
-            ("-chi lap (1+v)^p", self.params.chi * self.abs2 * _power_hat(c, n, self.params.p)),
+            ("-grad v . grad lap v - v lap^2 v", div),
+            ("-chi lap (1+v)^p", np.multiply(self.lap_chi, power, out=power)),
         ]
 
     def nonlinear(self, c: np.ndarray) -> np.ndarray:
@@ -390,7 +421,7 @@ def grad_dot_grad_lap(v: SpectralField) -> SpectralField:
 
 def times_bilap(v: SpectralField) -> SpectralField:
     """Spectral v lap^2 v; weight |k-m|^4."""
-    half = _galerkin(v.half, v.n, _symbols(v.n)["timesbilap"], np.multiply)
+    half = _galerkin(v.half, v.n, _symbols(v.n)["timesbilap"], _times)
     return SpectralField(v.modes, _full(half))
 
 

@@ -198,27 +198,26 @@ def project(f: SpectralField, n: int) -> SpectralField:
     return SpectralField(f.modes, c)
 
 
-# Exact norm sums without a per-term Python loop.  A term x >= 0 is q 2^(e - 1075)
-# with an integer q < 2^53 and e = max(biased exponent, 1), read off its bits
-# (subnormals included).  q splits into three 18-bit parts at bit positions
-# e - 1, e + 17 and e + 35 above 2^-1074; a part at position p adds itself
-# shifted left by p % 8, an integer below 2^25, to bin p // 8 of its row.  The
-# three parts of a term land in different bins, so a row of M terms keeps
-# every bin sum below M 2^25: exact in float64 up to M = 2^28, and below 2^47
-# for any half block up to MAX_N.  Bin b scaled by 2^(8b - 1074) is still
-# exact, so one math.fsum over a row's bins is the correctly rounded sum of its
-# terms.  Lanes spread the consecutive terms of a row over copies of its bins,
-# so that bincount's adds do not wait on each other.  A chunk of _CHUNK terms
-# keeps each temporary under 128 KB, which malloc reuses instead of mapping
-# (and faulting in) fresh pages.  Below _FSUM_BELOW terms the fixed cost of
-# binning exceeds that of math.fsum, which then sums each row itself.
-_FSUM_BELOW = 1536
-_CHUNK = 5000
-_LANES = 8
-_BINS = 261  # bit positions 0 .. 2081 of finite terms, eight to a bin
-_PART_POS = np.array([-1, 17, 35]).reshape(3, 1, 1)
-_PART_SHIFT = np.array([0, 18, 36]).reshape(3, 1, 1)
-_BIN_SCALE = np.array([math.ldexp(1.0, 8 * b - 1074) for b in range(_BINS)])
+# Exact norm sums without a per-term Python loop.  A term t >= 0 splits into
+# hi, its bits with the low 26 mantissa bits cleared, and lo = t - hi (exact).
+# Terms are binned by their exponent field E, four exponents to a bin (the
+# bits above bit 53).  In the bin of E in [4b, 4b + 3], with u = max(4b, 1),
+# every hi is a multiple of 2^(u - 1049) and every lo one of 2^(u - 1075),
+# each fewer than 2^30 of those units: float64 adds the his (and the los) of
+# up to 2^23 terms of a bin exactly, in any order.  So a row of M <= 2^23
+# terms has exact bins, and one math.fsum over a row's bins is the correctly
+# rounded sum of its terms.  Lanes spread the consecutive terms of a row over
+# copies of its bins, so that bincount's adds do not wait on each other.  A
+# chunk makes and bins at most _CHUNK terms, and a pass holds the bins of as
+# many members as fit in _CHUNK entries (one at least), so that a temporary
+# takes 64 KB or so, well under the 128 KB from which malloc maps (and faults
+# in) fresh pages instead of reusing its own.  Below _FSUM_BELOW terms the
+# fixed cost of binning exceeds that of math.fsum, which then sums each row
+# itself.
+_FSUM_BELOW = 1024
+_CHUNK = 8192
+_LANES = 4
+_HI = np.int64(-1 << 26)
 
 
 def _fsum(values) -> float:
@@ -228,59 +227,89 @@ def _fsum(values) -> float:
         return math.inf
 
 
-def _row_sums(t: np.ndarray) -> list:
-    """math.fsum of each row of t, an (R, M) float64 array of terms >= 0 with
-    M <= 2^28, bit for bit; inf where finite terms pass the float range."""
-    if t.size < _FSUM_BELOW:
-        return [_fsum(row) for row in t.tolist()]
-    finite = np.isfinite(t).all(axis=1)
-    if not finite.all():  # a row holding an inf or nan term is math.fsum-ed as it stands
-        return [s if ok else _fsum(row.tolist()) for s, ok, row in
-                zip(_row_sums(np.where(finite[:, None], t, 0.0)), finite, t)]
-    R, M = t.shape
-    bits = t.view(np.int64)
-    # the bins span the exponents of the nonzero terms; a zero adds nothing anywhere
-    emax = max(int(bits.max()) >> 52, 1)
-    emin = max(int(np.min(bits, where=bits > 0, initial=emax << 52)) >> 52, 1)
-    lo = (emin - 1) >> 3
-    nb = (emax + 35 >> 3) - lo + 1
-    width = min(M, max(1, _CHUNK // R))
-    # column j of row r adds to bin copy (j % _LANES) R + r
-    base = np.add.outer(np.arange(R) * (8 * nb) - 8 * lo,
-                        (np.arange(width) & _LANES - 1) * (8 * nb * R))
-    bins = np.zeros(_LANES * R * nb)
-    for j in range(0, M, width):
-        b = bits[:, j : j + width]
-        e = np.maximum(b >> 52, 1)
-        q = b - ((e - 1) << 52)
-        np.maximum(e, emin, out=e)
-        e += base[:, : b.shape[1]]
-        pos = e + _PART_POS
-        parts = (q >> _PART_SHIFT) & 0x3FFFF
-        parts <<= pos & 7
-        pos >>= 3
-        bins += np.bincount(pos.ravel(), parts.ravel(), bins.size)
+def _terms(a: np.ndarray, w, twice) -> np.ndarray:
+    """The terms of _row_sums as an (R W, M) array."""
+    if w is None:
+        return a
     with np.errstate(over="ignore"):
-        rows = bins.reshape(_LANES, R, nb).sum(axis=0) * _BIN_SCALE[lo : lo + nb]
-    return [_fsum(r) for r in rows.tolist()]
+        return (np.multiply(w, a[:, None, :]) * twice).reshape(-1, a.shape[-1])
 
 
-def _wiener_sums(half: np.ndarray, weights) -> list:
-    """sum_k w(k) |c(k)| for each weight w over one |c| pass of the k2 >= 0
-    half blocks (..., 2n+1, n+1): a list of the sums, one list per block of
-    a stack.  A k2 > 0 term stands for k and -k, so it is doubled after
-    weighting (exact).  Each sum is correctly rounded, bit for bit math.fsum
-    of its terms (see _row_sums).  The one place that decides overflow: past
-    the float range gives inf, with no exception or warning."""
-    lead, block = half.shape[:-2], half.shape[-2:]
-    with np.errstate(over="ignore"):
-        a = np.abs(half)
-        t = np.empty(lead + (len(weights),) + block)
-        for k, w in enumerate(weights):
-            np.multiply(w, a, out=t[..., k, :, :])
-        t[..., 1:] *= 2.0
-    sums = _row_sums(t.reshape(-1, block[0] * block[1]))
+@lru_cache(maxsize=4)
+def _bin_base(k: int, width: int) -> np.ndarray:
+    """Read-only (k, 1, width) offsets lane k + row of the rows of a pass of
+    _row_sums, the lane of column j being j % _LANES."""
+    base = (np.arange(width) & _LANES - 1) * k + np.arange(k)[:, None, None]
+    base.setflags(write=False)
+    return base
+
+
+def _row_sums(a: np.ndarray, w=None, twice=None) -> list:
+    """math.fsum of each row of terms, bit for bit; inf where finite terms
+    pass the float range.  Row (r, i), r-major, holds the terms w[i] * a[r]
+    of an (R, M) array a >= 0, M <= 2^23, and a (W, M) array w whose entries
+    are 0 or >= 1, each multiplied after weighting by twice, an (M,) array
+    of 1.0 and 2.0 (exact).  With w and twice None the rows of a are the
+    terms."""
+    R, M = a.shape
+    W = 1 if w is None else len(w)
+    top = float(a.max()) * (1.0 if w is None else float(w.max()) * 2.0)
+    if R * W * M < _FSUM_BELOW or not top < math.inf:  # a term may be inf or nan
+        return [_fsum(row) for row in _terms(a, w, twice).tolist()]
+    least = int((a.view(np.int64) - 1).view(np.uint64).min()) + 1  # bits of the least a > 0
+    if least >> 63:
+        return [0.0] * (R * W)
+    # Bin b of row i of a pass is entry ((b - lo) L + lane) k + i of each
+    # part's sums.  A positive term is >= the least a > 0, as w is 0 or >= 1,
+    # so only zero terms fall below bin lo; they add nothing, and land in it.
+    lo = least >> 54
+    nb = (max(math.frexp(top)[1] + 1022, 0) >> 2) - lo + 1
+    rows = max(1, _CHUNK // (2 * nb * _LANES * W))  # members per pass
+    width = min(M, max(_LANES, _CHUNK // (min(rows, R) * W) & -_LANES))
+    sums = []
+    for r in range(0, R, rows):
+        ar = a[r : r + rows, None, :]
+        k = len(ar) * W
+        base = _bin_base(k, width).reshape(len(ar), W, width)
+        with np.errstate(over="ignore"):  # a bin past the float range is inf
+            for j in range(0, M, width):
+                t = ar[..., j : j + width]
+                if w is not None:
+                    t = np.multiply(w[:, j : j + width], t)
+                    t *= twice[j : j + width]
+                b = t.view(np.int64)
+                e = b >> 54
+                np.maximum(e, lo, out=e)
+                e -= lo
+                e *= _LANES * k
+                e += base[..., : t.shape[-1]]
+                hi = (b & _HI).view(np.float64)
+                e = e.ravel()
+                part = np.stack((np.bincount(e, hi.ravel(), nb * _LANES * k),
+                                 np.bincount(e, (t - hi).ravel(), nb * _LANES * k)))
+                bins = part if j == 0 else bins + part
+                del t, b, e, hi  # before the next chunk's arrays are made
+            bins = bins.reshape(2, nb, _LANES, k).sum(axis=2)
+        sums += [_fsum(x) for x in bins.transpose(2, 0, 1).reshape(k, -1).tolist()]
+    return sums
+
+
+def _wiener_sums(a: np.ndarray, weights: np.ndarray) -> list:
+    """sum_k w(k) |c(k)| for each row w of weights over the flattened half
+    block, from the moduli a = |c| of k2 >= 0 half blocks (..., 2n+1, n+1):
+    a list of the sums, one list per block of a stack.  A k2 > 0 term stands
+    for k and -k, so it is doubled after weighting (exact).  Each sum is
+    correctly rounded, bit for bit math.fsum of its terms (see _row_sums).
+    The one place that decides overflow: past the float range gives inf,
+    with no exception or warning."""
+    lead, (rows, cols) = a.shape[:-2], a.shape[-2:]
+    sums = _row_sums(a.reshape(-1, rows * cols), weights, _twice(cols - 1))
     return np.reshape(sums, lead + (len(weights),)).tolist()
+
+
+def _moduli(half: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore"):  # a modulus past the float range is inf
+        return np.abs(half)
 
 
 def wiener_norm(f: SpectralField, s: float) -> float:
@@ -293,19 +322,42 @@ def wiener_norm(f: SpectralField, s: float) -> float:
     """
     if s < 0:
         raise ValueError(f"Wiener exponent must be >= 0, got {s}")
-    return _wiener_sums(f.half, [f.modes.abs2[:, f.n :] ** (s / 2.0)])[0]
+    w = f.modes.abs2[:, f.n :] ** (s / 2.0)
+    return _wiener_sums(_moduli(f.half), w.reshape(1, -1))[0]
 
 
-def _norms(half: np.ndarray, abs2: np.ndarray) -> list:
-    """[A^0, A^2, A^4, A^6] of a k2 >= 0 half block, or one such list per block
-    of a stack; abs2 is |k|^2 on a block."""
+@lru_cache(maxsize=None)
+def _twice(n: int) -> np.ndarray:
+    """Read-only factors of the terms of a flattened k2 >= 0 half block
+    (2n+1, n+1): 2.0 where k2 > 0, a term that stands for k and -k."""
+    f = np.full((2 * n + 1, n + 1), 2.0)
+    f[:, 0] = 1.0
+    f = f.ravel()
+    f.setflags(write=False)
+    return f
+
+
+@lru_cache(maxsize=None)
+def _norm_weights(n: int) -> np.ndarray:
+    """Read-only (4, (2n+1)(n+1)) weights 1, |k|^2, |k|^4, |k|^6 over a
+    flattened k2 >= 0 half block."""
+    abs2 = _grids(n)[2][:, n:].ravel()
     w4 = abs2 * abs2
-    return _wiener_sums(half, (1.0, abs2, w4, w4 * abs2))
+    w = np.stack([np.ones_like(abs2), abs2, w4, w4 * abs2])
+    w.setflags(write=False)
+    return w
+
+
+def _norms(half: np.ndarray, a: np.ndarray | None = None) -> list:
+    """[A^0, A^2, A^4, A^6] of a k2 >= 0 half block, or one such list per
+    block of a stack; a, when given, is the blocks' moduli |half|."""
+    a = _moduli(half) if a is None else a
+    return _wiener_sums(a, _norm_weights(half.shape[-1] - 1))
 
 
 def norm_vector(f: SpectralField) -> NormVector:
     """A^0, A^2, A^4, A^6 norms computed from a single |coeff| pass."""
-    return NormVector(*_norms(f.half, f.modes.abs2[:, f.n :]))
+    return NormVector(*_norms(f.half))
 
 
 @lru_cache(maxsize=None)
@@ -355,11 +407,16 @@ def _release_work() -> None:
     vars(_WORK).get("arrays", {}).clear()
 
 
-def _embed(half: np.ndarray, n: int, N: int, out: np.ndarray) -> np.ndarray:
-    """Scatter k2 >= 0 half blocks (..., 2n+1, n+1), rows k1 = -n..n, into the
-    zeroed (..., N, n+1) block out; its other rows stay zero.  Needs N >= 2n + 1."""
-    out[..., : n + 1, :] = half[..., n:, :]
-    out[..., N - n :, :] = half[..., :n, :]
+def _embed(half: np.ndarray, n: int, N: int, out: np.ndarray, mult=None) -> np.ndarray:
+    """Scatter k2 >= 0 half blocks (..., 2n+1, n+1), rows k1 = -n..n, or
+    their products mult * half when mult is given, into the zeroed
+    (..., N, n+1) block out; its other rows stay zero.  Needs N >= 2n + 1."""
+    if mult is None:
+        out[..., : n + 1, :] = half[..., n:, :]
+        out[..., N - n :, :] = half[..., :n, :]
+    else:
+        np.multiply(mult[..., n:, :], half[..., n:, :], out=out[..., : n + 1, :])
+        np.multiply(mult[..., :n, :], half[..., :n, :], out=out[..., N - n :, :])
     return out
 
 
@@ -367,7 +424,8 @@ def _extract(spec: np.ndarray, n: int, N: int) -> np.ndarray:
     """k2 >= 0 half blocks (..., 2n+1, n+1) of |k| <= n, out of (..., N, n+1) blocks."""
     half = np.concatenate([spec[..., N - n :, :], spec[..., : n + 1, :]], axis=-2)
     # The k2 = 0 column is its own mirror; average away its roundoff asymmetry.
-    half[..., 0] = 0.5 * (half[..., 0] + np.conj(half[..., ::-1, 0]))
+    col = half[..., 0]
+    np.multiply(0.5, col + np.conj(col[..., ::-1]), out=col)
     return half
 
 
@@ -376,13 +434,18 @@ def _full(half: np.ndarray) -> np.ndarray:
     return np.concatenate([_hermitian_flip(half)[..., :-1], half], axis=-1)
 
 
-def _to_grid(half: np.ndarray, n: int, N: int) -> np.ndarray:
+def _to_grid(half: np.ndarray, n: int, N: int, mult=None) -> np.ndarray:
     """Samples u(2 pi a / N, 2 pi b / N) of the fields whose k2 >= 0 half
-    blocks are given; one batched inverse real transform.  The result is a
-    work array that the next call with the same shapes overwrites."""
-    block = half.shape[:-2] + (N, n + 1)
+    blocks are given or, with mult (F, 2n+1, n+1), of the F fields mult[i] *
+    half, stacked on a new leading axis; one batched inverse real transform.
+    The result is a work array that the next call with the same shapes
+    overwrites."""
+    if mult is not None:
+        mult = mult.reshape(mult.shape[:1] + (1,) * (half.ndim - 2) + mult.shape[1:])
+    lead = half.shape[:-2] if mult is None else mult.shape[:1] + half.shape[:-2]
+    block = lead + (N, n + 1)
     emb, col, grid = _work((block, complex), (block, complex), (block[:-1] + (N,), float))
-    np.fft.ifft(_embed(half, n, N, emb), axis=-2, norm="forward", out=col)
+    np.fft.ifft(_embed(half, n, N, emb, mult), axis=-2, norm="forward", out=col)
     return np.fft.irfft(col, n=N, axis=-1, norm="forward", out=grid)
 
 
@@ -583,7 +646,10 @@ def write_snapshot(f: SpectralField, path) -> None:
 def read_snapshot(path) -> SpectralField:
     """Parse a snapshot file, rejecting malformed or non-Hermitian data."""
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+        try:
+            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: not a text snapshot file") from None
     if not lines:
         raise ValueError(f"{path}: empty snapshot file")
     header = lines[0]

@@ -424,7 +424,85 @@ class TestConvergenceCommand:
         cfgp = tmp_path / "cfg.json"
         write_config(cfgp)  # 40 steps at the coarsest dt
         assert main(["convergence", str(cfgp), "--levels", str(levels)]) == 2
-        assert capsys.readouterr().err.startswith("config error: --levels:")
+        assert capsys.readouterr().err == (f"config error: --levels: {levels} halvings of dt "
+                                           "need more than 10000000 steps\n")
+
+    @pytest.mark.parametrize("levels", [0, -3])
+    def test_levels_below_one(self, tmp_path, capsys, levels):
+        cfgp = tmp_path / "cfg.json"
+        write_config(cfgp)
+        assert main(["convergence", str(cfgp), "--levels", str(levels)]) == 2
+        assert capsys.readouterr().err == "config error: --levels must be >= 1\n"
+
+
+class TestFileErrors:
+    """A file that cannot be read or parsed on the way to a config is a
+    config error that names it, exit 2, from every command that reads it."""
+
+    @staticmethod
+    def _snapshot_config(tmp_path, path):
+        cfgp = tmp_path / "cfg.json"
+        write_config(cfgp, initial_data={"kind": "snapshot", "path": str(path)})
+        return cfgp
+
+    def _config_error(self, capsys, argv, want):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"config error: {want}\n"
+
+    @pytest.mark.parametrize("command", ["check", "simulate", "convergence"])
+    def test_config_is_a_directory(self, tmp_path, capsys, command):
+        self._config_error(capsys, [command, str(tmp_path)], f"{tmp_path}: Is a directory")
+
+    def test_sweep_files_are_directories(self, tmp_path, capsys):
+        cfgp = tmp_path / "cfg.json"
+        write_config(cfgp)
+        self._config_error(capsys, ["sweep", str(tmp_path), str(cfgp)],
+                           f"{tmp_path}: Is a directory")
+        self._config_error(capsys, ["sweep", str(cfgp), str(tmp_path)],
+                           f"{tmp_path}: Is a directory")
+
+    @pytest.mark.parametrize("command", ["check", "simulate"])
+    def test_missing_snapshot(self, tmp_path, capsys, command):
+        missing = tmp_path / "nope.txt"
+        cfgp = self._snapshot_config(tmp_path, missing)
+        self._config_error(capsys, [command, str(cfgp)],
+                           f"initial_data.path: {missing}: no such file")
+
+    def test_snapshot_is_a_directory(self, tmp_path, capsys):
+        cfgp = self._snapshot_config(tmp_path, tmp_path)
+        self._config_error(capsys, ["check", str(cfgp)],
+                           f"initial_data.path: {tmp_path}: Is a directory")
+
+    @pytest.mark.parametrize("content, message", [
+        ("", "empty snapshot file"),
+        ("not a snapshot\n", "bad snapshot header 'not a snapshot'"),
+        ("torusflow-spectral v1 n=1\n0 0 1 0\n", "expected 9 mode lines, found 1"),
+        (b"\xff\xfe\x00", "not a text snapshot file"),
+    ], ids=["empty", "header", "short", "binary"])
+    def test_malformed_snapshot(self, tmp_path, capsys, content, message):
+        snap = tmp_path / "snap.txt"
+        if isinstance(content, bytes):
+            snap.write_bytes(content)
+        else:
+            snap.write_text(content)
+        cfgp = self._snapshot_config(tmp_path, snap)
+        self._config_error(capsys, ["check", str(cfgp)], f"initial_data.path: {snap}: {message}")
+
+    def test_sweep_member_with_a_missing_snapshot(self, tmp_path, capsys):
+        from torusflow import SpectralField, write_snapshot
+
+        good = tmp_path / "good.txt"
+        write_snapshot(SpectralField.from_modes(4, [((1, 0), 0.01), ((-1, 0), 0.01)]), good)
+        cfgp = self._snapshot_config(tmp_path, good)
+        axesp = tmp_path / "axes.json"
+        axesp.write_text(json.dumps({"axes": [{"path": "initial_data.path",
+                                               "values": [str(tmp_path / "nope.txt"),
+                                                          str(good)]}]}))
+        assert main(["sweep", str(cfgp), str(axesp), "--outdir", str(tmp_path / "sw")]) == 0
+        with open(tmp_path / "sw" / "summary.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["status"] for r in rows] == ["config_error", "completed"]
+        assert rows[0]["error"] == f"initial_data.path: {tmp_path / 'nope.txt'}: no such file"
 
 
 class TestEntryPoint:

@@ -28,6 +28,7 @@ from torusflow import (
     with_cutoff,
 )
 from torusflow.models import EpitaxialRhs, ThinFilmRhs
+from torusflow.spectral import _fast_len, _grids, _pad_size
 from _helpers import (
     brute_bilinear,
     max_abs_diff,
@@ -315,3 +316,110 @@ class TestThinFilmRhs:
         with np.errstate(all="ignore"), pytest.raises(
                 FloatingPointError, match=r"term -grad v \. grad lap v - v lap\^2 v$"):
             thinfilm_rhs(big, ThinFilmParams(chi=0.3, p=2))
+
+
+def _inverse(half, n, N):
+    """Samples on the N x N grid of k2 >= 0 half blocks: the transform
+    layout of spectral, written out with unpruned numpy.fft calls."""
+    emb = np.zeros(half.shape[:-2] + (N, n + 1), dtype=complex)
+    emb[..., : n + 1, :] = half[..., n:, :]
+    emb[..., N - n :, :] = half[..., :n, :]
+    return np.fft.irfft(np.fft.ifft(emb, axis=-2, norm="forward"), n=N, axis=-1, norm="forward")
+
+
+def _forward(values, n):
+    """k2 >= 0 half blocks of samples, k2 = 0 column averaged with its mirror."""
+    N = values.shape[-1]
+    row = np.fft.rfft(values, axis=-1)[..., : n + 1]
+    spec = np.fft.fft((row.view(float) * (1.0 / (N * N))).view(complex), axis=-2)
+    half = np.concatenate([spec[..., N - n :, :], spec[..., : n + 1, :]], axis=-2)
+    half[..., 0] = 0.5 * (half[..., 0] + np.conj(half[..., ::-1, 0]))
+    return half
+
+
+def _unfused_epitaxial(c, n, params):
+    k1, k2, abs2 = (g[:, n:] for g in _grids(n))
+    mult = -np.stack([k1 * k1, k2 * k2, k1 * k2]).astype(np.float64)
+    u11, u22, u12 = np.moveaxis(_inverse(mult * c[..., None, :, :], n, _pad_size(n)), -3, 0)
+    lap = u11 + u22
+    hd = _forward(np.stack([2.0 * (u11 * u22 - u12 * u12), lap * lap], axis=-3), n)
+    out = params.K1 * hd[..., 0, :, :]
+    out += (0.5 * params.K3) * abs2 * hd[..., 1, :, :]
+    out[..., n, 0] = 0.0
+    return out
+
+
+def _unfused_thinfilm(c, n, params):
+    k1, k2, abs2 = (g[:, n:] for g in _grids(n))
+    mult = np.stack([np.ones_like(abs2), -1j * k1 * abs2, -1j * k2 * abs2])
+    v, g1, g2 = np.moveaxis(_inverse(mult * c[..., None, :, :], n, _pad_size(n)), -3, 0)
+    flux = _forward(np.stack([v * g1, v * g2], axis=-3), n)
+    out = -np.sum(np.stack([1j * k1, 1j * k2]) * flux, axis=-3)
+    w = _inverse(c, n, _fast_len((params.p + 1) * n + 1))
+    out += params.chi * abs2 * _forward((1.0 + w) ** params.p, n)
+    out[..., n, 0] = 0.0
+    return out
+
+
+def _hostile_blocks(n, batch, seed):
+    """(batch, 2n+1, n+1) half blocks with signed zeros, subnormal entries and
+    entries near the float maximum among ordinary ones."""
+    rng = np.random.default_rng(seed)
+    shape = (batch, 2 * n + 1, n + 1)
+    parts = []
+    for _ in range(2):
+        x = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 1, shape)
+        kind = rng.integers(0, 6, shape)
+        x[kind == 0] = 0.0
+        x[kind == 1] = -0.0
+        tiny = rng.choice([-1, 1], shape) * rng.integers(1, 1000, shape) * 5e-324
+        x[kind == 2] = tiny[kind == 2]
+        parts.append(x)
+    c = parts[0] + 1j * parts[1]
+    return c, rng
+
+
+class TestFusedKernels:
+    """nonlinear writes its products into reused work arrays and fuses the
+    multipliers into the scatter; it must give the bits of the plain
+    composition mult * c -> inverse transform -> form -> forward transform
+    -> terms, inf and nan included."""
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_epitaxial(self, n, batch):
+        for seed in range(4):
+            c, rng = _hostile_blocks(n, batch, seed)
+            if seed == 2:  # coefficients near the float maximum: products overflow
+                c[rng.uniform(size=c.shape) < 0.05] = 1.7e308 - 1e308j
+            if seed == 3:  # products near the float maximum, and still finite
+                c *= 1e150
+            for params in (EpitaxialParams(K1=0.25, K2=1.0, K3=0.5),
+                           EpitaxialParams(K1=0.3, K2=1.0), EpitaxialParams(K2=1.0, K3=0.7)):
+                rhs = EpitaxialRhs(n, params)
+                with np.errstate(all="ignore"):
+                    got, want = rhs.nonlinear(c.copy()), _unfused_epitaxial(c, n, params)
+                assert got.view(np.int64).tobytes() == want.view(np.int64).tobytes()
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_thinfilm(self, p, batch):
+        n = 6
+        for seed in range(4):
+            c, rng = _hostile_blocks(n, batch, 10 + seed)
+            if seed == 2:
+                c[rng.uniform(size=c.shape) < 0.05] = -1.5e308 + 1.6e308j
+            if seed == 3:  # the power term's samples near the float maximum
+                c *= 10.0 ** (300 // p)
+            params = ThinFilmParams(chi=0.3, p=p)
+            rhs = ThinFilmRhs(n, params)
+            with np.errstate(all="ignore"):
+                got, want = rhs.nonlinear(c.copy()), _unfused_thinfilm(c, n, params)
+            assert got.view(np.int64).tobytes() == want.view(np.int64).tobytes()
+
+    def test_inputs_are_not_written(self):
+        c, _ = _hostile_blocks(6, 3, 0)
+        kept = c.copy()
+        EpitaxialRhs(6, EpitaxialParams(K1=0.25, K2=1.0, K3=0.5)).nonlinear(c)
+        ThinFilmRhs(6, ThinFilmParams(chi=0.3, p=3)).nonlinear(c)
+        assert c.tobytes() == kept.tobytes()

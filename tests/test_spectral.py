@@ -259,6 +259,39 @@ class TestBinnedSums:
         assert self.binned(t)[0] == 2**16 * np.nextafter(4.0, 0.0)
 
 
+class TestWeightedSums:
+    """The norm rows: terms w[i] |c| made chunk by chunk inside _row_sums,
+    doubled where k2 > 0; every row must equal math.fsum of its terms."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(term_arrays(), st.integers(1, 40))
+    def test_bit_identical_to_fsum(self, a, n):
+        n = min(n, max(1, int(math.isqrt(a.shape[1] // 2))))
+        M = (2 * n + 1) * (n + 1)
+        a = np.resize(a, (a.shape[0], M))
+        w, twice = spectral._norm_weights(n), spectral._twice(n)
+        want = _fsum_rows(spectral._terms(a, w, twice))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "_FSUM_BELOW", 0)
+            assert np.array(spectral._row_sums(a, w, twice)).tobytes() == np.array(want).tobytes()
+
+    def test_a_norm_row_makes_no_large_temporary(self):
+        # the (4, 129 * 65) terms of one n = 64 row are 268 KB; made and
+        # binned in chunks, the call holds the moduli (67 KB) and a few
+        # chunk-sized arrays
+        import tracemalloc
+
+        f = random_field(64, 5)
+        want = norm_vector(f)
+        tracemalloc.start()
+        try:
+            assert norm_vector(f) == want
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 384 * 1024
+
+
 class TestConvolve:
     def test_constant_acts_as_delta(self):
         a = 0.37
