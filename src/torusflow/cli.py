@@ -103,7 +103,8 @@ def _cmd_check(args) -> int:
     cfg = load_config(args.config)
     result = check_only(cfg)
     if args.output:
-        write_report_json(result.report, args.output)
+        with file_errors(args.output, "--output "):
+            write_report_json(result.report, args.output)
     else:
         json.dump(result.report, sys.stdout, indent=2, sort_keys=True)
         print()
@@ -124,7 +125,8 @@ def _cmd_sweep(args) -> int:
         else:
             axes.append((ax["path"], ax["values"]))
             errors += axis_errors(ax["path"], ax["values"], f"{where}axes[{i}].", base)
-    # workers is accepted but has no effect: members run one at a time
+    # workers is accepted but has no effect: members that share a system are
+    # stepped as batches, one batch at a time, on one thread
     errors += config_lines(violations(_SWEEP_RULES, axes_raw), where)
     if errors:
         raise ConfigError(errors)

@@ -18,7 +18,7 @@ import numpy as np
 from .integrate import MODELS, StepperConfig
 from .models import (MAX_GRID, MAX_N, MAX_P, MAX_STEPS, N_RULE, RHS, config_lines,
                      grid_violations, is_number, unknown_keys, violations)
-from .spectral import ModeSet, SpectralField, _grids, read_snapshot, wiener_norm, with_cutoff
+from .spectral import ModeSet, SpectralField, read_snapshot, wiener_norm, with_cutoff
 
 __all__ = [
     "ConfigError",
@@ -262,7 +262,8 @@ def generate_initial(spec: InitialDataSpec, n: int, seed: int) -> SpectralField:
         f = SpectralField.from_modes(
             n, [((k1, k2), complex(re, im)) for k1, k2, re, im in spec.modes])
     elif spec.kind == "random_decay":
-        abs2 = _grids(n)[2]
+        modes = ModeSet(n)
+        abs2 = modes.abs2
         # the half plane k1 > 0, or k1 = 0 and k2 > 0; row-major order is the draw order
         half = np.zeros(abs2.shape, dtype=bool)
         half[n + 1 :] = True
@@ -278,7 +279,7 @@ def generate_initial(spec: InitialDataSpec, n: int, seed: int) -> SpectralField:
         c.real[half] = mag * e.real - 0.0 * e.imag
         c.imag[half] = mag * e.imag + 0.0 * e.real
         c[::-1, ::-1][half] = np.conj(c[half])
-        f = SpectralField(ModeSet(n), c)
+        f = SpectralField(modes, c)
     elif spec.kind == "snapshot":
         with file_errors(spec.path, "initial_data.path: "):
             try:

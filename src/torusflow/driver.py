@@ -11,8 +11,8 @@ import math
 import os
 from dataclasses import asdict, dataclass
 
-from .config import ConfigError, RunConfig, config_to_dict, prepare_initial
-from .integrate import RunOutcome, _blowup_threshold, simulate, simulate_batch
+from .config import ConfigError, RunConfig, config_to_dict, file_errors, prepare_initial
+from .integrate import RunOutcome, _blowup_threshold, simulate_batch
 from .output import write_report_json, write_trace_csv
 from .spectral import NormVector, norm_vector, write_snapshot
 from .theory import (
@@ -101,11 +101,16 @@ def check_only(cfg: RunConfig) -> ExecutionResult:
                            initial_norms=nv, report=report)
 
 
+def make_output_dir(path) -> None:
+    """Create the directory path; one that cannot be is a config error."""
+    with file_errors(path, "output directory "):
+        os.makedirs(path, exist_ok=True)
+
+
 def _snapshot_writer(cfg: RunConfig, outdir):
     """The on_record that writes the config's snapshots under outdir, or None."""
     if cfg.outputs.snapshot_every <= 0:
         return None
-    os.makedirs(outdir, exist_ok=True)
     prefix = os.path.join(outdir, cfg.outputs.snapshot_prefix)
 
     def on_record(step, t, field):
@@ -133,7 +138,6 @@ def _finish(cfg: RunConfig, outdir, prepared, outcome: RunOutcome) -> ExecutionR
         "mean_u_final": mean_final + (1.0 if cfg.model == "thinfilm" else 0.0),
     }
 
-    os.makedirs(outdir, exist_ok=True)
     write_trace_csv(outcome.trace, os.path.join(outdir, cfg.outputs.trace_csv))
     write_report_json(report, os.path.join(outdir, cfg.outputs.report_json))
 
@@ -145,16 +149,17 @@ def execute_run(cfg: RunConfig, outdir=None) -> ExecutionResult:
     """Full pipeline; writes trace CSV, report JSON and optional snapshots
     under outdir (default: the config's output directory)."""
     outdir = cfg.outputs.directory if outdir is None else outdir
-    prepared = _prepare(cfg)
-    outcome = simulate(prepared[0], cfg.params, cfg.stepper, cfg.model,
-                       _snapshot_writer(cfg, outdir), cfg.outputs.snapshot_every or None)
-    return _finish(cfg, outdir, prepared, outcome)
+    return execute_batch([(cfg, outdir, _prepare(cfg))])[0]
 
 
 def execute_batch(runs) -> list:
     """execute_run for each (cfg, outdir, _prepare(cfg)) of runs, stepped
     together in one march; the configs may differ only in initial data,
-    blow-up threshold and outputs other than snapshot_every."""
+    blow-up threshold and outputs other than snapshot_every.  An output
+    directory that cannot be created is a config error, raised before the
+    march."""
+    for _, outdir, _ in runs:
+        make_output_dir(outdir)
     cfg = runs[0][0]
     outcomes = simulate_batch([p[0] for _, _, p in runs], cfg.params,
                               [c.stepper for c, _, _ in runs], cfg.model,

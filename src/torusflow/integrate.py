@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .models import MAX_STEPS, RHS, _require_zero_mean, check_fields, make_rhs
-from .spectral import SpectralField, _full, _moduli, _norms, _release_work
+from .spectral import ModeSet, SpectralField, _full, _moduli, _norms
 
 __all__ = [
     "SCHEMES",
@@ -210,10 +210,10 @@ def _blowup_threshold(stepper: StepperConfig, a0_init: float) -> float:
     return threshold
 
 
-def _trace_row(t: float, c: np.ndarray, a: np.ndarray, n: int, dt: float) -> list:
-    """The trace rows at time t of the stacked half blocks c (B, 2n+1, n+1),
-    whose moduli are a."""
-    return [(t, *nv, mean, dt) for nv, mean in zip(_norms(c, a), c[:, n, 0].real.tolist())]
+def _trace_row(t: float, c: np.ndarray, a: np.ndarray, modes: ModeSet, dt: float) -> list:
+    """The trace rows at time t of the stacked half blocks c (B, 2n+1, n+1)
+    over modes, whose moduli are a."""
+    return [(t, *nv, mean, dt) for nv, mean in zip(_norms(c, modes, a), c[:, modes.n, 0].real.tolist())]
 
 
 def _verdict(c: np.ndarray, a0: float, threshold: float, abs2: np.ndarray) -> tuple:
@@ -223,13 +223,13 @@ def _verdict(c: np.ndarray, a0: float, threshold: float, abs2: np.ndarray) -> tu
     than 1e-12 relative of the correctly rounded A^0, so it decides both
     unless it is non-finite or within 1e-12 of a boundary: the threshold, or
     the float maximum over (2n^2)^3, as A^s <= (2n^2)^(s/2) A^0 on the mode
-    set.  There one exact norm row decides both."""
+    set.  There one exact norm row decides both, its weights built for it."""
     if abs(a0 - threshold) > 1e-12 * threshold \
             and a0 * float(abs2[0, -1]) ** 3 * (1.0 + 1e-12) < sys.float_info.max:
         return False, a0 > threshold
     if not math.isfinite(a0) and not np.isfinite(c).all():
         return True, False  # a nan or inf coefficient, judged without a norm or a warning
-    nv = _norms(c)
+    nv = _norms(c, ModeSet(c.shape[-1] - 1))
     failed = not all(map(math.isfinite, nv))
     return failed, not failed and nv[0] > threshold
 
@@ -269,7 +269,7 @@ def simulate_batch(u0s, params, steppers, model: str, on_record=None,
     stepper, modes = steppers[0], u0s[0].modes
     dt, abs2 = stepper.dt, modes.abs2[:, modes.n :]
     c = np.stack([u0.half for u0 in u0s])
-    rows = [[row] for row in _trace_row(0.0, c, _moduli(c), modes.n, dt)]
+    rows = [[row] for row in _trace_row(0.0, c, _moduli(c), modes, dt)]
     thresholds = [_blowup_threshold(s, row[0][1]) for s, row in zip(steppers, rows)]
     n_steps = max(1, round(stepper.t_end / dt))
     fields_every = record_fields_every if record_fields_every is not None else stepper.record_every
@@ -287,39 +287,36 @@ def simulate_batch(u0s, params, steppers, model: str, on_record=None,
 
     live = list(range(len(u0s)))
     ends = [None] * len(u0s)  # (status, final_time, final half block) of each member
-    try:
-        for i in range(1, n_steps + 1):
-            # overflow in a step is judged by _verdict, not by warnings
-            with np.errstate(over="ignore", invalid="ignore"):
-                c_prev, c = c, impl.advance(c)
-                a = np.abs(c)
-                a0 = (a[:, :, 0].sum(axis=1) + 2.0 * a[:, :, 1:].sum(axis=(1, 2))).tolist()
-            t = i * dt
-            keep, recorded = [], []
-            for j, b in enumerate(live):
-                failed, blowup = _verdict(c[j], a0[j], thresholds[b], abs2)
-                if failed:
-                    ends[b] = (STATUS_FAILURE, (i - 1) * dt, c_prev[j])
-                    continue
-                last = blowup or i == n_steps
-                if last or i % stepper.record_every == 0:
-                    recorded.append(j)
-                if on_record[b] is not None and (last or i % fields_every == 0):
-                    on_record[b](i, t, SpectralField(modes, _full(c[j])))
-                if last:
-                    ends[b] = (STATUS_BLOWUP if blowup else STATUS_COMPLETED, t, c[j])
-                else:
-                    keep.append(j)
-            if recorded:
-                some = recorded if len(recorded) < len(live) else slice(None)
-                for j, row in zip(recorded, _trace_row(t, c[some], a[some], modes.n, dt)):
-                    rows[live[j]].append(row)
-            if len(keep) < len(live):
-                live, c = [live[j] for j in keep], c[keep]
-                if not live:
-                    break
-    finally:
-        _release_work()
+    for i in range(1, n_steps + 1):
+        # overflow in a step is judged by _verdict, not by warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            c_prev, c = c, impl.advance(c)
+            a = np.abs(c)
+            a0 = (a[:, :, 0].sum(axis=1) + 2.0 * a[:, :, 1:].sum(axis=(1, 2))).tolist()
+        t = i * dt
+        keep, recorded = [], []
+        for j, b in enumerate(live):
+            failed, blowup = _verdict(c[j], a0[j], thresholds[b], abs2)
+            if failed:
+                ends[b] = (STATUS_FAILURE, (i - 1) * dt, c_prev[j])
+                continue
+            last = blowup or i == n_steps
+            if last or i % stepper.record_every == 0:
+                recorded.append(j)
+            if on_record[b] is not None and (last or i % fields_every == 0):
+                on_record[b](i, t, SpectralField(modes, _full(c[j])))
+            if last:
+                ends[b] = (STATUS_BLOWUP if blowup else STATUS_COMPLETED, t, c[j])
+            else:
+                keep.append(j)
+        if recorded:
+            some = recorded if len(recorded) < len(live) else slice(None)
+            for j, row in zip(recorded, _trace_row(t, c[some], a[some], modes, dt)):
+                rows[live[j]].append(row)
+        if len(keep) < len(live):
+            live, c = [live[j] for j in keep], c[keep]
+            if not live:
+                break
 
     return [RunOutcome(status=s, final_time=ft, trace=NormTrace.from_rows(r),
                        final_field=SpectralField(modes, _full(f)))

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -191,41 +191,41 @@ def _require_zero_mean(v: SpectralField, what: str) -> None:
         raise ValueError(f"{what} must have zero mean, |vhat(0)| = {m:.3e}")
 
 
-@lru_cache(maxsize=None)
-def _symbols(n: int) -> dict:
+def _symbols(n: int, *names) -> list:
     """Read-only derivative multipliers for cutoff n on the k2 >= 0 half
-    plane, built on first use; the stacks fed to _galerkin are in the order
-    the pointwise forms unpack them.
-    """
+    plane, one stack per name, each in the order the pointwise forms unpack
+    it."""
     k1, k2, abs2 = _grids(n)
     h1, h2, habs2 = k1[:, n:], k2[:, n:], abs2[:, n:]
     one = np.ones_like(habs2)
-    sym = {
-        "grad": np.stack([1j * h1, 1j * h2]),
+    make = {
+        "grad": lambda: np.stack([1j * h1, 1j * h2]),
         # u,11 u,22 u,12; real, but stored complex as the product with a
         # complex block casts it: the same values, without a cast per call
-        "hessian": -np.stack([h1 * h1, h2 * h2, h1 * h2]).astype(np.complex128),
-        "flux": np.stack([one, -1j * h1 * habs2, -1j * h2 * habs2]),  # v, d1 lap v, d2 lap v
+        "hessian": lambda: -np.stack([h1 * h1, h2 * h2, h1 * h2]).astype(np.complex128),
+        "flux": lambda: np.stack([one, -1j * h1 * habs2, -1j * h2 * habs2]),  # v, d1 lap v, d2 lap v
         # d1 v, d2 v, d1 lap v, d2 lap v
-        "gradlap": np.stack([1j * h1, 1j * h2, -1j * h1 * habs2, -1j * h2 * habs2]),
-        "timesbilap": np.stack([one, habs2**2]),  # v, lap^2 v
+        "gradlap": lambda: np.stack([1j * h1, 1j * h2, -1j * h1 * habs2, -1j * h2 * habs2]),
+        "timesbilap": lambda: np.stack([one, habs2**2]),  # v, lap^2 v
     }
-    for a in sym.values():
+    sym = [make[name]() for name in names]
+    for a in sym:
         a.setflags(write=False)
     return sym
 
 
-def _galerkin(c: np.ndarray, n: int, mult: np.ndarray, form) -> np.ndarray:
+def _galerkin(c: np.ndarray, n: int, mult: np.ndarray, form, work=None) -> np.ndarray:
     """Galerkin coefficients of the products form(fields) returns, where
     fields[i] samples mult[i] * u on the 3n+1 grid, which is alias-free for
     quadratic forms.  c may carry one leading batch axis; the fields, and
     the products, stack on a new leading axis.  One batched inverse and one
-    batched forward real transform.  The fields are a work array reused by
-    the next call, and a form writes its products over them."""
-    return _from_grid(form(_to_grid(c, n, _pad_size(n), mult)), n)
+    batched forward real transform, in the arrays of the work dict when
+    given; a form writes its products over the fields."""
+    return _from_grid(form(_to_grid(c, n, _pad_size(n), mult, work)), n, work)
 
 
 def _det2_and_lap_sq(fields):
+    """(2 det D^2 u, (lap u)^2) over the samples of u,11 u,22 u,12."""
     u11, u22, u12 = fields
     det = np.multiply(u11, u22)
     np.subtract(det, np.multiply(u12, u12, out=u12), out=det)
@@ -233,11 +233,6 @@ def _det2_and_lap_sq(fields):
     np.multiply(u22, u22, out=u22)
     np.multiply(2.0, det, out=u11)
     return fields[:2]
-
-
-def _epitaxial_terms(c: np.ndarray, n: int):
-    """(2 det D^2 u, (lap u)^2) from one inverse and one forward transform."""
-    return _galerkin(c, n, _symbols(n)["hessian"], _det2_and_lap_sq)
 
 
 def _flux(fields):
@@ -260,27 +255,58 @@ def _times(fields):
     return v
 
 
-def _power_hat(c: np.ndarray, n: int, p: int) -> np.ndarray:
+def _power_hat(c: np.ndarray, n: int, p: int, work=None) -> np.ndarray:
     """Galerkin coefficients of (1 + v)^p: sampled on an alias-free grid
     (N >= (p+1) n + 1), raised pointwise in place, truncated once."""
-    v = _to_grid(c, n, _fast_len((p + 1) * n + 1))
+    v = _to_grid(c, n, _fast_len((p + 1) * n + 1), work=work)
     np.add(1.0, v, out=v)
     v **= p  # ** keeps numpy's p = 2 fast path
-    return _from_grid(v, n)
+    return _from_grid(v, n, work)
 
 
-class EpitaxialRhs:
-    """Stepper-facing evaluator: diagonal linear symbol plus the explicit
-    nonlinearity, with the k = 0 output pinned to zero (both nonlinearities
-    integrate to zero over the torus, and the mean is frozen structurally)."""
+class _Rhs:
+    """Stepper-facing evaluator of one model at cutoff n: the diagonal linear
+    symbol plus the explicit nonlinearity, k = 0 output pinned to zero.  It
+    owns its multipliers (SYMBOLS, built on first use) and the work arrays
+    of its transforms; they go when it does."""
 
-    params_type = EpitaxialParams
-    linear_label = "K0*lap(u) - K2*lap^2(u)"
+    SYMBOLS = ()
+    symbols = cached_property(lambda self: _symbols(self.n, *self.SYMBOLS))
 
-    def __init__(self, n: int, params: EpitaxialParams):
+    def __init__(self, n: int, params):
         self.n = int(n)
         self.params = params
         self.abs2 = _grids(self.n)[2][:, self.n :]
+        self._work = {}
+
+    def work(self, c: np.ndarray) -> dict:
+        """The work dict of stacks shaped like c; a new one when the shape
+        changes (members left the stack) lets the old arrays go."""
+        if c.shape not in self._work:
+            self._work = {c.shape: {}}
+        return self._work[c.shape]
+
+    def nonlinear(self, c: np.ndarray) -> np.ndarray:
+        terms = self.terms(c)
+        if not terms:
+            return np.zeros_like(c)
+        out = terms[0][1]
+        for _, t in terms[1:]:
+            out += t
+        out[..., self.n, 0] = 0.0
+        return out
+
+
+class EpitaxialRhs(_Rhs):
+    """The epitaxial evaluator; both nonlinearities integrate to zero over
+    the torus, and the mean is frozen structurally."""
+
+    params_type = EpitaxialParams
+    linear_label = "K0*lap(u) - K2*lap^2(u)"
+    SYMBOLS = ("hessian",)
+
+    def __init__(self, n: int, params: EpitaxialParams):
+        super().__init__(n, params)
         self.linear = -params.K0 * self.abs2 - params.K2 * self.abs2**2
         self.linear.setflags(write=False)
         # -(K3/2) lap (lap u)^2 has coefficient +(K3/2) |k|^2 d(k)
@@ -292,7 +318,7 @@ class EpitaxialRhs:
         p = self.params
         if p.K1 == 0.0 and p.K3 == 0.0:
             return []
-        h, d = _epitaxial_terms(c, self.n)
+        h, d = _galerkin(c, self.n, *self.symbols, _det2_and_lap_sq, self.work(c))
         out = []
         if p.K1 != 0.0:
             out.append(("K1 * 2 det D^2 u", np.multiply(p.K1, h, out=h)))
@@ -300,23 +326,18 @@ class EpitaxialRhs:
             out.append(("-(K3/2) lap (lap u)^2", np.multiply(self.lap_k3, d, out=d)))
         return out
 
-    def nonlinear(self, c: np.ndarray) -> np.ndarray:
-        return _sum_terms(self.terms(c), c, self.n)
 
-
-class ThinFilmRhs:
-    """Stepper-facing evaluator for the zero-mean thin-film system: linear
-    symbol -|k|^4, the quadratic flux divergence and -chi lap (1+v)^p
-    explicit.  k = 0 output vanishes by the divergence structure and is
-    pinned exactly."""
+class ThinFilmRhs(_Rhs):
+    """The zero-mean thin-film evaluator: linear symbol -|k|^4, the
+    quadratic flux divergence and -chi lap (1+v)^p explicit.  k = 0 output
+    vanishes by the divergence structure."""
 
     params_type = ThinFilmParams
     linear_label = "-lap^2 v"
+    SYMBOLS = ("grad", "flux")
 
     def __init__(self, n: int, params: ThinFilmParams):
-        self.n = int(n)
-        self.params = params
-        self.abs2 = _grids(self.n)[2][:, self.n :]
+        super().__init__(n, params)
         self.linear = -(self.abs2**2)
         self.linear.setflags(write=False)
         # -chi lap (1+v)^p has coefficient +chi |k|^2 power_hat(k)
@@ -325,31 +346,19 @@ class ThinFilmRhs:
 
     def terms(self, c: np.ndarray) -> list:
         """Explicit terms as (label, coefficients)."""
-        n, sym = self.n, _symbols(self.n)
+        n, work = self.n, self.work(c)
+        grad, flux_mult = self.symbols
         # div (v grad lap v) = grad v . grad lap v + v lap^2 v is i k . F,
         # with F the Galerkin coefficients of v grad lap v
-        flux = _galerkin(c, n, sym["flux"], _flux)
-        grad = sym["grad"].reshape((2,) + (1,) * (c.ndim - 2) + c.shape[-2:])
+        flux = _galerkin(c, n, flux_mult, _flux, work)
+        grad = grad.reshape((2,) + (1,) * (c.ndim - 2) + c.shape[-2:])
         div = np.multiply(grad, flux, out=flux)[0]
         np.negative(np.add(div, flux[1], out=div), out=div)
-        power = _power_hat(c, n, self.params.p)
+        power = _power_hat(c, n, self.params.p, work)
         return [
             ("-grad v . grad lap v - v lap^2 v", div),
             ("-chi lap (1+v)^p", np.multiply(self.lap_chi, power, out=power)),
         ]
-
-    def nonlinear(self, c: np.ndarray) -> np.ndarray:
-        return _sum_terms(self.terms(c), c, self.n)
-
-
-def _sum_terms(terms: list, c: np.ndarray, n: int) -> np.ndarray:
-    if not terms:
-        return np.zeros_like(c)
-    out = terms[0][1]
-    for _, t in terms[1:]:
-        out += t
-    out[..., n, 0] = 0.0
-    return out
 
 
 RHS = {"epitaxial": EpitaxialRhs, "thinfilm": ThinFilmRhs}
@@ -393,13 +402,15 @@ def hessian_det2(u: SpectralField) -> SpectralField:
     The k = 0 coefficient vanishes to roundoff: det D^2 u is a null
     Lagrangian, so its torus integral is zero.
     """
-    return SpectralField(u.modes, _full(_epitaxial_terms(u.half, u.n)[0]))
+    h = _galerkin(u.half, u.n, *_symbols(u.n, "hessian"), _det2_and_lap_sq)[0]
+    return SpectralField(u.modes, _full(h))
 
 
 def delta_of_delta_sq(u: SpectralField) -> SpectralField:
     """Spectral lap (lap u)^2: the -|k|^2 multiplier applied to the Galerkin
     coefficients of (lap u)^2."""
-    return SpectralField(u.modes, _full(-u.modes.abs2[:, u.n :] * _epitaxial_terms(u.half, u.n)[1]))
+    d = _galerkin(u.half, u.n, *_symbols(u.n, "hessian"), _det2_and_lap_sq)[1]
+    return SpectralField(u.modes, _full(-u.modes.abs2[:, u.n :] * d))
 
 
 def epitaxial_rhs(u: SpectralField, params: EpitaxialParams) -> SpectralField:
@@ -415,13 +426,13 @@ def power_term(v: SpectralField, p) -> SpectralField:
 
 def grad_dot_grad_lap(v: SpectralField) -> SpectralField:
     """Spectral grad v . grad lap v = v,i v,jji; weight m.(k-m) |k-m|^2."""
-    half = _galerkin(v.half, v.n, _symbols(v.n)["gradlap"], _dot_pairs)
+    half = _galerkin(v.half, v.n, *_symbols(v.n, "gradlap"), _dot_pairs)
     return SpectralField(v.modes, _full(half))
 
 
 def times_bilap(v: SpectralField) -> SpectralField:
     """Spectral v lap^2 v; weight |k-m|^4."""
-    half = _galerkin(v.half, v.n, _symbols(v.n)["timesbilap"], _times)
+    half = _galerkin(v.half, v.n, *_symbols(v.n, "timesbilap"), _times)
     return SpectralField(v.modes, _full(half))
 
 

@@ -9,9 +9,8 @@ validated on construction and exact afterwards.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import itemgetter
 
 import numpy as np
@@ -46,7 +45,6 @@ SNAPSHOT_HERMITIAN_TOL = 1e-10
 _HERMITIAN_RTOL = 1e-10
 
 
-@lru_cache(maxsize=None)
 def _grids(n: int):
     """Integer wavenumber grids (k1, k2, |k|^2) for cutoff n, read-only."""
     k = np.arange(-n, n + 1)
@@ -59,7 +57,9 @@ def _grids(n: int):
 
 @dataclass(frozen=True)
 class ModeSet:
-    """Square set of retained modes: k in Z^2 with max(|k1|, |k2|) <= n."""
+    """Square set of retained modes: k in Z^2 with max(|k1|, |k2|) <= n.
+    Its grids and norm weights are built on first use and live as long as
+    it does."""
 
     n: int
 
@@ -74,18 +74,30 @@ class ModeSet:
     def size(self) -> int:
         return 2 * self.n + 1
 
-    @property
-    def k1(self) -> np.ndarray:
-        return _grids(self.n)[0]
+    grids = cached_property(lambda self: _grids(self.n))
+    k1 = property(lambda self: self.grids[0])
+    k2 = property(lambda self: self.grids[1])
+    abs2 = property(lambda self: self.grids[2], doc="|k|^2 over the mode grid, float valued.")
 
-    @property
-    def k2(self) -> np.ndarray:
-        return _grids(self.n)[1]
+    @cached_property
+    def norm_weights(self) -> np.ndarray:
+        """Read-only (4, (2n+1)(n+1)) weights 1, |k|^2, |k|^4, |k|^6 over a
+        flattened k2 >= 0 half block."""
+        abs2 = self.abs2[:, self.n :].ravel()
+        w4 = abs2 * abs2
+        w = np.stack([np.ones_like(abs2), abs2, w4, w4 * abs2])
+        w.setflags(write=False)
+        return w
 
-    @property
-    def abs2(self) -> np.ndarray:
-        """|k|^2 over the mode grid, float valued."""
-        return _grids(self.n)[2]
+    @cached_property
+    def twice(self) -> np.ndarray:
+        """Read-only factors of the terms of a flattened k2 >= 0 half block:
+        2.0 where k2 > 0, a term that stands for k and -k."""
+        f = np.full((self.size, self.n + 1), 2.0)
+        f[:, 0] = 1.0
+        f = f.ravel()
+        f.setflags(write=False)
+        return f
 
 
 def _hermitian_flip(c: np.ndarray) -> np.ndarray:
@@ -294,16 +306,16 @@ def _row_sums(a: np.ndarray, w=None, twice=None) -> list:
     return sums
 
 
-def _wiener_sums(a: np.ndarray, weights: np.ndarray) -> list:
+def _wiener_sums(a: np.ndarray, weights: np.ndarray, twice: np.ndarray) -> list:
     """sum_k w(k) |c(k)| for each row w of weights over the flattened half
     block, from the moduli a = |c| of k2 >= 0 half blocks (..., 2n+1, n+1):
     a list of the sums, one list per block of a stack.  A k2 > 0 term stands
-    for k and -k, so it is doubled after weighting (exact).  Each sum is
-    correctly rounded, bit for bit math.fsum of its terms (see _row_sums).
-    The one place that decides overflow: past the float range gives inf,
-    with no exception or warning."""
+    for k and -k, so it is doubled after weighting by twice (exact).  Each
+    sum is correctly rounded, bit for bit math.fsum of its terms (see
+    _row_sums).  The one place that decides overflow: past the float range
+    gives inf, with no exception or warning."""
     lead, (rows, cols) = a.shape[:-2], a.shape[-2:]
-    sums = _row_sums(a.reshape(-1, rows * cols), weights, _twice(cols - 1))
+    sums = _row_sums(a.reshape(-1, rows * cols), weights, twice)
     return np.reshape(sums, lead + (len(weights),)).tolist()
 
 
@@ -323,41 +335,19 @@ def wiener_norm(f: SpectralField, s: float) -> float:
     if s < 0:
         raise ValueError(f"Wiener exponent must be >= 0, got {s}")
     w = f.modes.abs2[:, f.n :] ** (s / 2.0)
-    return _wiener_sums(_moduli(f.half), w.reshape(1, -1))[0]
+    return _wiener_sums(_moduli(f.half), w.reshape(1, -1), f.modes.twice)[0]
 
 
-@lru_cache(maxsize=None)
-def _twice(n: int) -> np.ndarray:
-    """Read-only factors of the terms of a flattened k2 >= 0 half block
-    (2n+1, n+1): 2.0 where k2 > 0, a term that stands for k and -k."""
-    f = np.full((2 * n + 1, n + 1), 2.0)
-    f[:, 0] = 1.0
-    f = f.ravel()
-    f.setflags(write=False)
-    return f
-
-
-@lru_cache(maxsize=None)
-def _norm_weights(n: int) -> np.ndarray:
-    """Read-only (4, (2n+1)(n+1)) weights 1, |k|^2, |k|^4, |k|^6 over a
-    flattened k2 >= 0 half block."""
-    abs2 = _grids(n)[2][:, n:].ravel()
-    w4 = abs2 * abs2
-    w = np.stack([np.ones_like(abs2), abs2, w4, w4 * abs2])
-    w.setflags(write=False)
-    return w
-
-
-def _norms(half: np.ndarray, a: np.ndarray | None = None) -> list:
-    """[A^0, A^2, A^4, A^6] of a k2 >= 0 half block, or one such list per
-    block of a stack; a, when given, is the blocks' moduli |half|."""
+def _norms(half: np.ndarray, modes: ModeSet, a: np.ndarray | None = None) -> list:
+    """[A^0, A^2, A^4, A^6] of a k2 >= 0 half block over modes, or one such
+    list per block of a stack; a, when given, is the blocks' moduli |half|."""
     a = _moduli(half) if a is None else a
-    return _wiener_sums(a, _norm_weights(half.shape[-1] - 1))
+    return _wiener_sums(a, modes.norm_weights, modes.twice)
 
 
 def norm_vector(f: SpectralField) -> NormVector:
     """A^0, A^2, A^4, A^6 norms computed from a single |coeff| pass."""
-    return NormVector(*_norms(f.half))
+    return NormVector(*_norms(f.half, f.modes))
 
 
 @lru_cache(maxsize=None)
@@ -383,28 +373,19 @@ def _pad_size(n: int) -> int:
 # coefficients in an (N, n+1) block, row a holding k1 = a (a <= n) or a - N
 # (a >= N - n); uhat(-k) = conj(uhat(k)) gives the rest.  A 2-D real
 # transform is two pruned 1-D passes, complex over k1 on the n+1 columns and
-# real over k2 zero-padded to N, into per-thread work arrays reused from call
-# to call.  Leading batch axes let one call transform a whole stack.
-
-_WORK = threading.local()
-_WORK_SETS = 8  # the thin film alternates two grids; a batch shrinks as members leave
+# real over k2 zero-padded to N, into work arrays: fresh ones, or those of a
+# dict the caller owns and passes as work, reused by every call that has the
+# same shapes.  Leading batch axes let one call transform a whole stack.
 
 
-def _work(*specs) -> list:
-    """This thread's work arrays, one per (shape, dtype) in specs, zeroed when
-    made and reused by every later call with the same specs."""
-    cache = vars(_WORK).setdefault("arrays", {})  # this thread's own dict
-    if specs not in cache:
-        if len(cache) >= _WORK_SETS:
-            cache.clear()
-        cache[specs] = [np.zeros(shape, dtype) for shape, dtype in specs]
-    return cache[specs]
-
-
-def _release_work() -> None:
-    """Drop this thread's work arrays, so that a finished run does not keep
-    the transform memory of its grids."""
-    vars(_WORK).get("arrays", {}).clear()
+def _work(work, *specs) -> list:
+    """Work arrays, one per (shape, dtype) in specs, zeroed when made: fresh
+    ones when work is None, else those the dict work keeps for specs."""
+    if work is None:
+        return [np.zeros(shape, dtype) for shape, dtype in specs]
+    if specs not in work:
+        work[specs] = _work(None, *specs)
+    return work[specs]
 
 
 def _embed(half: np.ndarray, n: int, N: int, out: np.ndarray, mult=None) -> np.ndarray:
@@ -434,26 +415,27 @@ def _full(half: np.ndarray) -> np.ndarray:
     return np.concatenate([_hermitian_flip(half)[..., :-1], half], axis=-1)
 
 
-def _to_grid(half: np.ndarray, n: int, N: int, mult=None) -> np.ndarray:
+def _to_grid(half: np.ndarray, n: int, N: int, mult=None, work=None) -> np.ndarray:
     """Samples u(2 pi a / N, 2 pi b / N) of the fields whose k2 >= 0 half
     blocks are given or, with mult (F, 2n+1, n+1), of the F fields mult[i] *
     half, stacked on a new leading axis; one batched inverse real transform.
-    The result is a work array that the next call with the same shapes
-    overwrites."""
+    With a work dict the result is a work array that the next call with the
+    same shapes and dict overwrites."""
     if mult is not None:
         mult = mult.reshape(mult.shape[:1] + (1,) * (half.ndim - 2) + mult.shape[1:])
     lead = half.shape[:-2] if mult is None else mult.shape[:1] + half.shape[:-2]
     block = lead + (N, n + 1)
-    emb, col, grid = _work((block, complex), (block, complex), (block[:-1] + (N,), float))
+    emb, col, grid = _work(work, (block, complex), (block, complex), (block[:-1] + (N,), float))
     np.fft.ifft(_embed(half, n, N, emb, mult), axis=-2, norm="forward", out=col)
     return np.fft.irfft(col, n=N, axis=-1, norm="forward", out=grid)
 
 
-def _from_grid(values: np.ndarray, n: int) -> np.ndarray:
+def _from_grid(values: np.ndarray, n: int, work=None) -> np.ndarray:
     """k2 >= 0 half blocks of |k| <= n of real samples on an N x N grid; one
-    batched forward real transform."""
+    batched forward real transform, its passes in work arrays (see _to_grid)."""
     N, block = values.shape[-1], values.shape[:-1] + (n + 1,)
-    row, col, spec = _work((values.shape[:-1] + (N // 2 + 1,), complex), (block, complex), (block, complex))
+    row, col, spec = _work(work, (values.shape[:-1] + (N // 2 + 1,), complex), (block, complex),
+                           (block, complex))
     np.fft.rfft(values, axis=-1, out=row)
     # Scale once, after the row pass, real and imaginary parts alike: the
     # order and factor of pocketfft's 2-D r2c with norm="forward".
@@ -544,7 +526,7 @@ def to_real_samples(f: SpectralField, grid_n: int) -> np.ndarray:
     N = int(grid_n)
     if N < 2 * f.n + 2:
         raise ValueError(f"grid size {N} too small for cutoff {f.n}; need N >= {2 * f.n + 2}")
-    return _to_grid(f.half, f.n, N).copy()
+    return _to_grid(f.half, f.n, N)
 
 
 def from_real_samples(samples: np.ndarray, n: int) -> SpectralField:

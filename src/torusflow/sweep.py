@@ -16,7 +16,7 @@ import os
 from dataclasses import replace
 
 from .config import ConfigError, parse_config
-from .driver import _prepare, execute_batch, execute_run
+from .driver import _prepare, execute_batch, make_output_dir
 from .models import make_rhs
 
 __all__ = ["set_by_path", "expand_axes", "run_sweep", "write_sweep_summary"]
@@ -115,7 +115,7 @@ def _run_batch(members) -> None:
     try:
         results = execute_batch([run for _, run in runs])
     except Exception:  # each member on its own, as the row of a solo run
-        results = [_guarded(row, lambda: execute_run(run[0], outdir=run[1])) for row, run in runs]
+        results = [_guarded(row, lambda: execute_batch([run])[0]) for row, run in runs]
     for (row, _), result in zip(runs, results):
         if result is not None:
             _fill(row, result)
@@ -146,7 +146,7 @@ def run_sweep(base: dict, axes, outdir: str, max_runs: int = DEFAULT_MAX_RUNS) -
         raise ConfigError([
             f"sweep size {len(combos)} exceeds the cap of {max_runs} runs"
         ])
-    os.makedirs(outdir, exist_ok=True)
+    make_output_dir(outdir)
     rows, groups = [], {}
     for i, combo in enumerate(combos):
         rows.append({"run_id": i, **combo, **dict.fromkeys(SUMMARY_FIXED_FIELDS)})

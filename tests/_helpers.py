@@ -1,5 +1,8 @@
 """Shared test utilities: reproducible random fields and brute-force oracles."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 
 from torusflow import ModeSet, SpectralField
@@ -28,6 +31,21 @@ def scaled_to(field, s, value):
 
     cur = wiener_norm(field, s)
     return SpectralField(field.modes, field.coeff * (value / cur))
+
+
+def held_after(call, *args) -> int:
+    """Bytes that tracemalloc still counts once call(*args) has returned and
+    its result is dropped: what the call left behind.  Run call first at
+    another size, so that imports and small caches are already in place."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call(*args)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
 
 
 def rel_err(got, want):

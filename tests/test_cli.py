@@ -504,6 +504,34 @@ class TestFileErrors:
         assert [r["status"] for r in rows] == ["config_error", "completed"]
         assert rows[0]["error"] == f"initial_data.path: {tmp_path / 'nope.txt'}: no such file"
 
+    def test_check_output_is_a_directory(self, tmp_path, capsys):
+        cfgp = tmp_path / "cfg.json"
+        write_config(cfgp)
+        self._config_error(capsys, ["check", str(cfgp), "--output", str(tmp_path)],
+                           f"--output {tmp_path}: Is a directory")
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_outdir_is_a_file(self, tmp_path, capsys, command):
+        cfgp, axesp, taken = tmp_path / "cfg.json", tmp_path / "axes.json", tmp_path / "taken"
+        write_config(cfgp)
+        axesp.write_text(json.dumps({"axes": [{"path": "seed", "values": [1]}]}))
+        taken.write_text("")
+        argv = [command, str(cfgp)] + ([str(axesp)] if command == "sweep" else [])
+        self._config_error(capsys, argv + ["--outdir", str(taken)],
+                           f"output directory {taken}: File exists")
+
+    def test_sweep_member_directory_that_cannot_be_made(self, tmp_path, capsys):
+        cfgp, axesp = tmp_path / "cfg.json", tmp_path / "axes.json"
+        write_config(cfgp)
+        axesp.write_text(json.dumps({"axes": [{"path": "seed", "values": [1, 2]}]}))
+        (tmp_path / "sw").mkdir()
+        (tmp_path / "sw" / "run_0000").write_text("")
+        assert main(["sweep", str(cfgp), str(axesp), "--outdir", str(tmp_path / "sw")]) == 0
+        with open(tmp_path / "sw" / "summary.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["status"] for r in rows] == ["config_error", "completed"]
+        assert rows[0]["error"] == f"output directory {tmp_path / 'sw' / 'run_0000'}: File exists"
+
 
 class TestEntryPoint:
     def test_console_script_runs(self, tmp_path):

@@ -31,6 +31,7 @@ from torusflow.models import EpitaxialRhs, ThinFilmRhs
 from torusflow.spectral import _fast_len, _grids, _pad_size
 from _helpers import (
     brute_bilinear,
+    held_after,
     max_abs_diff,
     random_field,
     rel_err,
@@ -130,6 +131,13 @@ class TestEpitaxialRhs:
     def test_zero_field(self):
         out = epitaxial_rhs(SpectralField.zeros(4), EpitaxialParams(K2=1.0))
         assert np.max(np.abs(out.coeff)) == 0.0
+
+    def test_keeps_no_arrays_once_returned(self):
+        def rhs(n):
+            epitaxial_rhs(random_field(n, 4), EpitaxialParams(K1=0.25, K2=1.0, K3=0.25))
+
+        rhs(32)
+        assert held_after(rhs, 48) < 64 * 1024
 
     def test_single_mode_hand_value(self):
         # u = eps cos x1: linear part (-K0 - K2) eps cos x1; the K3 term puts
@@ -271,6 +279,15 @@ class TestThinFilmRhs:
     def test_zero_field(self):
         out = thinfilm_rhs(SpectralField.zeros(4), ThinFilmParams(chi=0.5, p=3))
         assert np.max(np.abs(out.coeff)) < 1e-15
+
+    def test_keeps_no_arrays_once_returned(self):
+        # its evaluator's work arrays go with the evaluator, not at the end of
+        # a simulate_batch
+        def rhs(n):
+            thinfilm_rhs(random_field(n, 5), ThinFilmParams(chi=0.3, p=3))
+
+        rhs(48)
+        assert held_after(rhs, 64) < 64 * 1024
 
     def test_linearization_coefficient(self):
         # rhs(eps cos x1) = (-1 + chi p) eps cos x1 + O(eps^2), and the O(eps^2)

@@ -31,7 +31,7 @@ from torusflow import (
 )
 from torusflow import spectral
 from torusflow.spectral import _extract, _fast_len, _from_grid, _full, _pad_size, _to_grid
-from _helpers import brute_bilinear, max_abs_diff, random_field, w_plain
+from _helpers import brute_bilinear, held_after, max_abs_diff, random_field, w_plain
 
 
 def cos_x1(n=4, eps=1.0):
@@ -269,7 +269,8 @@ class TestWeightedSums:
         n = min(n, max(1, int(math.isqrt(a.shape[1] // 2))))
         M = (2 * n + 1) * (n + 1)
         a = np.resize(a, (a.shape[0], M))
-        w, twice = spectral._norm_weights(n), spectral._twice(n)
+        modes = ModeSet(n)
+        w, twice = modes.norm_weights, modes.twice
         want = _fsum_rows(spectral._terms(a, w, twice))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(spectral, "_FSUM_BELOW", 0)
@@ -656,21 +657,33 @@ class TestTransformLayer:
         assert samples.tobytes() == kept.tobytes()
 
     def test_a_finished_run_releases_its_work_arrays(self):
-        def held():
-            return sum(a.nbytes for arrays in vars(spectral._WORK)["arrays"].values() for a in arrays)
-
+        # the run's evaluator owns its work arrays and multipliers; nothing at
+        # module level keeps them once simulate returns or raises
         params = EpitaxialParams(K0=0.0, K1=0.25, K2=1.0, K3=0.25)
         stepper = StepperConfig(dt=1e-4, t_end=2e-4)
-        out = simulate(random_field(64, 3), params, stepper, "epitaxial")
-        assert out.status == "completed" and held() == 0
+
+        def run(n):
+            assert simulate(random_field(n, 3), params, stepper, "epitaxial").status == "completed"
 
         def fail(step, t, field):
             if step:
                 raise OSError("disk full")
 
-        with pytest.raises(OSError):
-            simulate(random_field(64, 3), params, stepper, "epitaxial", fail, 1)
-        assert held() == 0
+        def run_failing(n):
+            with pytest.raises(OSError):
+                simulate(random_field(n, 3), params, stepper, "epitaxial", fail, 1)
+
+        for call in (run, run_failing):
+            call(48)
+            assert held_after(call, 64) < 64 * 1024
+
+    def test_a_norm_keeps_nothing_of_a_dropped_field(self):
+        # the norm weights live on the field's mode set, and go with it
+        def norm(n):
+            norm_vector(random_field(n, 1))
+
+        norm(80)
+        assert held_after(norm, 96) < 64 * 1024
 
     def test_threads_do_not_share_work_arrays(self):
         # more threads than cores, switching often: shared work arrays would

@@ -224,6 +224,31 @@ class TestBatchIsolation:
                                            rtol=1e-14, atol=0)
         assert times[1] < times[2] < times[0]
 
+    def test_a_failed_batch_reruns_each_member_from_its_prepared_state(self, tmp_path,
+                                                                        monkeypatch):
+        base, values = mixed_base("epitaxial"), MIXED["epitaxial"][2]
+        want = run_sweep(base, [(AXIS, values)], str(tmp_path / "batched"))
+        march, prepare, prepared = driver.simulate_batch, driver._prepare, []
+
+        def solo_only(u0s, *a):
+            if len(u0s) > 1:
+                raise RuntimeError("no batches")
+            return march(u0s, *a)
+
+        def counted(cfg):
+            prepared.append(cfg.initial_data.normalize.value)
+            return prepare(cfg)
+
+        monkeypatch.setattr(driver, "simulate_batch", solo_only)
+        monkeypatch.setattr(driver, "_prepare", counted)
+        monkeypatch.setattr(sweep, "_prepare", counted)
+        got = run_sweep(base, [(AXIS, values)], str(tmp_path / "solo"))
+        assert prepared == values  # once each, the initial data generated once
+        assert got == want
+        for i in (0, 1, 2, 4):
+            trace = f"run_{i:04d}/trace.csv"
+            assert (tmp_path / "solo" / trace).read_bytes() == (tmp_path / "batched" / trace).read_bytes()
+
     def test_thin_film_batch_writes_the_solo_bytes(self, tmp_path, monkeypatch):
         # every norm is correctly rounded, so a batched member's trace and
         # snapshots are its solo run's, byte for byte
