@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 
 from .config import MAX_STEPS, ConfigError, file_errors, load_config, read_json
 from .driver import _prepare, check_only, execute_run
 from .integrate import simulate
 from .models import config_lines, unknown_keys, violations
-from .output import read_trace_csv, write_report_json
+from .output import read_trace_csv, report_text, write_report_json
 from .spectral import SpectralField, wiener_norm
 from .sweep import DEFAULT_MAX_RUNS, axis_errors, run_sweep
 from .theory import envelope_arg_errors, verify_decay_envelope
@@ -106,8 +105,7 @@ def _cmd_check(args) -> int:
         with file_errors(args.output, "--output "):
             write_report_json(result.report, args.output)
     else:
-        json.dump(result.report, sys.stdout, indent=2, sort_keys=True)
-        print()
+        sys.stdout.write(report_text(result.report))
     return EXIT_OK
 
 

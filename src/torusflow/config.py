@@ -1,9 +1,12 @@
 """Run configuration: JSON schema, validation, initial-data generation.
 
-Configs are strict: unknown keys are errors, domain violations are reported
-all at once with field-level messages.  Random initial data comes from a
-counter-based generator (Philox) keyed by the config seed, so runs are
-bit-reproducible.
+Configs are strict: unknown keys are errors, and every violation is
+reported at once with field-level messages, from the rows each config
+dataclass states (see models): RULES (with the fields each initial-data
+kind takes), nested SECTIONS, and CROSS rows for the params type, the grid
+caps and the modes' cutoff.  Constructing a dataclass raises the first.
+Random initial data comes from a counter-based generator (Philox) keyed by
+the config seed, so runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -11,12 +14,12 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 
 import numpy as np
 
 from .integrate import MODELS, StepperConfig
-from .models import (MAX_GRID, MAX_N, MAX_P, MAX_STEPS, N_RULE, RHS, config_lines,
+from .models import (MAX_GRID, MAX_N, MAX_P, MAX_STEPS, N_RULE, RHS, Checked, config_lines,
                      grid_violations, is_number, unknown_keys, violations)
 from .spectral import ModeSet, SpectralField, read_snapshot, wiener_norm, with_cutoff
 
@@ -39,13 +42,10 @@ __all__ = [
 ]
 
 NORM_EXPONENTS = {"a0": 0.0, "a2": 2.0, "a4": 4.0, "a6": 6.0}
-
-_TOP_RULES = (N_RULE, ("seed", True, lambda v: 0 <= v < 2**64, "must be a 64-bit unsigned integer"))
-_DECAY_RULES = (("amplitude", False, lambda v: v > 0, "must be > 0"),
-                ("sigma", False, lambda v: v >= 0, "must be >= 0"))
-_NORMALIZE_RULES = (("value", False, lambda v: v > 0, "must be > 0"),)
-_SNAPSHOT_RULES = (("snapshot_every", True, lambda v: v >= 0, "must be an integer >= 0"),)
-_REQUIRED_PARAMS = {"epitaxial": {"K2"}, "thinfilm": {"chi", "p"}}
+KINDS = {"modes": ("modes",), "random_decay": ("amplitude", "sigma"), "snapshot": ("path",)}
+# what a kind's field reads when it is left out, besides "required"
+_ABSENT = {"modes": "must be a nonempty list of [k1, k2, re, im]",
+           "path": "snapshot kind requires a file path"}
 
 
 class ConfigError(ValueError):
@@ -68,161 +68,147 @@ def file_errors(path, prefix: str = ""):
         raise ConfigError([f"{prefix}{path}: {e.strerror or e}"]) from None
 
 
+def mode_violations(modes, n=None) -> list:
+    """(modes[i], message, entry, False) per entry of modes that is not [k1, k2, re, im]
+    with integers k1, k2 (within cutoff n, if given) and finite numbers re, im."""
+    found = []
+    for i, e in enumerate(modes):
+        message = (
+            "must be [k1, k2, re, im]" if not isinstance(e, (list, tuple)) or len(e) != 4
+            else "k1, k2 must be integers" if not all(type(k) is int for k in e[:2])
+            else f"mode ({e[0]}, {e[1]}) outside cutoff n={n}" if n is not None and max(map(abs, e[:2])) > n
+            else "re, im must be finite numbers" if not (is_number(e[2]) and is_number(e[3])) else None)
+        found += [(f"modes[{i}]", message, e, False)] if message else []
+    return found
+
+
+def _kind_fields(s) -> list:
+    """For a known kind: its modes' entries, the fields it takes that s lacks, the others s has."""
+    if s.get("kind") not in tuple(KINDS):
+        return []
+    takes, modes = KINDS[s["kind"]], s.get("modes")
+    return (mode_violations(modes if "modes" in takes and isinstance(modes, (list, tuple)) else ())
+            + [(f, _ABSENT.get(f, "required"), None, False) for f in takes if f not in s]
+            + [(f, "unknown key", s[f], False) for f in ("modes", "amplitude", "sigma", "path")
+               if f in s and f not in takes])
+
+
+def _model_checks(s) -> list:
+    """The model's params type and grid caps, then the modes' cutoff; s lacks a section not built."""
+    want, found = RHS[s["model"]].params_type, []
+    if "params" in s:
+        found = ([("params." + f, *rest) for f, *rest in grid_violations(s["model"], s["n"], s["params"])]
+                 if isinstance(s["params"], want)
+                 else [("params", f"the {s['model']} model needs {want.__name__}", s["params"], True)])
+    modes = s["initial_data"].modes or () if "initial_data" in s else ()
+    return found + [("initial_data." + f, *rest) for f, *rest in mode_violations(modes, s["n"])]
+
+
 @dataclass(frozen=True)
-class NormalizeSpec:
+class NormalizeSpec(Checked):
     """Rescale generated data so that one Wiener norm hits an exact value."""
 
     norm: str
     value: float
 
+    RULES = (("norm", None, lambda v: v in tuple(NORM_EXPONENTS), f"must be one of {tuple(NORM_EXPONENTS)}"),
+             ("value", False, lambda v: v > 0, "must be > 0"))
+
 
 @dataclass(frozen=True)
-class InitialDataSpec:
+class InitialDataSpec(Checked):
     kind: str
-    modes: tuple = ()
+    modes: tuple | None = None
     amplitude: float | None = None
     sigma: float | None = None
     path: str | None = None
     zero_mean: bool = True
     normalize: NormalizeSpec | None = None
 
+    RULES = (("kind", None, lambda v: v in tuple(KINDS), f"must be one of {tuple(KINDS)}"),
+             ("modes", None, lambda v: isinstance(v, (list, tuple)) and len(v) > 0, _ABSENT["modes"]),
+             ("amplitude", False, lambda v: v > 0, "must be > 0"),
+             ("sigma", False, lambda v: v >= 0, "must be >= 0"),
+             ("path", None, lambda v: isinstance(v, str) and v != "", _ABSENT["path"]),
+             _kind_fields,
+             ("zero_mean", None, lambda v: isinstance(v, bool), "must be a boolean"))
+    SECTIONS = (("normalize", lambda s: NormalizeSpec, ("norm", "value")),)
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.modes is not None:  # plain tuples, as parsing the echo gives them
+            object.__setattr__(self, "modes", tuple((k1, k2, float(r), float(i)) for k1, k2, r, i in self.modes))
+
 
 @dataclass(frozen=True)
-class OutputSpec:
+class OutputSpec(Checked):
     directory: str = "."
     trace_csv: str = "trace.csv"
     report_json: str = "report.json"
     snapshot_every: int = 0
     snapshot_prefix: str = "snapshot"
 
+    RULES = (*((key, None, lambda v: isinstance(v, str) and v != "", "must be a nonempty string")
+               for key in ("directory", "trace_csv", "report_json", "snapshot_prefix")),
+             ("snapshot_every", True, lambda v: v >= 0, "must be an integer >= 0"))
+
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Checked):
     model: str
     n: int
     params: object
     initial_data: InitialDataSpec
-    stepper: StepperConfig
-    outputs: OutputSpec
-    seed: int
+    stepper: StepperConfig = StepperConfig(dt=1e-3, t_end=1.0)
+    outputs: OutputSpec = OutputSpec()
+    seed: int = 0
+
+    RULES = (("model", None, lambda v: v in MODELS, f"must be one of {MODELS}"), N_RULE,
+             ("seed", True, lambda v: 0 <= v < 2**64, "must be a 64-bit unsigned integer"))
+    # (field, its class given the values, or None; the keys a config must give)
+    SECTIONS = (("params", lambda s: s.get("model") in MODELS and RHS[s["model"]].params_type,
+                 ("K2", "chi", "p")),
+                ("initial_data", lambda s: InitialDataSpec, ("kind",)),
+                ("stepper", lambda s: StepperConfig, ()),
+                ("outputs", lambda s: OutputSpec, ()))
+    CROSS = (_model_checks,)
 
 
 def _section(cls, d, path: str, required=(), defaults=None):
     """(cls from d and defaults, or None; d's config-error lines under path):
-    unknown keys, cls.RULES in table order, then, if all else holds, cls.CROSS."""
+    unknown keys, cls.RULES in table order, each of cls.SECTIONS, then, if
+    the rules hold, cls.CROSS.  A section left out takes its default, and so
+    does a null one whose default is a section, which its keys default to."""
     if not isinstance(d, dict):
         return None, [f"{path[:-1]}: must be an object"]
     errors = unknown_keys(d, path, {f.name for f in fields(cls)})
     values = {**(defaults or {}), **d}
-    errors += config_lines(violations(cls.RULES, values, required,
-                                      () if errors else getattr(cls, "CROSS", ())), path)
+    found = violations(cls.RULES, values, required)
+    errors += config_lines(found, path)
+    for field, section, keys in cls.SECTIONS:
+        default, sub_cls = cls.__dataclass_fields__[field].default, section(values)
+        inner = {k: v for k, v in vars(default).items() if v is not None} if is_dataclass(default) else {}
+        if not sub_cls or values.get(field) is None and (field not in values or inner):
+            if sub_cls and default is MISSING:
+                errors.append(f"{path}{field}: required")
+            values.pop(field, None)  # left out, or null: the default
+            continue
+        built, sub = _section(sub_cls, values.pop(field), f"{path}{field}.", keys, inner)
+        values.update({} if built is None else {field: built})
+        errors += sub
+    if not found:
+        errors += config_lines(violations((), values, cross=cls.CROSS), path)
     return (None if errors else cls(**values)), errors
-
-
-def _parse_initial(d, n, path="initial_data."):
-    if not isinstance(d, dict):
-        return None, ["initial_data: must be an object"]
-    kinds = ("modes", "random_decay", "snapshot")
-    kind = d.get("kind")
-    if kind not in kinds:
-        return None, [f"{path}kind: must be one of {kinds}, got {kind!r}"]
-    errors = []
-    allowed = {"kind", "zero_mean", "normalize"}
-    modes = []
-    if kind == "modes":
-        allowed |= {"modes"}
-        raw = d.get("modes")
-        if not isinstance(raw, list) or not raw:
-            errors.append(f"{path}modes: must be a nonempty list of [k1, k2, re, im]")
-            raw = []
-        for i, entry in enumerate(raw):
-            if (not isinstance(entry, list)) or len(entry) != 4:
-                errors.append(f"{path}modes[{i}]: must be [k1, k2, re, im]")
-                continue
-            k1, k2, re, im = entry
-            if not all(isinstance(k, int) and not isinstance(k, bool) for k in (k1, k2)):
-                errors.append(f"{path}modes[{i}]: k1, k2 must be integers")
-            elif n is not None and max(abs(k1), abs(k2)) > n:
-                errors.append(f"{path}modes[{i}]: mode ({k1}, {k2}) outside cutoff n={n}")
-            elif not (is_number(re) and is_number(im)):
-                errors.append(f"{path}modes[{i}]: re, im must be finite numbers")
-            else:
-                modes.append((k1, k2, float(re), float(im)))
-    elif kind == "random_decay":
-        allowed |= {"amplitude", "sigma"}
-        errors += config_lines(violations(_DECAY_RULES, d, {"amplitude", "sigma"}), path)
-    else:
-        allowed |= {"path"}
-        if not isinstance(d.get("path"), str) or not d.get("path"):
-            errors.append(f"{path}path: snapshot kind requires a file path")
-    errors += unknown_keys(d, path, allowed)
-    zero_mean = d.get("zero_mean", True)
-    if not isinstance(zero_mean, bool):
-        errors.append(f"{path}zero_mean: must be a boolean")
-    nd = d.get("normalize")
-    if "normalize" in d and not isinstance(nd, dict):
-        errors.append(f"{path}normalize: must be an object")
-    elif nd is not None:
-        errors += unknown_keys(nd, path + "normalize.", {"norm", "value"})
-        if nd.get("norm") not in NORM_EXPONENTS:
-            errors.append(f"{path}normalize.norm: must be one of {tuple(NORM_EXPONENTS)}")
-        errors += config_lines(violations(_NORMALIZE_RULES, nd, {"value"}), path + "normalize.")
-    if errors:
-        return None, errors
-    decay = {k: float(d[k]) for k in ("amplitude", "sigma") if kind == "random_decay"}
-    normalize = None if nd is None else NormalizeSpec(norm=nd["norm"], value=float(nd["value"]))
-    return InitialDataSpec(kind=kind, modes=tuple(modes), path=d.get("path"),
-                           zero_mean=zero_mean, normalize=normalize, **decay), []
-
-
-def _parse_outputs(d, path="outputs."):
-    if not isinstance(d, dict):
-        return None, ["outputs: must be an object"]
-    errors = unknown_keys(d, path, {f.name for f in fields(OutputSpec)})
-    values = {**asdict(OutputSpec()), **d}
-    for key in ("directory", "trace_csv", "report_json", "snapshot_prefix"):
-        if not isinstance(values[key], str) or not values[key]:
-            errors.append(f"{path}{key}: must be a nonempty string")
-    errors += config_lines(violations(_SNAPSHOT_RULES, d), path)
-    return (None if errors else OutputSpec(**values)), errors
 
 
 def parse_config(raw: dict) -> RunConfig:
     """Validate a raw config dict, reporting every violation at once."""
     if not isinstance(raw, dict):
         raise ConfigError(["config: must be a JSON object"])
-    errors = unknown_keys(raw, "", {f.name for f in fields(RunConfig)})
-    model = raw.get("model")
-    if model not in MODELS:
-        errors.append(f"model: must be one of {MODELS}, got {model!r}")
-    top = violations(_TOP_RULES, raw, {"n"})
-    errors += config_lines(top)
-    n = None if any(field == "n" for field, *_ in top) else raw["n"]
-    params = None
-    if model in MODELS:
-        if "params" not in raw:
-            errors.append("params: required")
-        else:
-            params, sub = _section(RHS[model].params_type, raw["params"], "params.",
-                                   _REQUIRED_PARAMS[model])
-            errors += sub
-    if params is not None and n is not None:
-        errors += config_lines(grid_violations(model, n, params), "params.")
-    initial = None
-    if "initial_data" not in raw:
-        errors.append("initial_data: required")
-    else:
-        initial, sub = _parse_initial(raw["initial_data"], n)
-        errors += sub
-    opt = {k: {} if raw.get(k) is None else raw[k] for k in ("stepper", "outputs")}
-    stepper, sub = _section(StepperConfig, opt["stepper"], "stepper.",
-                            defaults={"dt": 1e-3, "t_end": 1.0})
-    outputs, sub2 = _parse_outputs(opt["outputs"])
-    errors += sub + sub2
+    cfg, errors = _section(RunConfig, raw, "", ("model", "n"))
     if errors:
         raise ConfigError(errors)
-    return RunConfig(model=model, n=int(n), params=params, initial_data=initial,
-                     stepper=stepper, outputs=outputs, seed=int(raw.get("seed", 0)))
+    return cfg
 
 
 def read_json(path):
@@ -239,15 +225,9 @@ def load_config(path) -> RunConfig:
     return parse_config(read_json(path))
 
 
-def _as_json(v):
-    return [_as_json(x) for x in v] if isinstance(v, tuple) else v
-
-
 def config_to_dict(cfg: RunConfig) -> dict:
-    """Serializable echo; parse_config(config_to_dict(cfg)) == cfg.  Unset
-    fields (None, or no modes) are left out."""
-    return asdict(cfg, dict_factory=lambda items: {k: _as_json(v) for k, v in items
-                                                   if v is not None and v != ()})
+    """Serializable echo without the unset (None) fields; parse_config(config_to_dict(cfg)) == cfg."""
+    return asdict(cfg, dict_factory=lambda items: {k: v for k, v in items if v is not None})
 
 
 def generate_initial(spec: InitialDataSpec, n: int, seed: int) -> SpectralField:
@@ -259,8 +239,7 @@ def generate_initial(spec: InitialDataSpec, n: int, seed: int) -> SpectralField:
     produces the same field.
     """
     if spec.kind == "modes":
-        f = SpectralField.from_modes(
-            n, [((k1, k2), complex(re, im)) for k1, k2, re, im in spec.modes])
+        f = SpectralField.from_modes(n, [((k1, k2), complex(re, im)) for k1, k2, re, im in spec.modes])
     elif spec.kind == "random_decay":
         modes = ModeSet(n)
         abs2 = modes.abs2
@@ -280,14 +259,12 @@ def generate_initial(spec: InitialDataSpec, n: int, seed: int) -> SpectralField:
         c.imag[half] = mag * e.imag + 0.0 * e.real
         c[::-1, ::-1][half] = np.conj(c[half])
         f = SpectralField(modes, c)
-    elif spec.kind == "snapshot":
+    else:
         with file_errors(spec.path, "initial_data.path: "):
             try:
                 f = with_cutoff(read_snapshot(spec.path), n)
             except ValueError as e:  # read_snapshot's messages name the path
                 raise ConfigError([f"initial_data.path: {e}"]) from None
-    else:
-        raise ValueError(f"unknown initial-data kind {spec.kind!r}")
 
     if spec.zero_mean:
         f = _without_mean(f)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import asdict, dataclass
 
 from .config import ConfigError, RunConfig, config_to_dict, file_errors, prepare_initial
@@ -107,6 +108,22 @@ def make_output_dir(path) -> None:
         os.makedirs(path, exist_ok=True)
 
 
+def make_run_dir(cfg: RunConfig, outdir) -> None:
+    """make_output_dir(outdir), then a config error for each directory where the run
+    writes a file: the trace, the report, a snapshot of a step up to t_end / dt."""
+    make_output_dir(outdir)
+    out = cfg.outputs
+    paths = [os.path.join(outdir, out.trace_csv), os.path.join(outdir, out.report_json)]
+    folder, base = os.path.split(os.path.join(outdir, out.snapshot_prefix))
+    if out.snapshot_every > 0 and os.path.isdir(folder):
+        last = max(1, round(cfg.stepper.t_end / cfg.stepper.dt))
+        paths += [os.path.join(folder, name) for name in sorted(os.listdir(folder))
+                  if (m := re.fullmatch(re.escape(base) + r"_(\d{8})\.txt", name)) and int(m[1]) <= last]
+    errors = [f"output file {path}: Is a directory" for path in paths if os.path.isdir(path)]
+    if errors:
+        raise ConfigError(errors)
+
+
 def _snapshot_writer(cfg: RunConfig, outdir):
     """The on_record that writes the config's snapshots under outdir, or None."""
     if cfg.outputs.snapshot_every <= 0:
@@ -157,9 +174,9 @@ def execute_batch(runs) -> list:
     together in one march; the configs may differ only in initial data,
     blow-up threshold and outputs other than snapshot_every.  An output
     directory that cannot be created is a config error, raised before the
-    march."""
-    for _, outdir, _ in runs:
-        make_output_dir(outdir)
+    march, and so is an output file that is a directory."""
+    for cfg, outdir, _ in runs:
+        make_run_dir(cfg, outdir)
     cfg = runs[0][0]
     outcomes = simulate_batch([p[0] for _, _, p in runs], cfg.params,
                               [c.stepper for c, _, _ in runs], cfg.model,

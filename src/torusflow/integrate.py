@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .models import MAX_STEPS, RHS, _require_zero_mean, check_fields, make_rhs
+from .models import MAX_STEPS, RHS, Checked, _require_zero_mean, make_rhs
 from .spectral import ModeSet, SpectralField, _full, _moduli, _norms
 
 __all__ = [
@@ -40,7 +40,7 @@ STATUS_FAILURE = "numerical_failure"
 
 
 @dataclass(frozen=True)
-class StepperConfig:
+class StepperConfig(Checked):
     """Fixed-step march to t_end; no adaptivity, for reproducibility.
 
     blowup_threshold of None means 10^6 times the initial A^0 norm (or 1.0
@@ -65,9 +65,6 @@ class StepperConfig:
         ("t_end", lambda s: math.isfinite(q := s["t_end"] / s["dt"]) and round(q) <= MAX_STEPS,
          lambda s: f"t_end / dt = {s['t_end'] / s['dt']:.6g} exceeds the cap of {MAX_STEPS} steps"),
     )
-
-    def __post_init__(self):
-        check_fields(self, self.RULES, self.CROSS)
 
 
 @dataclass(frozen=True)

@@ -21,12 +21,12 @@ Each equation is written once, in the terms() of its *Rhs evaluator: the
 stepper, the public right-hand sides, the a priori monitor and the weak
 residual all evaluate through it, on k2 >= 0 half blocks (2n+1, n+1).
 
-Each config domain and cap rule is stated once, here, as a row (field,
-integer, ok, message): an integer (integer=True), a real number (False) or
-any value (None) for which ok holds; a cross row (field, ok(values),
-message(values)) relates fields that each hold.  The parser reports every
-violation (config_lines), the dataclasses and make_rhs the first
-(raise_first).  The checks are plain Python, not numpy.
+Each config domain and cap rule is stated once, as a row (field, integer,
+ok, message): an integer (integer=True), a real number (False) or any value
+(None) for which ok holds; a cross row (field, ok(values), message(values))
+relates fields that each hold; a check (values -> violations) names entries.
+The parser reports every violation (config_lines), the dataclasses and
+make_rhs the first (raise_first).  The checks are plain Python, not numpy.
 """
 
 from __future__ import annotations
@@ -95,19 +95,27 @@ def is_number(v, integer=False) -> bool:
 
 def violations(rules, values: dict, required=(), cross=()) -> list:
     """(field, message, value, echo) per rule values break, in table order; an
-    absent field is skipped, or reported if required.  echo: the config-error
-    line shows the value (of the wrong type, or for an untyped rule)."""
+    absent field is skipped, or reported if required (an untyped rule judges
+    it as None).  If all rules hold, the cross rows follow.  echo: the line
+    shows the value (of the wrong type, or for an untyped rule)."""
     found = []
-    for field, integer, ok, message in rules:
-        if field not in values:
+    for row in rules:
+        if callable(row):
+            found += row(values)
+            continue
+        field, integer, ok, message = row
+        v = values.get(field)
+        if field not in values and (integer is not None or field not in required):
             if field in required:
                 found.append((field, "required", None, False))
-        elif integer is not None and not is_number(values[field], integer):
-            found.append((field, f"must be {_KIND[integer]}", values[field], True))
-        elif not ok(values[field]):
-            found.append((field, message, values[field], integer is None))
-    return found or [(field, message(values), values[field], False)
-                     for field, ok, message in cross if not ok(values)]
+        elif integer is not None and not is_number(v, integer):
+            found.append((field, f"must be {_KIND[integer]}", v, True))
+        elif not ok(v):
+            found.append((field, message, v, integer is None))
+    for row in () if found else cross:
+        found += row(values) if callable(row) else (
+            [] if row[1](values) else [(row[0], row[2](values), values.get(row[0]), False)])
+    return found
 
 
 def config_lines(found, prefix: str = "") -> list[str]:
@@ -124,19 +132,24 @@ def unknown_keys(d: dict, prefix: str, allowed) -> list[str]:
     return [f"{prefix}{key}: unknown key" for key in d if key not in allowed]
 
 
-def check_fields(obj, rules, cross=()) -> None:
-    """Raise the first rule a frozen dataclass breaks, then store its number
-    fields as plain ints and floats; a field at a default of None is unset."""
-    unset = {f.name for f in fields(obj) if f.default is None and getattr(obj, f.name) is None}
-    values = {field: getattr(obj, field) for field, *_ in rules if field not in unset}
-    raise_first(violations(rules, values, cross=cross))
-    for field, integer, _, _ in rules:
-        if field in values and integer is not None:
-            object.__setattr__(obj, field, (int if integer else float)(values[field]))
+class Checked:
+    """Base of the frozen config dataclasses: construction raises the first
+    violation of RULES, then CROSS, and stores number fields as plain ints and
+    floats; a field at a default of None is unset.  SECTIONS: config._section."""
+
+    SECTIONS = CROSS = ()
+
+    def __post_init__(self):
+        values = {f.name: getattr(self, f.name) for f in fields(self)
+                  if not (f.default is None and getattr(self, f.name) is None)}
+        raise_first(violations(self.RULES, values, cross=self.CROSS))
+        for field, integer, *_ in (row for row in self.RULES if not callable(row)):
+            if field in values and integer is not None:
+                object.__setattr__(self, field, (int if integer else float)(values[field]))
 
 
 @dataclass(frozen=True)
-class EpitaxialParams:
+class EpitaxialParams(Checked):
     """Diffusion/coupling coefficients; K0, K1, K3 >= 0 and K2 > 0."""
 
     K0: float = 0.0
@@ -149,12 +162,9 @@ class EpitaxialParams:
              ("K2", False, lambda v: v > 0, "must satisfy K2 > 0"),
              ("K3", False, lambda v: v >= 0, "must satisfy K3 >= 0"))
 
-    def __post_init__(self):
-        check_fields(self, self.RULES)
-
 
 @dataclass(frozen=True)
-class ThinFilmParams:
+class ThinFilmParams(Checked):
     """Porous-medium coupling chi in (0, 1), integer exponent 2 <= p <= MAX_P
     and the estimate constant c (not fixed by the theory; reports echo it)."""
 
@@ -165,9 +175,6 @@ class ThinFilmParams:
     RULES = (("chi", False, lambda v: 0 < v < 1, "must satisfy 0 < chi < 1"),
              ("p", True, lambda v: 2 <= v <= MAX_P, f"must be an integer 2 <= p <= {MAX_P}"),
              ("c_estimate", False, lambda v: v > 0, "must satisfy c_estimate > 0"))
-
-    def __post_init__(self):
-        check_fields(self, self.RULES)
 
 
 N_RULE = ("n", True, lambda v: 1 <= v <= MAX_N,

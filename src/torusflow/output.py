@@ -10,6 +10,7 @@ __all__ = [
     "CSV_HEADER",
     "write_trace_csv",
     "read_trace_csv",
+    "report_text",
     "write_report_json",
     "read_report_json",
 ]
@@ -48,10 +49,13 @@ def read_trace_csv(path) -> NormTrace:
         raise ValueError(f"{path}: {e}") from None
 
 
+def report_text(report: dict) -> str:
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
 def write_report_json(report: dict, path) -> None:
     with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(report_text(report))
 
 
 def read_report_json(path) -> dict:

@@ -16,7 +16,7 @@ import os
 from dataclasses import replace
 
 from .config import ConfigError, parse_config
-from .driver import _prepare, execute_batch, make_output_dir
+from .driver import _prepare, execute_batch, make_output_dir, make_run_dir
 from .models import make_rhs
 
 __all__ = ["set_by_path", "expand_axes", "run_sweep", "write_sweep_summary"]
@@ -103,12 +103,12 @@ def _fill(row: dict, result) -> None:
 
 
 def _run_batch(members) -> None:
-    """Prepare, march and finish (row, cfg, run_dir) members whose configs
-    share a batch key, filling each row as a solo run would."""
+    """Prepare (then make_run_dir), march and finish (row, cfg, run_dir)
+    members of one batch key, filling each row as a solo run would."""
     runs = []
     for row, cfg, run_dir in members:
         prepared = _guarded(row, lambda: _prepare(cfg))
-        if prepared is not None:
+        if prepared is not None and _guarded(row, lambda: make_run_dir(cfg, run_dir) or True):
             runs.append((row, (cfg, run_dir, prepared)))
     if not runs:
         return

@@ -259,6 +259,13 @@ class TestCheckCommand:
         assert main(["check", str(cfgp), "--output", str(out)]) == 0
         assert read_report_json(out)["envelope"] is None
 
+    def test_stdout_and_output_file_get_the_same_bytes(self, tmp_path, capsys):
+        cfgp, out = tmp_path / "cfg.json", tmp_path / "report.json"
+        write_config(cfgp)
+        assert main(["check", str(cfgp), "--output", str(out)]) == 0
+        assert main(["check", str(cfgp)]) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
+
 
 class TestVerifyCommand:
     def _write_trace(self, path, lam, rows=30, inflate=None):
@@ -519,6 +526,15 @@ class TestFileErrors:
         argv = [command, str(cfgp)] + ([str(axesp)] if command == "sweep" else [])
         self._config_error(capsys, argv + ["--outdir", str(taken)],
                            f"output directory {taken}: File exists")
+
+    @pytest.mark.parametrize("name", ["trace.csv", "report.json", "snapshot_00000020.txt"])
+    def test_output_file_is_a_directory(self, tmp_path, capsys, name):
+        # reported before the first step, so no file is written
+        cfgp, out = tmp_path / "cfg.json", tmp_path / "out"
+        write_config(cfgp, outputs={"directory": str(out), "snapshot_every": 20})
+        (out / name).mkdir(parents=True)
+        self._config_error(capsys, ["simulate", str(cfgp)], f"output file {out / name}: Is a directory")
+        assert not [p for p in out.iterdir() if p.is_file()]
 
     def test_sweep_member_directory_that_cannot_be_made(self, tmp_path, capsys):
         cfgp, axesp = tmp_path / "cfg.json", tmp_path / "axes.json"

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -26,7 +27,8 @@ from torusflow import (
     write_report_json,
     write_trace_csv,
 )
-from torusflow.config import MAX_GRID, MAX_N, MAX_P, MAX_STEPS, InitialDataSpec, NormalizeSpec
+from torusflow.config import (KINDS, MAX_GRID, MAX_N, MAX_P, MAX_STEPS, InitialDataSpec,
+                              NormalizeSpec, OutputSpec, RunConfig)
 from torusflow.models import make_rhs
 from torusflow.output import CSV_HEADER, read_report_json
 from _helpers import random_field
@@ -204,27 +206,56 @@ class TestResourceCaps:
         assert round(cfg.stepper.t_end / cfg.stepper.dt) == MAX_STEPS
 
 
-# Leaves for the params and stepper of a config: values each field takes,
-# and values no field takes or only some do.
+# Leaves for the sections of a config: values each field takes, and values
+# no field takes or only some do.
 VALID_LEAVES = {
     "K0": [0.0, 0.5], "K1": [0.0, 0.25], "K2": [1.0, 2], "K3": [0.0, 0.25],
     "chi": [0.3, 0.5], "p": [2, 3, MAX_P], "c_estimate": [1.0, 2],
     "scheme": ["ETD2", "IMEX1"], "dt": [1e-3, 0.01], "t_end": [0.02, 1.0, 1e5],
     "record_every": [1, 10], "blowup_threshold": [5.0, 1e300],
+    # modes past the cutoff n = 4 break a row of RunConfig, not of InitialDataSpec
+    "kind": list(KINDS), "modes": [[[1, 0, 0.5, 0.0], [-1, 0, 0.5, 0.0]], [[100, 0, 1, 0]]],
+    "amplitude": [0.1, 1], "sigma": [0.0, 3.0], "path": ["snap.txt"], "zero_mean": [True, False],
+    "norm": ["a0", "a2"], "value": [0.5, 1e-3],
+    "directory": ["out"], "trace_csv": ["t.csv"], "report_json": ["r.json"],
+    "snapshot_every": [0, 5], "snapshot_prefix": ["snap"],
 }
 HOSTILE_LEAVES = [True, False, 10**400, -(10**400), 2**64, math.inf, -math.inf, math.nan,
-                  1e-300, -1.0, 0, MAX_P + 1, 2.5, "1", ""]
+                  1e-300, -1.0, 0, MAX_P + 1, 2.5, "1", "", "a3", [],
+                  [[1, 0]], [[1.5, 0, 1, 0]], [[1, 0, "x", 0]]]
+# one draw per leaf, valid about half the time (always, in a clean section):
+# draws cost most of the budget
+LEAF = {name: st.sampled_from(valid * (len(HOSTILE_LEAVES) // len(valid)) + HOSTILE_LEAVES)
+        for name, valid in VALID_LEAVES.items()}
+VALID = {name: st.sampled_from(valid) for name, valid in VALID_LEAVES.items()}
 
 
 @st.composite
 def _sections(draw):
     model = draw(st.sampled_from(["epitaxial", "thinfilm"]))
     cls = EpitaxialParams if model == "epitaxial" else ThinFilmParams
-    names = {"params": [f.name for f in dataclasses.fields(cls)],
-             "stepper": [f.name for f in dataclasses.fields(StepperConfig)]}
-    leaf = lambda name: draw(st.one_of(st.sampled_from(VALID_LEAVES[name]),
-                                       st.sampled_from(HOSTILE_LEAVES)))
-    return model, cls, {sec: {name: leaf(name) for name in names[sec]} for sec in names}
+
+    def section(names):
+        leaves = VALID if draw(st.booleans()) else LEAF
+        return {name: draw(leaves[name]) for name in names}
+
+    sections = {sec: section([f.name for f in dataclasses.fields(c)])
+                for sec, c in (("params", cls), ("stepper", StepperConfig), ("outputs", OutputSpec))}
+    # a kind, the fields of some kind, zero_mean and perhaps a normalize block
+    initial = section(("kind", *draw(st.sampled_from(list(KINDS.values()))), "zero_mean"))
+    if draw(st.booleans()):
+        initial["normalize"] = section(("norm", "value"))
+    return model, cls, {**sections, "initial_data": initial}
+
+
+def _echo(section: dict, field: str):
+    """The value a library message echoes for field, which may be modes[i]."""
+    name, _, index = field.partition("[")
+    return section[name][int(index[:-1])] if index else section.get(name)
+
+
+DECAY = InitialDataSpec(kind="random_decay", amplitude=0.1, sigma=3.0)
+MODES = InitialDataSpec(kind="modes", modes=((2, 0, 0.5, 0.0), (-2, 0, 0.5, 0.0)))
 
 
 class TestOneRuleTable:
@@ -239,9 +270,27 @@ class TestOneRuleTable:
         # (p+1)n+1 = 171 * 24 + 1 = 4105 points per axis
         (lambda: make_rhs("thinfilm", 24, ThinFilmParams(chi=0.5, p=MAX_P)), "p"),
         (lambda: make_rhs("epitaxial", MAX_N + 1, EpitaxialParams()), "n"),
-    ], ids=["p_cap", "step_cap", "bool_K0", "bool_dt", "string_K2", "power_grid", "n_cap"])
+        (lambda: NormalizeSpec("a2", -1.0), "value"),
+        (lambda: NormalizeSpec("a3", 1.0), "norm"),
+        (lambda: OutputSpec(snapshot_every=-3), "snapshot_every"),
+        (lambda: OutputSpec(trace_csv=""), "trace_csv"),
+        (lambda: RunConfig(model="bogus", n=4, params=EpitaxialParams(), initial_data=DECAY), "model"),
+        (lambda: InitialDataSpec(kind="random_decay", amplitude=float("nan"), sigma=3.0), "amplitude"),
+        (lambda: InitialDataSpec(kind="random_decay", amplitude=0.1), "sigma"),
+        (lambda: InitialDataSpec(kind="modes", modes=((1, 0, 0.5, 0.0),), path="x"), "path"),
+        (lambda: InitialDataSpec(kind="modes", modes=((1, 0.5, 0.5, 0.0),)), "modes[0]"),
+        (lambda: RunConfig(model="thinfilm", n=4, params=EpitaxialParams(), initial_data=DECAY),
+         "params"),
+        (lambda: RunConfig(model="thinfilm", n=24, params=ThinFilmParams(chi=0.5, p=MAX_P),
+                           initial_data=DECAY), "params.p"),
+        (lambda: RunConfig(model="epitaxial", n=1, params=EpitaxialParams(), initial_data=MODES),
+         "initial_data.modes[0]"),
+    ], ids=["p_cap", "step_cap", "bool_K0", "bool_dt", "string_K2", "power_grid", "n_cap",
+            "normalize_sign", "normalize_norm", "snapshot_every", "empty_trace_csv",
+            "unknown_model", "nan_amplitude", "kind_needs_sigma", "kind_takes_no_path",
+            "mode_entry", "params_type", "run_power_grid", "mode_cutoff"])
     def test_library_path_enforces_the_caps_and_domains(self, build, field):
-        with pytest.raises(ValueError, match=f"^{field}: .*, got "):
+        with pytest.raises(ValueError, match=f"^{re.escape(field)}: .*, got "):
             build()
 
     def test_numpy_scalars_are_accepted_and_stored_plain(self):
@@ -261,18 +310,40 @@ class TestOneRuleTable:
             errors = []
         except ConfigError as e:
             errors = e.errors
-        for sec, build in (("params", cls), ("stepper", StepperConfig)):
-            lines = [msg[len(sec) + 1:] for msg in errors if msg.startswith(sec + ".")]
+        # the cutoff of the modes at n is a row of RunConfig, checked last
+        top = [msg for msg in errors if "outside cutoff" in msg]
+        initial = sections["initial_data"]
+        built = {}
+        for sec, build, given in (("params", cls, sections["params"]),
+                                  ("stepper", StepperConfig, sections["stepper"]),
+                                  ("outputs", OutputSpec, sections["outputs"]),
+                                  ("initial_data.normalize", NormalizeSpec, initial.get("normalize")),
+                                  ("initial_data", InitialDataSpec, initial)):
+            if given is None:
+                continue
+            lines = [msg[len(sec) + 1:] for msg in errors if msg.startswith(sec + ".")
+                     and msg not in top and not msg.startswith(sec + ".normalize.")]
+            if sec == "initial_data":
+                given = {**given, "normalize": built.get("initial_data.normalize")}
             try:
-                build(**sections[sec])
+                built[sec] = build(**given)
                 raised = None
             except ValueError as e:
                 raised = str(e)
             assert (raised is None) == (not lines), (sec, lines, raised)
             if lines:
-                # the parser shows the value only when its type is wrong
-                value = sections[sec][lines[0].split(":")[0]]
+                # the parser shows the value when its type is wrong or the rule is untyped
+                value = _echo(given, lines[0].split(":")[0])
                 assert raised in (lines[0], f"{lines[0]}, got {value!r}"), (lines[0], raised)
+        if len(built) == 4 + ("normalize" in initial):  # every section built
+            try:
+                RunConfig(model=model, n=4, params=built["params"], stepper=built["stepper"],
+                          outputs=built["outputs"], initial_data=built["initial_data"])
+                raised = None
+            except ValueError as e:
+                raised = str(e)
+            assert (raised is None) == (not top), (top, raised)
+            assert raised is None or raised.startswith(top[0] + ", got ")
 
 
 class TestGenerateInitial:

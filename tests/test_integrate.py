@@ -427,6 +427,24 @@ class TestSimulateBatch:
             self.assert_same(out, solo)
             assert steps == solo_steps
 
+    def test_a_permuted_batch_gives_the_permuted_outcomes_bit_for_bit(self):
+        # a member's arithmetic does not depend on its place in the stack, also
+        # after the blow-ups and the overflow have left it
+        u0s, steppers = self.members()
+        outs = simulate_batch(u0s, EXPLOSIVE, steppers, "epitaxial")
+        assert [o.status for o in outs][1:] == ["blowup_detected", "blowup_detected",
+                                                "numerical_failure"]
+        bits = lambda a: a.view(np.int64).tolist()
+        for order in ([3, 2, 1, 0], [2, 0, 3, 1], [1, 3, 0, 2]):
+            permuted = simulate_batch([u0s[i] for i in order], EXPLOSIVE,
+                                      [steppers[i] for i in order], "epitaxial")
+            for i, got in zip(order, permuted):
+                want = outs[i]
+                assert (got.status, got.final_time) == (want.status, want.final_time)
+                for name in ("t", "a0", "a2", "a4", "a6", "mean", "dt_used"):
+                    assert bits(getattr(got.trace, name)) == bits(getattr(want.trace, name)), name
+                assert bits(got.final_field.coeff) == bits(want.final_field.coeff)
+
     def test_members_must_share_the_stepper(self):
         u0s, _ = self.members()
         with pytest.raises(ValueError, match="share n and the stepper"):

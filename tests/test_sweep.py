@@ -153,7 +153,7 @@ MIXED = {
     "epitaxial": ({"K0": 0.0, "K1": 5.0, "K2": 0.05, "K3": 0.0}, 20.0, [0.1, 3.0, 0.5, 25.0, 0.2]),
     "thinfilm": ({"chi": 0.9, "p": 5}, 10.0, [0.3, 2.5, 1.0, 12.0, 0.2]),
 }
-MIXED_STATUSES = ["completed", "blowup_detected", "blowup_detected", "config_error", "error"]
+MIXED_STATUSES = ["completed", "blowup_detected", "blowup_detected", "config_error", "config_error"]
 AXIS = "initial_data.normalize.value"
 
 
@@ -169,7 +169,7 @@ def mixed_base(model):
 
 
 def block_snapshot(run_dir):
-    # a directory where the step-10 snapshot goes makes on_record raise OSError
+    # a directory where the step-10 snapshot goes is a config error before the march
     (run_dir / "snapshot_00000010.txt").mkdir(parents=True)
 
 
@@ -177,8 +177,8 @@ class TestBatchIsolation:
     @pytest.mark.parametrize("model", ["epitaxial", "thinfilm"])
     @pytest.mark.parametrize("blocked", [False, True])
     def test_members_get_their_solo_rows_and_traces(self, tmp_path, monkeypatch, model, blocked):
-        # unblocked, the four valid members march as one batch; blocked, the
-        # batch raises in member 4's snapshot and every member reruns alone
+        # unblocked, the four valid members march as one batch; blocked,
+        # member 4's snapshot path is a directory, and the other three march
         values = MIXED[model][2]
         statuses = MIXED_STATUSES if blocked else MIXED_STATUSES[:4] + ["completed"]
         batches = []
@@ -188,10 +188,12 @@ class TestBatchIsolation:
         if blocked:
             block_snapshot(tmp_path / "batch" / "run_0004")
         rows = run_sweep(mixed_base(model), [(AXIS, values)], str(tmp_path / "batch"))
-        assert batches[0] == 4
+        assert batches[0] == (3 if blocked else 4)
         assert [r["status"] for r in rows] == statuses
         if blocked:
-            assert rows[4]["error"].startswith("IsADirectoryError: ")
+            snapshot = tmp_path / "batch" / "run_0004" / "snapshot_00000010.txt"
+            assert rows[4]["error"] == f"output file {snapshot}: Is a directory"
+            assert not [p for p in snapshot.parent.iterdir() if p.is_file()]  # nothing written
 
         times = []
         for i, (value, row) in enumerate(zip(values, rows)):
@@ -223,6 +225,26 @@ class TestBatchIsolation:
                 np.testing.assert_allclose(getattr(trace, name), getattr(out.trace, name),
                                            rtol=1e-14, atol=0)
         assert times[1] < times[2] < times[0]
+
+    def test_a_write_failing_in_the_march_is_that_members_error_row(self, tmp_path, monkeypatch):
+        # the batch raises in member 4's step-10 snapshot; every member reruns alone
+        base, values = mixed_base("epitaxial"), MIXED["epitaxial"][2]
+        want = run_sweep(base, [(AXIS, values)], str(tmp_path / "ok"))
+        write, batches, march = driver.write_snapshot, [], driver.simulate_batch
+
+        def failing(field, path):
+            if path.endswith("run_0004/snapshot_00000010.txt"):
+                raise OSError(28, "No space left on device")
+            write(field, path)
+
+        monkeypatch.setattr(driver, "write_snapshot", failing)
+        monkeypatch.setattr(driver, "simulate_batch",
+                            lambda u0s, *a: batches.append(len(u0s)) or march(u0s, *a))
+        rows = run_sweep(base, [(AXIS, values)], str(tmp_path / "failing"))
+        assert batches == [4, 1, 1, 1, 1]
+        assert rows[4]["status"] == "error"
+        assert rows[4]["error"] == "OSError: [Errno 28] No space left on device"
+        assert rows[:4] == want[:4]
 
     def test_a_failed_batch_reruns_each_member_from_its_prepared_state(self, tmp_path,
                                                                         monkeypatch):
