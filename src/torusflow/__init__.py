@@ -5,17 +5,8 @@ from .spectral import (
     ModeSet,
     SpectralField,
     NormVector,
-    project,
     wiener_norm,
     norm_vector,
-    convolve,
-    mode_multiplier,
-    laplacian,
-    biharmonic,
-    derivative,
-    to_real_samples,
-    from_real_samples,
-    scale_modes,
     with_cutoff,
     inner,
     hermitian_asymmetry,
@@ -32,12 +23,6 @@ from .models import (
     grad_dot_grad_lap,
     times_bilap,
     thinfilm_rhs,
-    hessian_det2_pointwise,
-    delta_of_delta_sq_pointwise,
-    grad_dot_grad_lap_pointwise,
-    times_bilap_pointwise,
-    epitaxial_rhs_pointwise,
-    thinfilm_rhs_pointwise,
 )
 from .integrate import (
     StepperConfig,
@@ -46,7 +31,6 @@ from .integrate import (
     step,
     simulate,
     simulate_batch,
-    detect_blowup,
 )
 from .theory import (
     TheoremReport,

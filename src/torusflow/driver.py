@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import os
 import re
+import stat
 from dataclasses import asdict, dataclass
 
 from .config import ConfigError, RunConfig, config_to_dict, file_errors, prepare_initial
@@ -108,18 +109,45 @@ def make_output_dir(path) -> None:
         os.makedirs(path, exist_ok=True)
 
 
+def _open_error(path) -> str | None:
+    """Why opening path to write would fail, when it is a directory or its
+    parent is missing or is not a directory; else None."""
+    if os.path.isdir(path):
+        return "Is a directory"
+    try:
+        parent = os.stat(os.path.dirname(path) or ".")
+    except OSError as e:
+        return e.strerror
+    return None if stat.S_ISDIR(parent.st_mode) else "Not a directory"
+
+
 def make_run_dir(cfg: RunConfig, outdir) -> None:
-    """make_output_dir(outdir), then a config error for each directory where the run
-    writes a file: the trace, the report, a snapshot of a step up to t_end / dt."""
+    """make_output_dir(outdir), then a config error for each file the run
+    writes that _open_error refuses (the trace, the report, a snapshot of a
+    step up to t_end / dt) and for two of them that os.path.normpath makes one."""
     make_output_dir(outdir)
     out = cfg.outputs
-    paths = [os.path.join(outdir, out.trace_csv), os.path.join(outdir, out.report_json)]
+    last = max(1, round(cfg.stepper.t_end / cfg.stepper.dt))
     folder, base = os.path.split(os.path.join(outdir, out.snapshot_prefix))
-    if out.snapshot_every > 0 and os.path.isdir(folder):
-        last = max(1, round(cfg.stepper.t_end / cfg.stepper.dt))
-        paths += [os.path.join(folder, name) for name in sorted(os.listdir(folder))
-                  if (m := re.fullmatch(re.escape(base) + r"_(\d{8})\.txt", name)) and int(m[1]) <= last]
-    errors = [f"output file {path}: Is a directory" for path in paths if os.path.isdir(path)]
+
+    def step(path):
+        """The step up to last whose snapshot is written to path, or None."""
+        head, name = os.path.split(os.path.normpath(path))
+        m = re.fullmatch(re.escape(base) + r"_(\d{8})\.txt", name)
+        same = os.path.normpath(head or ".") == os.path.normpath(folder)
+        return int(m[1]) if out.snapshot_every > 0 and m and same and int(m[1]) <= last else None
+
+    trace, report = os.path.join(outdir, out.trace_csv), os.path.join(outdir, out.report_json)
+    paths = [trace, report]
+    if out.snapshot_every > 0:  # the snapshots already there, or the first one
+        names = sorted(os.listdir(folder)) if os.path.isdir(folder) else [f"{base}_00000000.txt"]
+        paths += [p for name in names if step(p := os.path.join(folder, name)) is not None]
+    errors = [f"output file {path}: {why}" for path in paths if (why := _open_error(path))]
+    if os.path.normpath(trace) == os.path.normpath(report):
+        errors.append(f"output file {trace}: named by both outputs.trace_csv and outputs.report_json")
+    for field, path in (("trace_csv", trace), ("report_json", report)):
+        if (i := step(path)) is not None:
+            errors.append(f"output file {path}: outputs.{field} names the snapshot of step {i}")
     if errors:
         raise ConfigError(errors)
 
@@ -174,7 +202,7 @@ def execute_batch(runs) -> list:
     together in one march; the configs may differ only in initial data,
     blow-up threshold and outputs other than snapshot_every.  An output
     directory that cannot be created is a config error, raised before the
-    march, and so is an output file that is a directory."""
+    march, and so is an output file that make_run_dir refuses."""
     for cfg, outdir, _ in runs:
         make_run_dir(cfg, outdir)
     cfg = runs[0][0]

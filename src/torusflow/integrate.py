@@ -28,7 +28,6 @@ __all__ = [
     "step",
     "simulate",
     "simulate_batch",
-    "detect_blowup",
 ]
 
 MODELS = tuple(RHS)
@@ -318,12 +317,3 @@ def simulate_batch(u0s, params, steppers, model: str, on_record=None,
     return [RunOutcome(status=s, final_time=ft, trace=NormTrace.from_rows(r),
                        final_field=SpectralField(modes, _full(f)))
             for (s, ft, f), r in zip(ends, rows)]
-
-
-def detect_blowup(trace: NormTrace, threshold: float):
-    """First recorded (t, a0) with a0 > threshold, or None."""
-    idx = np.nonzero(trace.a0 > threshold)[0]
-    if idx.size == 0:
-        return None
-    i = int(idx[0])
-    return (float(trace.t[i]), float(trace.a0[i]))

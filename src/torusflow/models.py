@@ -12,10 +12,10 @@ multiplied pointwise, and one batched forward real FFT brings the products
 back.  Quadratic products use the 3n+1 grid, alias-free for |k| <= n, so the
 result is the Galerkin truncation up to roundoff; the thin-film quadratics
 use the divergence form grad v . grad lap v + v lap^2 v = div (v grad lap v),
-and (1 + v)^p has its own (p+1)n+1 grid.  The *_pointwise twins are
-independent oracles (complex numpy.fft on a 4n+3 grid).  Derivative
-multipliers carry the analytic signs: d_j <-> i k_j, lap <-> -|k|^2,
-lap^2 <-> |k|^4.
+and (1 + v)^p has its own (p+1)n+1 grid.  The independent pointwise
+oracles the tests pin these against (complex numpy.fft on a 4n+3 grid)
+live in tests/oracles.py.  Derivative multipliers carry the analytic signs:
+d_j <-> i k_j, lap <-> -|k|^2, lap^2 <-> |k|^4.
 
 Each equation is written once, in the terms() of its *Rhs evaluator: the
 stepper, the public right-hand sides, the a priori monitor and the weak
@@ -61,12 +61,6 @@ __all__ = [
     "grad_dot_grad_lap",
     "times_bilap",
     "thinfilm_rhs",
-    "hessian_det2_pointwise",
-    "delta_of_delta_sq_pointwise",
-    "grad_dot_grad_lap_pointwise",
-    "times_bilap_pointwise",
-    "epitaxial_rhs_pointwise",
-    "thinfilm_rhs_pointwise",
 ]
 
 ZERO_MEAN_TOL = 1e-12
@@ -447,107 +441,3 @@ def thinfilm_rhs(v: SpectralField, params: ThinFilmParams) -> SpectralField:
     """Full thin-film right-hand side in the zero-mean variable v."""
     _require_zero_mean(v, "thin-film state")
     return _evaluate(make_rhs("thinfilm", v.n, params), v)
-
-
-# ---------------------------------------------------------------------------
-# Pointwise oracles: sample derivative fields on a padded grid (numpy.fft),
-# multiply in real space, transform back once.  Kept deliberately separate
-# from the convolution assembly above.
-# ---------------------------------------------------------------------------
-
-
-def _big_wavenumbers(N: int) -> np.ndarray:
-    k = np.fft.fftfreq(N, d=1.0 / N)
-    return k[:, None] ** 2 + k[None, :] ** 2
-
-
-def _sample(coeff: np.ndarray, n: int, N: int, mult: np.ndarray | None = None) -> np.ndarray:
-    c = coeff if mult is None else mult * coeff
-    big = np.zeros((N, N), dtype=np.complex128)
-    idx = np.arange(-n, n + 1) % N
-    big[np.ix_(idx, idx)] = c
-    return (np.fft.ifft2(big) * (N * N)).real
-
-
-def _gather(big_hat: np.ndarray, n: int, N: int) -> np.ndarray:
-    idx = np.arange(-n, n + 1) % N
-    return big_hat[np.ix_(idx, idx)]
-
-
-def hessian_det2_pointwise(u: SpectralField) -> SpectralField:
-    n = u.n
-    N = 4 * n + 3
-    k1, k2, _ = _grids(n)
-    u11 = _sample(u.coeff, n, N, -(k1 * k1).astype(float))
-    u22 = _sample(u.coeff, n, N, -(k2 * k2).astype(float))
-    u12 = _sample(u.coeff, n, N, -(k1 * k2).astype(float))
-    w = 2.0 * (u11 * u22 - u12 * u12)
-    return SpectralField(u.modes, _gather(np.fft.fft2(w) / (N * N), n, N))
-
-
-def delta_of_delta_sq_pointwise(u: SpectralField) -> SpectralField:
-    n = u.n
-    N = 4 * n + 3
-    _, _, abs2 = _grids(n)
-    lap = _sample(u.coeff, n, N, -abs2)
-    w_hat = np.fft.fft2(lap * lap) / (N * N)
-    out = -_big_wavenumbers(N) * w_hat
-    return SpectralField(u.modes, _gather(out, n, N))
-
-
-def grad_dot_grad_lap_pointwise(v: SpectralField) -> SpectralField:
-    n = v.n
-    N = 4 * n + 3
-    k1, k2, abs2 = _grids(n)
-    d1 = _sample(v.coeff, n, N, 1j * k1.astype(float))
-    d2 = _sample(v.coeff, n, N, 1j * k2.astype(float))
-    d1l = _sample(v.coeff, n, N, -1j * k1 * abs2)
-    d2l = _sample(v.coeff, n, N, -1j * k2 * abs2)
-    w = d1 * d1l + d2 * d2l
-    return SpectralField(v.modes, _gather(np.fft.fft2(w) / (N * N), n, N))
-
-
-def times_bilap_pointwise(v: SpectralField) -> SpectralField:
-    n = v.n
-    N = 4 * n + 3
-    _, _, abs2 = _grids(n)
-    vs = _sample(v.coeff, n, N)
-    bih = _sample(v.coeff, n, N, abs2**2)
-    return SpectralField(v.modes, _gather(np.fft.fft2(vs * bih) / (N * N), n, N))
-
-
-def epitaxial_rhs_pointwise(u: SpectralField, params: EpitaxialParams) -> SpectralField:
-    n = u.n
-    N = 4 * n + 3
-    k1, k2, abs2 = _grids(n)
-    lap = _sample(u.coeff, n, N, -abs2)
-    bih = _sample(u.coeff, n, N, abs2**2)
-    u11 = _sample(u.coeff, n, N, -(k1 * k1).astype(float))
-    u22 = _sample(u.coeff, n, N, -(k2 * k2).astype(float))
-    u12 = _sample(u.coeff, n, N, -(k1 * k2).astype(float))
-    point = (params.K0 * lap
-             + 2.0 * params.K1 * (u11 * u22 - u12 * u12)
-             - params.K2 * bih)
-    out = np.fft.fft2(point) / (N * N)
-    if params.K3 != 0.0:
-        w_hat = np.fft.fft2(lap * lap) / (N * N)
-        out += 0.5 * params.K3 * _big_wavenumbers(N) * w_hat
-    return SpectralField(u.modes, _gather(out, n, N))
-
-
-def thinfilm_rhs_pointwise(v: SpectralField, params: ThinFilmParams) -> SpectralField:
-    _require_zero_mean(v, "thin-film state")
-    n = v.n
-    N = max(4 * n + 3, (params.p + 1) * n + 2)
-    k1, k2, abs2 = _grids(n)
-    vs = _sample(v.coeff, n, N)
-    bih = _sample(v.coeff, n, N, abs2**2)
-    d1 = _sample(v.coeff, n, N, 1j * k1.astype(float))
-    d2 = _sample(v.coeff, n, N, 1j * k2.astype(float))
-    d1l = _sample(v.coeff, n, N, -1j * k1 * abs2)
-    d2l = _sample(v.coeff, n, N, -1j * k2 * abs2)
-    point = -bih - (d1 * d1l + d2 * d2l) - vs * bih
-    out = np.fft.fft2(point) / (N * N)
-    w_hat = np.fft.fft2((1.0 + vs) ** params.p) / (N * N)
-    out += params.chi * _big_wavenumbers(N) * w_hat
-    return SpectralField(v.modes, _gather(out, n, N))

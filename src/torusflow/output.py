@@ -1,4 +1,4 @@
-"""Trace CSV and report JSON writers (and their readers for round trips)."""
+"""Trace CSV and report JSON writers, and the trace reader."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ __all__ = [
     "read_trace_csv",
     "report_text",
     "write_report_json",
-    "read_report_json",
 ]
 
 CSV_HEADER = "t,a0,a2,a4,a6,mean,dt"
@@ -56,8 +55,3 @@ def report_text(report: dict) -> str:
 def write_report_json(report: dict, path) -> None:
     with open(path, "w") as fh:
         fh.write(report_text(report))
-
-
-def read_report_json(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)

@@ -4,6 +4,9 @@ Coefficients live on the square mode set max(|k1|, |k2|) <= n with the
 convention u(x) = sum_k uhat(k) exp(i k.x).  Every field represents a real
 function, so uhat(-k) = conj(uhat(k)) is an invariant of the type: it is
 validated on construction and exact afterwards.
+
+The reference convolution and the scaling map that the tests compare the
+transforms against live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -19,17 +22,8 @@ __all__ = [
     "ModeSet",
     "SpectralField",
     "NormVector",
-    "project",
     "wiener_norm",
     "norm_vector",
-    "convolve",
-    "mode_multiplier",
-    "laplacian",
-    "biharmonic",
-    "derivative",
-    "to_real_samples",
-    "from_real_samples",
-    "scale_modes",
     "with_cutoff",
     "inner",
     "hermitian_asymmetry",
@@ -74,10 +68,10 @@ class ModeSet:
     def size(self) -> int:
         return 2 * self.n + 1
 
-    grids = cached_property(lambda self: _grids(self.n))
-    k1 = property(lambda self: self.grids[0])
-    k2 = property(lambda self: self.grids[1])
-    abs2 = property(lambda self: self.grids[2], doc="|k|^2 over the mode grid, float valued.")
+    @cached_property
+    def abs2(self) -> np.ndarray:
+        """Read-only |k|^2 over the mode grid, float valued."""
+        return _grids(self.n)[2]
 
     @cached_property
     def norm_weights(self) -> np.ndarray:
@@ -196,18 +190,6 @@ class NormVector:
     a2: float
     a4: float
     a6: float
-
-
-def project(f: SpectralField, n: int) -> SpectralField:
-    """Galerkin truncation: zero every coefficient with max(|k1|, |k2|) > n."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"projection cutoff must be an integer >= 1, got {n!r}")
-    if n >= f.n:
-        return SpectralField(f.modes, f.coeff)
-    c = np.zeros_like(f.coeff)
-    lo, hi = f.n - n, f.n + n + 1
-    c[lo:hi, lo:hi] = f.coeff[lo:hi, lo:hi]
-    return SpectralField(f.modes, c)
 
 
 # Exact norm sums without a per-term Python loop.  A term t >= 0 splits into
@@ -441,126 +423,6 @@ def _from_grid(values: np.ndarray, n: int, work=None) -> np.ndarray:
     # order and factor of pocketfft's 2-D r2c with norm="forward".
     np.multiply(row[..., : n + 1].view(float), 1.0 / (N * N), out=col.view(float))
     return _extract(np.fft.fft(col, axis=-2, out=spec), n, N)
-
-
-def _convolve_direct_raw(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """O(n^4) double sum over all retained pairs (m, k - m)."""
-    size = 2 * n + 1
-    # For output index t, the m index runs over span s and k - m over t - s + n.
-    spans = []
-    for t in range(size):
-        s = np.arange(max(0, t - n), min(size - 1, t + n) + 1)
-        spans.append((s, t - s + n))
-    out = np.empty((size, size), dtype=np.complex128)
-    for ia in range(size):
-        i, gi = spans[ia]
-        arow = a[i]
-        brow = b[gi]
-        for ib in range(size):
-            j, gj = spans[ib]
-            out[ia, ib] = np.sum(arow[:, j] * brow[:, gj])
-    return out
-
-
-def convolve(f: SpectralField, g: SpectralField, method: str = "fft") -> SpectralField:
-    """Coefficients of the product f*g, truncated back to the mode set.
-
-    (f g)^(k) = sum_m fhat(m) ghat(k - m) over pairs with both m and k - m
-    retained.  "fft" zero-pads to at least 3n+1 per axis and multiplies on
-    the grid; "direct" performs the explicit double sum.  Both compute the
-    same Galerkin truncation.
-    """
-    if f.modes != g.modes:
-        raise ValueError(f"mode-set mismatch: n={f.n} vs n={g.n}")
-    n = f.n
-    if method == "fft":
-        fa, fb = _to_grid(np.stack([f.half, g.half]), n, _pad_size(n))
-        return SpectralField(f.modes, _full(_from_grid(fa * fb, n)))
-    if method == "direct":
-        return SpectralField(f.modes, _convolve_direct_raw(f.coeff, g.coeff, n))
-    raise ValueError(f"unknown convolution method {method!r}")
-
-
-def mode_multiplier(f: SpectralField, symbol) -> SpectralField:
-    """Apply a Fourier multiplier: uhat(k) -> symbol(k) uhat(k).
-
-    symbol is an array over the mode grid or a callable (k1, k2) -> array.
-    The output must still be a real function, i.e. the symbol needs
-    symbol(-k) = conj(symbol(k)); violations surface as construction errors.
-    """
-    if callable(symbol):
-        s = np.asarray(symbol(f.modes.k1, f.modes.k2), dtype=np.complex128)
-    else:
-        s = np.asarray(symbol, dtype=np.complex128)
-    if s.shape != f.coeff.shape:
-        raise ValueError(f"symbol shape {s.shape} does not match mode grid {f.coeff.shape}")
-    if not np.isfinite(s).all():
-        raise ValueError("symbol produced non-finite values")
-    return SpectralField(f.modes, s * f.coeff)
-
-
-def laplacian(f: SpectralField) -> SpectralField:
-    """Multiplier -|k|^2."""
-    return mode_multiplier(f, -f.modes.abs2)
-
-
-def biharmonic(f: SpectralField) -> SpectralField:
-    """Multiplier |k|^4."""
-    return mode_multiplier(f, f.modes.abs2 ** 2)
-
-
-def derivative(f: SpectralField, axis: int) -> SpectralField:
-    """Multiplier i*k_axis (axis 0 or 1)."""
-    if axis not in (0, 1):
-        raise ValueError(f"axis must be 0 or 1, got {axis}")
-    k = f.modes.k1 if axis == 0 else f.modes.k2
-    return mode_multiplier(f, 1j * k)
-
-
-def to_real_samples(f: SpectralField, grid_n: int) -> np.ndarray:
-    """Evaluate u on the uniform grid: samples[a, b] = u(2 pi a / N, 2 pi b / N).
-
-    Requires N >= 2n+2 so the round trip with from_real_samples is exact up
-    to roundoff; smaller grids are refused rather than silently aliased.
-    """
-    N = int(grid_n)
-    if N < 2 * f.n + 2:
-        raise ValueError(f"grid size {N} too small for cutoff {f.n}; need N >= {2 * f.n + 2}")
-    return _to_grid(f.half, f.n, N)
-
-
-def from_real_samples(samples: np.ndarray, n: int) -> SpectralField:
-    """Inverse of to_real_samples: coefficients of a sampled real field."""
-    s = np.asarray(samples, dtype=np.float64)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise ValueError(f"samples must be a square 2-D array, got shape {s.shape}")
-    N = s.shape[0]
-    if N < 2 * n + 2:
-        raise ValueError(f"grid size {N} too small for cutoff {n}; need N >= {2 * n + 2}")
-    return SpectralField(ModeSet(n), _full(_from_grid(s, n)))
-
-
-def scale_modes(f: SpectralField, lam: int, n_out: int | None = None) -> SpectralField:
-    """Spectral image of x -> u(lam x): vhat(lam k) = uhat(k), zero elsewhere.
-
-    By default the output cutoff is lam * n so nothing is lost; with an
-    explicit n_out, any nonzero coefficient landing outside it is an error.
-    """
-    if isinstance(lam, bool) or not isinstance(lam, (int, np.integer)) or lam < 1:
-        raise ValueError(f"scaling factor must be an integer >= 1, got {lam!r}")
-    lam = int(lam)
-    n_out = lam * f.n if n_out is None else int(n_out)
-    mo = ModeSet(n_out)
-    src = np.arange(-f.n, f.n + 1)
-    keep = np.abs(lam * src) <= n_out
-    if np.any(f.coeff[~keep, :] != 0) or np.any(f.coeff[:, ~keep] != 0):
-        raise ValueError(
-            f"mode set overflow: nonzero coefficients map beyond cutoff {n_out} under lam={lam}"
-        )
-    c = np.zeros((mo.size, mo.size), dtype=np.complex128)
-    dest = lam * src[keep] + n_out
-    c[np.ix_(dest, dest)] = f.coeff[np.ix_(keep, keep)]
-    return SpectralField(mo, c)
 
 
 def with_cutoff(f: SpectralField, n: int) -> SpectralField:

@@ -17,25 +17,27 @@ from torusflow import (
     check_epitaxial_A0,
     check_epitaxial_A2,
     check_thinfilm_A0,
-    convolve,
     delta_of_delta_sq,
-    delta_of_delta_sq_pointwise,
     grad_dot_grad_lap,
-    grad_dot_grad_lap_pointwise,
     hessian_det2,
-    hessian_det2_pointwise,
     monitor_apriori_A2,
     power_term,
     run_sweep,
-    scale_modes,
     simulate,
     times_bilap,
-    times_bilap_pointwise,
     verify_decay_envelope,
     weak_residual,
     wiener_norm,
 )
 from _helpers import max_abs_diff, random_field, rel_err, scaled_to
+from oracles import (
+    convolve,
+    delta_of_delta_sq_pointwise,
+    grad_dot_grad_lap_pointwise,
+    hessian_det2_pointwise,
+    scale_modes,
+    times_bilap_pointwise,
+)
 
 RUN5_PARAMS = EpitaxialParams(K0=0.0, K1=0.25, K2=1.0, K3=0.25)
 RUN5_N = 16

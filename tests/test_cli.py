@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from torusflow.cli import main
-from torusflow.output import read_report_json, read_trace_csv
+from torusflow.output import read_trace_csv
 
 
 def write_config(path, **overrides):
@@ -142,7 +142,7 @@ class TestOverflowingRun:
                      stepper={"dt": 1e-3, "t_end": 0.01})
         assert main(["simulate", str(cfgp)]) == 3
         assert capsys.readouterr().err == ""
-        report = read_report_json(tmp_path / "out" / "report.json")
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["run"]["status"] == "numerical_failure"
 
 
@@ -156,7 +156,7 @@ class TestSimulateCommand:
         assert "status: completed" in out
         trace = read_trace_csv(tmp_path / "out" / "trace.csv")
         assert len(trace) > 1
-        report = read_report_json(tmp_path / "out" / "report.json")
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["theorems"][0]["satisfied"] is True
         assert report["envelope"]["passed"] is True
         assert report["run"]["status"] == "completed"
@@ -257,7 +257,7 @@ class TestCheckCommand:
         write_config(cfgp)
         out = tmp_path / "report.json"
         assert main(["check", str(cfgp), "--output", str(out)]) == 0
-        assert read_report_json(out)["envelope"] is None
+        assert json.loads(out.read_text())["envelope"] is None
 
     def test_stdout_and_output_file_get_the_same_bytes(self, tmp_path, capsys):
         cfgp, out = tmp_path / "cfg.json", tmp_path / "report.json"
@@ -535,6 +535,41 @@ class TestFileErrors:
         (out / name).mkdir(parents=True)
         self._config_error(capsys, ["simulate", str(cfgp)], f"output file {out / name}: Is a directory")
         assert not [p for p in out.iterdir() if p.is_file()]
+
+    @pytest.mark.parametrize("outputs, name, why", [
+        ({"trace_csv": "sub/t.csv"}, "sub/t.csv", "No such file or directory"),
+        ({"snapshot_prefix": "snaps/s"}, "snaps/s_00000000.txt", "No such file or directory"),
+        ({"report_json": "../afile/r.json"}, "../afile/r.json", "Not a directory"),
+        ({"trace_csv": "report.json"}, "report.json",
+         "named by both outputs.trace_csv and outputs.report_json"),
+        ({"trace_csv": "snapshot_00000020.txt"}, "snapshot_00000020.txt",
+         "outputs.trace_csv names the snapshot of step 20"),
+        ({"report_json": "./snapshot_00000040.txt"}, "./snapshot_00000040.txt",
+         "outputs.report_json names the snapshot of step 40"),
+    ], ids=["missing-trace-parent", "missing-snapshot-parent", "report-parent-is-a-file",
+            "trace-is-report", "trace-is-snapshot", "report-is-snapshot"])
+    def test_output_file_that_cannot_be_written(self, tmp_path, capsys, outputs, name, why):
+        # a missing parent, a parent that is a file, or a file that two outputs
+        # name: reported before the first step, so no file is written
+        cfgp, out = tmp_path / "cfg.json", tmp_path / "out"
+        write_config(cfgp, outputs={"directory": str(out), "snapshot_every": 20, **outputs})
+        (tmp_path / "afile").write_text("")
+        self._config_error(capsys, ["simulate", str(cfgp)], f"output file {out}/{name}: {why}")
+        assert not [p for p in out.rglob("*") if p.is_file()]
+
+    def test_sweep_member_with_an_output_that_cannot_be_written(self, tmp_path, capsys):
+        cfgp, axesp, sw = tmp_path / "cfg.json", tmp_path / "axes.json", tmp_path / "sw"
+        write_config(cfgp)
+        axesp.write_text(json.dumps({"axes": [{"path": "outputs.trace_csv",
+                                               "values": ["sub/t.csv", "report.json", "t.csv"]}]}))
+        assert main(["sweep", str(cfgp), str(axesp), "--outdir", str(sw)]) == 0
+        with open(sw / "summary.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["status"] for r in rows] == ["config_error", "config_error", "completed"]
+        assert rows[0]["error"] == f"output file {sw / 'run_0000' / 'sub' / 't.csv'}: No such file or directory"
+        assert rows[1]["error"] == (f"output file {sw / 'run_0001' / 'report.json'}: "
+                                    "named by both outputs.trace_csv and outputs.report_json")
+        assert not list((sw / "run_0000").iterdir()) and not list((sw / "run_0001").iterdir())
 
     def test_sweep_member_directory_that_cannot_be_made(self, tmp_path, capsys):
         cfgp, axesp = tmp_path / "cfg.json", tmp_path / "axes.json"

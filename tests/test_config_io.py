@@ -30,7 +30,7 @@ from torusflow import (
 from torusflow.config import (KINDS, MAX_GRID, MAX_N, MAX_P, MAX_STEPS, InitialDataSpec,
                               NormalizeSpec, OutputSpec, RunConfig)
 from torusflow.models import make_rhs
-from torusflow.output import CSV_HEADER, read_report_json
+from torusflow.output import CSV_HEADER
 from _helpers import random_field
 
 
@@ -502,4 +502,4 @@ class TestReportJson:
                   "envelope": None}
         p = tmp_path / "report.json"
         write_report_json(report, p)
-        assert read_report_json(p) == report
+        assert json.loads(p.read_text()) == report

@@ -2,15 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torusflow import (
     EpitaxialParams,
     ModeSet,
-    NormTrace,
     SpectralField,
     StepperConfig,
     ThinFilmParams,
-    detect_blowup,
     hermitian_asymmetry,
     simulate,
     simulate_batch,
@@ -20,7 +19,7 @@ from torusflow import (
 from torusflow import integrate, spectral
 from torusflow.integrate import _phi1, _phi2
 from torusflow.models import EpitaxialRhs
-from _helpers import random_field, scaled_to
+from _helpers import max_abs_diff, random_field, scaled_to
 
 
 def cos_x1(n=4, eps=0.3):
@@ -172,7 +171,40 @@ class TestSelfConvergence:
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.25)
 
 
+def _symmetry_images(c, a):
+    """Coefficients of u(x2, x1), u(-x1, x2) and u(x + a) from those of u:
+    the D4 generators k1 <-> k2 and k1 -> -k1, and uhat(k) exp(i k.a)."""
+    k = np.arange(c.shape[0]) - c.shape[0] // 2
+    return [c.T, c[::-1], c * np.exp(1j * (a[0] * k[:, None] + a[1] * k))]
+
+
 class TestSimulateInvariants:
+    # Relative tolerances per norm, about 15 times the largest drift measured
+    # on 960 runs of the property below (n = 1..12, 40 seeds, both models):
+    # A^0 6.7e-16, A^2 5.8e-16, A^4 3.2e-15, A^6 5.9e-14 (thin film) and
+    # 1.6e-15 for the final field against its largest coefficient.
+    SYMMETRY_TOL = {"a0": 1e-14, "a2": 1e-14, "a4": 5e-14, "a6": 1e-12, "field": 2e-14}
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from(["epitaxial", "thinfilm"]), st.integers(1, 12),
+           st.integers(0, 2**31 - 1), st.tuples(*[st.floats(0.0, 2 * math.pi)] * 2))
+    def test_a_run_commutes_with_the_symmetries_of_the_torus(self, model, n, seed, a):
+        # each image is one more member of the batch: no oracle, and the
+        # half-plane layout, the batch axis and the index signs all take part
+        params = {"epitaxial": EpitaxialParams(K0=0.0, K1=0.25, K2=1.0, K3=0.25),
+                  "thinfilm": ThinFilmParams(chi=0.3, p=3)}[model]
+        u0 = random_field(n, seed, amplitude=0.05, sigma=2.0)
+        members = [u0] + [SpectralField(u0.modes, c) for c in _symmetry_images(u0.coeff, a)]
+        stepper = StepperConfig(dt=1e-3, t_end=0.02, record_every=5)
+        base, *images = simulate_batch(members, params, [stepper] * 4, model)
+        tol = self.SYMMETRY_TOL
+        for out, want in zip(images, _symmetry_images(base.final_field.coeff, a)):
+            assert out.status == "completed"
+            for name in ("a0", "a2", "a4", "a6"):
+                got, ref = getattr(out.trace, name), getattr(base.trace, name)
+                assert np.max(np.abs(got - ref) / ref) < tol[name], name
+            assert max_abs_diff(out.final_field, want) < tol["field"] * np.max(np.abs(want))
+
     def test_mean_frozen_and_hermitian_states(self):
         u0 = random_field(6, seed=95, zero_mean=False)
         params = EpitaxialParams(K0=0.0, K1=0.3, K2=1.0, K3=0.1)
@@ -255,17 +287,6 @@ class TestSimulateInvariants:
 
 
 class TestBlowup:
-    def test_quiet_trace_has_no_event(self):
-        trace = NormTrace.from_rows(
-            [(0.1 * i, math.exp(-0.1 * i), 0, 0, 0, 0, 0.1) for i in range(10)])
-        assert detect_blowup(trace, threshold=2.0) is None
-
-    def test_synthetic_crossing_found_at_row(self):
-        rows = [(0.1 * i, float(i), 0, 0, 0, 0, 0.1) for i in range(10)]
-        trace = NormTrace.from_rows(rows)
-        event = detect_blowup(trace, threshold=6.5)
-        assert event == (pytest.approx(0.7), pytest.approx(7.0))
-
     def test_large_amplitude_run_reports_blowup(self):
         # smallness violated by a wide margin: quadratic growth dominates
         u0 = scaled_to(random_field(8, seed=98, sigma=2.0), 0, 4.0)
@@ -276,7 +297,7 @@ class TestBlowup:
                        "epitaxial")
         assert out.status == "blowup_detected"
         assert out.final_time < 2.0
-        assert detect_blowup(out.trace, 10.0 * wiener_norm(u0, 0)) is not None
+        assert out.trace.a0[-1] > 10.0 * wiener_norm(u0, 0)
 
     @pytest.mark.parametrize("record_every", [1, 5])
     def test_blowup_state_reaches_on_record(self, record_every):

@@ -11,27 +11,20 @@ from torusflow import (
     ModeSet,
     SpectralField,
     StepperConfig,
-    biharmonic,
-    convolve,
-    derivative,
-    from_real_samples,
     hermitian_asymmetry,
     inner,
-    laplacian,
-    mode_multiplier,
     norm_vector,
-    project,
     read_snapshot,
-    scale_modes,
     simulate,
-    to_real_samples,
     wiener_norm,
     with_cutoff,
     write_snapshot,
 )
 from torusflow import spectral
 from torusflow.spectral import _extract, _fast_len, _from_grid, _full, _pad_size, _to_grid
+from torusflow.models import _symbols
 from _helpers import brute_bilinear, held_after, max_abs_diff, random_field, w_plain
+from oracles import convolve, scale_modes
 
 
 def cos_x1(n=4, eps=1.0):
@@ -84,37 +77,27 @@ class TestConstruction:
 
 
 class TestProject:
+    """Galerkin truncation, which a snapshot of a larger cutoff takes
+    through with_cutoff."""
+
     def test_truncates_high_modes(self):
         f = random_field(5, seed=3, sigma=0.0)
-        g = project(f, 3)
-        k = np.arange(-5, 6)
-        outside = (np.abs(k)[:, None] > 3) | (np.abs(k)[None, :] > 3)
-        assert np.all(g.coeff[outside] == 0)
-        inside = ~outside
-        assert np.array_equal(g.coeff[inside], f.coeff[inside])
-
-    def test_idempotent(self):
-        f = random_field(6, seed=4)
-        once = project(f, 3)
-        twice = project(once, 3)
-        assert np.array_equal(once.coeff, twice.coeff)
+        g = with_cutoff(f, 3)
+        assert g.n == 3
+        assert np.array_equal(g.coeff, f.coeff[2:9, 2:9])
 
     def test_projection_contracts_a0(self):
         # direct coefficient sums on both sides
         f = random_field(8, seed=5, sigma=1.0)
-        g = project(f, 4)
+        g = with_cutoff(f, 4)
         s_f = math.fsum(np.abs(f.coeff).ravel().tolist())
         s_g = math.fsum(np.abs(g.coeff).ravel().tolist())
         assert s_g <= s_f
         assert wiener_norm(g, 0) <= wiener_norm(f, 0)
 
-    def test_noop_when_cutoff_large(self):
-        f = random_field(4, seed=6)
-        assert np.array_equal(project(f, 9).coeff, f.coeff)
-
     def test_bad_cutoff(self):
         with pytest.raises(ValueError):
-            project(cos_x1(), 0)
+            with_cutoff(cos_x1(), 0)
 
 
 class TestWienerNorm:
@@ -339,71 +322,48 @@ class TestConvolve:
 
 
 class TestModeMultiplier:
+    """The derivative multipliers of the kernels (models._symbols), on k2 >= 0
+    half blocks."""
+
     def test_laplacian_eigenfunction(self):
         f = cos_x1(eps=0.5)
-        got = laplacian(f)
-        assert max_abs_diff(got.coeff, -f.coeff) < 1e-16
+        u11, u22, _ = _symbols(4, "hessian")[0]
+        assert max_abs_diff((u11 + u22) * f.half, -f.half) < 1e-16
 
     def test_biharmonic_hand_value(self):
         f = SpectralField.from_modes(4, [((2, 0), 0.5), ((-2, 0), 0.5)])
-        got = biharmonic(f)
-        assert max_abs_diff(got.coeff, 16.0 * f.coeff) < 1e-14
-
-    def test_identity_symbol(self):
-        f = random_field(5, seed=12)
-        got = mode_multiplier(f, np.ones((11, 11)))
-        assert np.array_equal(got.coeff, f.coeff)
-
-    def test_callable_symbol(self):
-        f = random_field(4, seed=13)
-        got = mode_multiplier(f, lambda k1, k2: -(k1**2 + k2**2).astype(float))
-        assert max_abs_diff(got, laplacian(f)) == 0.0
-
-    def test_non_finite_symbol_rejected(self):
-        f = cos_x1()
-        bad = np.full((9, 9), np.inf)
-        with pytest.raises(ValueError, match="non-finite"):
-            mode_multiplier(f, bad)
-
-    def test_non_hermitian_symbol_rejected(self):
-        # symbol k1 (real, odd) breaks symbol(-k) = conj(symbol(k))
-        f = cos_x1()
-        with pytest.raises(ValueError, match="Hermitian"):
-            mode_multiplier(f, lambda k1, k2: k1.astype(float))
+        _, bilap = _symbols(4, "timesbilap")[0]
+        assert max_abs_diff(bilap * f.half, 16.0 * f.half) < 1e-14
 
     def test_derivative_of_sin(self):
         # d/dx1 sin x1 = cos x1
         f = SpectralField.from_modes(4, [((1, 0), -0.5j), ((-1, 0), 0.5j)])
-        got = derivative(f, 0)
-        assert max_abs_diff(got, cos_x1()) < 1e-16
+        d1, _ = _symbols(4, "grad")[0]
+        assert max_abs_diff(d1 * f.half, cos_x1().half) < 1e-16
 
 
 class TestTransforms:
+    """The transform pair of the kernels with fresh arrays: the samples
+    u(2 pi a / N, 2 pi b / N) of a half block, and back."""
+
     def test_cosine_sample_values(self):
         eps = 0.8
         f = cos_x1(3, eps=eps)
-        s = to_real_samples(f, 8)
+        s = _to_grid(f.half, 3, 8)
         want = eps * np.cos(2 * np.pi * np.arange(8) / 8)
         assert np.max(np.abs(s - want[:, None])) < 1e-14
 
     def test_round_trip(self):
         f = random_field(8, seed=77, sigma=1.0)
-        back = from_real_samples(to_real_samples(f, 32), 8)
+        back = _full(_from_grid(_to_grid(f.half, 8, 32), 8))
         assert max_abs_diff(back, f) < 1e-12
 
     def test_zero_field(self):
-        assert np.all(to_real_samples(SpectralField.zeros(3), 10) == 0)
-
-    def test_refuses_small_grid(self):
-        f = random_field(8, seed=1)
-        with pytest.raises(ValueError, match="too small"):
-            to_real_samples(f, 17)
-        with pytest.raises(ValueError, match="too small"):
-            from_real_samples(np.zeros((17, 17)), 8)
+        assert np.all(_to_grid(SpectralField.zeros(3).half, 3, 10) == 0)
 
     def test_mean_recovered(self):
         f = random_field(4, seed=3, zero_mean=False)
-        s = to_real_samples(f, 16)
+        s = _to_grid(f.half, 4, 16)
         assert abs(s.mean() - f.mean) < 1e-14
 
 
@@ -543,8 +503,7 @@ class TestAlgebraProperties:
     @given(field_strategy, st.integers(min_value=0, max_value=2**31 - 1))
     def test_operations_preserve_hermitian_symmetry(self, f, seed2):
         g = random_field(f.n, seed2)
-        for out in (project(f, max(1, f.n - 1)), convolve(f, g),
-                    laplacian(f), scale_modes(f, 2)):
+        for out in (with_cutoff(f, max(1, f.n - 1)), convolve(f, g), scale_modes(f, 2)):
             assert hermitian_asymmetry(out) < 1e-13
 
 
@@ -603,9 +562,9 @@ class TestSnapshotBytes:
 
     @pytest.mark.parametrize("n", [1, 3, 8])
     def test_averaged_zero_column_matches_per_line_writer(self, tmp_path, n):
-        # from_real_samples takes its k2 = 0 column through _extract's averaging
+        # _from_grid takes its k2 = 0 column through _extract's averaging
         samples = np.random.default_rng(n).standard_normal((2 * n + 4, 2 * n + 4))
-        f = from_real_samples(samples, n)
+        f = SpectralField(ModeSet(n), _full(_from_grid(samples, n)))
         write_snapshot(f, tmp_path / "a.txt")
         _per_line_snapshot(f, tmp_path / "b.txt")
         assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
@@ -649,9 +608,8 @@ class TestTransformLayer:
 
     def test_returned_samples_are_not_work_arrays(self):
         f, g = random_field(8, 1), random_field(8, 2)
-        samples = to_real_samples(f, 26)
+        samples = _to_grid(f.half, 8, 26)
         kept = samples.copy()
-        to_real_samples(g, 26)
         _to_grid(g.half, 8, 26)
         convolve(f, g)
         assert samples.tobytes() == kept.tobytes()
