@@ -7,6 +7,7 @@ decay envelope when a condition holds, and write trace/report/snapshots.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import re
@@ -103,10 +104,14 @@ def check_only(cfg: RunConfig) -> ExecutionResult:
                            initial_norms=nv, report=report)
 
 
-def make_output_dir(path) -> None:
-    """Create the directory path; one that cannot be is a config error."""
+def make_output_dir(path) -> list:
+    """Create directory path (a config error if it cannot be); return those made, deepest first."""
+    made, head = [], os.fspath(path).rstrip(os.sep) or os.sep
+    while not os.path.exists(head):  # what os.makedirs makes; rmdir refuses . and ..
+        made, head = made + [head], os.path.dirname(head) or os.curdir
     with file_errors(path, "output directory "):
         os.makedirs(path, exist_ok=True)
+    return made
 
 
 def _open_error(path) -> str | None:
@@ -125,7 +130,7 @@ def make_run_dir(cfg: RunConfig, outdir) -> None:
     """make_output_dir(outdir), then a config error for each file the run
     writes that _open_error refuses (the trace, the report, a snapshot of a
     step up to t_end / dt) and for two of them that os.path.normpath makes one."""
-    make_output_dir(outdir)
+    made = make_output_dir(outdir)
     out = cfg.outputs
     last = max(1, round(cfg.stepper.t_end / cfg.stepper.dt))
     folder, base = os.path.split(os.path.join(outdir, out.snapshot_prefix))
@@ -148,6 +153,9 @@ def make_run_dir(cfg: RunConfig, outdir) -> None:
     for field, path in (("trace_csv", trace), ("report_json", report)):
         if (i := step(path)) is not None:
             errors.append(f"output file {path}: outputs.{field} names the snapshot of step {i}")
+    for path in made if errors else ():  # a refused run leaves no directory it made
+        with contextlib.suppress(OSError):  # but one that something else wrote into
+            os.rmdir(path)
     if errors:
         raise ConfigError(errors)
 
@@ -194,17 +202,15 @@ def execute_run(cfg: RunConfig, outdir=None) -> ExecutionResult:
     """Full pipeline; writes trace CSV, report JSON and optional snapshots
     under outdir (default: the config's output directory)."""
     outdir = cfg.outputs.directory if outdir is None else outdir
-    return execute_batch([(cfg, outdir, _prepare(cfg))])[0]
+    prepared = _prepare(cfg)
+    make_run_dir(cfg, outdir)
+    return execute_batch([(cfg, outdir, prepared)])[0]
 
 
 def execute_batch(runs) -> list:
     """execute_run for each (cfg, outdir, _prepare(cfg)) of runs, stepped
     together in one march; the configs may differ only in initial data,
-    blow-up threshold and outputs other than snapshot_every.  An output
-    directory that cannot be created is a config error, raised before the
-    march, and so is an output file that make_run_dir refuses."""
-    for cfg, outdir, _ in runs:
-        make_run_dir(cfg, outdir)
+    blow-up threshold and outputs other than snapshot_every; each outdir has passed make_run_dir."""
     cfg = runs[0][0]
     outcomes = simulate_batch([p[0] for _, _, p in runs], cfg.params,
                               [c.stepper for c, _, _ in runs], cfg.model,

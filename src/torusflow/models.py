@@ -38,15 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .spectral import (
-    SpectralField,
-    _fast_len,
-    _from_grid,
-    _full,
-    _grids,
-    _pad_size,
-    _to_grid,
-)
+from .spectral import SpectralField, _fast_len, _full, _grids, _pad_size, _TransformPlan
 
 __all__ = [
     "EpitaxialParams",
@@ -215,14 +207,13 @@ def _symbols(n: int, *names) -> list:
     return sym
 
 
-def _galerkin(c: np.ndarray, n: int, mult: np.ndarray, form, work=None) -> np.ndarray:
-    """Galerkin coefficients of the products form(fields) returns, where
-    fields[i] samples mult[i] * u on the 3n+1 grid, which is alias-free for
-    quadratic forms.  c may carry one leading batch axis; the fields, and
-    the products, stack on a new leading axis.  One batched inverse and one
-    batched forward real transform, in the arrays of the work dict when
-    given; a form writes its products over the fields."""
-    return _from_grid(form(_to_grid(c, n, _pad_size(n), mult, work)), n, work)
+def _galerkin(c: np.ndarray, plan: _TransformPlan, form) -> np.ndarray:
+    """Galerkin coefficients of the products form(fields) returns, a slice
+    of the fields, where fields[i] samples the plan's mult[i] * u on the
+    3n+1 grid, which is alias-free for quadratic forms.  One batched inverse
+    and one batched forward real transform; a form writes its products over
+    the fields."""
+    return plan.from_grid(form(plan.to_grid(c)))
 
 
 def _det2_and_lap_sq(fields):
@@ -247,45 +238,46 @@ def _dot_pairs(fields):
     d1, d2, d1lap, d2lap = fields
     d1 *= d1lap
     d1 += np.multiply(d2, d2lap, out=d2)
-    return d1
+    return fields[:1]
 
 
 def _times(fields):
     v, w = fields
     v *= w
-    return v
+    return fields[:1]
 
 
-def _power_hat(c: np.ndarray, n: int, p: int, work=None) -> np.ndarray:
-    """Galerkin coefficients of (1 + v)^p: sampled on an alias-free grid
-    (N >= (p+1) n + 1), raised pointwise in place, truncated once."""
-    v = _to_grid(c, n, _fast_len((p + 1) * n + 1), work=work)
+def _power_hat(c: np.ndarray, plan: _TransformPlan, p: int) -> np.ndarray:
+    """Galerkin coefficients of (1 + v)^p: sampled on the plan's alias-free
+    grid (N >= (p+1) n + 1), raised pointwise in place, truncated once."""
+    v = plan.to_grid(c)
     np.add(1.0, v, out=v)
     v **= p  # ** keeps numpy's p = 2 fast path
-    return _from_grid(v, n, work)
+    return plan.from_grid(v)
 
 
 class _Rhs:
     """Stepper-facing evaluator of one model at cutoff n: the diagonal linear
     symbol plus the explicit nonlinearity, k = 0 output pinned to zero.  It
-    owns its multipliers (SYMBOLS, built on first use) and the work arrays
-    of its transforms; they go when it does."""
+    owns its multipliers (SYMBOLS, built on first use), its grids (largest
+    last) and the transform plans of its stacks; they go when it does."""
 
     SYMBOLS = ()
     symbols = cached_property(lambda self: _symbols(self.n, *self.SYMBOLS))
+    points = property(lambda self: 3 * self.grids[-1] ** 2)  # samples per member, largest grid
 
     def __init__(self, n: int, params):
         self.n = int(n)
         self.params = params
         self.abs2 = _grids(self.n)[2][:, self.n :]
-        self._work = {}
+        self._plans = None, ()
 
-    def work(self, c: np.ndarray) -> dict:
-        """The work dict of stacks shaped like c; a new one when the shape
-        changes (members left the stack) lets the old arrays go."""
-        if c.shape not in self._work:
-            self._work = {c.shape: {}}
-        return self._work[c.shape]
+    def plans(self, c: np.ndarray) -> tuple:
+        """The transform plans (make_plans) of stacks shaped like c; new ones
+        when the shape changes (members left the stack) let the old go."""
+        if self._plans[0] != c.shape:
+            self._plans = c.shape, self.make_plans(c.shape[:-2])
+        return self._plans[1]
 
     def nonlinear(self, c: np.ndarray) -> np.ndarray:
         terms = self.terms(c)
@@ -312,14 +304,17 @@ class EpitaxialRhs(_Rhs):
         self.linear.setflags(write=False)
         # -(K3/2) lap (lap u)^2 has coefficient +(K3/2) |k|^2 d(k)
         self.lap_k3 = (0.5 * params.K3) * self.abs2
-        self.points = 3 * _pad_size(self.n) ** 2  # samples per member, largest transform
+        self.grids = (_pad_size(self.n),)
+
+    def make_plans(self, lead) -> tuple:
+        return (_TransformPlan(lead, self.n, self.grids[0], self.symbols[0], 2),)
 
     def terms(self, c: np.ndarray) -> list:
         """Explicit terms as (label, coefficients); zero constants omitted."""
         p = self.params
         if p.K1 == 0.0 and p.K3 == 0.0:
             return []
-        h, d = _galerkin(c, self.n, *self.symbols, _det2_and_lap_sq, self.work(c))
+        h, d = _galerkin(c, *self.plans(c), _det2_and_lap_sq)
         out = []
         if p.K1 != 0.0:
             out.append(("K1 * 2 det D^2 u", np.multiply(p.K1, h, out=h)))
@@ -343,19 +338,22 @@ class ThinFilmRhs(_Rhs):
         self.linear.setflags(write=False)
         # -chi lap (1+v)^p has coefficient +chi |k|^2 power_hat(k)
         self.lap_chi = params.chi * self.abs2
-        self.points = 3 * _fast_len((params.p + 1) * self.n + 1) ** 2
+        self.grids = (_pad_size(self.n), _fast_len((params.p + 1) * self.n + 1))
+
+    def make_plans(self, lead) -> tuple:
+        return (_TransformPlan(lead, self.n, self.grids[0], self.symbols[1], 2),
+                _TransformPlan(lead, self.n, self.grids[1]))
 
     def terms(self, c: np.ndarray) -> list:
         """Explicit terms as (label, coefficients)."""
-        n, work = self.n, self.work(c)
-        grad, flux_mult = self.symbols
+        flux_plan, power_plan = self.plans(c)
         # div (v grad lap v) = grad v . grad lap v + v lap^2 v is i k . F,
         # with F the Galerkin coefficients of v grad lap v
-        flux = _galerkin(c, n, flux_mult, _flux, work)
-        grad = grad.reshape((2,) + (1,) * (c.ndim - 2) + c.shape[-2:])
+        flux = _galerkin(c, flux_plan, _flux)
+        grad = self.symbols[0].reshape((2,) + (1,) * (c.ndim - 2) + c.shape[-2:])
         div = np.multiply(grad, flux, out=flux)[0]
         np.negative(np.add(div, flux[1], out=div), out=div)
-        power = _power_hat(c, n, self.params.p, work)
+        power = _power_hat(c, power_plan, self.params.p)
         return [
             ("-grad v . grad lap v - v lap^2 v", div),
             ("-chi lap (1+v)^p", np.multiply(self.lap_chi, power, out=power)),
@@ -397,20 +395,24 @@ def _evaluate(rhs, u: SpectralField) -> SpectralField:
     return SpectralField(u.modes, _full(out))
 
 
+def _products(u: SpectralField, name: str, form, count: int) -> np.ndarray:
+    """_galerkin of one field, through a plan of its own."""
+    return _galerkin(u.half, _TransformPlan((), u.n, _pad_size(u.n), *_symbols(u.n, name), count), form)
+
+
 def hessian_det2(u: SpectralField) -> SpectralField:
     """Spectral 2 det D^2 u = u,11 u,22 - (u,12)^2, doubled.
 
     The k = 0 coefficient vanishes to roundoff: det D^2 u is a null
     Lagrangian, so its torus integral is zero.
     """
-    h = _galerkin(u.half, u.n, *_symbols(u.n, "hessian"), _det2_and_lap_sq)[0]
-    return SpectralField(u.modes, _full(h))
+    return SpectralField(u.modes, _full(_products(u, "hessian", _det2_and_lap_sq, 2)[0]))
 
 
 def delta_of_delta_sq(u: SpectralField) -> SpectralField:
     """Spectral lap (lap u)^2: the -|k|^2 multiplier applied to the Galerkin
     coefficients of (lap u)^2."""
-    d = _galerkin(u.half, u.n, *_symbols(u.n, "hessian"), _det2_and_lap_sq)[1]
+    d = _products(u, "hessian", _det2_and_lap_sq, 2)[1]
     return SpectralField(u.modes, _full(-u.modes.abs2[:, u.n :] * d))
 
 
@@ -422,19 +424,18 @@ def epitaxial_rhs(u: SpectralField, params: EpitaxialParams) -> SpectralField:
 def power_term(v: SpectralField, p) -> SpectralField:
     """Galerkin coefficients of (1 + v)^p for integer 2 <= p <= MAX_P."""
     raise_first(violations(ThinFilmParams.RULES, {"p": p}))
-    return SpectralField(v.modes, _full(_power_hat(v.half, v.n, int(p))))
+    plan = _TransformPlan((), v.n, _fast_len((int(p) + 1) * v.n + 1))
+    return SpectralField(v.modes, _full(_power_hat(v.half, plan, int(p))))
 
 
 def grad_dot_grad_lap(v: SpectralField) -> SpectralField:
     """Spectral grad v . grad lap v = v,i v,jji; weight m.(k-m) |k-m|^2."""
-    half = _galerkin(v.half, v.n, *_symbols(v.n, "gradlap"), _dot_pairs)
-    return SpectralField(v.modes, _full(half))
+    return SpectralField(v.modes, _full(_products(v, "gradlap", _dot_pairs, 1)[0]))
 
 
 def times_bilap(v: SpectralField) -> SpectralField:
     """Spectral v lap^2 v; weight |k-m|^4."""
-    half = _galerkin(v.half, v.n, *_symbols(v.n, "timesbilap"), _times)
-    return SpectralField(v.modes, _full(half))
+    return SpectralField(v.modes, _full(_products(v, "timesbilap", _times, 1)[0]))
 
 
 def thinfilm_rhs(v: SpectralField, params: ThinFilmParams) -> SpectralField:

@@ -355,32 +355,53 @@ def _pad_size(n: int) -> int:
 # coefficients in an (N, n+1) block, row a holding k1 = a (a <= n) or a - N
 # (a >= N - n); uhat(-k) = conj(uhat(k)) gives the rest.  A 2-D real
 # transform is two pruned 1-D passes, complex over k1 on the n+1 columns and
-# real over k2 zero-padded to N, into work arrays: fresh ones, or those of a
-# dict the caller owns and passes as work, reused by every call that has the
-# same shapes.  Leading batch axes let one call transform a whole stack.
+# real over k2 zero-padded to N, calls of numpy's pocketfft gufuncs with the
+# forward 1/N^2 in the row pass: bit for bit scipy.fft's irfft2 and
+# rfft2(norm="forward").  Leading batch axes transform a whole stack.
+_COLUMNS = [(-2,), (), (-2,)]  # gufunc axes of a pass over k1
 
 
-def _work(work, *specs) -> list:
-    """Work arrays, one per (shape, dtype) in specs, zeroed when made: fresh
-    ones when work is None, else those the dict work keeps for specs."""
-    if work is None:
-        return [np.zeros(shape, dtype) for shape, dtype in specs]
-    if specs not in work:
-        work[specs] = _work(None, *specs)
-    return work[specs]
+class _TransformPlan:
+    """One transform pair, its arrays made once and overwritten by each call.
+    to_grid: samples u(2 pi a / N, 2 pi b / N) of lead-shaped stacks of half
+    blocks or, with mult (F, 2n+1, n+1), of the fields mult[i] * half stacked
+    on a new leading axis (the grid array).  from_grid: fresh half blocks of
+    |k| <= n of samples shaped like those or, with count, like count fields.
+    Needs N >= 2n + 1."""
 
+    def __init__(self, lead, n: int, N: int, mult=None, count=None):
+        # bound here, not at import: importing torusflow leaves numpy.fft unloaded
+        from numpy.fft import _pocketfft_umath as pfu
+        self.n, self.N, self.scale, self.mult = n, N, 1.0 / (N * N), mult
+        self.ifft, self.irfft, self.fft = pfu.ifft, pfu.irfft, pfu.fft
+        self.rfft = pfu.rfft_n_odd if N % 2 else pfu.rfft_n_even
+        if mult is not None:
+            mult = mult.reshape(mult.shape[:1] + (1,) * len(lead) + mult.shape[1:])
+            self.mult = mult[..., n:, :], mult[..., :n, :]
+            lead = mult.shape[:1] + lead
+        self.emb = np.zeros(lead + (N, n + 1), dtype=complex)
+        self.rows = self.emb[..., : n + 1, :], self.emb[..., N - n :, :]  # k1 >= 0, k1 < 0
+        self.col = np.empty_like(self.emb)
+        self.grid = np.empty(lead + (N, N))
+        products = lead if count is None else (count,) + lead[1:]
+        self.row = np.empty(products + (N, N // 2 + 1), dtype=complex)
+        self.row_cols = self.row[..., : n + 1]
+        self.spec = np.empty(products + (N, n + 1), dtype=complex)
 
-def _embed(half: np.ndarray, n: int, N: int, out: np.ndarray, mult=None) -> np.ndarray:
-    """Scatter k2 >= 0 half blocks (..., 2n+1, n+1), rows k1 = -n..n, or
-    their products mult * half when mult is given, into the zeroed
-    (..., N, n+1) block out; its other rows stay zero.  Needs N >= 2n + 1."""
-    if mult is None:
-        out[..., : n + 1, :] = half[..., n:, :]
-        out[..., N - n :, :] = half[..., :n, :]
-    else:
-        np.multiply(mult[..., n:, :], half[..., n:, :], out=out[..., : n + 1, :])
-        np.multiply(mult[..., :n, :], half[..., :n, :], out=out[..., N - n :, :])
-    return out
+    def to_grid(self, half: np.ndarray) -> np.ndarray:
+        n, (low, high) = self.n, self.rows
+        if self.mult is None:
+            low[...], high[...] = half[..., n:, :], half[..., :n, :]
+        else:
+            np.multiply(self.mult[0], half[..., n:, :], out=low)
+            np.multiply(self.mult[1], half[..., :n, :], out=high)
+        self.ifft(self.emb, 1.0, axes=_COLUMNS, out=self.col)
+        return self.irfft(self.col, 1.0, out=self.grid)
+
+    def from_grid(self, values: np.ndarray) -> np.ndarray:
+        self.rfft(values, self.scale, out=self.row)
+        self.fft(self.row_cols, 1.0, axes=_COLUMNS, out=self.spec)
+        return _extract(self.spec, self.n, self.N)
 
 
 def _extract(spec: np.ndarray, n: int, N: int) -> np.ndarray:
@@ -395,34 +416,6 @@ def _extract(spec: np.ndarray, n: int, N: int) -> np.ndarray:
 def _full(half: np.ndarray) -> np.ndarray:
     """Exactly Hermitian centered blocks (..., 2n+1, 2n+1) of half blocks."""
     return np.concatenate([_hermitian_flip(half)[..., :-1], half], axis=-1)
-
-
-def _to_grid(half: np.ndarray, n: int, N: int, mult=None, work=None) -> np.ndarray:
-    """Samples u(2 pi a / N, 2 pi b / N) of the fields whose k2 >= 0 half
-    blocks are given or, with mult (F, 2n+1, n+1), of the F fields mult[i] *
-    half, stacked on a new leading axis; one batched inverse real transform.
-    With a work dict the result is a work array that the next call with the
-    same shapes and dict overwrites."""
-    if mult is not None:
-        mult = mult.reshape(mult.shape[:1] + (1,) * (half.ndim - 2) + mult.shape[1:])
-    lead = half.shape[:-2] if mult is None else mult.shape[:1] + half.shape[:-2]
-    block = lead + (N, n + 1)
-    emb, col, grid = _work(work, (block, complex), (block, complex), (block[:-1] + (N,), float))
-    np.fft.ifft(_embed(half, n, N, emb, mult), axis=-2, norm="forward", out=col)
-    return np.fft.irfft(col, n=N, axis=-1, norm="forward", out=grid)
-
-
-def _from_grid(values: np.ndarray, n: int, work=None) -> np.ndarray:
-    """k2 >= 0 half blocks of |k| <= n of real samples on an N x N grid; one
-    batched forward real transform, its passes in work arrays (see _to_grid)."""
-    N, block = values.shape[-1], values.shape[:-1] + (n + 1,)
-    row, col, spec = _work(work, (values.shape[:-1] + (N // 2 + 1,), complex), (block, complex),
-                           (block, complex))
-    np.fft.rfft(values, axis=-1, out=row)
-    # Scale once, after the row pass, real and imaginary parts alike: the
-    # order and factor of pocketfft's 2-D r2c with norm="forward".
-    np.multiply(row[..., : n + 1].view(float), 1.0 / (N * N), out=col.view(float))
-    return _extract(np.fft.fft(col, axis=-2, out=spec), n, N)
 
 
 def with_cutoff(f: SpectralField, n: int) -> SpectralField:

@@ -10,7 +10,7 @@ import numpy as np
 
 from torusflow import EpitaxialParams, ModeSet, SpectralField, ThinFilmParams
 from torusflow.models import _require_zero_mean
-from torusflow.spectral import _from_grid, _full, _grids, _pad_size, _to_grid
+from torusflow.spectral import _full, _grids, _pad_size, _TransformPlan
 
 
 def _convolve_direct_raw(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -44,8 +44,10 @@ def convolve(f: SpectralField, g: SpectralField, method: str = "fft") -> Spectra
         raise ValueError(f"mode-set mismatch: n={f.n} vs n={g.n}")
     n = f.n
     if method == "fft":
-        fa, fb = _to_grid(np.stack([f.half, g.half]), n, _pad_size(n))
-        return SpectralField(f.modes, _full(_from_grid(fa * fb, n)))
+        plan = _TransformPlan((2,), n, _pad_size(n), count=1)
+        grid = plan.to_grid(np.stack([f.half, g.half]))
+        np.multiply(grid[0], grid[1], out=grid[0])
+        return SpectralField(f.modes, _full(plan.from_grid(grid[:1])[0]))
     if method == "direct":
         return SpectralField(f.modes, _convolve_direct_raw(f.coeff, g.coeff, n))
     raise ValueError(f"unknown convolution method {method!r}")

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -557,6 +558,17 @@ class TestFileErrors:
         self._config_error(capsys, ["simulate", str(cfgp)], f"output file {out}/{name}: {why}")
         assert not [p for p in out.rglob("*") if p.is_file()]
 
+    @pytest.mark.parametrize("outdir, made", [("o_x", "o_x"), ("a/b", "a"), ("kept/c/", "kept/c")])
+    def test_a_refused_run_leaves_none_of_the_directories_it_made(self, tmp_path, capsys,
+                                                                  monkeypatch, outdir, made):
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path / "cfg.json", outputs={"trace_csv": "sub/t.csv"})
+        (tmp_path / "kept").mkdir()  # there before the run, so it stays
+        self._config_error(capsys, ["simulate", "cfg.json", "--outdir", outdir],
+                           f"output file {os.path.join(outdir, 'sub/t.csv')}: No such file or directory")
+        assert not (tmp_path / made).exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "kept"]
+
     def test_sweep_member_with_an_output_that_cannot_be_written(self, tmp_path, capsys):
         cfgp, axesp, sw = tmp_path / "cfg.json", tmp_path / "axes.json", tmp_path / "sw"
         write_config(cfgp)
@@ -569,7 +581,8 @@ class TestFileErrors:
         assert rows[0]["error"] == f"output file {sw / 'run_0000' / 'sub' / 't.csv'}: No such file or directory"
         assert rows[1]["error"] == (f"output file {sw / 'run_0001' / 'report.json'}: "
                                     "named by both outputs.trace_csv and outputs.report_json")
-        assert not list((sw / "run_0000").iterdir()) and not list((sw / "run_0001").iterdir())
+        # a refused member leaves no directory behind
+        assert sorted(p.name for p in sw.iterdir()) == ["run_0002", "summary.csv"]
 
     def test_sweep_member_directory_that_cannot_be_made(self, tmp_path, capsys):
         cfgp, axesp = tmp_path / "cfg.json", tmp_path / "axes.json"
@@ -593,6 +606,18 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["theorems"]
+
+    def test_check_leaves_numpy_fft_unloaded(self, tmp_path):
+        # the transform plans bind numpy's pocketfft gufuncs when the first is
+        # built, so starting up and checking a config import no numpy.fft
+        cfgp = tmp_path / "cfg.json"
+        write_config(cfgp)
+        code = ("import sys, torusflow\n"
+                f"torusflow.check_only(torusflow.load_config({str(cfgp)!r}))\n"
+                "print('numpy.fft' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
 
     def test_runtime_imports_no_scipy(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

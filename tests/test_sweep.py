@@ -311,3 +311,18 @@ class TestBatchIsolation:
         got = run_sweep(base, [(AXIS, values)], str(tmp_path / "capped"))
         assert batches == [2, 1, 1]  # member 3 is a config error
         assert got == want
+
+    def test_each_member_checks_its_outputs_once(self, tmp_path, monkeypatch):
+        # _run_batch checks them, so that a refused member is a config_error
+        # row; the march does not check them again
+        checked, check = [], driver.make_run_dir
+
+        def counting(cfg, outdir):
+            checked.append(outdir)
+            return check(cfg, outdir)
+
+        monkeypatch.setattr(driver, "make_run_dir", counting)
+        monkeypatch.setattr(sweep, "make_run_dir", counting)
+        rows = run_sweep(mixed_base("epitaxial"), [(AXIS, MIXED["epitaxial"][2])], str(tmp_path))
+        ran = [str(tmp_path / f"run_{r['run_id']:04d}") for r in rows if r["status"] != "config_error"]
+        assert len(ran) == 4 and checked == ran
