@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 from .config import ConfigError, RunConfig, config_to_dict, file_errors, prepare_initial
 from .integrate import RunOutcome, _blowup_threshold, simulate_batch
 from .output import write_report_json, write_trace_csv
-from .spectral import NormVector, norm_vector, write_snapshot
+from .spectral import NormVector, _snapshot_layout, _write_snapshot, norm_vector
 from .theory import (
     EnvelopeVerdict,
     TheoremReport,
@@ -160,16 +160,19 @@ def make_run_dir(cfg: RunConfig, outdir) -> None:
         raise ConfigError(errors)
 
 
-def _snapshot_writer(cfg: RunConfig, outdir):
-    """The on_record that writes the config's snapshots under outdir, or None."""
+def _snapshot_writers(runs) -> list:
+    """For each (cfg, outdir, _) of runs, which share n and snapshot_every,
+    the on_record that writes the config's snapshots under outdir, or None.
+    The writers share one snapshot layout, freed with them."""
+    cfg = runs[0][0]
     if cfg.outputs.snapshot_every <= 0:
-        return None
-    prefix = os.path.join(outdir, cfg.outputs.snapshot_prefix)
+        return [None] * len(runs)
+    layout = _snapshot_layout(cfg.n)
 
-    def on_record(step, t, field):
-        write_snapshot(field, f"{prefix}_{step:08d}.txt")
+    def writer(prefix):
+        return lambda step, t, field: _write_snapshot(field, f"{prefix}_{step:08d}.txt", layout)
 
-    return on_record
+    return [writer(os.path.join(d, c.outputs.snapshot_prefix)) for c, d, _ in runs]
 
 
 def _finish(cfg: RunConfig, outdir, prepared, outcome: RunOutcome) -> ExecutionResult:
@@ -214,6 +217,6 @@ def execute_batch(runs) -> list:
     cfg = runs[0][0]
     outcomes = simulate_batch([p[0] for _, _, p in runs], cfg.params,
                               [c.stepper for c, _, _ in runs], cfg.model,
-                              [_snapshot_writer(c, d) for c, d, _ in runs],
+                              _snapshot_writers(runs),
                               cfg.outputs.snapshot_every or None)
     return [_finish(*run, outcome) for run, outcome in zip(runs, outcomes)]

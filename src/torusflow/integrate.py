@@ -68,47 +68,32 @@ class StepperConfig(Checked):
 
 @dataclass(frozen=True)
 class NormTrace:
-    """Columns of (t, A^0, A^2, A^4, A^6, mean, dt) sampled along a run."""
+    """Rows of (t, A^0, A^2, A^4, A^6, mean, dt) sampled along a run: one
+    read-only (m, 7) float64 array, whose columns t, a0, a2, a4, a6, mean
+    and dt_used are views of it."""
 
-    t: np.ndarray
-    a0: np.ndarray
-    a2: np.ndarray
-    a4: np.ndarray
-    a6: np.ndarray
-    mean: np.ndarray
-    dt_used: np.ndarray
+    data: np.ndarray
+    COLUMNS = ("t", "a0", "a2", "a4", "a6", "mean", "dt_used")
 
     def __post_init__(self):
-        cols = {}
-        for name in ("t", "a0", "a2", "a4", "a6", "mean", "dt_used"):
-            a = np.asarray(getattr(self, name), dtype=np.float64)
-            a.setflags(write=False)
-            cols[name] = a
-            object.__setattr__(self, name, a)
-        m = len(cols["t"])
-        for name, a in cols.items():
-            if a.shape != (m,):
-                raise ValueError(f"trace column {name} has shape {a.shape}, expected ({m},)")
-            if not np.isfinite(a).all():
+        a = np.asarray(self.data, dtype=np.float64).view()
+        if a.ndim != 2 or a.shape[1] != 7:
+            raise ValueError(f"trace rows have shape {a.shape}, expected (m, 7)")
+        a.setflags(write=False)
+        object.__setattr__(self, "data", a)
+        for i, name in enumerate(self.COLUMNS):  # column by column: 1 B a row of temporaries
+            object.__setattr__(self, name, a[:, i])
+            if not np.isfinite(a[:, i]).all():
                 raise ValueError(f"trace column {name} contains non-finite entries")
-        if m > 1 and not np.all(np.diff(cols["t"]) > 0):
+        if not (self.t[1:] > self.t[:-1]).all():
             raise ValueError("trace times must be strictly increasing")
 
     def __len__(self) -> int:
-        return len(self.t)
+        return len(self.data)
 
     @classmethod
     def from_rows(cls, rows) -> "NormTrace":
-        if rows:
-            arr = np.asarray(rows, dtype=np.float64)
-        else:
-            arr = np.empty((0, 7), dtype=np.float64)
-        return cls(*(arr[:, i] for i in range(7)))
-
-    def rows(self):
-        for i in range(len(self)):
-            yield (self.t[i], self.a0[i], self.a2[i], self.a4[i],
-                   self.a6[i], self.mean[i], self.dt_used[i])
+        return cls(rows if len(rows) else np.empty((0, 7)))
 
 
 @dataclass(frozen=True)
@@ -253,7 +238,9 @@ def simulate_batch(u0s, params, steppers, model: str, on_record=None,
     each what simulate gives for that member alone.  steppers[b] and
     on_record[b] (a list, or None) belong to member b; the steppers may
     differ only in blowup_threshold.  A member that blows up or fails leaves
-    the stack."""
+    the stack.  Each member's trace rows go into its own (rows, 7) array,
+    made for the most rows a run records (its pages fill as rows arrive)
+    and cut to the rows written when the march ends."""
     on_record = on_record or [None] * len(u0s)
     rhs = make_rhs(model, u0s[0].n, params)
     if len({u.n for u in u0s}) > 1 or len({replace(s, blowup_threshold=None) for s in steppers}) > 1:
@@ -265,16 +252,21 @@ def simulate_batch(u0s, params, steppers, model: str, on_record=None,
     stepper, modes = steppers[0], u0s[0].modes
     dt, abs2 = stepper.dt, modes.abs2[:, modes.n :]
     c = np.stack([u0.half for u0 in u0s])
-    rows = [[row] for row in _trace_row(0.0, c, _moduli(c), modes, dt)]
-    thresholds = [_blowup_threshold(s, row[0][1]) for s, row in zip(steppers, rows)]
+    first = _trace_row(0.0, c, _moduli(c), modes, dt)
+    thresholds = [_blowup_threshold(s, row[1]) for s, row in zip(steppers, first)]
     n_steps = max(1, round(stepper.t_end / dt))
     fields_every = record_fields_every if record_fields_every is not None else stepper.record_every
     if fields_every < 1:
         raise ValueError(f"record_fields_every must be >= 1, got {fields_every}")
-    for row in rows:
-        for name, x in zip(("a0", "a2", "a4", "a6"), row[0][1:5]):
+    for row in first:
+        for name, x in zip(("a0", "a2", "a4", "a6"), row[1:5]):
             if not math.isfinite(x):
                 raise ValueError(f"the Wiener norm {name} of the initial field overflows the float range")
+    # rows at step 0, at each multiple of record_every and at the last step
+    traces = [np.empty((n_steps // stepper.record_every + 2, 7)) for _ in u0s]
+    for trace, row in zip(traces, first):
+        trace[0] = row
+    counts = [1] * len(u0s)
     for u0, record in zip(u0s, on_record):
         if record is not None:
             record(0, 0.0, u0)
@@ -308,12 +300,16 @@ def simulate_batch(u0s, params, steppers, model: str, on_record=None,
         if recorded:
             some = recorded if len(recorded) < len(live) else slice(None)
             for j, row in zip(recorded, _trace_row(t, c[some], a[some], modes, dt)):
-                rows[live[j]].append(row)
+                b = live[j]
+                traces[b][counts[b]] = row
+                counts[b] += 1
         if len(keep) < len(live):
             live, c = [live[j] for j in keep], c[keep]
             if not live:
                 break
 
-    return [RunOutcome(status=s, final_time=ft, trace=NormTrace.from_rows(r),
+    for trace, m in zip(traces, counts):  # in place: no view of a trace array exists
+        trace.resize((m, 7), refcheck=False)
+    return [RunOutcome(status=s, final_time=ft, trace=NormTrace(trace),
                        final_field=SpectralField(modes, _full(f)))
-            for (s, ft, f), r in zip(ends, rows)]
+            for (s, ft, f), trace in zip(ends, traces)]

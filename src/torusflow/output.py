@@ -17,17 +17,13 @@ __all__ = [
 CSV_HEADER = "t,a0,a2,a4,a6,mean,dt"
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def write_trace_csv(trace: NormTrace, path) -> None:
-    """One row per trace sample, %.17g, header exactly CSV_HEADER."""
-    lines = [CSV_HEADER]
-    for row in trace.rows():
-        lines.append(",".join(_fmt(v) for v in row))
+    """One row per trace sample, %.17g, header exactly CSV_HEADER; the whole
+    array is formatted by one % call."""
+    fmt = ("%.17g," * 6 + "%.17g\n") * len(trace)
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{CSV_HEADER}\n")
+        fh.write(fmt % tuple(trace.data.ravel().tolist()))
 
 
 def read_trace_csv(path) -> NormTrace:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import itemgetter
 
 import numpy as np
 
@@ -332,7 +331,6 @@ def norm_vector(f: SpectralField) -> NormVector:
     return NormVector(*_norms(f.half, f.modes))
 
 
-@lru_cache(maxsize=None)
 def _fast_len(target: int) -> int:
     """Smallest 2*3*5*7*11-smooth integer >= target, a size pocketfft
     transforms without a Bluestein pass; a power of 2 bounds the search."""
@@ -344,7 +342,6 @@ def _fast_len(target: int) -> int:
             return m
 
 
-@lru_cache(maxsize=None)
 def _pad_size(n: int) -> int:
     # N >= 3n+1 keeps every retained mode |k| <= n of a quadratic product
     # alias-free (product modes reach 2n; the nearest alias is at N - n > 2n).
@@ -436,26 +433,13 @@ def inner(f: SpectralField, g: SpectralField) -> float:
     return 4.0 * math.pi**2 * float(np.real(np.vdot(g.coeff, f.coeff)))
 
 
-@lru_cache(maxsize=1)
 def _snapshot_layout(n: int):
-    """For a cutoff-n snapshot: a %.17g format of the (re, im) pairs of the
-    k2 = 0 column and then of the k2 > 0 entries (row-major); the mode lines
-    with %s slots for re and im; and the getter that orders for those slots
-    the formatted strings followed by the k2 < 0 strings, each pair at the
-    place of the k2 > 0 entry its line mirrors."""
-    a, s = 2 * (2 * n + 1), 2 * (2 * n + 1) * n
-    lines, order = [], []
-    for r in range(2 * n + 1):
-        for k2 in range(-n, n + 1):
-            lines.append(f"{r - n} {k2} %s %s\n")
-            if k2 == 0:
-                i = 2 * r
-            elif k2 > 0:
-                i = a + 2 * (r * n + k2 - 1)
-            else:
-                i = a + s + 2 * ((2 * n - r) * n - k2 - 1)
-            order += [i, i + 1]
-    return "%.17g " * (a + s), "".join(lines), itemgetter(*order)
+    """For cutoff-n snapshots: a %.17g format of the (re, im) pairs of the
+    k2 = 0 column and then of the k2 > 0 entries (row-major), and for each
+    k1 the lines of its modes with %s slots for re and im.  Built anew on
+    each call, it lives as long as its caller keeps it."""
+    rows = ["".join(f"{k1} {k2} %s %s\n" for k2 in range(-n, n + 1)) for k1 in range(-n, n + 1)]
+    return "%.17g " * (2 * (2 * n + 1) * (n + 1)), rows
 
 
 def write_snapshot(f: SpectralField, path) -> None:
@@ -465,19 +449,32 @@ def write_snapshot(f: SpectralField, path) -> None:
     the mode it mirrors, the imaginary one negated, wherever its stored value
     is bitwise the conjugate of that mode's; elsewhere (signed zeros, which
     the symmetrization need not mirror) its stored value is formatted."""
-    n = f.n
-    half_fmt, template, order = _snapshot_layout(n)
+    _write_snapshot(f, path, _snapshot_layout(f.n))
+
+
+def _write_snapshot(f: SpectralField, path, layout) -> None:
+    """write_snapshot with the _snapshot_layout of f's cutoff, a k1 row of
+    lines at a time."""
+    n, w = f.n, 2 * f.n
+    half_fmt, rows = layout
     upper = f.half[:, 1:]
     values = np.concatenate([f.half[:, 0], upper.ravel()]).view(np.float64)
     strings = (half_fmt % tuple(values.tolist())).split()
-    mirror = strings[2 * (2 * n + 1) :]
-    mirror[1::2] = [x[1:] if x[0] == "-" else "-" + x for x in mirror[1::2]]
+    a = 2 * (2 * n + 1)  # the strings of the k2 = 0 column come first
+    # the k2 < 0 strings, each pair (im, re) at the place of the k2 > 0 entry
+    # it mirrors: reversed, a row of them runs k2 = -n, ..., -1
+    mirror = strings[a:]
+    mirror[::2] = [x[1:] if x[0] == "-" else "-" + x for x in strings[a + 1 :: 2]]
+    mirror[1::2] = strings[a::2]
     lower = np.ascontiguousarray(f.coeff[::-1, n - 1 :: -1]).view(np.float64).ravel()
     want = np.conj(upper).view(np.float64).ravel()
     for k in np.flatnonzero(lower.view(np.int64) != want.view(np.int64)).tolist():
-        mirror[k] = "%.17g" % lower[k].item()
+        mirror[k ^ 1] = "%.17g" % lower[k].item()  # lower pairs run (re, im), mirror (im, re)
     with open(path, "w") as fh:
-        fh.write(f"{SNAPSHOT_MAGIC} n={n}\n" + template % order(strings + mirror))
+        fh.write(f"{SNAPSHOT_MAGIC} n={n}\n")
+        for r, lines in enumerate(rows):
+            m, u = (2 * n - r) * w, a + r * w
+            fh.write(lines % (*mirror[m : m + w][::-1], *strings[2 * r : 2 * r + 2], *strings[u : u + w]))
 
 
 def read_snapshot(path) -> SpectralField:

@@ -2,7 +2,8 @@
 command runs them.  The *_pointwise oracles multiply derivative fields on a
 4n+3 grid with complex numpy.fft; convolve's direct O(n^4) sum pins its own
 "fft" branch, which runs the package's transform pair; scale_modes is the
-spectral image of x -> lam x."""
+spectral image of x -> lam x; per_line_snapshot writes a snapshot one mode
+line at a time."""
 
 from __future__ import annotations
 
@@ -171,3 +172,15 @@ def thinfilm_rhs_pointwise(v: SpectralField, params: ThinFilmParams) -> Spectral
     w_hat = np.fft.fft2((1.0 + vs) ** params.p) / (N * N)
     out += params.chi * _big_wavenumbers(N) * w_hat
     return SpectralField(v.modes, _gather(out, n, N))
+
+
+def per_line_snapshot(f: SpectralField, path) -> None:
+    """The one-line-at-a-time snapshot writer, kept as a byte-level oracle."""
+    n = f.n
+    lines = [f"torusflow-spectral v1 n={n}"]
+    for k1 in range(-n, n + 1):
+        for k2 in range(-n, n + 1):
+            v = f.coeff[k1 + n, k2 + n]
+            lines.append(f"{k1} {k2} {v.real:.17g} {v.imag:.17g}")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -418,6 +419,37 @@ class TestNormOverflow:
         monkeypatch.setattr(integrate._Etd2, "advance", lambda self, c: c * 10.0)
         with pytest.raises(FloatingPointError, match="non-finite"):
             step(corner_field(8, 0.5e301), 0.01, LINEAR, "epitaxial")
+
+
+class TestTraceRows:
+    def test_a_recorded_row_costs_at_most_64_bytes(self):
+        # each member's rows go into one float64 array of 7 columns, 56 B a
+        # row; a list of 7-tuples takes 336 B a row
+        u0 = random_field(2, 5)
+
+        def peak(n_steps):
+            stepper = StepperConfig(dt=1e-3, t_end=n_steps * 1e-3, record_every=1)
+            tracemalloc.start()
+            try:
+                assert len(simulate(u0, LINEAR, stepper, "epitaxial").trace) == n_steps + 1
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(100)
+        assert (peak(4000) - peak(2000)) / 2000 <= 64
+
+    def test_the_trace_is_one_read_only_array_with_column_views(self):
+        out = simulate(cos_x1(), LINEAR, StepperConfig(dt=0.01, t_end=0.1, record_every=3),
+                       "epitaxial")
+        data = out.trace.data
+        assert data.shape == (len(out.trace), 7) and not data.flags.writeable
+        assert list(out.trace.t) == pytest.approx([0.0, 0.03, 0.06, 0.09, 0.1])
+        for i, name in enumerate(out.trace.COLUMNS):
+            col = getattr(out.trace, name)
+            assert np.shares_memory(col, data) and np.array_equal(col, data[:, i])
+        with pytest.raises(ValueError):
+            out.trace.a0[0] = 1.0
 
 
 EXPLOSIVE = EpitaxialParams(K0=0.0, K1=5.0, K2=0.05, K3=0.0)

@@ -12,8 +12,10 @@ from torusflow import (
     SpectralField,
     StepperConfig,
     ThinFilmParams,
+    execute_run,
     inner,
     norm_vector,
+    parse_config,
     read_snapshot,
     simulate,
     wiener_norm,
@@ -24,7 +26,7 @@ from torusflow import spectral
 from torusflow.spectral import _extract, _fast_len, _full, _pad_size, _TransformPlan
 from torusflow.models import _symbols, make_rhs
 from _helpers import brute_bilinear, held_after, max_abs_diff, random_field, w_plain
-from oracles import convolve, scale_modes
+from oracles import convolve, per_line_snapshot, scale_modes
 
 
 def cos_x1(n=4, eps=1.0):
@@ -523,24 +525,12 @@ class TestAlgebraProperties:
                 assert np.array_equal(col, np.conj(col[..., ::-1]))
 
 
-def _per_line_snapshot(f, path):
-    """The one-line-at-a-time snapshot writer, kept as a byte-level oracle."""
-    n = f.n
-    lines = [f"torusflow-spectral v1 n={n}"]
-    for k1 in range(-n, n + 1):
-        for k2 in range(-n, n + 1):
-            v = f.coeff[k1 + n, k2 + n]
-            lines.append(f"{k1} {k2} {v.real:.17g} {v.imag:.17g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 class TestSnapshotBytes:
     @pytest.mark.parametrize("n", [1, 2, 8, 24, 32, 64, 200])
     def test_matches_per_line_writer(self, tmp_path, n):
         f = random_field(n, seed=61 + n, sigma=1.0, zero_mean=False)
         write_snapshot(f, tmp_path / "a.txt")
-        _per_line_snapshot(f, tmp_path / "b.txt")
+        per_line_snapshot(f, tmp_path / "b.txt")
         assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
 
     def test_extreme_values_match_per_line_writer(self, tmp_path):
@@ -550,7 +540,7 @@ class TestSnapshotBytes:
             ((0, 3), -1e308), ((0, -3), -1e308), ((0, 0), -0.0),
         ])
         write_snapshot(f, tmp_path / "a.txt")
-        _per_line_snapshot(f, tmp_path / "b.txt")
+        per_line_snapshot(f, tmp_path / "b.txt")
         assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
         assert "-1e+308" in (tmp_path / "a.txt").read_text()
 
@@ -573,7 +563,7 @@ class TestSnapshotBytes:
         assert (lower.view(np.int64) != np.conj(fields[0].half[:, 1:]).view(np.int64)).any()
         for f in fields:
             write_snapshot(f, tmp_path / "a.txt")
-            _per_line_snapshot(f, tmp_path / "b.txt")
+            per_line_snapshot(f, tmp_path / "b.txt")
             assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
 
     @pytest.mark.parametrize("n", [1, 3, 8])
@@ -582,7 +572,7 @@ class TestSnapshotBytes:
         samples = np.random.default_rng(n).standard_normal((2 * n + 4, 2 * n + 4))
         f = SpectralField(ModeSet(n), _full(_from_grid(samples, n)))
         write_snapshot(f, tmp_path / "a.txt")
-        _per_line_snapshot(f, tmp_path / "b.txt")
+        per_line_snapshot(f, tmp_path / "b.txt")
         assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
 
 
@@ -650,9 +640,10 @@ class TestTransformLayer:
         plan.from_grid(plan.to_grid(random_field(8, 2).half))
         assert first.tobytes() == kept.tobytes()
 
-    def test_a_finished_run_releases_its_work_arrays(self):
-        # the run's evaluator owns its work arrays and multipliers; nothing at
-        # module level keeps them once simulate returns or raises
+    def test_a_finished_run_releases_its_work_arrays(self, tmp_path):
+        # the run's evaluator owns its work arrays and multipliers, and its
+        # snapshot writer the snapshot layout (1.7 MB at n = 64); nothing at
+        # module level keeps them once the run returns or raises
         params = EpitaxialParams(K0=0.0, K1=0.25, K2=1.0, K3=0.25)
         stepper = StepperConfig(dt=1e-4, t_end=2e-4)
 
@@ -667,7 +658,15 @@ class TestTransformLayer:
             with pytest.raises(OSError):
                 simulate(random_field(n, 3), params, stepper, "epitaxial", fail, 1)
 
-        for call in (run, run_failing):
+        def run_with_snapshots(n):
+            cfg = parse_config({
+                "model": "thinfilm", "n": n, "params": {"chi": 0.3, "p": 3},
+                "initial_data": {"kind": "random_decay", "amplitude": 0.05, "sigma": 3.0},
+                "stepper": {"dt": 1e-4, "t_end": 2e-4}, "outputs": {"snapshot_every": 1}})
+            assert execute_run(cfg, str(tmp_path / f"n{n}")).outcome.status == "completed"
+            assert len(list((tmp_path / f"n{n}").glob("snapshot_*.txt"))) == 3
+
+        for call in (run, run_failing, run_with_snapshots):
             call(48)
             assert held_after(call, 64) < 64 * 1024
 

@@ -9,6 +9,7 @@ from torusflow import EpitaxialParams, driver, sweep
 from torusflow.models import make_rhs
 from torusflow.driver import _prepare
 from torusflow.sweep import SUMMARY_FIXED_FIELDS, expand_axes, set_by_path
+from oracles import per_line_snapshot
 
 
 def base_config(outdir="."):
@@ -230,14 +231,14 @@ class TestBatchIsolation:
         # the batch raises in member 4's step-10 snapshot; every member reruns alone
         base, values = mixed_base("epitaxial"), MIXED["epitaxial"][2]
         want = run_sweep(base, [(AXIS, values)], str(tmp_path / "ok"))
-        write, batches, march = driver.write_snapshot, [], driver.simulate_batch
+        write, batches, march = driver._write_snapshot, [], driver.simulate_batch
 
-        def failing(field, path):
+        def failing(field, path, layout):
             if path.endswith("run_0004/snapshot_00000010.txt"):
                 raise OSError(28, "No space left on device")
-            write(field, path)
+            write(field, path, layout)
 
-        monkeypatch.setattr(driver, "write_snapshot", failing)
+        monkeypatch.setattr(driver, "_write_snapshot", failing)
         monkeypatch.setattr(driver, "simulate_batch",
                             lambda u0s, *a: batches.append(len(u0s)) or march(u0s, *a))
         rows = run_sweep(base, [(AXIS, values)], str(tmp_path / "failing"))
@@ -298,6 +299,35 @@ class TestBatchIsolation:
             assert sorted(p.name for p in batch_dir.iterdir() if p.suffix in (".csv", ".txt")) == names
             for name in names:
                 assert (batch_dir / name).read_bytes() == (solo_dir / name).read_bytes(), (i, name)
+
+    def test_snapshots_are_the_per_line_writers_bytes(self, tmp_path, monkeypatch):
+        # two members at n = 3, then two at n = 5, each pair one batch whose
+        # writers share one snapshot layout, built for that batch
+        base = {
+            "model": "thinfilm", "n": 3, "params": {"chi": 0.3, "p": 3}, "seed": 4,
+            "initial_data": {"kind": "random_decay", "amplitude": 0.05, "sigma": 3.0,
+                             "normalize": {"norm": "a0", "value": 0.05}},
+            "stepper": {"dt": 1e-3, "t_end": 5e-3}, "outputs": {"snapshot_every": 1},
+        }
+        want, batches = {}, []
+        write, march = driver._write_snapshot, driver.simulate_batch
+
+        def oracle(field, path, layout):
+            per_line_snapshot(field, tmp_path / "oracle.txt")
+            want[path] = (tmp_path / "oracle.txt").read_bytes()
+            write(field, path, layout)
+
+        monkeypatch.setattr(driver, "_write_snapshot", oracle)
+        monkeypatch.setattr(driver, "simulate_batch",
+                            lambda u0s, *a: batches.append(len(u0s)) or march(u0s, *a))
+        rows = run_sweep(base, [("n", [3, 5]), (AXIS, [0.02, 0.05])], str(tmp_path / "sweep"))
+        assert [r["status"] for r in rows] == ["completed"] * 4
+        assert batches == [2, 2]
+        written = sorted(str(p) for p in (tmp_path / "sweep").glob("run_*/snapshot_*.txt"))
+        assert len(written) == 4 * 6 and written == sorted(want)
+        for path in written:
+            with open(path, "rb") as fh:
+                assert fh.read() == want[path], path
 
     def test_batches_follow_the_cap(self, tmp_path, monkeypatch):
         base, values = mixed_base("epitaxial"), MIXED["epitaxial"][2]
