@@ -164,7 +164,7 @@ def _cmd_convergence(args) -> int:
                        cross=_LEVELS_CAP)
     if found:
         raise ConfigError([field + message for field, message, *_ in found])
-    initial, *_ = _prepare(cfg)
+    initial = _prepare([cfg])[0][0]
     finals = []
     dts = [cfg.stepper.dt / 2**i for i in range(args.levels + 1)]
     worst = EXIT_OK

@@ -230,14 +230,38 @@ def config_to_dict(cfg: RunConfig) -> dict:
     return asdict(cfg, dict_factory=lambda items: {k: v for k, v in items if v is not None})
 
 
-def generate_initial(spec: InitialDataSpec, n: int, seed: int) -> SpectralField:
+def generate_initial(spec: InitialDataSpec, n: int, seed: int, generated=None) -> SpectralField:
     """Realize an initial-data spec on cutoff n.
 
     random_decay draws one phase per half-plane mode (k1 > 0, or k1 = 0 and
     k2 > 0, in row-major order) from Philox(seed), with |uhat(k)| =
     amplitude * |k|^-sigma, and mirrors it to -k; the same seed always
-    produces the same field.
+    produces the same field.  generated, a dict kept by a caller that
+    prepares a batch, holds each datum made for it (or the errors that
+    refused it), keyed by the spec without normalize, n and seed, and the
+    norms normalize has taken of it, so that members that differ only in
+    normalize share one generation.
     """
+    generated = {} if generated is None else generated
+    key = (*(v for k, v in vars(spec).items() if k != "normalize"), n, seed)
+    if key not in generated:
+        try:
+            generated[key] = _generate(spec, n, seed)
+        except ConfigError as e:
+            generated[key] = e.errors
+    f = generated[key]
+    if isinstance(f, list):
+        raise ConfigError(f)
+    if spec.normalize is None:
+        return f
+    norm = spec.normalize.norm
+    if (key, norm) not in generated:
+        generated[key, norm] = wiener_norm(f, NORM_EXPONENTS[norm])
+    return _normalized(f, spec.normalize, generated[key, norm])
+
+
+def _generate(spec: InitialDataSpec, n: int, seed: int) -> SpectralField:
+    """generate_initial of spec without its normalize."""
     if spec.kind == "modes":
         f = SpectralField.from_modes(n, [((k1, k2), complex(re, im)) for k1, k2, re, im in spec.modes])
     elif spec.kind == "random_decay":
@@ -265,25 +289,27 @@ def generate_initial(spec: InitialDataSpec, n: int, seed: int) -> SpectralField:
                 f = with_cutoff(read_snapshot(spec.path), n)
             except ValueError as e:  # read_snapshot's messages name the path
                 raise ConfigError([f"initial_data.path: {e}"]) from None
+    return _without_mean(f) if spec.zero_mean else f
 
-    if spec.zero_mean:
-        f = _without_mean(f)
-    if spec.normalize is not None:
-        s = NORM_EXPONENTS[spec.normalize.norm]
-        cur = wiener_norm(f, s)
-        if not math.isfinite(cur):
-            raise ConfigError([f"initial_data.normalize: the Wiener norm {spec.normalize.norm} "
-                               "of the generated field overflows the float range"])
-        where = f"initial_data.normalize: {spec.normalize.norm} = {spec.normalize.value!r}: "
-        if cur == 0.0:
-            raise ConfigError([f"{where}the generated field has zero {spec.normalize.norm} norm"])
-        with np.errstate(over="ignore", invalid="ignore"):
-            c = f.coeff * (spec.normalize.value / cur)
-        if not np.isfinite(c).all():
-            raise ConfigError([f"{where}rescaling the generated field "
-                               "overflows the float range"])
-        f = SpectralField._exact(f.modes, c)  # a real factor keeps f exactly Hermitian
-    return f
+
+def _normalized(f: SpectralField, normalize: NormalizeSpec, cur: float) -> SpectralField:
+    """f, whose Wiener norm normalize.norm is cur, rescaled so that it is
+    normalize.value."""
+    if not math.isfinite(cur):
+        raise ConfigError([f"initial_data.normalize: the Wiener norm {normalize.norm} "
+                           "of the generated field overflows the float range"])
+    where = f"initial_data.normalize: {normalize.norm} = {normalize.value!r}: "
+    if cur == 0.0:
+        raise ConfigError([f"{where}the generated field has zero {normalize.norm} norm"])
+    with np.errstate(over="ignore", invalid="ignore"):
+        factor = normalize.value / cur
+        if math.isfinite(factor):
+            c = f.coeff * factor
+        else:  # past the float range alone: divide the parts by cur first, then scale
+            c = (f.coeff.view(np.float64) / cur * normalize.value).view(np.complex128)
+    if not np.isfinite(c).all():
+        raise ConfigError([f"{where}rescaling the generated field overflows the float range"])
+    return SpectralField._exact(f.modes, c)  # a real factor keeps f exactly Hermitian
 
 
 def _without_mean(f: SpectralField) -> SpectralField:
@@ -294,14 +320,14 @@ def _without_mean(f: SpectralField) -> SpectralField:
     return SpectralField._exact(f.modes, c)
 
 
-def prepare_initial(cfg: RunConfig):
+def prepare_initial(cfg: RunConfig, generated=None):
     """Generate the field the integrator evolves plus reporting metadata.
 
     Epitaxial runs evolve u itself.  Thin-film configs describe u0 with mean
     1 (or directly the zero-mean fluctuation); the run evolves v = u - 1 and
-    the reports state that norms refer to v.
+    the reports state that norms refer to v.  generated is generate_initial's.
     """
-    f = generate_initial(cfg.initial_data, cfg.n, cfg.seed)
+    f = generate_initial(cfg.initial_data, cfg.n, cfg.seed, generated)
     if cfg.model == "epitaxial":
         return f, {"variable": "u"}
     m = f.coeff[cfg.n, cfg.n]

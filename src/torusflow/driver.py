@@ -14,10 +14,12 @@ import re
 import stat
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 from .config import ConfigError, RunConfig, config_to_dict, file_errors, prepare_initial
 from .integrate import RunOutcome, _blowup_threshold, simulate_batch
 from .output import write_report_json, write_trace_csv
-from .spectral import NormVector, _snapshot_layout, _write_snapshot, norm_vector
+from .spectral import NormVector, _norms, _snapshot_layout, _write_snapshot
 from .theory import (
     EnvelopeVerdict,
     TheoremReport,
@@ -64,23 +66,42 @@ def _envelope_norm(report: TheoremReport) -> str:
     return "a2" if report.theorem_id.startswith("EpitaxialA2") else "a0"
 
 
-def _initial_norms(initial) -> NormVector:
-    """Norms of the initial field.  A norm beyond the float range would make
-    the reports and the trace non-finite, so it is a config error naming
-    each such norm."""
-    nv = norm_vector(initial)
+def _prepare(cfgs, refuse=None) -> list:
+    """For each config of a batch, which shares n: the initial field, its
+    norms, the theorem reports and the report skeleton, as the config alone
+    would get them; or None for a config refused, once refuse(i, e) has
+    been given what refused config i (without refuse, that is raised).
+    Each distinct initial datum is generated once, and held only while the
+    batch is prepared; the initial norms of the batch come from one stacked
+    pass."""
+
+    def attempt(i, make):
+        try:
+            return make()
+        except Exception as e:  # handled in place: a kept exception keeps its frames alive
+            if refuse is None:
+                raise
+            refuse(i, e)
+            return None
+
+    generated = {}
+    fields = [attempt(i, lambda: prepare_initial(cfg, generated)) for i, cfg in enumerate(cfgs)]
+    made = [field[0] for field in fields if field is not None]
+    norms = iter(_norms(np.stack([f.half for f in made]), made[0].modes) if made else ())
+    return [None if field is None else attempt(i, lambda: _prepared(cfg, *field, next(norms)))
+            for i, (cfg, field) in enumerate(zip(cfgs, fields))]
+
+
+def _prepared(cfg: RunConfig, initial, meta: dict, norms: list):
+    """_prepare's entry for one config whose initial field has the norms
+    norms.  A norm past the float range would make the reports and the
+    trace non-finite, so it is a config error naming each such norm; so is
+    a blow-up threshold the initial field already meets."""
+    nv = NormVector(*norms)
     bad = [name for name, x in asdict(nv).items() if not math.isfinite(x)]
     if bad:
         raise ConfigError([f"initial_data: the Wiener norm {name} of the initial field "
                            "overflows the float range" for name in bad])
-    return nv
-
-
-def _prepare(cfg: RunConfig):
-    """Initial field, its norms, the theorem reports and the report skeleton.
-    A blow-up threshold the initial field already meets is a config error."""
-    initial, meta = prepare_initial(cfg)
-    nv = _initial_norms(initial)
     try:
         _blowup_threshold(cfg.stepper, nv.a0)
     except ValueError as e:
@@ -99,7 +120,7 @@ def _prepare(cfg: RunConfig):
 
 def check_only(cfg: RunConfig) -> ExecutionResult:
     """Theorem reports without time stepping."""
-    _, nv, reports, report = _prepare(cfg)
+    _, nv, reports, report = _prepare([cfg])[0]
     return ExecutionResult(outcome=None, reports=reports, envelope=None,
                            initial_norms=nv, report=report)
 
@@ -175,8 +196,10 @@ def _snapshot_writers(runs) -> list:
     return [writer(os.path.join(d, c.outputs.snapshot_prefix)) for c, d, _ in runs]
 
 
-def _finish(cfg: RunConfig, outdir, prepared, outcome: RunOutcome) -> ExecutionResult:
-    """Decay envelope, report and trace of a finished march."""
+def _finish(cfg: RunConfig, outdir, prepared, outcome: RunOutcome,
+            final: NormVector) -> ExecutionResult:
+    """Decay envelope, report and trace of a finished march, whose final
+    field has the norms final."""
     _, nv, reports, report = prepared
     envelope = None
     primary = reports[0]
@@ -189,7 +212,7 @@ def _finish(cfg: RunConfig, outdir, prepared, outcome: RunOutcome) -> ExecutionR
     report["run"] = {
         "status": outcome.status,
         "final_time": outcome.final_time,
-        "final_norms": asdict(norm_vector(outcome.final_field)),
+        "final_norms": asdict(final),
         "mean_final": mean_final,
         "mean_u_final": mean_final + (1.0 if cfg.model == "thinfilm" else 0.0),
     }
@@ -205,18 +228,22 @@ def execute_run(cfg: RunConfig, outdir=None) -> ExecutionResult:
     """Full pipeline; writes trace CSV, report JSON and optional snapshots
     under outdir (default: the config's output directory)."""
     outdir = cfg.outputs.directory if outdir is None else outdir
-    prepared = _prepare(cfg)
+    prepared = _prepare([cfg])[0]
     make_run_dir(cfg, outdir)
     return execute_batch([(cfg, outdir, prepared)])[0]
 
 
 def execute_batch(runs) -> list:
-    """execute_run for each (cfg, outdir, _prepare(cfg)) of runs, stepped
-    together in one march; the configs may differ only in initial data,
-    blow-up threshold and outputs other than snapshot_every; each outdir has passed make_run_dir."""
+    """execute_run for each (cfg, outdir, prepared) of runs, prepared an
+    entry of _prepare, stepped together in one march; the configs may
+    differ only in initial data, blow-up threshold and outputs other than
+    snapshot_every; each outdir has passed make_run_dir.  The final norms
+    come from one stacked pass."""
     cfg = runs[0][0]
     outcomes = simulate_batch([p[0] for _, _, p in runs], cfg.params,
                               [c.stepper for c, _, _ in runs], cfg.model,
                               _snapshot_writers(runs),
                               cfg.outputs.snapshot_every or None)
-    return [_finish(*run, outcome) for run, outcome in zip(runs, outcomes)]
+    finals = _norms(np.stack([o.final_field.half for o in outcomes]), outcomes[0].final_field.modes)
+    return [_finish(*run, outcome, NormVector(*final))
+            for run, outcome, final in zip(runs, outcomes, finals)]

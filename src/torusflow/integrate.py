@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -178,6 +178,12 @@ def step(state: SpectralField, dt: float, params, model: str,
     return out.final_field
 
 
+def _march_key(stepper: StepperConfig) -> tuple:
+    """The fields of stepper that members marched together share: all but
+    blowup_threshold."""
+    return tuple(v for k, v in vars(stepper).items() if k != "blowup_threshold")
+
+
 def _blowup_threshold(stepper: StepperConfig, a0_init: float) -> float:
     """The A^0 level past which a run from data of norm a0_init is a
     blow-up; ValueError unless it exceeds a0_init."""
@@ -197,22 +203,47 @@ def _trace_row(t: float, c: np.ndarray, a: np.ndarray, modes: ModeSet, dt: float
     return [(t, *nv, mean, dt) for nv, mean in zip(_norms(c, modes, a), c[:, modes.n, 0].real.tolist())]
 
 
-def _verdict(c: np.ndarray, a0: float, threshold: float, abs2: np.ndarray) -> tuple:
-    """(failed, blew_up) for the half block c after a step, whose plain sum
-    of |c| is a0: failed when a coefficient or a norm passes the float range,
-    blew_up when A^0 exceeds threshold.  The plain sum is within far less
-    than 1e-12 relative of the correctly rounded A^0, so it decides both
-    unless it is non-finite or within 1e-12 of a boundary: the threshold, or
-    the float maximum over (2n^2)^3, as A^s <= (2n^2)^(s/2) A^0 on the mode
-    set.  There one exact norm row decides both, its weights built for it."""
-    if abs(a0 - threshold) > 1e-12 * threshold \
-            and a0 * float(abs2[0, -1]) ** 3 * (1.0 + 1e-12) < sys.float_info.max:
-        return False, a0 > threshold
-    if not math.isfinite(a0) and not np.isfinite(c).all():
-        return True, False  # a nan or inf coefficient, judged without a norm or a warning
-    nv = _norms(c, ModeSet(c.shape[-1] - 1))
-    failed = not all(map(math.isfinite, nv))
-    return failed, not failed and nv[0] > threshold
+def _quiet_levels(thresholds: np.ndarray, n: int) -> np.ndarray:
+    """For members with these blow-up thresholds at cutoff n, the plain A^0
+    sum below which _verdict ends none of them: more than 4e-12 below the
+    threshold, so that the sum lies more than 1e-12 below it whatever the
+    roundings, and a factor 4 below the float maximum over (2n^2)^3."""
+    return np.minimum(thresholds * (1.0 - 4e-12), sys.float_info.max / 4.0 / float(2 * n * n) ** 3)
+
+
+def _verdict(c: np.ndarray, a0: np.ndarray, thresholds: np.ndarray, quiet: np.ndarray) -> dict:
+    """{j: STATUS_FAILURE or STATUS_BLOWUP} for each member j of the stack
+    of half blocks c (B, 2n+1, n+1) that ends after a step, whose plain sums
+    of |c| are a0: it fails when a coefficient or a norm passes the float
+    range, and blows up when its A^0 exceeds its threshold.  The plain sum
+    is within far less than 1e-12 relative of the correctly rounded A^0, so
+    it decides both unless it is non-finite or within 1e-12 of a boundary:
+    the threshold, or the float maximum over (2n^2)^3, as
+    A^s <= (2n^2)^(s/2) A^0 on the mode set.  There one exact norm row
+    decides both, its weights built for it; a non-finite sum over a nan or
+    inf coefficient fails without one.  One comparison clears the members
+    whose sums lie below their _quiet_levels quiet; only the others are
+    judged one by one."""
+    below = a0 < quiet
+    if np.count_nonzero(below) == len(below):
+        return {}
+    n = c.shape[-1] - 1
+    cap = float(2 * n * n) ** 3
+    ended = {}
+    for j in np.flatnonzero(~below).tolist():
+        x, threshold = float(a0[j]), float(thresholds[j])
+        if abs(x - threshold) > 1e-12 * threshold and x * cap * (1.0 + 1e-12) < sys.float_info.max:
+            nv = [x]  # the plain sum decides
+        elif not math.isfinite(x) and not np.isfinite(c[j]).all():
+            ended[j] = STATUS_FAILURE  # without a norm or a warning
+            continue
+        else:
+            nv = _norms(c[j], ModeSet(n))
+        if not all(map(math.isfinite, nv)):
+            ended[j] = STATUS_FAILURE
+        elif nv[0] > threshold:
+            ended[j] = STATUS_BLOWUP
+    return ended
 
 
 def simulate(u0: SpectralField, params, stepper: StepperConfig, model: str,
@@ -243,17 +274,18 @@ def simulate_batch(u0s, params, steppers, model: str, on_record=None,
     and cut to the rows written when the march ends."""
     on_record = on_record or [None] * len(u0s)
     rhs = make_rhs(model, u0s[0].n, params)
-    if len({u.n for u in u0s}) > 1 or len({replace(s, blowup_threshold=None) for s in steppers}) > 1:
+    if len({u.n for u in u0s}) > 1 or len(set(map(_march_key, steppers))) > 1:
         raise ValueError("batched members must share n and the stepper apart from blowup_threshold")
     if model == "thinfilm":
         for u0 in u0s:
             _require_zero_mean(u0, "thin-film initial state")
 
     stepper, modes = steppers[0], u0s[0].modes
-    dt, abs2 = stepper.dt, modes.abs2[:, modes.n :]
+    dt = stepper.dt
     c = np.stack([u0.half for u0 in u0s])
     first = _trace_row(0.0, c, _moduli(c), modes, dt)
-    thresholds = [_blowup_threshold(s, row[1]) for s, row in zip(steppers, first)]
+    thresholds = np.array([_blowup_threshold(s, row[1]) for s, row in zip(steppers, first)])
+    quiet = _quiet_levels(thresholds, modes.n)
     n_steps = max(1, round(stepper.t_end / dt))
     fields_every = record_fields_every if record_fields_every is not None else stepper.record_every
     if fields_every < 1:
@@ -274,27 +306,31 @@ def simulate_batch(u0s, params, steppers, model: str, on_record=None,
     impl = _STEPPERS[stepper.scheme](rhs, dt)
 
     live = list(range(len(u0s)))
+    callbacks = any(r is not None for r in on_record)  # a live member has an on_record
     ends = [None] * len(u0s)  # (status, final_time, final half block) of each member
     for i in range(1, n_steps + 1):
         # overflow in a step is judged by _verdict, not by warnings
         with np.errstate(over="ignore", invalid="ignore"):
             c_prev, c = c, impl.advance(c)
             a = np.abs(c)
-            a0 = (a[:, :, 0].sum(axis=1) + 2.0 * a[:, :, 1:].sum(axis=(1, 2))).tolist()
+            a0 = a[:, :, 0].sum(axis=1) + 2.0 * a[:, :, 1:].sum(axis=(1, 2))
+            ended = _verdict(c, a0, thresholds, quiet)
+        if not ended and i < n_steps and i % stepper.record_every and (not callbacks or i % fields_every):
+            continue  # no member records, has a field due, fails or crosses
         t = i * dt
         keep, recorded = [], []
         for j, b in enumerate(live):
-            failed, blowup = _verdict(c[j], a0[j], thresholds[b], abs2)
-            if failed:
+            status = ended.get(j)
+            if status == STATUS_FAILURE:
                 ends[b] = (STATUS_FAILURE, (i - 1) * dt, c_prev[j])
                 continue
-            last = blowup or i == n_steps
+            last = status is not None or i == n_steps
             if last or i % stepper.record_every == 0:
                 recorded.append(j)
             if on_record[b] is not None and (last or i % fields_every == 0):
                 on_record[b](i, t, SpectralField(modes, _full(c[j])))
             if last:
-                ends[b] = (STATUS_BLOWUP if blowup else STATUS_COMPLETED, t, c[j])
+                ends[b] = (status or STATUS_COMPLETED, t, c[j])
             else:
                 keep.append(j)
         if recorded:
@@ -305,6 +341,8 @@ def simulate_batch(u0s, params, steppers, model: str, on_record=None,
                 counts[b] += 1
         if len(keep) < len(live):
             live, c = [live[j] for j in keep], c[keep]
+            thresholds, quiet = thresholds[keep], quiet[keep]
+            callbacks = any(on_record[b] is not None for b in live)
             if not live:
                 break
 

@@ -3,8 +3,9 @@
 Every combination has its own output directory and summary row, in product
 order; a failure (config violation, numerical failure, blow-up) becomes a
 row rather than aborting the sweep.  Members that share model, n, params,
-stepper (but for blowup_threshold) and snapshot cadence are stepped as one
-batch; if a batch raises, its members rerun alone, for their solo rows.
+stepper (but for blowup_threshold) and snapshot cadence are prepared,
+stepped and finished as one batch; if a prepared batch raises, its members
+rerun alone, for their solo rows.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ import copy
 import csv
 import itertools
 import os
-from dataclasses import replace
 
 from .config import ConfigError, parse_config
 from .driver import _prepare, execute_batch, make_output_dir, make_run_dir
+from .integrate import _march_key
 from .models import make_rhs
 
 __all__ = ["set_by_path", "expand_axes", "run_sweep", "write_sweep_summary"]
@@ -75,14 +76,20 @@ def expand_axes(axes):
     return paths, [dict(zip(paths, combo)) for combo in combos]
 
 
+def _refused(row: dict, e: Exception) -> None:
+    """Set the row's status and error from e, which refused its run."""
+    if isinstance(e, ConfigError):
+        row.update(status="config_error", error="; ".join(e.errors))
+    else:
+        row.update(status="error", error=f"{type(e).__name__}: {e}")
+
+
 def _guarded(row: dict, fn):
     """fn(), or None with the row's status and error set from what it raised."""
     try:
         return fn()
-    except ConfigError as e:
-        row.update(status="config_error", error="; ".join(e.errors))
     except Exception as e:  # per-run isolation: never abort the sweep
-        row.update(status="error", error=f"{type(e).__name__}: {e}")
+        _refused(row, e)
     return None
 
 
@@ -106,8 +113,8 @@ def _run_batch(members) -> None:
     """Prepare (then make_run_dir), march and finish (row, cfg, run_dir)
     members of one batch key, filling each row as a solo run would."""
     runs = []
-    for row, cfg, run_dir in members:
-        prepared = _guarded(row, lambda: _prepare(cfg))
+    batch = _prepare([cfg for _, cfg, _ in members], lambda i, e: _refused(members[i][0], e))
+    for (row, cfg, run_dir), prepared in zip(members, batch):
         if prepared is not None and _guarded(row, lambda: make_run_dir(cfg, run_dir) or True):
             runs.append((row, (cfg, run_dir, prepared)))
     if not runs:
@@ -153,7 +160,7 @@ def run_sweep(base: dict, axes, outdir: str, max_runs: int = DEFAULT_MAX_RUNS) -
         run_dir = os.path.join(outdir, f"run_{i:04d}")
         cfg = _guarded(rows[-1], lambda: parse_config(_member_config(base, combo, run_dir)))
         if cfg is not None:
-            key = (cfg.model, cfg.n, cfg.params, replace(cfg.stepper, blowup_threshold=None),
+            key = (cfg.model, cfg.n, cfg.params, _march_key(cfg.stepper),
                    cfg.outputs.snapshot_every)  # what one batched march must share
             groups.setdefault(key, []).append((rows[-1], cfg, run_dir))
     for group in groups.values():

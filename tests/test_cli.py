@@ -109,8 +109,11 @@ class TestThresholdAtInitialNorm:
 
 class TestInitialDataRescaling:
     @pytest.mark.parametrize("initial_data, message", [
-        ({"kind": "modes", "modes": _with_conjugates([[1, 0, 1e-300, 0]]),
-          "normalize": {"norm": "a0", "value": 1e10}}, "overflows the float range"),
+        # the factor 1e10 / 2e-300 passes the float range, and so does the
+        # mean 1, which |k|^2 does not weigh, rescaled part by part
+        ({"kind": "modes", "zero_mean": False,
+          "modes": [[0, 0, 1.0, 0], *_with_conjugates([[1, 0, 1e-300, 0]])],
+          "normalize": {"norm": "a2", "value": 1e10}}, "overflows the float range"),
         # the mean is not weighted by |k|^2, so only it overflows
         ({"kind": "modes", "zero_mean": False,
           "modes": [[0, 0, 1e300, 0], *_with_conjugates([[1, 0, 1e-290, 0]])],
@@ -126,6 +129,22 @@ class TestInitialDataRescaling:
         assert err.startswith("config error: initial_data.normalize: ")
         assert message in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("initial_data, a0, rel", [
+        ({"kind": "modes", "modes": _with_conjugates([[1, 0, 1e-300, 0]]),
+          "normalize": {"norm": "a0", "value": 1e10}}, 1e10, 1e-15),
+        # subnormal moduli keep a few bits, so the rescaled A^0 is that close
+        ({"kind": "random_decay", "amplitude": 1e-318, "sigma": 3.0,
+          "normalize": {"norm": "a0", "value": 0.5}}, 0.5, 1e-5),
+    ])
+    def test_a_factor_past_the_float_range_alone_rescales(self, tmp_path, capsys,
+                                                          initial_data, a0, rel):
+        # value / A^0 overflows, though the rescaled field is well inside the range
+        cfgp = tmp_path / "cfg.json"
+        write_config(cfgp, initial_data=initial_data)
+        assert main(["check", str(cfgp)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["initial_norms"]["a0"] == pytest.approx(a0, rel=rel, abs=0)
 
 
 class TestOverflowingRun:

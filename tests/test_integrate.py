@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -295,6 +296,14 @@ class TestSimulateInvariants:
                      StepperConfig(dt=0.01, t_end=0.1, blowup_threshold=0.5), "epitaxial")
 
 
+def verdict(c, a0, threshold):
+    """(failed, blew_up) by integrate._verdict of the half block c as a one-member stack."""
+    thresholds = np.array([threshold])
+    quiet = integrate._quiet_levels(thresholds, c.shape[-1] - 1)
+    status = integrate._verdict(c[None], np.array([a0]), thresholds, quiet).get(0)
+    return status == integrate.STATUS_FAILURE, status == integrate.STATUS_BLOWUP
+
+
 class TestBlowup:
     def test_large_amplitude_run_reports_blowup(self):
         # smallness violated by a wide margin: quadratic growth dominates
@@ -354,11 +363,10 @@ class TestBlowup:
         # a threshold of 1 the exact row, not the plain sum, decides.
         x = 0.75 * 2.0**-53
         u = SpectralField.from_modes(1, [((0, 0), 1.0), ((1, 0), x), ((-1, 0), x)])
-        abs2 = u.modes.abs2[:, 1:]
         a0 = self.plain_a0(u.half)
         assert a0 == 1.0 and wiener_norm(u, 0) == 1.0 + 2.0**-52
-        assert integrate._verdict(u.half, a0, 1.0, abs2) == (False, True)
-        assert integrate._verdict(u.half, a0, 1.0 + 2.0**-52, abs2) == (False, False)
+        assert verdict(u.half, a0, 1.0) == (False, True)
+        assert verdict(u.half, a0, 1.0 + 2.0**-52) == (False, False)
 
     def test_non_finite_coefficient_fails_without_a_norm(self, monkeypatch):
         def no_norms(*args):
@@ -366,10 +374,9 @@ class TestBlowup:
 
         monkeypatch.setattr(integrate, "_norms", no_norms)
         c = random_field(3, seed=97).half.copy()
-        abs2 = ModeSet(3).abs2[:, 3:]
         for bad in (np.nan, np.inf, complex(np.inf, np.nan)):
             c[4, 2] = bad
-            assert integrate._verdict(c, self.plain_a0(c), 10.0, abs2) == (True, False)
+            assert verdict(c, self.plain_a0(c), 10.0) == (True, False)
 
     def test_failure_keeps_last_finite_state(self):
         # absurd dt on an explosive run drives coefficients to overflow
@@ -505,6 +512,48 @@ class TestSimulateBatch:
                 for name in ("t", "a0", "a2", "a4", "a6", "mean", "dt_used"):
                     assert bits(getattr(got.trace, name)) == bits(getattr(want.trace, name)), name
                 assert bits(got.final_field.coeff) == bits(want.final_field.coeff)
+
+    @pytest.mark.parametrize("record_every", [1, 10])
+    def test_one_verdict_pass_gives_each_member_its_solo_outcome(self, monkeypatch, record_every):
+        # a blow-up, an overflow, a quiet run, and a member whose threshold is
+        # its own exact A^0 at step k: there its plain sum lies within 1e-12
+        # of the threshold, an exact norm row finds A^0 not above it, and the
+        # member blows up at step k + 1
+        u0s, _ = self.members()
+        stepper = StepperConfig(dt=1e-3, t_end=0.05, record_every=record_every)
+        probe = simulate(u0s[2], EXPLOSIVE, replace(stepper, record_every=1), "epitaxial")
+        k = 36
+        threshold = float(probe.trace.a0[k])
+        assert probe.trace.a0[0] < threshold < probe.trace.a0[k + 1]
+        members = [(u0s[1], 20.0), (u0s[3], 1e300), (u0s[2], threshold), (u0s[0], 20.0)]
+        steppers = [replace(stepper, blowup_threshold=b) for _, b in members]
+
+        exact, integrate_norms = [], integrate._norms  # the A^0 of each exact row of a lone block
+
+        def norms(c, *a):
+            got = integrate_norms(c, *a)
+            if c.ndim == 2:
+                exact.append(got[0])
+            return got
+
+        monkeypatch.setattr(integrate, "_norms", norms)
+        seen = [[] for _ in members]
+        outs = simulate_batch([u for u, _ in members], EXPLOSIVE, steppers, "epitaxial",
+                              [lambda i, t, f, s=s: s.append((i, t, f.coeff.tobytes())) for s in seen])
+        assert [o.status for o in outs] == ["blowup_detected", "numerical_failure",
+                                            "blowup_detected", "completed"]
+        assert outs[2].final_time == (k + 1) * 1e-3
+        assert threshold in exact
+
+        bits = lambda a: a.view(np.int64).tolist()
+        for (u0, _), member_stepper, out, steps in zip(members, steppers, outs, seen):
+            solo_steps = []
+            solo = simulate(u0, EXPLOSIVE, member_stepper, "epitaxial",
+                            lambda i, t, f: solo_steps.append((i, t, f.coeff.tobytes())))
+            assert (out.status, out.final_time) == (solo.status, solo.final_time)
+            assert bits(out.trace.data) == bits(solo.trace.data)
+            assert bits(out.final_field.coeff) == bits(solo.final_field.coeff)
+            assert steps == solo_steps
 
     def test_members_must_share_the_stepper(self):
         u0s, _ = self.members()

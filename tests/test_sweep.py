@@ -1,11 +1,14 @@
 import csv
+import gc
+import inspect
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from torusflow import ConfigError, parse_config, read_trace_csv, run_sweep, simulate
-from torusflow import EpitaxialParams, driver, sweep
+from torusflow import EpitaxialParams, config, driver, execute_run, sweep
 from torusflow.models import make_rhs
 from torusflow.driver import _prepare
 from torusflow.sweep import SUMMARY_FIXED_FIELDS, expand_axes, set_by_path
@@ -216,7 +219,7 @@ class TestBatchIsolation:
 
             # the member's outputs against its own simulate
             cfg = parse_config(base)
-            out = simulate(_prepare(cfg)[0], cfg.params, cfg.stepper, cfg.model)
+            out = simulate(_prepare([cfg])[0][0], cfg.params, cfg.stepper, cfg.model)
             assert out.status == row["status"]
             final_time = json.loads((batch_dir / "report.json").read_text())["run"]["final_time"]
             assert final_time == out.final_time
@@ -258,9 +261,9 @@ class TestBatchIsolation:
                 raise RuntimeError("no batches")
             return march(u0s, *a)
 
-        def counted(cfg):
-            prepared.append(cfg.initial_data.normalize.value)
-            return prepare(cfg)
+        def counted(cfgs, *args):
+            prepared.extend(cfg.initial_data.normalize.value for cfg in cfgs)
+            return prepare(cfgs, *args)
 
         monkeypatch.setattr(driver, "simulate_batch", solo_only)
         monkeypatch.setattr(driver, "_prepare", counted)
@@ -328,6 +331,83 @@ class TestBatchIsolation:
         for path in written:
             with open(path, "rb") as fh:
                 assert fh.read() == want[path], path
+
+    def test_members_share_one_generation_and_write_their_solo_bytes(self, tmp_path, monkeypatch):
+        # one batch: two seeds of one random datum at two A^2 values each, a
+        # modes member, a member whose rescale overflows and a snapshot member
+        # whose file is missing
+        base = {
+            "model": "epitaxial", "n": 5, "params": {"K0": 0.0, "K1": 0.25, "K2": 1.0, "K3": 0.25},
+            "initial_data": {"kind": "modes", "modes": [[1, 0, 0.1, 0]]},
+            "stepper": {"dt": 1e-3, "t_end": 0.02, "record_every": 3},
+            "outputs": {"snapshot_every": 4},
+        }
+        data = [
+            {"kind": "random_decay", "amplitude": 0.1, "sigma": 3.0,
+             "normalize": {"norm": "a2", "value": 0.3}},
+            {"kind": "random_decay", "amplitude": 0.1, "sigma": 3.0,
+             "normalize": {"norm": "a2", "value": 0.6}},
+            {"kind": "modes", "modes": [[1, 2, 0.1, 0.05], [-1, -2, 0.1, -0.05]],
+             "normalize": {"norm": "a0", "value": 0.4}},
+            {"kind": "modes", "zero_mean": False,
+             "modes": [[0, 0, 1e300, 0], [1, 0, 1e-290, 0], [-1, 0, 1e-290, 0]],
+             "normalize": {"norm": "a2", "value": 1e10}},
+            {"kind": "snapshot", "path": "no_such_snapshot.txt"},
+        ]
+        axes = [("seed", [3, 4]), ("initial_data", data)]
+        made, batches = [], []
+        generate, march = config._generate, driver.simulate_batch
+        monkeypatch.setattr(config, "_generate",
+                            lambda spec, n, seed: made.append((spec.kind, seed)) or generate(spec, n, seed))
+        monkeypatch.setattr(driver, "simulate_batch",
+                            lambda u0s, *a: batches.append(len(u0s)) or march(u0s, *a))
+        (tmp_path / "batch").mkdir()
+        monkeypatch.chdir(tmp_path / "batch")
+        run_sweep(base, axes, "warm")  # the modules generation imports stay loaded
+        made.clear()
+        batches.clear()
+        lines, first = inspect.getsourcelines(generate)
+        gc.disable()  # freed by reference counts, not by a cycle collection that may come later
+        tracemalloc.start(32)
+        try:
+            rows = run_sweep(base, axes, "sweep")
+            arrays = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        # no array of a generated field outlives the sweep
+        assert not [t for t in arrays.traces
+                    if any(f.filename == config.__file__ and first <= f.lineno < first + len(lines)
+                           for f in t.traceback)]
+        assert batches == [6]
+        # one generation per distinct datum: the two random_decay members of a seed share one
+        assert sorted(made) == sorted((kind, seed) for seed in (3, 4)
+                                      for kind in ("random_decay", "modes", "modes", "snapshot"))
+        assert [r["status"] for r in rows] == (["completed"] * 3 + ["config_error"] * 2) * 2
+
+        (tmp_path / "solo").mkdir()
+        monkeypatch.chdir(tmp_path / "solo")
+        _, combos = expand_axes(axes)
+        for i, (row, combo) in enumerate(zip(rows, combos)):
+            run_dir = f"sweep/run_{i:04d}"
+            cfg = parse_config(sweep._member_config(base, combo, run_dir))
+            want = {"run_id": i, **combo, **dict.fromkeys(SUMMARY_FIXED_FIELDS)}
+            try:
+                sweep._fill(want, execute_run(cfg))
+            except ConfigError as e:
+                want.update(status="config_error", error="; ".join(e.errors))
+            assert row == want, i
+            batch_dir, solo_dir = tmp_path / "batch" / run_dir, tmp_path / "solo" / run_dir
+            listing = lambda d: sorted(p.name for p in d.iterdir()) if d.exists() else []
+            names = listing(solo_dir)
+            assert len(names) == (0 if row["error"] else 8)  # trace, report, snapshots 0, 4, ..., 20
+            assert listing(batch_dir) == names
+            for name in names:
+                assert (batch_dir / name).read_bytes() == (solo_dir / name).read_bytes(), (i, name)
+        assert rows[3]["error"] == ("initial_data.normalize: a2 = 10000000000.0: "
+                                    "rescaling the generated field overflows the float range")
+        assert rows[4]["error"] == "initial_data.path: no_such_snapshot.txt: no such file"
 
     def test_batches_follow_the_cap(self, tmp_path, monkeypatch):
         base, values = mixed_base("epitaxial"), MIXED["epitaxial"][2]
