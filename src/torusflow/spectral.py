@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -75,10 +75,12 @@ class ModeSet:
     @cached_property
     def norm_weights(self) -> np.ndarray:
         """Read-only (4, (2n+1)(n+1)) weights 1, |k|^2, |k|^4, |k|^6 over a
-        flattened k2 >= 0 half block."""
+        flattened k2 >= 0 half block, doubled where k2 > 0 (see twice).  As
+        they are integers, a doubled weight times |c| rounds to twice what
+        the weight times |c| does, subnormal products included."""
         abs2 = self.abs2[:, self.n :].ravel()
         w4 = abs2 * abs2
-        w = np.stack([np.ones_like(abs2), abs2, w4, w4 * abs2])
+        w = np.stack([np.ones_like(abs2), abs2, w4, w4 * abs2]) * self.twice
         w.setflags(write=False)
         return w
 
@@ -191,26 +193,24 @@ class NormVector:
     a6: float
 
 
-# Exact norm sums without a per-term Python loop.  A term t >= 0 splits into
-# hi, its bits with the low 26 mantissa bits cleared, and lo = t - hi (exact).
-# Terms are binned by their exponent field E, four exponents to a bin (the
-# bits above bit 53).  In the bin of E in [4b, 4b + 3], with u = max(4b, 1),
-# every hi is a multiple of 2^(u - 1049) and every lo one of 2^(u - 1075),
-# each fewer than 2^30 of those units: float64 adds the his (and the los) of
-# up to 2^23 terms of a bin exactly, in any order.  So a row of M <= 2^23
-# terms has exact bins, and one math.fsum over a row's bins is the correctly
-# rounded sum of its terms.  Lanes spread the consecutive terms of a row over
-# copies of its bins, so that bincount's adds do not wait on each other.  A
-# chunk makes and bins at most _CHUNK terms, and a pass holds the bins of as
-# many members as fit in _CHUNK entries (one at least), so that a temporary
-# takes 64 KB or so, well under the 128 KB from which malloc maps (and faults
-# in) fresh pages instead of reusing its own.  Below _FSUM_BELOW terms the
-# fixed cost of binning exceeds that of math.fsum, which then sums each row
-# itself.
-_FSUM_BELOW = 1024
+# Exact norm sums by an error-free split (Rump, Ogita and Oishi, "Accurate
+# floating-point summation part I", SIAM J. Sci. Comput. 31(1), 2008).  For
+# a row of M terms t >= 0 and sigma = 2^k > M max t, M max t < 2^1021, the
+# parts q = (sigma + t) - sigma, a multiple of ulp(sigma), and r = t - q,
+# |r| <= ulp(sigma) / 2, are exact.  The qs sum to less than 2 sigma, so
+# tau = sum q is exact in any order; rho = sum r errs by at most
+# 2 M u sum |r| <= M^2 sigma 2^-105 (u = 2^-53) in any order, subnormals
+# included, as a sum that underflows is exact.  So s = fl(tau + rho) is the
+# correctly rounded sum wherever its TwoSum residual, widened by that bound
+# rounded up, stays below half the gap from s to its lower neighbour, the
+# nearer one.  math.fsum sums the other rows (a tie or near tie, a zero or
+# subnormal sum) and every row where a term may be inf or nan or M max t
+# reach 2^1021.  A chunk makes at most _CHUNK terms (64 KB or so, well under
+# the 128 KB from which malloc maps and faults in fresh pages instead of
+# reusing its own): the rows of as many members and weights as fit, or an
+# even share of the columns of one row, whose terms are then made twice,
+# first for its largest term.
 _CHUNK = 8192
-_LANES = 4
-_HI = np.int64(-1 << 26)
 
 
 def _fsum(values) -> float:
@@ -224,80 +224,79 @@ def _terms(a: np.ndarray, w, twice) -> np.ndarray:
     """The terms of _row_sums as an (R W, M) array."""
     if w is None:
         return a
-    with np.errstate(over="ignore"):
-        return (np.multiply(w, a[:, None, :]) * twice).reshape(-1, a.shape[-1])
-
-
-@lru_cache(maxsize=4)
-def _bin_base(k: int, width: int) -> np.ndarray:
-    """Read-only (k, 1, width) offsets lane k + row of the rows of a pass of
-    _row_sums, the lane of column j being j % _LANES."""
-    base = (np.arange(width) & _LANES - 1) * k + np.arange(k)[:, None, None]
-    base.setflags(write=False)
-    return base
+    with np.errstate(over="ignore", invalid="ignore"):  # a weight 0 times an inf a is nan
+        t = np.multiply(w, a[:, None, :])
+        return (t if twice is None else t * twice).reshape(-1, a.shape[-1])
 
 
 def _row_sums(a: np.ndarray, w=None, twice=None) -> list:
     """math.fsum of each row of terms, bit for bit; inf where finite terms
     pass the float range.  Row (r, i), r-major, holds the terms w[i] * a[r]
     of an (R, M) array a >= 0, M <= 2^23, and a (W, M) array w whose entries
-    are 0 or >= 1, each multiplied after weighting by twice, an (M,) array
-    of 1.0 and 2.0 (exact).  With w and twice None the rows of a are the
-    terms."""
+    are 0 or >= 1, each multiplied after weighting by twice, if given, an
+    (M,) array of 1.0 and 2.0 (exact).  With w and twice None the rows of a
+    are the terms."""
     R, M = a.shape
     W = 1 if w is None else len(w)
-    top = float(a.max()) * (1.0 if w is None else float(w.max()) * 2.0)
-    if R * W * M < _FSUM_BELOW or not top < math.inf:  # a term may be inf or nan
+    top = float(a.max()) * (1.0 if w is None else float(w.max()) * (1.0 if twice is None else 2.0))
+    if not M * top < 2.0**1021:  # a term may be inf or nan, or a sum near the float range
         return [_fsum(row) for row in _terms(a, w, twice).tolist()]
-    least = int((a.view(np.int64) - 1).view(np.uint64).min()) + 1  # bits of the least a > 0
-    if least >> 63:
-        return [0.0] * (R * W)
-    # Bin b of row i of a pass is entry ((b - lo) L + lane) k + i of each
-    # part's sums.  A positive term is >= the least a > 0, as w is 0 or >= 1,
-    # so only zero terms fall below bin lo; they add nothing, and land in it.
-    lo = least >> 54
-    nb = (max(math.frexp(top)[1] + 1022, 0) >> 2) - lo + 1
-    rows = max(1, _CHUNK // (2 * nb * _LANES * W))  # members per pass
-    width = min(M, max(_LANES, _CHUNK // (min(rows, R) * W) & -_LANES))
+    per = max(1, _CHUNK // (W * M))  # members per pass
+    rows = min(W, max(1, _CHUNK // M))  # weights per pass
+    width = -(-M // -(-M // _CHUNK))  # columns per chunk
+    shift, spread = M.bit_length(), M * M * 2.0**-105  # M < 2^shift
+
+    def terms(r, i, j, m=width):  # of members r:r+per and weights i:i+rows in columns j:j+m
+        t = a[r : r + per, j : j + m]
+        if w is None:
+            return t
+        t = np.multiply(w[i : i + rows, j : j + m], t[:, None, :])  # finite, as top is
+        if twice is not None:
+            t *= twice[j : j + m]
+        return t.reshape(-1, t.shape[-1])
+
     sums = []
-    for r in range(0, R, rows):
-        ar = a[r : r + rows, None, :]
-        k = len(ar) * W
-        base = _bin_base(k, width).reshape(len(ar), W, width)
-        with np.errstate(over="ignore"):  # a bin past the float range is inf
+    for r in range(0, R, per):
+        for i in range(0, W, rows):
+            t = terms(r, i, 0)
+            big = t.max(axis=-1)
+            for j in range(width, M, width):
+                np.maximum(big, terms(r, i, j).max(axis=-1), out=big)
+            sigma = [math.ldexp(1.0, math.frexp(x)[1] + shift) for x in big.tolist()]
+            col = np.array(sigma)[:, None]
             for j in range(0, M, width):
-                t = ar[..., j : j + width]
-                if w is not None:
-                    t = np.multiply(w[:, j : j + width], t)
-                    t *= twice[j : j + width]
-                b = t.view(np.int64)
-                e = b >> 54
-                np.maximum(e, lo, out=e)
-                e -= lo
-                e *= _LANES * k
-                e += base[..., : t.shape[-1]]
-                hi = (b & _HI).view(np.float64)
-                e = e.ravel()
-                part = np.stack((np.bincount(e, hi.ravel(), nb * _LANES * k),
-                                 np.bincount(e, (t - hi).ravel(), nb * _LANES * k)))
-                bins = part if j == 0 else bins + part
-                del t, b, e, hi  # before the next chunk's arrays are made
-            bins = bins.reshape(2, nb, _LANES, k).sum(axis=2)
-        sums += [_fsum(x) for x in bins.transpose(2, 0, 1).reshape(k, -1).tolist()]
+                if j:
+                    t = terms(r, i, j)
+                q = t + col
+                q -= col
+                part = q.sum(axis=-1)
+                tau = part if j == 0 else tau + part
+                np.subtract(t, q, out=q)
+                part = q.sum(axis=-1)
+                rho = part if j == 0 else rho + part
+            for p, (x, y, z) in enumerate(zip(tau.tolist(), rho.tolist(), sigma)):
+                s = x + y
+                e = (x - (s - (s - x))) + (y - (s - x))  # x + y - s, exactly (TwoSum)
+                if 2.0 * (abs(e) + math.nextafter(spread * z, math.inf)) < s - math.nextafter(s, -math.inf):
+                    sums.append(s)
+                else:  # the row's terms made again, chunk by chunk
+                    sums.append(_fsum(u for j in range(0, M, width) for u in terms(r, i, j)[p].tolist()))
     return sums
 
 
-def _wiener_sums(a: np.ndarray, weights: np.ndarray, twice: np.ndarray) -> list:
+def _wiener_sums(a: np.ndarray, weights: np.ndarray, twice=None) -> list:
     """sum_k w(k) |c(k)| for each row w of weights over the flattened half
-    block, from the moduli a = |c| of k2 >= 0 half blocks (..., 2n+1, n+1):
-    a list of the sums, one list per block of a stack.  A k2 > 0 term stands
-    for k and -k, so it is doubled after weighting by twice (exact).  Each
-    sum is correctly rounded, bit for bit math.fsum of its terms (see
-    _row_sums).  The one place that decides overflow: past the float range
-    gives inf, with no exception or warning."""
-    lead, (rows, cols) = a.shape[:-2], a.shape[-2:]
-    sums = _row_sums(a.reshape(-1, rows * cols), weights, twice)
-    return np.reshape(sums, lead + (len(weights),)).tolist()
+    block, from the moduli a = |c| of a k2 >= 0 half block (2n+1, n+1) or a
+    stack of them (B, 2n+1, n+1): a list of the sums, one list per block of
+    a stack.  A k2 > 0 term stands for k and -k, so it is doubled after
+    weighting by twice (exact), or by weights already doubled.  Each sum is
+    correctly rounded, bit for bit math.fsum of its terms (see _row_sums).
+    The one place that decides overflow: past the float range gives inf,
+    with no exception or warning."""
+    W = len(weights)
+    sums = _row_sums(a.reshape(-1, a.shape[-2] * a.shape[-1]), weights, twice)
+    blocks = [sums[k : k + W] for k in range(0, len(sums), W)]
+    return blocks if a.ndim == 3 else blocks[0]
 
 
 def _moduli(half: np.ndarray) -> np.ndarray:
@@ -323,7 +322,7 @@ def _norms(half: np.ndarray, modes: ModeSet, a: np.ndarray | None = None) -> lis
     """[A^0, A^2, A^4, A^6] of a k2 >= 0 half block over modes, or one such
     list per block of a stack; a, when given, is the blocks' moduli |half|."""
     a = _moduli(half) if a is None else a
-    return _wiener_sums(a, modes.norm_weights, modes.twice)
+    return _wiener_sums(a, modes.norm_weights)
 
 
 def norm_vector(f: SpectralField) -> NormVector:

@@ -129,11 +129,13 @@ def _run_batch(members) -> None:
 
 
 def _member_config(base: dict, combo: dict, run_dir: str) -> dict:
-    """The base config with a combo's overrides and the member's directory;
-    ConfigError when an earlier axis value leaves no object to descend into."""
+    """The base config with copies of a combo's overrides and the member's
+    directory, so that a later path writes into this member's copy of an
+    object value, not into the axis; ConfigError when an earlier axis value
+    leaves no object to descend into."""
     raw = copy.deepcopy(base)
     for path, value in [*combo.items(), ("outputs.directory", run_dir)]:
-        set_by_path(raw, path, value)
+        set_by_path(raw, path, copy.deepcopy(value))
     return raw
 
 

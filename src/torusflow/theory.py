@@ -160,8 +160,10 @@ def verify_decay_envelope(trace: NormTrace, norm_index: str, lam: float,
         raise ValueError("empty trace")
     norms = getattr(trace, norm_index)
     t = trace.t - trace.t[0]
-    env = norms[0] * np.exp(-float(lam) * t)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a large negative rate overflows the envelope to inf (0 * inf is nan,
+    # which the zero rule below takes)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        env = norms[0] * np.exp(-float(lam) * t)
         ratio = norms / env
     ratio = np.where(env > 0, ratio, np.where(norms == 0, 1.0, np.inf))
     worst = float(np.max(ratio))

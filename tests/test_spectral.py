@@ -17,6 +17,7 @@ from torusflow import (
     norm_vector,
     parse_config,
     read_snapshot,
+    run_sweep,
     simulate,
     wiener_norm,
     with_cutoff,
@@ -196,10 +197,16 @@ def _fsum_rows(t):
 @st.composite
 def term_arrays(draw):
     """(R, M) arrays of terms >= 0: ordinary, subnormal, full-range and
-    near-float-max magnitudes, some zeros, and inf or nan in some rows."""
+    near-float-max magnitudes, some zeros, and inf or nan in some rows; and
+    rows made to test the certified split: exact ties of the round to even
+    (2^53 + 1), rows just off a tie (2^53 + 1 + 2^-60), one dominant term
+    with many tiny ones, subnormal-only rows of a few units of 2^-1074, and
+    rows whose M max straddles 2^1023, each scaled by its own power of 2."""
     shape = (draw(st.integers(1, 40)), draw(st.integers(1, 3000)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    scale = draw(st.sampled_from(["unit", "decades", "subnormal", "full_range", "near_max"]))
+    scale = draw(st.sampled_from(["unit", "decades", "subnormal", "full_range", "near_max", "tie",
+                                  "near_tie", "dominant", "few_units", "straddle"]))
+    row_scale = np.ldexp(1.0, rng.integers(-960, 900, (shape[0], 1)))
     if scale == "unit":
         t = np.abs(rng.standard_normal(shape))
     elif scale == "decades":
@@ -208,8 +215,22 @@ def term_arrays(draw):
         t = rng.uniform(0.0, 2.0**-1022, shape)
     elif scale == "full_range":
         t = np.ldexp(rng.uniform(1.0, 2.0, shape), rng.integers(-1074, 1024, shape))
-    else:  # two such terms already pass the float range
+    elif scale == "near_max":  # two such terms already pass the float range
         t = rng.uniform(0.5, 1.0, shape) * sys.float_info.max
+    elif scale in ("tie", "near_tie"):  # 2^53 + 1 rounds to 2^53, 2^53 + 1 + 2^-60 up
+        t = np.zeros(shape)
+        t[:, :3] = [2.0**53, 1.0, 2.0**-60 if scale == "near_tie" else 0.0][: shape[1]]
+        t = rng.permuted(t, axis=1) * row_scale
+    elif scale == "dominant":
+        t = rng.uniform(0.0, 2.0**-60, shape)
+        t[:, rng.integers(shape[1])] = 1.0
+        t *= row_scale
+    elif scale == "few_units":  # subnormal-only: sums of a few units of 2^-1074
+        t = rng.integers(0, 8, shape) * 2.0**-1074
+    else:  # straddle: M max from 2^1020 to 2^1024, the largest term first
+        t = rng.uniform(0.0, 1.0, shape)
+        t[:, 0] = 1.0
+        t *= np.ldexp(rng.uniform(0.5, 1.0, (shape[0], 1)), rng.integers(1021, 1025, (shape[0], 1))) / shape[1]
     t[rng.uniform(size=shape) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = 0.0
     special = draw(st.sampled_from([None, math.inf, math.nan]))
     if special is not None:
@@ -218,14 +239,13 @@ def term_arrays(draw):
 
 
 class TestBinnedSums:
-    """_row_sums bins the terms by exponent; every row must equal math.fsum
-    of its terms bit for bit."""
+    """_row_sums splits the terms exactly and certifies each row's sum or
+    hands the row to math.fsum; every row must equal math.fsum of its terms
+    bit for bit."""
 
     @staticmethod
     def binned(t):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(spectral, "_FSUM_BELOW", 0)  # bin every input, however small
-            return spectral._row_sums(t)
+        return spectral._row_sums(t)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(term_arrays())
@@ -234,9 +254,21 @@ class TestBinnedSums:
         assert np.array(self.binned(t)).tobytes() == np.array(want).tobytes()
         assert np.array(spectral._row_sums(t)).tobytes() == np.array(want).tobytes()
 
+    def test_low_parts_that_round_below_a_tie(self):
+        # the big term's high part is 2^53 + 2^10, where doubles are 2 apart;
+        # the others are low parts, and added in order each rounds back to
+        # 1 - 2^-52, while their exact sum is 1 + 2^-55: the rounded low sum
+        # leaves s below the tie, the bound on its error must send the row
+        # to math.fsum, which rounds up
+        c = 0.45 * 2.0**-53
+        row = [2.0**53 + 2.0**10, 1.0 - 2.0**-52, c, c, c, c, c]
+        t = np.array([row]) * np.ldexp(1.0, np.array([[0], [-600], [600]]))
+        assert self.binned(t) == _fsum_rows(t)
+        assert self.binned(t)[0] == 2.0**53 + 2.0**10 + 2.0
+
     def test_a_full_bin(self):
-        # 2^16 terms with all 53 mantissa bits set and equal exponents put
-        # every part of every term of a row into the same three bins
+        # 2^16 equal terms with all 53 mantissa bits set: each splits into a
+        # high part rounded up and a low part of -2^-51 times its scale
         t = np.full((3, 2**16), np.nextafter(4.0, 0.0))
         t[1] *= 2.0**-1000
         t[2] *= 2.0**1000
@@ -246,7 +278,8 @@ class TestBinnedSums:
 
 class TestWeightedSums:
     """The norm rows: terms w[i] |c| made chunk by chunk inside _row_sums,
-    doubled where k2 > 0; every row must equal math.fsum of its terms."""
+    by weights doubled where k2 > 0 or doubled after weighting; every row
+    must equal math.fsum of its terms."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(term_arrays(), st.integers(1, 40))
@@ -257,13 +290,13 @@ class TestWeightedSums:
         modes = ModeSet(n)
         w, twice = modes.norm_weights, modes.twice
         want = _fsum_rows(spectral._terms(a, w, twice))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(spectral, "_FSUM_BELOW", 0)
-            assert np.array(spectral._row_sums(a, w, twice)).tobytes() == np.array(want).tobytes()
+        assert np.array(spectral._row_sums(a, w, twice)).tobytes() == np.array(want).tobytes()
+        want = _fsum_rows(spectral._terms(a, w, None))  # the weights of the norm rows, doubled
+        assert np.array(spectral._row_sums(a, w)).tobytes() == np.array(want).tobytes()
 
     def test_a_norm_row_makes_no_large_temporary(self):
         # the (4, 129 * 65) terms of one n = 64 row are 268 KB; made and
-        # binned in chunks, the call holds the moduli (67 KB) and a few
+        # split in chunks, the call holds the moduli (67 KB) and a few
         # chunk-sized arrays
         import tracemalloc
 
@@ -276,6 +309,33 @@ class TestWeightedSums:
         finally:
             tracemalloc.stop()
         assert peak < 384 * 1024
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("model, n, params, norm, stepper, values", [
+        ("thinfilm", 24, {"chi": 0.3, "p": 3}, ("a0", 0.05), (1e-3, 0.1, 1), None),
+        ("epitaxial", 32, {"K1": 0.25, "K2": 1.0, "K3": 0.25}, ("a2", 0.5), (1e-3, 0.05, 10), None),
+        ("epitaxial", 8, {"K1": 0.25, "K2": 1.0, "K3": 0.25}, ("a2", 0.6), (2e-3, 0.1, 10),
+         [0.6, 0.7, 0.8, 0.9, 1.1, 1.2, 1.3, 1.4]),
+    ], ids=["thinfilm_n24", "epitaxial_n32", "sweep_n8"])
+    def test_rows_like_the_benchmarks_need_no_fsum(self, tmp_path, monkeypatch, seed, model, n,
+                                                   params, norm, stepper, values):
+        # the initial, trace and final rows of the benchmark's three configs
+        # are all certified: math.fsum is never their path
+        cfg = {"model": model, "n": n, "params": params, "seed": seed,
+               "initial_data": {"kind": "random_decay", "amplitude": 0.1, "sigma": 3.0,
+                                "normalize": {"norm": norm[0], "value": norm[1]}},
+               "stepper": dict(zip(("dt", "t_end", "record_every"), stepper))}
+        fsum, row_sums = spectral._fsum, spectral._row_sums
+        fallbacks, rows = [], []
+        monkeypatch.setattr(spectral, "_fsum", lambda v: fallbacks.append(1) or fsum(v))
+        monkeypatch.setattr(spectral, "_row_sums", lambda a, *w: rows.append(len(a)) or row_sums(a, *w))
+        if values is None:
+            assert execute_run(parse_config(cfg), str(tmp_path)).outcome.status == "completed"
+        else:
+            summary = run_sweep(cfg, [("initial_data.normalize.value", values)], str(tmp_path))
+            assert [row["status"] for row in summary] == ["completed"] * len(values)
+        assert sum(rows) >= round(stepper[1] / stepper[0]) // stepper[2] * len(values or [0])
+        assert fallbacks == []
 
 
 class TestConvolve:

@@ -1,3 +1,4 @@
+import copy
 import csv
 import gc
 import inspect
@@ -52,6 +53,33 @@ class TestPaths:
 
 
 class TestRunSweep:
+    def test_an_object_axis_value_is_copied_into_each_member(self, tmp_path):
+        # a later axis path writes into each member's copy of the object:
+        # the summary shows the object as the axes give it in every row, the
+        # caller's dicts are not written into, and each member's report is
+        # its solo run's
+        base = base_config()
+        obj = base.pop("initial_data")
+        values = [0.02, 0.05]
+        axes = [("initial_data", [obj]), ("initial_data.normalize.value", values)]
+        given = copy.deepcopy((base, axes))
+        rows = run_sweep(base, axes, str(tmp_path / "sweep"))
+        assert (base, axes) == given
+        assert [row["initial_data"] for row in rows] == [given[1][0][1][0]] * 2
+        with open(tmp_path / "sweep" / "summary.csv", newline="") as fh:
+            assert [r["initial_data"] for r in csv.DictReader(fh)] == [str(given[1][0][1][0])] * 2
+        for i, value in enumerate(values):
+            run_dir = str(tmp_path / "sweep" / f"run_{i:04d}")
+            member = {**given[0], "initial_data": copy.deepcopy(obj), "outputs": {"directory": run_dir}}
+            member["initial_data"]["normalize"]["value"] = value
+            execute_run(parse_config(member), str(tmp_path / f"solo{i}"))
+            report, solo = (json.loads((d / "report.json").read_text())
+                            for d in (tmp_path / "sweep" / f"run_{i:04d}", tmp_path / f"solo{i}"))
+            assert report["config"]["initial_data"]["normalize"]["value"] == value
+            for key in ("config", "initial_norms", "theorems", "envelope"):
+                assert report[key] == solo[key], key
+            assert report["run"]["final_norms"] == solo["run"]["final_norms"]
+
     def test_empty_axes_gives_one_row(self, tmp_path):
         rows = run_sweep(base_config(), [], str(tmp_path))
         assert len(rows) == 1

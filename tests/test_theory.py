@@ -193,6 +193,17 @@ class TestEnvelope:
         trace = synthetic_trace(0.3, 1.0, [0.0])
         assert verify_decay_envelope(trace, "a0", 0.3, tol=0.0).passed
 
+    @pytest.mark.parametrize("norm0", [1.0, 0.0])
+    def test_a_large_negative_rate_overflows_without_a_warning(self, norm0):
+        # exp(99890 t) passes the float range from t = 0.0072 on: the envelope
+        # is inf there (nan for a zero norm, which the zero rule takes); the
+        # suite turns a RuntimeWarning into an error
+        trace = synthetic_trace(0.3, norm0, np.linspace(0.0, 0.02, 5))
+        v = verify_decay_envelope(trace, "a0", -99890.0)
+        assert v.passed
+        assert v.worst_ratio == 1.0
+        assert v.first_violation_t is None
+
 
 class TestMonitor:
     def test_single_mode_hand_value(self):
