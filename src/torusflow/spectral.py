@@ -75,12 +75,10 @@ class ModeSet:
     @cached_property
     def norm_weights(self) -> np.ndarray:
         """Read-only (4, (2n+1)(n+1)) weights 1, |k|^2, |k|^4, |k|^6 over a
-        flattened k2 >= 0 half block, doubled where k2 > 0 (see twice).  As
-        they are integers, a doubled weight times |c| rounds to twice what
-        the weight times |c| does, subnormal products included."""
+        flattened k2 >= 0 half block."""
         abs2 = self.abs2[:, self.n :].ravel()
         w4 = abs2 * abs2
-        w = np.stack([np.ones_like(abs2), abs2, w4, w4 * abs2]) * self.twice
+        w = np.stack([np.ones_like(abs2), abs2, w4, w4 * abs2])
         w.setflags(write=False)
         return w
 
@@ -195,21 +193,18 @@ class NormVector:
 
 # Exact norm sums by an error-free split (Rump, Ogita and Oishi, "Accurate
 # floating-point summation part I", SIAM J. Sci. Comput. 31(1), 2008).  For
-# a row of M terms t >= 0 and sigma = 2^k > M max t, M max t < 2^1021, the
-# parts q = (sigma + t) - sigma, a multiple of ulp(sigma), and r = t - q,
-# |r| <= ulp(sigma) / 2, are exact.  The qs sum to less than 2 sigma, so
-# tau = sum q is exact in any order; rho = sum r errs by at most
-# 2 M u sum |r| <= M^2 sigma 2^-105 (u = 2^-53) in any order, subnormals
-# included, as a sum that underflows is exact.  So s = fl(tau + rho) is the
-# correctly rounded sum wherever its TwoSum residual, widened by that bound
-# rounded up, stays below half the gap from s to its lower neighbour, the
-# nearer one.  math.fsum sums the other rows (a tie or near tie, a zero or
-# subnormal sum) and every row where a term may be inf or nan or M max t
-# reach 2^1021.  A chunk makes at most _CHUNK terms (64 KB or so, well under
-# the 128 KB from which malloc maps and faults in fresh pages instead of
-# reusing its own): the rows of as many members and weights as fit, or an
-# even share of the columns of one row, whose terms are then made twice,
-# first for its largest term.
+# M products t = w a and sigma = 2^k >= (M + 1) max |t|, q = (sigma + t) -
+# sigma and r = t - q, |r| <= sigma 2^-53, are exact, and so are q and r
+# doubled by twice in the sums: sum twice q is exact in any order, sum twice
+# r errs by at most M^2 sigma 2^-104, subnormals included.  A row sums to
+# fl(sum twice q + sum twice r) where its TwoSum residual, widened by that
+# bound, stays below half the gap to the lower neighbour; else its rs split
+# again by sigma 2^(shift - 52), M < 2^shift, which cuts the bound from
+# M^3 max t 2^-102 to M^4 max t 2^-153.  math.fsum sums the rows that still
+# fail (a tie or near tie, a zero or subnormal sum) and each row of a call
+# where a term may be inf or nan or M max t reach 2^1021.  A chunk makes at
+# most _CHUNK terms (64 KB or so, under the 128 KB from which malloc maps
+# fresh pages): whole rows, or an even share of one row's columns.
 _CHUNK = 8192
 
 
@@ -220,79 +215,84 @@ def _fsum(values) -> float:
         return math.inf
 
 
-def _terms(a: np.ndarray, w, twice) -> np.ndarray:
-    """The terms of _row_sums as an (R W, M) array."""
-    if w is None:
-        return a
-    with np.errstate(over="ignore", invalid="ignore"):  # a weight 0 times an inf a is nan
-        t = np.multiply(w, a[:, None, :])
-        return (t if twice is None else t * twice).reshape(-1, a.shape[-1])
+def _certified(hi: float, y: float, bound: float, x: float = 0.0):
+    """fl(hi + fl(x + y)) if hi + x + y + d rounds to it for all |d| <= bound."""
+    lo = x + y
+    s = hi + lo
+    e = abs((x - (lo - (lo - x))) + (y - (lo - x))) + abs((hi - (s - (s - hi))) + (lo - (s - hi)))  # TwoSums
+    wide = math.nextafter(e, math.inf) + math.nextafter(bound, math.inf)
+    return s if 2.0 * wide < s - math.nextafter(s, -math.inf) else None
 
 
 def _row_sums(a: np.ndarray, w=None, twice=None) -> list:
     """math.fsum of each row of terms, bit for bit; inf where finite terms
-    pass the float range.  Row (r, i), r-major, holds the terms w[i] * a[r]
-    of an (R, M) array a >= 0, M <= 2^23, and a (W, M) array w whose entries
-    are 0 or >= 1, each multiplied after weighting by twice, if given, an
-    (M,) array of 1.0 and 2.0 (exact).  With w and twice None the rows of a
-    are the terms."""
+    pass the float range.  Row (r, i), r-major, holds the terms w[i] a[r]
+    twice of an (R, M) array a >= 0, M <= 2^23, a (W, M) array w of entries
+    0 or >= 1 and an (M,) array twice of 1.0 and 2.0; with w and twice None,
+    the terms are the rows of a."""
     R, M = a.shape
-    W = 1 if w is None else len(w)
-    top = float(a.max()) * (1.0 if w is None else float(w.max()) * (1.0 if twice is None else 2.0))
-    if not M * top < 2.0**1021:  # a term may be inf or nan, or a sum near the float range
-        return [_fsum(row) for row in _terms(a, w, twice).tolist()]
+    W, twice = (1, np.ones(M)) if w is None else (len(w), twice)
     per = max(1, _CHUNK // (W * M))  # members per pass
     rows = min(W, max(1, _CHUNK // M))  # weights per pass
-    width = -(-M // -(-M // _CHUNK))  # columns per chunk
-    shift, spread = M.bit_length(), M * M * 2.0**-105  # M < 2^shift
+    width = -(-M // -(-M // _CHUNK))  # columns per chunk; a block is one row if < M
+    shift, spread, cols = M.bit_length(), M * M * 2.0**-104, range(0, M, width)  # M < 2^shift
 
-    def terms(r, i, j, m=width):  # of members r:r+per and weights i:i+rows in columns j:j+m
-        t = a[r : r + per, j : j + m]
-        if w is None:
-            return t
-        t = np.multiply(w[i : i + rows, j : j + m], t[:, None, :])  # finite, as top is
-        if twice is not None:
-            t *= twice[j : j + m]
+    def terms(r, i, j):  # of members r:r+per and weights i:i+rows in columns j:j+width
+        t = a[r : r + per, None, j : j + width]
+        t = t.copy() if w is None else np.multiply(w[i : i + rows, j : j + width], t)
         return t.reshape(-1, t.shape[-1])
 
+    def fsums(r, i, ps):  # of rows ps of a block, made again
+        if width < M:
+            return [_fsum(u for j in cols for u in (terms(r, i, j)[0] * twice[j : j + width]).tolist())]
+        return [_fsum(row) for row in (terms(r, i, 0)[ps] * twice[:width]).tolist()]
+
+    top = float(np.maximum.reduce(a, None)) * (1.0 if w is None else float(np.maximum.reduce(w, None)) * 2.0)
+    if not M * top < 2.0**1021:  # a term may be inf or nan, or a sum near the float range
+        with np.errstate(over="ignore", invalid="ignore"):  # a weight 0 times an inf a is nan
+            return [s for r in range(0, R, per) for i in range(0, W, rows) for s in fsums(r, i, slice(None))]
     sums = []
     for r in range(0, R, per):
         for i in range(0, W, rows):
             t = terms(r, i, 0)
-            big = t.max(axis=-1)
-            for j in range(width, M, width):
-                np.maximum(big, terms(r, i, j).max(axis=-1), out=big)
+            big = np.maximum.reduce(t, axis=-1)
+            for j in cols[1:]:
+                np.maximum(big, np.maximum.reduce(terms(r, i, j), axis=-1), out=big)
             sigma = [math.ldexp(1.0, math.frexp(x)[1] + shift) for x in big.tolist()]
             col = np.array(sigma)[:, None]
-            for j in range(0, M, width):
-                if j:
-                    t = terms(r, i, j)
+            tau = rho = 0.0
+            for j in cols:  # q = (col + t) - col; t keeps r = t - q
+                t = terms(r, i, j) if j else t
                 q = t + col
                 q -= col
-                part = q.sum(axis=-1)
-                tau = part if j == 0 else tau + part
-                np.subtract(t, q, out=q)
-                part = q.sum(axis=-1)
-                rho = part if j == 0 else rho + part
-            for p, (x, y, z) in enumerate(zip(tau.tolist(), rho.tolist(), sigma)):
-                s = x + y
-                e = (x - (s - (s - x))) + (y - (s - x))  # x + y - s, exactly (TwoSum)
-                if 2.0 * (abs(e) + math.nextafter(spread * z, math.inf)) < s - math.nextafter(s, -math.inf):
-                    sums.append(s)
-                else:  # the row's terms made again, chunk by chunk
-                    sums.append(_fsum(u for j in range(0, M, width) for u in terms(r, i, j)[p].tolist()))
+                t -= q
+                tau, rho = tau + q @ twice[j : j + width], rho + t @ twice[j : j + width]
+            block = [_certified(x, y, spread * z) for x, y, z in zip(tau.tolist(), rho.tolist(), sigma)]
+            ps = [p for p, s in enumerate(block) if s is None]
+            if ps:  # their rs split again, by col and then by low
+                low, tau2, rho2 = col[ps] * 2.0 ** (shift - 52), 0.0, 0.0
+                for j in cols:
+                    t = terms(r, i, j)[ps]
+                    for c in (col[ps], low):
+                        q = t + c
+                        q -= c
+                        t -= q
+                    tau2, rho2 = tau2 + q @ twice[j : j + width], rho2 + t @ twice[j : j + width]
+                for p, v, x, y, z in zip(ps, tau[ps].tolist(), tau2.tolist(), rho2.tolist(), low.flat):
+                    block[p] = _certified(v, y, spread * z, x)
+                ps = [p for p in ps if block[p] is None]
+            for p, s in zip(ps, fsums(r, i, ps) if ps else ()):
+                block[p] = s
+            sums += block
     return sums
 
 
-def _wiener_sums(a: np.ndarray, weights: np.ndarray, twice=None) -> list:
-    """sum_k w(k) |c(k)| for each row w of weights over the flattened half
-    block, from the moduli a = |c| of a k2 >= 0 half block (2n+1, n+1) or a
-    stack of them (B, 2n+1, n+1): a list of the sums, one list per block of
-    a stack.  A k2 > 0 term stands for k and -k, so it is doubled after
-    weighting by twice (exact), or by weights already doubled.  Each sum is
-    correctly rounded, bit for bit math.fsum of its terms (see _row_sums).
-    The one place that decides overflow: past the float range gives inf,
-    with no exception or warning."""
+def _wiener_sums(a: np.ndarray, weights: np.ndarray, twice: np.ndarray) -> list:
+    """sum_k w(k) |c(k)| for each row w of weights, from the moduli a = |c|
+    of a k2 >= 0 half block (2n+1, n+1), or one list per block of a stack
+    (B, 2n+1, n+1); a k2 > 0 term stands for k and -k, so it is doubled by
+    twice.  Bit for bit math.fsum of the terms (see _row_sums), and the one
+    place that decides overflow: past the float range gives inf, silently."""
     W = len(weights)
     sums = _row_sums(a.reshape(-1, a.shape[-2] * a.shape[-1]), weights, twice)
     blocks = [sums[k : k + W] for k in range(0, len(sums), W)]
@@ -308,9 +308,9 @@ def wiener_norm(f: SpectralField, s: float) -> float:
     """sum_k |k|^s |uhat(k)|, with the convention 0^0 = 1.
 
     A^0 therefore includes the modulus of the mean, while every s > 0
-    seminorm ignores it.  The result is the correctly rounded sum (exact
-    bins, one rounding), independent of storage layout and bit for bit
-    math.fsum of the terms; past the float range it is inf.
+    seminorm ignores it.  The result is the correctly rounded sum (an exact
+    split, certified or else math.fsum), independent of storage layout and
+    bit for bit math.fsum of the terms; past the float range it is inf.
     """
     if s < 0:
         raise ValueError(f"Wiener exponent must be >= 0, got {s}")
@@ -322,7 +322,7 @@ def _norms(half: np.ndarray, modes: ModeSet, a: np.ndarray | None = None) -> lis
     """[A^0, A^2, A^4, A^6] of a k2 >= 0 half block over modes, or one such
     list per block of a stack; a, when given, is the blocks' moduli |half|."""
     a = _moduli(half) if a is None else a
-    return _wiener_sums(a, modes.norm_weights)
+    return _wiener_sums(a, modes.norm_weights, modes.twice)
 
 
 def norm_vector(f: SpectralField) -> NormVector:

@@ -3,7 +3,8 @@ command runs them.  The *_pointwise oracles multiply derivative fields on a
 4n+3 grid with complex numpy.fft; convolve's direct O(n^4) sum pins its own
 "fft" branch, which runs the package's transform pair; scale_modes is the
 spectral image of x -> lam x; per_line_snapshot writes a snapshot one mode
-line at a time."""
+line at a time; row_terms makes the terms whose sums spectral._row_sums
+takes, all at once."""
 
 from __future__ import annotations
 
@@ -184,3 +185,11 @@ def per_line_snapshot(f: SpectralField, path) -> None:
             lines.append(f"{k1} {k2} {v.real:.17g} {v.imag:.17g}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def row_terms(a: np.ndarray, w, twice) -> np.ndarray:
+    """The terms of spectral._row_sums(a, w, twice) as an (R W, M) array."""
+    if w is None:
+        return a
+    with np.errstate(over="ignore", invalid="ignore"):  # a weight 0 times an inf a is nan
+        return (np.multiply(w, a[:, None, :]) * twice).reshape(-1, a.shape[-1])

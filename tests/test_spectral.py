@@ -27,7 +27,7 @@ from torusflow import spectral
 from torusflow.spectral import _extract, _fast_len, _full, _pad_size, _TransformPlan
 from torusflow.models import _symbols, make_rhs
 from _helpers import brute_bilinear, held_after, max_abs_diff, random_field, w_plain
-from oracles import convolve, per_line_snapshot, scale_modes
+from oracles import convolve, per_line_snapshot, row_terms, scale_modes
 
 
 def cos_x1(n=4, eps=1.0):
@@ -243,15 +243,10 @@ class TestBinnedSums:
     hands the row to math.fsum; every row must equal math.fsum of its terms
     bit for bit."""
 
-    @staticmethod
-    def binned(t):
-        return spectral._row_sums(t)
-
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(term_arrays())
     def test_bit_identical_to_fsum(self, t):
         want = _fsum_rows(t)
-        assert np.array(self.binned(t)).tobytes() == np.array(want).tobytes()
         assert np.array(spectral._row_sums(t)).tobytes() == np.array(want).tobytes()
 
     def test_low_parts_that_round_below_a_tie(self):
@@ -263,8 +258,38 @@ class TestBinnedSums:
         c = 0.45 * 2.0**-53
         row = [2.0**53 + 2.0**10, 1.0 - 2.0**-52, c, c, c, c, c]
         t = np.array([row]) * np.ldexp(1.0, np.array([[0], [-600], [600]]))
-        assert self.binned(t) == _fsum_rows(t)
-        assert self.binned(t)[0] == 2.0**53 + 2.0**10 + 2.0
+        assert spectral._row_sums(t) == _fsum_rows(t)
+        assert spectral._row_sums(t)[0] == 2.0**53 + 2.0**10 + 2.0
+
+    def test_long_rows_split_their_low_parts_again(self, monkeypatch):
+        # 2^17 terms falling off like a smooth field's: the bound on the low
+        # parts' rounding error passes half the gap of the sum, so each row
+        # splits its low parts a second time, which certifies it
+        k = np.arange(2.0**17)
+        scale = np.ldexp(1.0, np.array([[0], [-900], [900]]))
+        t = np.random.default_rng(3).uniform(0.5, 1.0, (3, k.size)) / (1.0 + k) ** 2 * scale
+        fsum, certified, fallbacks, second = spectral._fsum, spectral._certified, [], []
+        monkeypatch.setattr(spectral, "_fsum", lambda v: fallbacks.append(1) or fsum(v))
+        monkeypatch.setattr(spectral, "_certified", lambda *v: second.append(len(v) == 4) or certified(*v))
+        assert spectral._row_sums(t) == _fsum_rows(t)
+        assert second == [False, True] * 3  # a block of one row each
+        assert fallbacks == []
+
+    def test_low_parts_of_low_parts_that_round_below_a_tie(self):
+        # 1.5 and 2^17 - 1 parts v below 2^-69, which both splits leave
+        # whole.  Each chunk of 8192 sums exactly, in any order, and the last
+        # 8 chunk sums, added in turn, each lose 3/8 of a unit u = 2^-106:
+        # sum v rounds to 2^-53 - 2u but is 2^-53 + u exactly, so 1.5 + sum v
+        # passes the tie at 1.5 + 2^-53, and only the bound on that rounding
+        # error keeps the second split from certifying 1.5
+        u = 2.0**-106
+        v = np.full((16, 8192), 2.0**-70)  # 2^49 u a chunk
+        v[0, 0] = 1.5
+        v[0, 1] = v[1, 0] = 1.5 * 2.0**-70  # the first 8 chunks sum to 2^-54
+        v[8:, -1] += 3 * u / 8
+        v[15, -1] -= 2 * u
+        t = v.reshape(1, -1)
+        assert spectral._row_sums(t) == _fsum_rows(t) == [1.5 + 2.0**-52]
 
     def test_a_full_bin(self):
         # 2^16 equal terms with all 53 mantissa bits set: each splits into a
@@ -272,14 +297,13 @@ class TestBinnedSums:
         t = np.full((3, 2**16), np.nextafter(4.0, 0.0))
         t[1] *= 2.0**-1000
         t[2] *= 2.0**1000
-        assert self.binned(t) == _fsum_rows(t)
-        assert self.binned(t)[0] == 2**16 * np.nextafter(4.0, 0.0)
+        assert spectral._row_sums(t) == _fsum_rows(t)
+        assert spectral._row_sums(t)[0] == 2**16 * np.nextafter(4.0, 0.0)
 
 
 class TestWeightedSums:
     """The norm rows: terms w[i] |c| made chunk by chunk inside _row_sums,
-    by weights doubled where k2 > 0 or doubled after weighting; every row
-    must equal math.fsum of its terms."""
+    doubled where k2 > 0; every row must equal math.fsum of its terms."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(term_arrays(), st.integers(1, 40))
@@ -289,10 +313,8 @@ class TestWeightedSums:
         a = np.resize(a, (a.shape[0], M))
         modes = ModeSet(n)
         w, twice = modes.norm_weights, modes.twice
-        want = _fsum_rows(spectral._terms(a, w, twice))
+        want = _fsum_rows(row_terms(a, w, twice))
         assert np.array(spectral._row_sums(a, w, twice)).tobytes() == np.array(want).tobytes()
-        want = _fsum_rows(spectral._terms(a, w, None))  # the weights of the norm rows, doubled
-        assert np.array(spectral._row_sums(a, w)).tobytes() == np.array(want).tobytes()
 
     def test_a_norm_row_makes_no_large_temporary(self):
         # the (4, 129 * 65) terms of one n = 64 row are 268 KB; made and
