@@ -20,8 +20,6 @@ from .models import (
     delta_of_delta_sq,
     epitaxial_rhs,
     power_term,
-    grad_dot_grad_lap,
-    times_bilap,
     thinfilm_rhs,
 )
 from .integrate import (

@@ -123,7 +123,8 @@ def _phi2(z: np.ndarray) -> np.ndarray:
     zb = z[~small]
     out[~small] = (np.expm1(zb) - zb) / (zb * zb)
     t = z[small]
-    # sum_{j>=0} t^j / (j+2)!, eight terms: truncation < 1e-15 at |t| = 0.1
+    # sum_{j>=0} t^j / (j+2)!, eight terms: truncation about 6e-15 relative
+    # at |t| = 0.1, the size of the first omitted term t^8 / 10!
     acc = np.full_like(t, 1.0 / math.factorial(9))
     for j in range(8, 1, -1):
         acc = acc * t + 1.0 / math.factorial(j)

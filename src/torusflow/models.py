@@ -50,8 +50,6 @@ __all__ = [
     "delta_of_delta_sq",
     "epitaxial_rhs",
     "power_term",
-    "grad_dot_grad_lap",
-    "times_bilap",
     "thinfilm_rhs",
 ]
 
@@ -190,16 +188,13 @@ def _symbols(n: int, *names) -> list:
     it."""
     k1, k2, abs2 = _grids(n)
     h1, h2, habs2 = k1[:, n:], k2[:, n:], abs2[:, n:]
-    one = np.ones_like(habs2)
     make = {
         "grad": lambda: np.stack([1j * h1, 1j * h2]),
         # u,11 u,22 u,12; real, but stored complex as the product with a
         # complex block casts it: the same values, without a cast per call
         "hessian": lambda: -np.stack([h1 * h1, h2 * h2, h1 * h2]).astype(np.complex128),
-        "flux": lambda: np.stack([one, -1j * h1 * habs2, -1j * h2 * habs2]),  # v, d1 lap v, d2 lap v
-        # d1 v, d2 v, d1 lap v, d2 lap v
-        "gradlap": lambda: np.stack([1j * h1, 1j * h2, -1j * h1 * habs2, -1j * h2 * habs2]),
-        "timesbilap": lambda: np.stack([one, habs2**2]),  # v, lap^2 v
+        # v, d1 lap v, d2 lap v
+        "flux": lambda: np.stack([np.ones_like(habs2), -1j * h1 * habs2, -1j * h2 * habs2]),
     }
     sym = [make[name]() for name in names]
     for a in sym:
@@ -232,19 +227,6 @@ def _flux(fields):
     np.multiply(v, g1, out=g1)
     np.multiply(v, g2, out=g2)
     return fields[1:]
-
-
-def _dot_pairs(fields):
-    d1, d2, d1lap, d2lap = fields
-    d1 *= d1lap
-    d1 += np.multiply(d2, d2lap, out=d2)
-    return fields[:1]
-
-
-def _times(fields):
-    v, w = fields
-    v *= w
-    return fields[:1]
 
 
 def _power_hat(c: np.ndarray, plan: _TransformPlan, p: int) -> np.ndarray:
@@ -395,9 +377,11 @@ def _evaluate(rhs, u: SpectralField) -> SpectralField:
     return SpectralField(u.modes, _full(out))
 
 
-def _products(u: SpectralField, name: str, form, count: int) -> np.ndarray:
-    """_galerkin of one field, through a plan of its own."""
-    return _galerkin(u.half, _TransformPlan((), u.n, _pad_size(u.n), *_symbols(u.n, name), count), form)
+def _det2_and_lap_sq_of(u: SpectralField) -> np.ndarray:
+    """The Galerkin coefficients of 2 det D^2 u and (lap u)^2, through the
+    plan of an epitaxial evaluator, which checks the grid caps first."""
+    rhs = make_rhs("epitaxial", u.n, EpitaxialParams())
+    return _galerkin(u.half, *rhs.plans(u.half), _det2_and_lap_sq)
 
 
 def hessian_det2(u: SpectralField) -> SpectralField:
@@ -406,13 +390,13 @@ def hessian_det2(u: SpectralField) -> SpectralField:
     The k = 0 coefficient vanishes to roundoff: det D^2 u is a null
     Lagrangian, so its torus integral is zero.
     """
-    return SpectralField(u.modes, _full(_products(u, "hessian", _det2_and_lap_sq, 2)[0]))
+    return SpectralField(u.modes, _full(_det2_and_lap_sq_of(u)[0]))
 
 
 def delta_of_delta_sq(u: SpectralField) -> SpectralField:
     """Spectral lap (lap u)^2: the -|k|^2 multiplier applied to the Galerkin
     coefficients of (lap u)^2."""
-    d = _products(u, "hessian", _det2_and_lap_sq, 2)[1]
+    d = _det2_and_lap_sq_of(u)[1]
     return SpectralField(u.modes, _full(-u.modes.abs2[:, u.n :] * d))
 
 
@@ -422,20 +406,12 @@ def epitaxial_rhs(u: SpectralField, params: EpitaxialParams) -> SpectralField:
 
 
 def power_term(v: SpectralField, p) -> SpectralField:
-    """Galerkin coefficients of (1 + v)^p for integer 2 <= p <= MAX_P."""
-    raise_first(violations(ThinFilmParams.RULES, {"p": p}))
-    plan = _TransformPlan((), v.n, _fast_len((int(p) + 1) * v.n + 1))
-    return SpectralField(v.modes, _full(_power_hat(v.half, plan, int(p))))
-
-
-def grad_dot_grad_lap(v: SpectralField) -> SpectralField:
-    """Spectral grad v . grad lap v = v,i v,jji; weight m.(k-m) |k-m|^2."""
-    return SpectralField(v.modes, _full(_products(v, "gradlap", _dot_pairs, 1)[0]))
-
-
-def times_bilap(v: SpectralField) -> SpectralField:
-    """Spectral v lap^2 v; weight |k-m|^4."""
-    return SpectralField(v.modes, _full(_products(v, "timesbilap", _times, 1)[0]))
+    """Galerkin coefficients of (1 + v)^p for integer 2 <= p <= MAX_P, refused
+    where make_rhs refuses.  The plan is the thin-film evaluator's power plan
+    alone: its quadratic plan would go unused."""
+    rhs = make_rhs("thinfilm", v.n, ThinFilmParams(chi=0.5, p=p))
+    plan = _TransformPlan((), v.n, rhs.grids[1])
+    return SpectralField(v.modes, _full(_power_hat(v.half, plan, rhs.params.p)))
 
 
 def thinfilm_rhs(v: SpectralField, params: ThinFilmParams) -> SpectralField:

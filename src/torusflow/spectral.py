@@ -200,11 +200,12 @@ class NormVector:
 # fl(sum twice q + sum twice r) where its TwoSum residual, widened by that
 # bound, stays below half the gap to the lower neighbour; else its rs split
 # again by sigma 2^(shift - 52), M < 2^shift, which cuts the bound from
-# M^3 max t 2^-102 to M^4 max t 2^-153.  math.fsum sums the rows that still
-# fail (a tie or near tie, a zero or subnormal sum) and each row of a call
-# where a term may be inf or nan or M max t reach 2^1021.  A chunk makes at
-# most _CHUNK terms (64 KB or so, under the 128 KB from which malloc maps
-# fresh pages): whole rows, or an even share of one row's columns.
+# M^3 max t 2^-102 to M^4 max t 2^-153.  A row of zeros sums to 0.0 as it
+# is.  math.fsum sums the rows that still fail (a tie or near tie, a
+# subnormal sum) and each row of a call where a term may be inf or nan or
+# M max t reach 2^1021.  A chunk makes at most _CHUNK terms (64 KB or so,
+# under the 128 KB from which malloc maps fresh pages): whole rows, or an
+# even share of one row's columns.
 _CHUNK = 8192
 
 
@@ -224,22 +225,20 @@ def _certified(hi: float, y: float, bound: float, x: float = 0.0):
     return s if 2.0 * wide < s - math.nextafter(s, -math.inf) else None
 
 
-def _row_sums(a: np.ndarray, w=None, twice=None) -> list:
+def _row_sums(a: np.ndarray, w: np.ndarray, twice: np.ndarray) -> list:
     """math.fsum of each row of terms, bit for bit; inf where finite terms
     pass the float range.  Row (r, i), r-major, holds the terms w[i] a[r]
     twice of an (R, M) array a >= 0, M <= 2^23, a (W, M) array w of entries
-    0 or >= 1 and an (M,) array twice of 1.0 and 2.0; with w and twice None,
-    the terms are the rows of a."""
+    0 or >= 1 and an (M,) array twice of 1.0 and 2.0."""
     R, M = a.shape
-    W, twice = (1, np.ones(M)) if w is None else (len(w), twice)
+    W = len(w)
     per = max(1, _CHUNK // (W * M))  # members per pass
     rows = min(W, max(1, _CHUNK // M))  # weights per pass
     width = -(-M // -(-M // _CHUNK))  # columns per chunk; a block is one row if < M
     shift, spread, cols = M.bit_length(), M * M * 2.0**-104, range(0, M, width)  # M < 2^shift
 
     def terms(r, i, j):  # of members r:r+per and weights i:i+rows in columns j:j+width
-        t = a[r : r + per, None, j : j + width]
-        t = t.copy() if w is None else np.multiply(w[i : i + rows, j : j + width], t)
+        t = np.multiply(w[i : i + rows, j : j + width], a[r : r + per, None, j : j + width])
         return t.reshape(-1, t.shape[-1])
 
     def fsums(r, i, ps):  # of rows ps of a block, made again
@@ -247,7 +246,7 @@ def _row_sums(a: np.ndarray, w=None, twice=None) -> list:
             return [_fsum(u for j in cols for u in (terms(r, i, j)[0] * twice[j : j + width]).tolist())]
         return [_fsum(row) for row in (terms(r, i, 0)[ps] * twice[:width]).tolist()]
 
-    top = float(np.maximum.reduce(a, None)) * (1.0 if w is None else float(np.maximum.reduce(w, None)) * 2.0)
+    top = float(np.maximum.reduce(a, None)) * float(np.maximum.reduce(w, None)) * 2.0
     if not M * top < 2.0**1021:  # a term may be inf or nan, or a sum near the float range
         with np.errstate(over="ignore", invalid="ignore"):  # a weight 0 times an inf a is nan
             return [s for r in range(0, R, per) for i in range(0, W, rows) for s in fsums(r, i, slice(None))]
@@ -267,7 +266,8 @@ def _row_sums(a: np.ndarray, w=None, twice=None) -> list:
                 q -= col
                 t -= q
                 tau, rho = tau + q @ twice[j : j + width], rho + t @ twice[j : j + width]
-            block = [_certified(x, y, spread * z) for x, y, z in zip(tau.tolist(), rho.tolist(), sigma)]
+            block = [_certified(x, y, spread * z) if b else 0.0
+                     for x, y, z, b in zip(tau.tolist(), rho.tolist(), sigma, big.tolist())]
             ps = [p for p, s in enumerate(block) if s is None]
             if ps:  # their rs split again, by col and then by low
                 low, tau2, rho2 = col[ps] * 2.0 ** (shift - 52), 0.0, 0.0

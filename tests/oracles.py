@@ -1,7 +1,9 @@
 """Reference implementations the tests compare the package against; no
 command runs them.  The *_pointwise oracles multiply derivative fields on a
 4n+3 grid with complex numpy.fft; convolve's direct O(n^4) sum pins its own
-"fft" branch, which runs the package's transform pair; scale_modes is the
+"fft" branch, which runs the package's transform pair; grad_dot_grad_lap and
+times_bilap run the thin-film quadratics term by term through that pair
+(the package uses their sum, in divergence form); scale_modes is the
 spectral image of x -> lam x; per_line_snapshot writes a snapshot one mode
 line at a time; row_terms makes the terms whose sums spectral._row_sums
 takes, all at once."""
@@ -11,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from torusflow import EpitaxialParams, ModeSet, SpectralField, ThinFilmParams
-from torusflow.models import _require_zero_mean
+from torusflow.models import _galerkin, _require_zero_mean
 from torusflow.spectral import _full, _grids, _pad_size, _TransformPlan
 
 
@@ -53,6 +55,48 @@ def convolve(f: SpectralField, g: SpectralField, method: str = "fft") -> Spectra
     if method == "direct":
         return SpectralField(f.modes, _convolve_direct_raw(f.coeff, g.coeff, n))
     raise ValueError(f"unknown convolution method {method!r}")
+
+
+def symbols(n: int, name: str) -> np.ndarray:
+    """Read-only derivative multipliers of the term-by-term thin-film
+    quadratics on the k2 >= 0 half plane, in the order their forms unpack
+    them: "gradlap" d1 v, d2 v, d1 lap v, d2 lap v; "timesbilap" v, lap^2 v."""
+    k1, k2, abs2 = _grids(n)
+    h1, h2, habs2 = k1[:, n:], k2[:, n:], abs2[:, n:]
+    sym = {"gradlap": np.stack([1j * h1, 1j * h2, -1j * h1 * habs2, -1j * h2 * habs2]),
+           "timesbilap": np.stack([np.ones_like(habs2), habs2**2])}[name]
+    sym.setflags(write=False)
+    return sym
+
+
+def _dot_pairs(fields):
+    d1, d2, d1lap, d2lap = fields
+    d1 *= d1lap
+    d1 += np.multiply(d2, d2lap, out=d2)
+    return fields[:1]
+
+
+def _times(fields):
+    v, w = fields
+    v *= w
+    return fields[:1]
+
+
+def _product(v: SpectralField, name: str, form) -> SpectralField:
+    """One product of derivative fields of v, through a transform plan of its
+    own on the 3n+1 grid."""
+    plan = _TransformPlan((), v.n, _pad_size(v.n), symbols(v.n, name), 1)
+    return SpectralField(v.modes, _full(_galerkin(v.half, plan, form)[0]))
+
+
+def grad_dot_grad_lap(v: SpectralField) -> SpectralField:
+    """Spectral grad v . grad lap v = v,i v,jji; weight m.(k-m) |k-m|^2."""
+    return _product(v, "gradlap", _dot_pairs)
+
+
+def times_bilap(v: SpectralField) -> SpectralField:
+    """Spectral v lap^2 v; weight |k-m|^4."""
+    return _product(v, "timesbilap", _times)
 
 
 def scale_modes(f: SpectralField, lam: int, n_out: int | None = None) -> SpectralField:
@@ -189,7 +233,5 @@ def per_line_snapshot(f: SpectralField, path) -> None:
 
 def row_terms(a: np.ndarray, w, twice) -> np.ndarray:
     """The terms of spectral._row_sums(a, w, twice) as an (R W, M) array."""
-    if w is None:
-        return a
     with np.errstate(over="ignore", invalid="ignore"):  # a weight 0 times an inf a is nan
         return (np.multiply(w, a[:, None, :]) * twice).reshape(-1, a.shape[-1])

@@ -18,13 +18,11 @@ from torusflow import (
     check_epitaxial_A2,
     check_thinfilm_A0,
     delta_of_delta_sq,
-    grad_dot_grad_lap,
     hessian_det2,
     monitor_apriori_A2,
     power_term,
     run_sweep,
     simulate,
-    times_bilap,
     verify_decay_envelope,
     weak_residual,
     wiener_norm,
@@ -33,9 +31,11 @@ from _helpers import max_abs_diff, random_field, rel_err, scaled_to
 from oracles import (
     convolve,
     delta_of_delta_sq_pointwise,
+    grad_dot_grad_lap,
     grad_dot_grad_lap_pointwise,
     hessian_det2_pointwise,
     scale_modes,
+    times_bilap,
     times_bilap_pointwise,
 )
 

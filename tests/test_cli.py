@@ -446,7 +446,7 @@ class TestConvergenceCommand:
         assert "err_a0_vs_half" in out
         assert len(out.strip().splitlines()) >= 3
 
-    @pytest.mark.parametrize("levels", [40, 10**9])
+    @pytest.mark.parametrize("levels", [40, 10**9, 10**23 - 1])  # the last past any machine integer
     def test_step_count_cap(self, tmp_path, capsys, levels):
         cfgp = tmp_path / "cfg.json"
         write_config(cfgp)  # 40 steps at the coarsest dt

@@ -32,7 +32,10 @@ LINEAR = EpitaxialParams(K0=0.5, K1=0.0, K2=1.0, K3=0.0)
 
 class TestPhiFunctions:
     def test_values_across_branches(self):
-        z = -np.logspace(-12, 3, 200)
+        # the linear symbols give z <= 0; the dense grid covers -0.1 < z <=
+        # -0.01, next to _phi2's series cutoff, where the direct formula
+        # errs by more than 1e-14 relative
+        z = np.concatenate([-np.logspace(-12, 3, 200), -np.linspace(0.01, 0.1, 400, endpoint=False)])
         import mpmath  # high-precision reference
 
         with mpmath.workdps(60):
@@ -40,8 +43,8 @@ class TestPhiFunctions:
                 x = mpmath.mpf(float(zi))
                 want1 = float(mpmath.expm1(x) / x)
                 want2 = float((mpmath.expm1(x) - x) / x**2)
-                assert abs(p1 - want1) < 1e-14 * max(1.0, abs(want1))
-                assert abs(p2 - want2) < 1e-14 * max(1.0, abs(want2))
+                assert abs(p1 - want1) <= 1e-15 * abs(want1), zi
+                assert abs(p2 - want2) <= 1e-14 * abs(want2), zi
 
     def test_limits_at_zero(self):
         z = np.array([0.0])

@@ -8,16 +8,15 @@ from torusflow import (
     ThinFilmParams,
     delta_of_delta_sq,
     epitaxial_rhs,
-    grad_dot_grad_lap,
     hermitian_asymmetry,
     hessian_det2,
     power_term,
     thinfilm_rhs,
-    times_bilap,
     wiener_norm,
     with_cutoff,
 )
-from torusflow.models import EpitaxialRhs, ThinFilmRhs
+from torusflow import models
+from torusflow.models import EpitaxialRhs, ThinFilmRhs, make_rhs
 from torusflow.spectral import _fast_len, _grids, _pad_size
 from _helpers import (
     brute_bilinear,
@@ -34,9 +33,11 @@ from oracles import (
     convolve,
     delta_of_delta_sq_pointwise,
     epitaxial_rhs_pointwise,
+    grad_dot_grad_lap,
     grad_dot_grad_lap_pointwise,
     hessian_det2_pointwise,
     thinfilm_rhs_pointwise,
+    times_bilap,
     times_bilap_pointwise,
 )
 
@@ -241,6 +242,33 @@ class TestPowerTerm:
             power_term(v, True)
         with pytest.raises(ValueError, match=r"^p: must be an integer 2 <= p <= 170, got 171$"):
             power_term(v, 171)
+
+
+class TestLibraryCaps:
+    """The per-term functions refuse what make_rhs refuses, with its message,
+    before any transform plan is built."""
+
+    @pytest.fixture
+    def no_plans(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a transform plan was built")
+        monkeypatch.setattr(models, "_TransformPlan", fail)
+
+    def test_power_grid_past_the_cap(self, no_plans):
+        with pytest.raises(ValueError) as want:
+            make_rhs("thinfilm", 24, ThinFilmParams(chi=0.5, p=170))
+        with pytest.raises(ValueError, match=r"^p: the power grid \(p\+1\)n\+1 = 4105 exceeds 4096 ") as got:
+            power_term(SpectralField.zeros(24), 170)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("term", [hessian_det2, delta_of_delta_sq])
+    def test_cutoff_past_max_n(self, monkeypatch, no_plans, term):
+        monkeypatch.setattr(models, "MAX_N", 4)  # N_RULE reads the cap when it runs
+        with pytest.raises(ValueError) as want:
+            make_rhs("epitaxial", 5, EpitaxialParams())
+        with pytest.raises(ValueError, match=r"^n: must be an integer 1 <= n <= ") as got:
+            term(SpectralField.zeros(5))
+        assert str(got.value) == str(want.value)
 
 
 class TestThinFilmQuadratics:

@@ -27,7 +27,7 @@ from torusflow import spectral
 from torusflow.spectral import _extract, _fast_len, _full, _pad_size, _TransformPlan
 from torusflow.models import _symbols, make_rhs
 from _helpers import brute_bilinear, held_after, max_abs_diff, random_field, w_plain
-from oracles import convolve, per_line_snapshot, row_terms, scale_modes
+from oracles import convolve, per_line_snapshot, row_terms, scale_modes, symbols
 
 
 def cos_x1(n=4, eps=1.0):
@@ -194,6 +194,11 @@ def _fsum_rows(t):
     return sums
 
 
+def _unit_sums(t):
+    """spectral._row_sums of the rows of t themselves: unit weights, no doubling."""
+    return spectral._row_sums(t, np.ones((1, t.shape[1])), np.ones(t.shape[1]))
+
+
 @st.composite
 def term_arrays(draw):
     """(R, M) arrays of terms >= 0: ordinary, subnormal, full-range and
@@ -201,7 +206,8 @@ def term_arrays(draw):
     rows made to test the certified split: exact ties of the round to even
     (2^53 + 1), rows just off a tie (2^53 + 1 + 2^-60), one dominant term
     with many tiny ones, subnormal-only rows of a few units of 2^-1074, and
-    rows whose M max straddles 2^1023, each scaled by its own power of 2."""
+    rows whose M max straddles 2^1020, where _row_sums with unit weights
+    hands the call to math.fsum, each scaled by its own power of 2."""
     shape = (draw(st.integers(1, 40)), draw(st.integers(1, 3000)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = draw(st.sampled_from(["unit", "decades", "subnormal", "full_range", "near_max", "tie",
@@ -227,10 +233,10 @@ def term_arrays(draw):
         t *= row_scale
     elif scale == "few_units":  # subnormal-only: sums of a few units of 2^-1074
         t = rng.integers(0, 8, shape) * 2.0**-1074
-    else:  # straddle: M max from 2^1020 to 2^1024, the largest term first
+    else:  # straddle: M max from 2^1019 to 2^1024, the largest term first
         t = rng.uniform(0.0, 1.0, shape)
         t[:, 0] = 1.0
-        t *= np.ldexp(rng.uniform(0.5, 1.0, (shape[0], 1)), rng.integers(1021, 1025, (shape[0], 1))) / shape[1]
+        t *= np.ldexp(rng.uniform(0.5, 1.0, (shape[0], 1)), rng.integers(1020, 1025, (shape[0], 1))) / shape[1]
     t[rng.uniform(size=shape) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = 0.0
     special = draw(st.sampled_from([None, math.inf, math.nan]))
     if special is not None:
@@ -239,15 +245,15 @@ def term_arrays(draw):
 
 
 class TestBinnedSums:
-    """_row_sums splits the terms exactly and certifies each row's sum or
-    hands the row to math.fsum; every row must equal math.fsum of its terms
-    bit for bit."""
+    """_row_sums, with unit weights, splits the terms exactly and certifies
+    each row's sum or hands the row to math.fsum; every row must equal
+    math.fsum of its terms bit for bit."""
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(term_arrays())
     def test_bit_identical_to_fsum(self, t):
         want = _fsum_rows(t)
-        assert np.array(spectral._row_sums(t)).tobytes() == np.array(want).tobytes()
+        assert np.array(_unit_sums(t)).tobytes() == np.array(want).tobytes()
 
     def test_low_parts_that_round_below_a_tie(self):
         # the big term's high part is 2^53 + 2^10, where doubles are 2 apart;
@@ -258,8 +264,8 @@ class TestBinnedSums:
         c = 0.45 * 2.0**-53
         row = [2.0**53 + 2.0**10, 1.0 - 2.0**-52, c, c, c, c, c]
         t = np.array([row]) * np.ldexp(1.0, np.array([[0], [-600], [600]]))
-        assert spectral._row_sums(t) == _fsum_rows(t)
-        assert spectral._row_sums(t)[0] == 2.0**53 + 2.0**10 + 2.0
+        assert _unit_sums(t) == _fsum_rows(t)
+        assert _unit_sums(t)[0] == 2.0**53 + 2.0**10 + 2.0
 
     def test_long_rows_split_their_low_parts_again(self, monkeypatch):
         # 2^17 terms falling off like a smooth field's: the bound on the low
@@ -271,7 +277,7 @@ class TestBinnedSums:
         fsum, certified, fallbacks, second = spectral._fsum, spectral._certified, [], []
         monkeypatch.setattr(spectral, "_fsum", lambda v: fallbacks.append(1) or fsum(v))
         monkeypatch.setattr(spectral, "_certified", lambda *v: second.append(len(v) == 4) or certified(*v))
-        assert spectral._row_sums(t) == _fsum_rows(t)
+        assert _unit_sums(t) == _fsum_rows(t)
         assert second == [False, True] * 3  # a block of one row each
         assert fallbacks == []
 
@@ -289,7 +295,7 @@ class TestBinnedSums:
         v[8:, -1] += 3 * u / 8
         v[15, -1] -= 2 * u
         t = v.reshape(1, -1)
-        assert spectral._row_sums(t) == _fsum_rows(t) == [1.5 + 2.0**-52]
+        assert _unit_sums(t) == _fsum_rows(t) == [1.5 + 2.0**-52]
 
     def test_a_full_bin(self):
         # 2^16 equal terms with all 53 mantissa bits set: each splits into a
@@ -297,8 +303,8 @@ class TestBinnedSums:
         t = np.full((3, 2**16), np.nextafter(4.0, 0.0))
         t[1] *= 2.0**-1000
         t[2] *= 2.0**1000
-        assert spectral._row_sums(t) == _fsum_rows(t)
-        assert spectral._row_sums(t)[0] == 2**16 * np.nextafter(4.0, 0.0)
+        assert _unit_sums(t) == _fsum_rows(t)
+        assert _unit_sums(t)[0] == 2**16 * np.nextafter(4.0, 0.0)
 
 
 class TestWeightedSums:
@@ -315,6 +321,19 @@ class TestWeightedSums:
         w, twice = modes.norm_weights, modes.twice
         want = _fsum_rows(row_terms(a, w, twice))
         assert np.array(spectral._row_sums(a, w, twice)).tobytes() == np.array(want).tobytes()
+
+    def test_zero_rows_need_no_certificate(self, monkeypatch):
+        # a field that holds only its mean: its A^2, A^4 and A^6 rows are all
+        # zero and sum to 0.0 before the second split and math.fsum
+        f = SpectralField.from_modes(8, [((0, 0), 0.3)])
+        want = _fsum_rows(row_terms(np.abs(f.half).reshape(1, -1), f.modes.norm_weights, f.modes.twice))
+        fsum, certified, fallbacks, second = spectral._fsum, spectral._certified, [], []
+        monkeypatch.setattr(spectral, "_fsum", lambda v: fallbacks.append(1) or fsum(v))
+        monkeypatch.setattr(spectral, "_certified", lambda *v: second.append(len(v) == 4) or certified(*v))
+        nv = norm_vector(f)
+        assert np.array([nv.a0, nv.a2, nv.a4, nv.a6]).tobytes() == np.array(want).tobytes()
+        assert want == [0.3, 0.0, 0.0, 0.0]
+        assert fallbacks == [] and True not in second
 
     def test_a_norm_row_makes_no_large_temporary(self):
         # the (4, 129 * 65) terms of one n = 64 row are 268 KB; made and
@@ -406,8 +425,8 @@ class TestConvolve:
 
 
 class TestModeMultiplier:
-    """The derivative multipliers of the kernels (models._symbols), on k2 >= 0
-    half blocks."""
+    """The derivative multipliers of the kernels (models._symbols) and of the
+    term-by-term oracles (oracles.symbols), on k2 >= 0 half blocks."""
 
     def test_laplacian_eigenfunction(self):
         f = cos_x1(eps=0.5)
@@ -416,7 +435,7 @@ class TestModeMultiplier:
 
     def test_biharmonic_hand_value(self):
         f = SpectralField.from_modes(4, [((2, 0), 0.5), ((-2, 0), 0.5)])
-        _, bilap = _symbols(4, "timesbilap")[0]
+        _, bilap = symbols(4, "timesbilap")
         assert max_abs_diff(bilap * f.half, 16.0 * f.half) < 1e-14
 
     def test_derivative_of_sin(self):
@@ -667,14 +686,14 @@ class TestTransformLayer:
     def test_bit_identical_to_scipy(self, n, lead):
         sfft = pytest.importorskip("scipy.fft")
         rng = np.random.default_rng(n)
-        symbols = _symbols(n, "gradlap")[0]
+        stack = symbols(n, "gradlap")
         # the 3n+1 grid of the quadratic terms and the p = 3 thin-film power
         # grid; over these n each comes both even and odd
         for N in (_pad_size(n), _fast_len(4 * n + 1)):
             # no multiplier, then F = 1..4 fields of which the last F2 < F
             # (one, for F = 1) are the products, a slice of the grid
             for F in (None, 1, 2, 3, 4):
-                mult = None if F is None else symbols[:F]
+                mult = None if F is None else stack[:F]
                 count = None if F is None else max(1, F - 1)
                 half = rng.standard_normal(lead + (2 * n + 1, n + 1)) \
                     + 1j * rng.standard_normal(lead + (2 * n + 1, n + 1))
