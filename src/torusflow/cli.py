@@ -175,7 +175,7 @@ def _cmd_convergence(args) -> int:
     for i in range(len(dts) - 1):
         if finals[i] is None or finals[i + 1] is None:
             continue
-        err = wiener_norm(SpectralField(finals[i].modes, finals[i].coeff - finals[i + 1].coeff), 0)
+        err = wiener_norm(SpectralField._from_half(finals[i].modes, finals[i].half - finals[i + 1].half), 0)
         ratio = "" if prev_err is None or err == 0 else f"{prev_err / err:8.3f}"
         print(f"{dts[i]:12.6g} {err:16.6e} {ratio:>8}")
         prev_err = err

@@ -282,7 +282,7 @@ def _generate(spec: InitialDataSpec, n: int, seed: int) -> SpectralField:
         c.real[half] = mag * e.real - 0.0 * e.imag
         c.imag[half] = mag * e.imag + 0.0 * e.real
         c[::-1, ::-1][half] = np.conj(c[half])
-        f = SpectralField(modes, c)
+        f = SpectralField._from_half(modes, c[:, n:])
     else:
         with file_errors(spec.path, "initial_data.path: "):
             try:
@@ -304,20 +304,19 @@ def _normalized(f: SpectralField, normalize: NormalizeSpec, cur: float) -> Spect
     with np.errstate(over="ignore", invalid="ignore"):
         factor = normalize.value / cur
         if math.isfinite(factor):
-            c = f.coeff * factor
+            c = f.half * factor
         else:  # past the float range alone: divide the parts by cur first, then scale
-            c = (f.coeff.view(np.float64) / cur * normalize.value).view(np.complex128)
+            c = (np.ascontiguousarray(f.half).view(np.float64) / cur * normalize.value).view(np.complex128)
     if not np.isfinite(c).all():
         raise ConfigError([f"{where}rescaling the generated field overflows the float range"])
-    return SpectralField._exact(f.modes, c)  # a real factor keeps f exactly Hermitian
+    return SpectralField._from_half(f.modes, c)
 
 
 def _without_mean(f: SpectralField) -> SpectralField:
-    """f with uhat(0) = 0: zeroing the (real) mean keeps f exactly Hermitian,
-    so it needs no second symmetrization pass."""
-    c = f.coeff.copy()
-    c[f.n, f.n] = 0.0
-    return SpectralField._exact(f.modes, c)
+    """f with uhat(0) = 0."""
+    half = f.half.copy()
+    half[f.n, 0] = 0.0
+    return SpectralField._from_half(f.modes, half)
 
 
 def prepare_initial(cfg: RunConfig, generated=None):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import MAX_STEPS, RHS, Checked, _require_zero_mean, make_rhs
-from .spectral import ModeSet, SpectralField, _full, _moduli, _norms
+from .spectral import ModeSet, SpectralField, _moduli, _norms
 
 __all__ = [
     "SCHEMES",
@@ -329,7 +329,7 @@ def simulate_batch(u0s, params, steppers, model: str, on_record=None,
             if last or i % stepper.record_every == 0:
                 recorded.append(j)
             if on_record[b] is not None and (last or i % fields_every == 0):
-                on_record[b](i, t, SpectralField(modes, _full(c[j])))
+                on_record[b](i, t, SpectralField._from_half(modes, c[j]))
             if last:
                 ends[b] = (status or STATUS_COMPLETED, t, c[j])
             else:
@@ -350,5 +350,5 @@ def simulate_batch(u0s, params, steppers, model: str, on_record=None,
     for trace, m in zip(traces, counts):  # in place: no view of a trace array exists
         trace.resize((m, 7), refcheck=False)
     return [RunOutcome(status=s, final_time=ft, trace=NormTrace(trace),
-                       final_field=SpectralField(modes, _full(f)))
+                       final_field=SpectralField._from_half(modes, f))
             for (s, ft, f), trace in zip(ends, traces)]

@@ -38,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .spectral import SpectralField, _fast_len, _full, _grids, _pad_size, _TransformPlan
+from .spectral import SpectralField, _fast_len, _grids, _pad_size, _TransformPlan
 
 __all__ = [
     "EpitaxialParams",
@@ -374,7 +374,7 @@ def _evaluate(rhs, u: SpectralField) -> SpectralField:
             _check_finite_term(t, label)
             out += t
     out[u.n, 0] = 0.0
-    return SpectralField(u.modes, _full(out))
+    return SpectralField._from_half(u.modes, out)
 
 
 def _det2_and_lap_sq_of(u: SpectralField) -> np.ndarray:
@@ -390,14 +390,14 @@ def hessian_det2(u: SpectralField) -> SpectralField:
     The k = 0 coefficient vanishes to roundoff: det D^2 u is a null
     Lagrangian, so its torus integral is zero.
     """
-    return SpectralField(u.modes, _full(_det2_and_lap_sq_of(u)[0]))
+    return SpectralField._from_half(u.modes, _det2_and_lap_sq_of(u)[0])
 
 
 def delta_of_delta_sq(u: SpectralField) -> SpectralField:
     """Spectral lap (lap u)^2: the -|k|^2 multiplier applied to the Galerkin
     coefficients of (lap u)^2."""
     d = _det2_and_lap_sq_of(u)[1]
-    return SpectralField(u.modes, _full(-u.modes.abs2[:, u.n :] * d))
+    return SpectralField._from_half(u.modes, -u.modes.abs2[:, u.n :] * d)
 
 
 def epitaxial_rhs(u: SpectralField, params: EpitaxialParams) -> SpectralField:
@@ -411,7 +411,7 @@ def power_term(v: SpectralField, p) -> SpectralField:
     alone: its quadratic plan would go unused."""
     rhs = make_rhs("thinfilm", v.n, ThinFilmParams(chi=0.5, p=p))
     plan = _TransformPlan((), v.n, rhs.grids[1])
-    return SpectralField(v.modes, _full(_power_hat(v.half, plan, rhs.params.p)))
+    return SpectralField._from_half(v.modes, _power_hat(v.half, plan, rhs.params.p))
 
 
 def thinfilm_rhs(v: SpectralField, params: ThinFilmParams) -> SpectralField:

@@ -2,8 +2,8 @@
 
 Coefficients live on the square mode set max(|k1|, |k2|) <= n with the
 convention u(x) = sum_k uhat(k) exp(i k.x).  Every field represents a real
-function, so uhat(-k) = conj(uhat(k)) is an invariant of the type: it is
-validated on construction and exact afterwards.
+function, so uhat(-k) = conj(uhat(k)) is an invariant of the type: checked
+on construction from outside data, exact in a field built from a half block.
 
 The reference convolution and the scaling map that the tests compare the
 transforms against live in tests/oracles.py.
@@ -120,7 +120,7 @@ class SpectralField:
     coeff: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coeff, dtype=np.complex128)
+        c = np.ascontiguousarray(self.coeff, dtype=np.complex128)
         size = self.modes.size
         if c.shape != (size, size):
             raise ValueError(f"coefficient array must be {(size, size)}, got {c.shape}")
@@ -135,9 +135,12 @@ class SpectralField:
                 f"coefficients are not Hermitian-symmetric (max deviation {asym:.3e}); "
                 "the field must represent a real function"
             )
-        # Halving before adding keeps finite coefficients near the float
-        # maximum finite; for normal numbers it is the same as halving the sum.
-        c = 0.5 * c + 0.5 * _hermitian_flip(c)
+        # A part whose bits differ from its mirror's takes their mean, halved
+        # before adding to keep values near the float maximum finite; the
+        # other parts, odd subnormals included, are kept as they are.
+        flip = _hermitian_flip(c)
+        same = c.view(np.int64) == flip.view(np.int64)
+        c = np.where(same, c.view(np.float64), (0.5 * c + 0.5 * flip).view(np.float64)).view(np.complex128)
         c.setflags(write=False)
         object.__setattr__(self, "coeff", c)
 
@@ -157,15 +160,18 @@ class SpectralField:
 
     @classmethod
     def zeros(cls, n: int) -> "SpectralField":
-        m = ModeSet(n)
-        return cls(m, np.zeros((m.size, m.size), dtype=np.complex128))
+        return cls._from_half(m := ModeSet(n), np.zeros((m.size, n + 1), dtype=np.complex128))
 
     @classmethod
-    def _exact(cls, modes: ModeSet, c: np.ndarray) -> "SpectralField":
-        """A field over c, already finite and exactly Hermitian, kept as it is:
-        no checks and no symmetrization pass."""
-        f = object.__new__(cls)
+    def _from_half(cls, modes: ModeSet, half: np.ndarray) -> "SpectralField":
+        """The field of a k2 >= 0 half block (2n+1, n+1) that the package
+        built, its k2 = 0 column Hermitian: the k2 < 0 half is its exact
+        conjugate mirror.  It refuses only a non-finite coefficient."""
+        if not np.isfinite(half).all():
+            raise ValueError("non-finite Fourier coefficient")
+        c = np.concatenate([_hermitian_flip(half)[:, :-1], half], axis=-1)
         c.setflags(write=False)
+        f = object.__new__(cls)
         f.__dict__.update(modes=modes, coeff=c)
         return f
 
@@ -409,20 +415,15 @@ def _extract(spec: np.ndarray, n: int, N: int) -> np.ndarray:
     return half
 
 
-def _full(half: np.ndarray) -> np.ndarray:
-    """Exactly Hermitian centered blocks (..., 2n+1, 2n+1) of half blocks."""
-    return np.concatenate([_hermitian_flip(half)[..., :-1], half], axis=-1)
-
-
 def with_cutoff(f: SpectralField, n: int) -> SpectralField:
     """Same field on another cutoff: embed when growing, truncate when shrinking."""
     if n == f.n:
         return f
     mo = ModeSet(n)
-    c = np.zeros((mo.size, mo.size), dtype=np.complex128)
+    half = np.zeros((mo.size, n + 1), dtype=np.complex128)
     m = min(n, f.n)
-    c[n - m : n + m + 1, n - m : n + m + 1] = f.coeff[f.n - m : f.n + m + 1, f.n - m : f.n + m + 1]
-    return SpectralField(mo, c)
+    half[n - m : n + m + 1, : m + 1] = f.half[f.n - m : f.n + m + 1, : m + 1]
+    return SpectralField._from_half(mo, half)
 
 
 def inner(f: SpectralField, g: SpectralField) -> float:
@@ -515,8 +516,6 @@ def read_snapshot(path) -> SpectralField:
             raise ValueError(f"{path}: duplicate mode ({k1}, {k2})")
         seen[k1 + n, k2 + n] = True
         c[k1 + n, k2 + n] = complex(re, im)
-    if not seen.all():
-        raise ValueError(f"{path}: missing mode lines")
     if not np.isfinite(c).all():
         raise ValueError(f"{path}: non-finite coefficient")
     asym = hermitian_asymmetry(c)

@@ -14,7 +14,7 @@ import numpy as np
 
 from torusflow import EpitaxialParams, ModeSet, SpectralField, ThinFilmParams
 from torusflow.models import _galerkin, _require_zero_mean
-from torusflow.spectral import _full, _grids, _pad_size, _TransformPlan
+from torusflow.spectral import _grids, _pad_size, _TransformPlan
 
 
 def _convolve_direct_raw(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -51,7 +51,7 @@ def convolve(f: SpectralField, g: SpectralField, method: str = "fft") -> Spectra
         plan = _TransformPlan((2,), n, _pad_size(n), count=1)
         grid = plan.to_grid(np.stack([f.half, g.half]))
         np.multiply(grid[0], grid[1], out=grid[0])
-        return SpectralField(f.modes, _full(plan.from_grid(grid[:1])[0]))
+        return SpectralField._from_half(f.modes, plan.from_grid(grid[:1])[0])
     if method == "direct":
         return SpectralField(f.modes, _convolve_direct_raw(f.coeff, g.coeff, n))
     raise ValueError(f"unknown convolution method {method!r}")
@@ -86,7 +86,7 @@ def _product(v: SpectralField, name: str, form) -> SpectralField:
     """One product of derivative fields of v, through a transform plan of its
     own on the 3n+1 grid."""
     plan = _TransformPlan((), v.n, _pad_size(v.n), symbols(v.n, name), 1)
-    return SpectralField(v.modes, _full(_galerkin(v.half, plan, form)[0]))
+    return SpectralField._from_half(v.modes, _galerkin(v.half, plan, form)[0])
 
 
 def grad_dot_grad_lap(v: SpectralField) -> SpectralField:

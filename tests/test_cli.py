@@ -118,7 +118,8 @@ class TestInitialDataRescaling:
         ({"kind": "modes", "zero_mean": False,
           "modes": [[0, 0, 1e300, 0], *_with_conjugates([[1, 0, 1e-290, 0]])],
           "normalize": {"norm": "a2", "value": 1e10}}, "overflows the float range"),
-        ({"kind": "random_decay", "amplitude": 5e-324, "sigma": 2.0,
+        # the mean alone: |k|^2 weighs none of it
+        ({"kind": "modes", "zero_mean": False, "modes": [[0, 0, 1.0, 0]],
           "normalize": {"norm": "a2", "value": 1.0}}, "zero a2 norm"),
     ])
     def test_is_a_config_error(self, tmp_path, capsys, initial_data, message):
@@ -145,6 +146,18 @@ class TestInitialDataRescaling:
         assert main(["check", str(cfgp)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["initial_norms"]["a0"] == pytest.approx(a0, rel=rel, abs=0)
+
+    def test_smallest_subnormal_data_is_kept(self, tmp_path, capsys):
+        # each drawn part is 0 or +-5e-324, the smallest subnormal; the
+        # nonzero ones stay as drawn, so A^2 is not zero and rescales.  A
+        # modulus of such a part pair rounds down by up to sqrt 2, so the
+        # rescaled A^2 lies between 1 and sqrt 2
+        cfgp = tmp_path / "cfg.json"
+        write_config(cfgp, initial_data={"kind": "random_decay", "amplitude": 5e-324, "sigma": 2.0,
+                                         "normalize": {"norm": "a2", "value": 1.0}})
+        assert main(["check", str(cfgp)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert 1.0 <= report["initial_norms"]["a2"] <= math.sqrt(2.0)
 
 
 class TestOverflowingRun:
@@ -213,6 +226,14 @@ class TestSimulateCommand:
             "config error: initial_data: the Wiener norm a4 ")
         assert not (tmp_path / "out").exists()
 
+    def test_subnormal_final_norms_are_the_last_trace_row(self, tmp_path, capsys):
+        write_config(tmp_path / "cfg.json", **SUBNORMAL_RUN)
+        assert main(["simulate", str(tmp_path / "cfg.json"), "--outdir", str(tmp_path / "o")]) == 0
+        final = json.loads((tmp_path / "o" / "report.json").read_text())["run"]["final_norms"]
+        last = read_trace_csv(tmp_path / "o" / "trace.csv").data[-1, 1:5]
+        assert [final[k] for k in ("a0", "a2", "a4", "a6")] == last.tolist()
+        assert 0.0 < last[0] < 2.0**-1022
+
     def test_bit_reproducible_trace(self, tmp_path):
         cfgp = tmp_path / "cfg.json"
         write_config(cfgp)
@@ -228,6 +249,40 @@ class TestSimulateCommand:
         assert main(["simulate", str(cfgp)]) == 0
         snaps = sorted((tmp_path / "out").glob("snapshot_*.txt"))
         assert len(snaps) == 3  # steps 0, 20, 40
+
+
+# An epitaxial run whose data are subnormal: every coefficient is a few
+# units of 2^-1074, so a pass that halved and added them would move bits.
+SUBNORMAL_RUN = {"model": "epitaxial", "n": 3, "params": {"K2": 1.0}, "seed": 5,
+                 "initial_data": {"kind": "random_decay", "amplitude": 1e-318, "sigma": 0.0},
+                 "stepper": {"dt": 0.01, "t_end": 0.05}}
+
+
+class TestSnapshotRestart:
+    """A run restarted from its own snapshot at step k, with t_end cut by
+    k dt, continues it bit for bit."""
+
+    @pytest.mark.parametrize("cfg, k", [
+        ({"model": "thinfilm", "n": 6, "params": {"chi": 0.3, "p": 3},
+          "initial_data": {"kind": "random_decay", "amplitude": 0.05, "sigma": 3.0,
+                           "normalize": {"norm": "a0", "value": 0.05}},
+          "stepper": {"dt": 0.001, "t_end": 0.02}, "outputs": {"snapshot_every": 5}}, 10),
+        ({**SUBNORMAL_RUN, "outputs": {"snapshot_every": 3}}, 3),
+    ], ids=["thinfilm", "epitaxial_subnormal"])
+    def test_restart_reproduces_the_rest_of_the_run(self, tmp_path, cfg, k):
+        dt, steps = cfg["stepper"]["dt"], round(cfg["stepper"]["t_end"] / cfg["stepper"]["dt"])
+        stepper = {"dt": dt, "t_end": steps * dt, "record_every": 1}
+        first, again = tmp_path / "first", tmp_path / "again"
+        write_config(tmp_path / "a.json", **{**cfg, "stepper": stepper})
+        assert main(["simulate", str(tmp_path / "a.json"), "--outdir", str(first)]) == 0
+        write_config(tmp_path / "b.json", **{
+            **cfg, "stepper": {**stepper, "t_end": (steps - k) * dt},
+            "initial_data": {"kind": "snapshot", "path": str(first / f"snapshot_{k:08d}.txt")}})
+        assert main(["simulate", str(tmp_path / "b.json"), "--outdir", str(again)]) == 0
+        rows = read_trace_csv(first / "trace.csv").data[k:, 1:5]
+        assert read_trace_csv(again / "trace.csv").data[:, 1:5].tobytes() == rows.tobytes()
+        last = (first / f"snapshot_{steps:08d}.txt").read_bytes()
+        assert (again / f"snapshot_{steps - k:08d}.txt").read_bytes() == last
 
 
 class TestCheckCommand:
@@ -454,12 +509,33 @@ class TestConvergenceCommand:
         assert capsys.readouterr().err == (f"config error: --levels: {levels} halvings of dt "
                                            "need more than 10000000 steps\n")
 
+    def test_no_level_completes(self, tmp_path, capsys):
+        # quadratic growth far past the smallness condition: every level
+        # crosses the threshold, so no error row can be formed
+        cfgp = tmp_path / "cfg.json"
+        write_config(cfgp, n=8, seed=98, params={"K0": 0.0, "K1": 5.0, "K2": 0.05, "K3": 0.0},
+                     initial_data={"kind": "random_decay", "amplitude": 0.1, "sigma": 2.0,
+                                   "normalize": {"norm": "a0", "value": 4.0}},
+                     stepper={"dt": 0.001, "t_end": 2.0, "blowup_threshold": 40.0})
+        assert main(["convergence", str(cfgp), "--levels", "2"]) == 4
+        assert capsys.readouterr().out.splitlines() == [
+            "dt=0.001: blowup_detected", "dt=0.0005: blowup_detected",
+            "dt=0.00025: blowup_detected", f"{'dt':>12} {'err_a0_vs_half':>16} {'ratio':>8}"]
+
     @pytest.mark.parametrize("levels", [0, -3])
     def test_levels_below_one(self, tmp_path, capsys, levels):
         cfgp = tmp_path / "cfg.json"
         write_config(cfgp)
         assert main(["convergence", str(cfgp), "--levels", str(levels)]) == 2
         assert capsys.readouterr().err == "config error: --levels must be >= 1\n"
+
+
+def _snapshot_text(header, first=None):
+    """A cutoff-1 snapshot of zeros under header, its first mode line replaced by first."""
+    lines = [f"{k1} {k2} 0 0" for k1 in (-1, 0, 1) for k2 in (-1, 0, 1)]
+    if first is not None:
+        lines[0] = first
+    return "\n".join([f"torusflow-spectral v1 {header}", *lines]) + "\n"
 
 
 class TestFileErrors:
@@ -505,7 +581,14 @@ class TestFileErrors:
         ("not a snapshot\n", "bad snapshot header 'not a snapshot'"),
         ("torusflow-spectral v1 n=1\n0 0 1 0\n", "expected 9 mode lines, found 1"),
         (b"\xff\xfe\x00", "not a text snapshot file"),
-    ], ids=["empty", "header", "short", "binary"])
+        (_snapshot_text("n=one"), "bad cutoff in header 'torusflow-spectral v1 n=one'"),
+        (_snapshot_text("n=0"), "cutoff must be >= 1, got 0"),
+        (_snapshot_text("n=1", "-1 -1 0"), "malformed mode line '-1 -1 0'"),
+        (_snapshot_text("n=1", "-1 -1 zero 0"), "malformed mode line '-1 -1 zero 0'"),
+        (_snapshot_text("n=1", "2 -1 0 0"), "mode (2, -1) outside cutoff 1"),
+        (_snapshot_text("n=1", "-1 -1 nan 0"), "non-finite coefficient"),
+    ], ids=["empty", "header", "short", "binary", "cutoff_text", "cutoff_below_one", "field_count",
+            "non_numeric", "outside_cutoff", "non_finite"])
     def test_malformed_snapshot(self, tmp_path, capsys, content, message):
         snap = tmp_path / "snap.txt"
         if isinstance(content, bytes):

@@ -253,10 +253,11 @@ class TestSimulateInvariants:
         n = 5
         shapes, built = [], []
         nonlinear = EpitaxialRhs.nonlinear
-        full = integrate._full
+        from_half = SpectralField._from_half
         monkeypatch.setattr(EpitaxialRhs, "nonlinear",
                             lambda self, c: shapes.append(c.shape) or nonlinear(self, c))
-        monkeypatch.setattr(integrate, "_full", lambda c: built.append(c.shape) or full(c))
+        monkeypatch.setattr(SpectralField, "_from_half",
+                            classmethod(lambda cls, m, h: built.append(h.shape) or from_half(m, h)))
         u0 = random_field(n, seed=93)
         out = simulate(u0, EpitaxialParams(K1=0.3, K2=1.0), StepperConfig(dt=0.01, t_end=0.2),
                        "epitaxial")

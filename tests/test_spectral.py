@@ -24,7 +24,7 @@ from torusflow import (
     write_snapshot,
 )
 from torusflow import spectral
-from torusflow.spectral import _extract, _fast_len, _full, _pad_size, _TransformPlan
+from torusflow.spectral import _extract, _fast_len, _pad_size, _TransformPlan
 from torusflow.models import _symbols, make_rhs
 from _helpers import brute_bilinear, held_after, max_abs_diff, random_field, w_plain
 from oracles import convolve, per_line_snapshot, row_terms, scale_modes, symbols
@@ -77,6 +77,41 @@ class TestConstruction:
     def test_from_modes_out_of_range(self):
         with pytest.raises(ValueError, match="outside cutoff"):
             SpectralField.from_modes(2, [((3, 0), 1.0)])
+
+    @pytest.mark.parametrize("value", [5e-324, 1.5e-323, complex(5e-324, -1.5e-323)])
+    def test_exactly_hermitian_subnormals_are_kept(self, value):
+        # averaging an entry with its equal mirror would round an odd
+        # multiple of 2^-1074 to even: 5e-324 to 0, 1.5e-323 to 2e-323
+        f = SpectralField.from_modes(2, [((1, 0), value), ((-1, 0), np.conj(value))])
+        assert f.coeff[3, 2] == value
+        assert f.coeff[1, 2] == np.conj(value)
+
+    def test_near_hermitian_data_is_averaged_as_before(self):
+        # within the tolerance, each entry differs from its mirror and gets
+        # 0.5 c + 0.5 conj(c(-k)), the bits of averaging every entry
+        rng = np.random.default_rng(4)
+        c = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+        c = (0.5 * c + 0.5 * np.conj(c[::-1, ::-1])) * (1.0 + 1e-13 * rng.standard_normal((9, 9)))
+        want = 0.5 * c + 0.5 * np.conj(c[::-1, ::-1])
+        assert SpectralField(ModeSet(4), c).coeff.tobytes() == want.tobytes()
+
+    def test_from_half_mirrors_the_half_block(self):
+        n = 3
+        half = random_field(n, seed=6).half.copy()
+        half[n + 1, 1] = 5e-324  # kept: no symmetrization pass
+        f = SpectralField._from_half(ModeSet(n), half)
+        assert f.half.tobytes() == np.ascontiguousarray(half).tobytes()
+        lower = np.ascontiguousarray(f.coeff[::-1, n - 1 :: -1])
+        assert lower.tobytes() == np.conj(half[:, 1:]).tobytes()
+        assert f.coeff[n - 1, n - 1] == 5e-324
+        with pytest.raises(ValueError):
+            f.coeff[0, 0] = 1.0
+
+    def test_from_half_refuses_a_non_finite_coefficient(self):
+        half = np.zeros((5, 3), dtype=complex)
+        half[1, 2] = complex(0.0, np.inf)
+        with pytest.raises(ValueError, match="^non-finite Fourier coefficient$"):
+            SpectralField._from_half(ModeSet(2), half)
 
 
 class TestProject:
@@ -322,6 +357,34 @@ class TestWeightedSums:
         want = _fsum_rows(row_terms(a, w, twice))
         assert np.array(spectral._row_sums(a, w, twice)).tobytes() == np.array(want).tobytes()
 
+    @pytest.mark.parametrize("n", [1, 3, 8, 24])
+    def test_straddle_rows_scaled_by_the_largest_weight(self, monkeypatch, n):
+        # term_arrays' straddle rows, divided by the largest weight (doubled)
+        # and placed with their largest term on it: M max t runs from 2^1019
+        # to 2^1024, across the call's overflow gate at 2^1021.  The rows
+        # below it are certified near the float range, the others go to
+        # math.fsum; every row must equal math.fsum bit for bit.
+        modes = ModeSet(n)
+        w, twice = modes.norm_weights, modes.twice
+        M, top = w.shape[1], float(np.max(w * twice))
+        certified, hits = spectral._certified, []
+
+        def spy(*v):
+            s = certified(*v)
+            if s is not None:
+                hits.append(s)
+            return s
+
+        monkeypatch.setattr(spectral, "_certified", spy)
+        rng = np.random.default_rng(n)
+        for e in range(1019, 1025):
+            a = rng.uniform(0.0, 1.0, (3, M))
+            a[:, np.argmax(w[-1] * twice)] = 1.0
+            a *= np.ldexp(rng.uniform(0.5, 1.0, (3, 1)), e) / (M * top)
+            want = _fsum_rows(row_terms(a, w, twice))
+            assert np.array(spectral._row_sums(a, w, twice)).tobytes() == np.array(want).tobytes()
+        assert max(hits) > 2.0**1010
+
     def test_zero_rows_need_no_certificate(self, monkeypatch):
         # a field that holds only its mean: its A^2, A^4 and A^6 rows are all
         # zero and sum to 0.0 before the second split and math.fsum
@@ -468,7 +531,7 @@ class TestTransforms:
 
     def test_round_trip(self):
         f = random_field(8, seed=77, sigma=1.0)
-        back = _full(_from_grid(_to_grid(f.half, 8, 32), 8))
+        back = SpectralField._from_half(f.modes, _from_grid(_to_grid(f.half, 8, 32), 8))
         assert max_abs_diff(back, f) < 1e-12
 
     def test_zero_field(self):
@@ -658,7 +721,7 @@ class TestSnapshotBytes:
             zero |= zero[::-1, ::-1]  # zero at k and at -k
             part[zero] = rng.choice([0.0, -0.0], size=c.shape)[zero]
         raw = 0.5 * c + 0.5 * np.conj(c[::-1, ::-1])  # Hermitian up to signed zeros
-        fields = [SpectralField(ModeSet(n), raw), SpectralField(ModeSet(n), _full(raw[:, n:]))]
+        fields = [SpectralField(ModeSet(n), raw), SpectralField._from_half(ModeSet(n), raw[:, n:])]
         lower = np.ascontiguousarray(fields[0].coeff[::-1, n - 1 :: -1])
         # some stored k2 < 0 value is not bitwise the conjugate of its mirror
         assert (lower.view(np.int64) != np.conj(fields[0].half[:, 1:]).view(np.int64)).any()
@@ -671,7 +734,7 @@ class TestSnapshotBytes:
     def test_averaged_zero_column_matches_per_line_writer(self, tmp_path, n):
         # _from_grid takes its k2 = 0 column through _extract's averaging
         samples = np.random.default_rng(n).standard_normal((2 * n + 4, 2 * n + 4))
-        f = SpectralField(ModeSet(n), _full(_from_grid(samples, n)))
+        f = SpectralField._from_half(ModeSet(n), _from_grid(samples, n))
         write_snapshot(f, tmp_path / "a.txt")
         per_line_snapshot(f, tmp_path / "b.txt")
         assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
