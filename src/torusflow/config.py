@@ -293,8 +293,11 @@ def _generate(spec: InitialDataSpec, n: int, seed: int) -> SpectralField:
 
 
 def _normalized(f: SpectralField, normalize: NormalizeSpec, cur: float) -> SpectralField:
-    """f, whose Wiener norm normalize.norm is cur, rescaled so that it is
-    normalize.value."""
+    """f, whose Wiener norm normalize.norm is cur, rescaled to normalize.value;
+    subnormal data, whose moduli lose bits, has its norm taken times 2^1000."""
+    if np.max(np.abs(f.half.view(np.float64))) < 2.0**-1022:
+        f = SpectralField._from_half(f.modes, (f.half.view(np.float64) * 2.0**1000).view(np.complex128))
+        cur = wiener_norm(f, NORM_EXPONENTS[normalize.norm])
     if not math.isfinite(cur):
         raise ConfigError([f"initial_data.normalize: the Wiener norm {normalize.norm} "
                            "of the generated field overflows the float range"])
@@ -329,7 +332,7 @@ def prepare_initial(cfg: RunConfig, generated=None):
     f = generate_initial(cfg.initial_data, cfg.n, cfg.seed, generated)
     if cfg.model == "epitaxial":
         return f, {"variable": "u"}
-    m = f.coeff[cfg.n, cfg.n]
+    m = f.half[cfg.n, 0]
     if abs(m - 1.0) <= 1e-12:
         f = _without_mean(f)
     elif abs(m) > 1e-12:

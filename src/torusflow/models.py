@@ -177,7 +177,7 @@ def grid_violations(model: str, n, params) -> list:
 
 
 def _require_zero_mean(v: SpectralField, what: str) -> None:
-    m = abs(v.coeff[v.n, v.n])
+    m = abs(v.half[v.n, 0])
     if m > ZERO_MEAN_TOL:
         raise ValueError(f"{what} must have zero mean, |vhat(0)| = {m:.3e}")
 

@@ -3,7 +3,7 @@
 Coefficients live on the square mode set max(|k1|, |k2|) <= n with the
 convention u(x) = sum_k uhat(k) exp(i k.x).  Every field represents a real
 function, so uhat(-k) = conj(uhat(k)) is an invariant of the type: checked
-on construction from outside data, exact in a field built from a half block.
+on construction from outside data, exact as a field stores its k2 >= 0 half.
 
 The reference convolution and the scaling map that the tests compare the
 transforms against live in tests/oracles.py.
@@ -106,22 +106,22 @@ def hermitian_asymmetry(field_or_coeff) -> float:
         return float(np.max(np.abs(c - _hermitian_flip(c))))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class SpectralField:
     """Complex Fourier coefficients uhat(k) of a real function on T^2.
 
-    uhat(k) = (2 pi)^-2 int u(x) exp(-i k.x) dx, stored densely as a
-    (2n+1, 2n+1) array with coeff[i, j] = uhat(i - n, j - n).  Construction
-    rejects non-finite values and Hermitian violations, then symmetrizes
-    exactly, so downstream code may rely on coeff == conj(flip(coeff)).
+    uhat(k) = (2 pi)^-2 int u(x) exp(-i k.x) dx.  A field stores only its
+    read-only k2 >= 0 half block (2n+1, n+1), half[i, j] = uhat(i - n, j).
+    Construction from a (2n+1, 2n+1) array coeff[i, j] = uhat(i - n, j - n)
+    rejects non-finite values and Hermitian violations, then symmetrizes.
     """
 
     modes: ModeSet
-    coeff: np.ndarray
+    half: np.ndarray
 
-    def __post_init__(self):
-        c = np.ascontiguousarray(self.coeff, dtype=np.complex128)
-        size = self.modes.size
+    def __init__(self, modes: ModeSet, coeff):
+        c = np.ascontiguousarray(coeff, dtype=np.complex128)
+        size, n = modes.size, modes.n
         if c.shape != (size, size):
             raise ValueError(f"coefficient array must be {(size, size)}, got {c.shape}")
         if not np.isfinite(c).all():
@@ -138,25 +138,28 @@ class SpectralField:
         # A part whose bits differ from its mirror's takes their mean, halved
         # before adding to keep values near the float maximum finite; the
         # other parts, odd subnormals included, are kept as they are.
-        flip = _hermitian_flip(c)
+        c, flip = c[:, n:], _hermitian_flip(c)[:, n:]
         same = c.view(np.int64) == flip.view(np.int64)
-        c = np.where(same, c.view(np.float64), (0.5 * c + 0.5 * flip).view(np.float64)).view(np.complex128)
+        half = np.where(same, c.view(np.float64), (0.5 * c + 0.5 * flip).view(np.float64)).view(np.complex128)
+        half.setflags(write=False)
+        self.__dict__.update(modes=modes, half=half)
+
+    @cached_property
+    def coeff(self) -> np.ndarray:
+        """Read-only centred (2n+1, 2n+1) array, built on first read: the half
+        block, and its exact conjugate mirror as the k2 < 0 half."""
+        c = np.concatenate([_hermitian_flip(self.half)[:, :-1], self.half], axis=-1)
         c.setflags(write=False)
-        object.__setattr__(self, "coeff", c)
+        return c
 
     @property
     def n(self) -> int:
         return self.modes.n
 
     @property
-    def half(self) -> np.ndarray:
-        """Read-only k2 >= 0 half block (2n+1, n+1); it determines the field."""
-        return self.coeff[:, self.n :]
-
-    @property
     def mean(self) -> float:
         """Mean value of the represented function, i.e. uhat(0)."""
-        return float(self.coeff[self.n, self.n].real)
+        return float(self.half[self.n, 0].real)
 
     @classmethod
     def zeros(cls, n: int) -> "SpectralField":
@@ -165,14 +168,14 @@ class SpectralField:
     @classmethod
     def _from_half(cls, modes: ModeSet, half: np.ndarray) -> "SpectralField":
         """The field of a k2 >= 0 half block (2n+1, n+1) that the package
-        built, its k2 = 0 column Hermitian: the k2 < 0 half is its exact
-        conjugate mirror.  It refuses only a non-finite coefficient."""
+        built, its k2 = 0 column Hermitian; it keeps a read-only copy of the
+        block and refuses only a non-finite coefficient."""
         if not np.isfinite(half).all():
             raise ValueError("non-finite Fourier coefficient")
-        c = np.concatenate([_hermitian_flip(half)[:, :-1], half], axis=-1)
-        c.setflags(write=False)
+        half = half.copy()
+        half.setflags(write=False)
         f = object.__new__(cls)
-        f.__dict__.update(modes=modes, coeff=c)
+        f.__dict__.update(modes=modes, half=half)
         return f
 
     @classmethod
@@ -445,10 +448,8 @@ def _snapshot_layout(n: int):
 def write_snapshot(f: SpectralField, path) -> None:
     """Text snapshot: magic header, then 'k1 k2 re im' per retained mode.
 
-    Only the k2 >= 0 half is formatted.  A k2 < 0 line reuses the strings of
-    the mode it mirrors, the imaginary one negated, wherever its stored value
-    is bitwise the conjugate of that mode's; elsewhere (signed zeros, which
-    the symmetrization need not mirror) its stored value is formatted."""
+    Only the k2 >= 0 half is formatted: a k2 < 0 line, the conjugate of the
+    mode it mirrors, reuses that mode's strings, the imaginary one negated."""
     _write_snapshot(f, path, _snapshot_layout(f.n))
 
 
@@ -457,8 +458,7 @@ def _write_snapshot(f: SpectralField, path, layout) -> None:
     lines at a time."""
     n, w = f.n, 2 * f.n
     half_fmt, rows = layout
-    upper = f.half[:, 1:]
-    values = np.concatenate([f.half[:, 0], upper.ravel()]).view(np.float64)
+    values = np.concatenate([f.half[:, 0], f.half[:, 1:].ravel()]).view(np.float64)
     strings = (half_fmt % tuple(values.tolist())).split()
     a = 2 * (2 * n + 1)  # the strings of the k2 = 0 column come first
     # the k2 < 0 strings, each pair (im, re) at the place of the k2 > 0 entry
@@ -466,10 +466,6 @@ def _write_snapshot(f: SpectralField, path, layout) -> None:
     mirror = strings[a:]
     mirror[::2] = [x[1:] if x[0] == "-" else "-" + x for x in strings[a + 1 :: 2]]
     mirror[1::2] = strings[a::2]
-    lower = np.ascontiguousarray(f.coeff[::-1, n - 1 :: -1]).view(np.float64).ravel()
-    want = np.conj(upper).view(np.float64).ravel()
-    for k in np.flatnonzero(lower.view(np.int64) != want.view(np.int64)).tolist():
-        mirror[k ^ 1] = "%.17g" % lower[k].item()  # lower pairs run (re, im), mirror (im, re)
     with open(path, "w") as fh:
         fh.write(f"{SNAPSHOT_MAGIC} n={n}\n")
         for r, lines in enumerate(rows):

@@ -184,11 +184,11 @@ def monitor_apriori_A2(u: SpectralField, params: EpitaxialParams):
     if params.K0 != 0:
         raise ValueError(f"the monitored inequality is the K0 = 0 branch, got K0 = {params.K0}")
     r = epitaxial_rhs(u, params)
-    c = u.coeff
+    c, w2 = u.half.ravel(), u.modes.norm_weights[1]
     mag = np.abs(c)
     mask = mag > 0
-    w2 = u.modes.abs2
-    contrib = w2[mask] * np.real(np.conj(c[mask]) * r.coeff[mask]) / mag[mask]
+    # a k2 > 0 term stands for k and -k, whose terms are the same bits
+    contrib = w2[mask] * np.real(np.conj(c[mask]) * r.half.ravel()[mask]) / mag[mask] * u.modes.twice[mask]
     lhs = math.fsum(contrib.tolist())
     nv = norm_vector(u)
     rhs_bound = -(params.K2 - 2.0 * params.K3 * nv.a2) * nv.a6 + 2.0 * params.K1 * nv.a2 * nv.a4

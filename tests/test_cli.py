@@ -134,9 +134,10 @@ class TestInitialDataRescaling:
     @pytest.mark.parametrize("initial_data, a0, rel", [
         ({"kind": "modes", "modes": _with_conjugates([[1, 0, 1e-300, 0]]),
           "normalize": {"norm": "a0", "value": 1e10}}, 1e10, 1e-15),
-        # subnormal moduli keep a few bits, so the rescaled A^0 is that close
+        # subnormal data: its norm is taken of the data scaled by 2^1000, so
+        # the factor is finite and the rescaled A^0 as close as for normal data
         ({"kind": "random_decay", "amplitude": 1e-318, "sigma": 3.0,
-          "normalize": {"norm": "a0", "value": 0.5}}, 0.5, 1e-5),
+          "normalize": {"norm": "a0", "value": 0.5}}, 0.5, 1e-15),
     ])
     def test_a_factor_past_the_float_range_alone_rescales(self, tmp_path, capsys,
                                                           initial_data, a0, rel):
@@ -150,14 +151,15 @@ class TestInitialDataRescaling:
     def test_smallest_subnormal_data_is_kept(self, tmp_path, capsys):
         # each drawn part is 0 or +-5e-324, the smallest subnormal; the
         # nonzero ones stay as drawn, so A^2 is not zero and rescales.  A
-        # modulus of such a part pair rounds down by up to sqrt 2, so the
-        # rescaled A^2 lies between 1 and sqrt 2
+        # modulus of such a part pair rounds down by up to sqrt 2; the norm
+        # taken of the data scaled by 2^1000 has not lost those bits, so the
+        # rescaled A^2 misses 1 only by the rounding of the rescale
         cfgp = tmp_path / "cfg.json"
         write_config(cfgp, initial_data={"kind": "random_decay", "amplitude": 5e-324, "sigma": 2.0,
                                          "normalize": {"norm": "a2", "value": 1.0}})
         assert main(["check", str(cfgp)]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert 1.0 <= report["initial_norms"]["a2"] <= math.sqrt(2.0)
+        assert abs(report["initial_norms"]["a2"] - 1.0) <= 2 * math.ulp(1.0)
 
 
 class TestOverflowingRun:
@@ -194,6 +196,29 @@ class TestSimulateCommand:
         assert report["envelope"]["passed"] is True
         assert report["run"]["status"] == "completed"
         assert report["config"]["seed"] == 11
+
+    def test_thinfilm_claim_reported_satisfied_fails_its_envelope(self, tmp_path, capsys):
+        # the claimed rate 1 - chi - 2x - c chi p! S(x) tends to 1 - chi as
+        # x = A^0 -> 0, above the Galerkin rate 1 - chi p of the |k| = 1
+        # shell when p >= 2: the claim is reported satisfied, the run exits
+        # 0, and once that shell dominates the envelope fails
+        cfgp = tmp_path / "cfg.json"
+        write_config(cfgp, model="thinfilm", n=8, params={"chi": 0.3, "p": 2}, seed=0,
+                     initial_data={"kind": "random_decay", "amplitude": 0.1, "sigma": 3.0,
+                                   "normalize": {"norm": "a0", "value": 0.01}},
+                     stepper={"dt": 1e-3, "t_end": 4.0})
+        assert main(["simulate", str(cfgp)]) == 0
+        assert "envelope: passed=False worst_ratio=1.36326335" in capsys.readouterr().out
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        (theorem,) = report["theorems"]
+        assert theorem["satisfied"] is True
+        assert theorem["lambda"] == pytest.approx(0.662)
+        assert report["envelope"]["passed"] is False
+        assert report["envelope"]["first_violation_t"] == pytest.approx(2.82)
+        trace = read_trace_csv(tmp_path / "out" / "trace.csv")
+        late = trace.data[trace.data[:, 0] >= 3.0 - 1e-9]  # t = 3 ... 4
+        rate = math.log(late[0, 1] / late[-1, 1]) / (late[-1, 0] - late[0, 0])
+        assert rate == pytest.approx(1.0 - 0.3 * 2, abs=1e-3)  # 0.40020
 
     def test_outdir_override(self, tmp_path):
         cfgp = tmp_path / "cfg.json"
@@ -720,6 +745,14 @@ class TestEntryPoint:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "False"
+
+    def test_readme_library_use_runs(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        scope = {}
+        exec(readme.split("```python\n", 1)[1].split("```", 1)[0], scope)
+        assert scope["report"].satisfied
+        assert scope["out"].status == "completed"
+        assert scope["verdict"].passed
 
     def test_runtime_imports_no_scipy(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,6 +113,52 @@ class TestConstruction:
         half[1, 2] = complex(0.0, np.inf)
         with pytest.raises(ValueError, match="^non-finite Fourier coefficient$"):
             SpectralField._from_half(ModeSet(2), half)
+
+
+class TestHalfBlockStorage:
+    """A field stores its k2 >= 0 half block; coeff is derived from it."""
+
+    def test_from_half_allocates_the_half_block_alone(self):
+        n, modes = 256, ModeSet(256)
+        half = np.zeros((modes.size, n + 1), dtype=np.complex128)
+        half[n + 1 :, 1:] = 1.0 + 2.0j
+        tracemalloc.start()
+        try:
+            f = SpectralField._from_half(modes, half)
+            built = tracemalloc.get_traced_memory()[1]  # 2.1 MB; the full array is 4.2 MB
+            before = tracemalloc.get_traced_memory()[0]
+            c = f.coeff
+            first = tracemalloc.get_traced_memory()[0] - before
+            again = f.coeff
+            second = tracemalloc.get_traced_memory()[0] - before - first
+        finally:
+            tracemalloc.stop()
+        assert built <= half.nbytes + 64 * 1024 < c.nbytes
+        assert again is c and first >= c.nbytes and second < 1024  # built once, on first read
+        for a in (f.half, c):
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
+        with pytest.raises(AttributeError):
+            f.coeff = c
+
+    @pytest.mark.parametrize("model, params, initial_data", [
+        ("thinfilm", {"chi": 0.3, "p": 3},
+         {"kind": "random_decay", "amplitude": 0.05, "sigma": 3.0,
+          "normalize": {"norm": "a0", "value": 0.05}}),
+        # outside data that the constructor checks, kept with its mean
+        ("epitaxial", {"K1": 0.25, "K2": 1.0, "K3": 0.25},
+         {"kind": "modes", "zero_mean": False,
+          "modes": [[0, 0, 0.5, 0], [1, 1, 0.05, 0], [-1, -1, 0.05, 0], [2, -1, 0, 0.03], [-2, 1, 0, -0.03]]}),
+    ])
+    def test_a_run_reads_no_coeff(self, tmp_path, monkeypatch, model, params, initial_data):
+        # preparing, stepping, recording, the snapshot writer and the reports
+        # all read half blocks
+        monkeypatch.setattr(SpectralField, "coeff", property(lambda f: pytest.fail("coeff was read")))
+        cfg = parse_config({"model": model, "n": 6, "params": params, "initial_data": initial_data,
+                            "stepper": {"dt": 1e-3, "t_end": 0.01, "record_every": 2},
+                            "outputs": {"snapshot_every": 5}})
+        assert execute_run(cfg, str(tmp_path)).outcome.status == "completed"
+        assert len(list(tmp_path.glob("snapshot_*.txt"))) == 3
 
 
 class TestProject:
@@ -710,8 +757,9 @@ class TestSnapshotBytes:
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_signed_zero_mirrors_match_per_line_writer(self, tmp_path, n):
-        # k2 < 0 lines are written from their k2 > 0 mirrors; signed zeros,
-        # which the symmetrization need not mirror, must still come out as stored
+        # data Hermitian up to signed zeros: the constructor keeps the k2 >= 0
+        # half, the k2 < 0 half of coeff is its exact conjugate mirror, and
+        # the field writes the bytes of the field of its half block
         rng = np.random.default_rng(n)
         size = 2 * n + 1
         c = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
@@ -721,14 +769,20 @@ class TestSnapshotBytes:
             zero |= zero[::-1, ::-1]  # zero at k and at -k
             part[zero] = rng.choice([0.0, -0.0], size=c.shape)[zero]
         raw = 0.5 * c + 0.5 * np.conj(c[::-1, ::-1])  # Hermitian up to signed zeros
-        fields = [SpectralField(ModeSet(n), raw), SpectralField._from_half(ModeSet(n), raw[:, n:])]
-        lower = np.ascontiguousarray(fields[0].coeff[::-1, n - 1 :: -1])
-        # some stored k2 < 0 value is not bitwise the conjugate of its mirror
-        assert (lower.view(np.int64) != np.conj(fields[0].half[:, 1:]).view(np.int64)).any()
-        for f in fields:
-            write_snapshot(f, tmp_path / "a.txt")
-            per_line_snapshot(f, tmp_path / "b.txt")
-            assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+
+        def lower(a):  # the k2 < 0 half, reversed onto its k2 > 0 mirrors
+            return np.ascontiguousarray(a[::-1, n - 1 :: -1]).tobytes()
+
+        # some k2 < 0 part of the data is not bitwise the conjugate of its mirror
+        assert lower(raw) != np.conj(raw[:, n + 1 :]).tobytes()
+        f = SpectralField(ModeSet(n), raw)
+        g = SpectralField._from_half(f.modes, f.half)
+        for h, name in ((f, "f.txt"), (g, "g.txt")):
+            assert lower(h.coeff) == np.conj(h.half[:, 1:]).tobytes()
+            write_snapshot(h, tmp_path / name)
+        per_line_snapshot(f, tmp_path / "b.txt")
+        assert (tmp_path / "f.txt").read_bytes() == (tmp_path / "g.txt").read_bytes()
+        assert (tmp_path / "f.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
 
     @pytest.mark.parametrize("n", [1, 3, 8])
     def test_averaged_zero_column_matches_per_line_writer(self, tmp_path, n):
