@@ -263,7 +263,10 @@ def generate_initial(spec: InitialDataSpec, n: int, seed: int, generated=None) -
 def _generate(spec: InitialDataSpec, n: int, seed: int) -> SpectralField:
     """generate_initial of spec without its normalize."""
     if spec.kind == "modes":
-        f = SpectralField.from_modes(n, [((k1, k2), complex(re, im)) for k1, k2, re, im in spec.modes])
+        try:
+            f = SpectralField.from_modes(n, [((k1, k2), complex(re, im)) for k1, k2, re, im in spec.modes])
+        except ValueError as e:  # not Hermitian, or past the float range
+            raise ConfigError([f"initial_data.modes: {e}"]) from None
     elif spec.kind == "random_decay":
         modes = ModeSet(n)
         abs2 = modes.abs2

@@ -282,10 +282,11 @@ class EpitaxialRhs(_Rhs):
 
     def __init__(self, n: int, params: EpitaxialParams):
         super().__init__(n, params)
-        self.linear = -params.K0 * self.abs2 - params.K2 * self.abs2**2
+        with np.errstate(over="ignore"):  # a symbol past the float range is inf
+            self.linear = -params.K0 * self.abs2 - params.K2 * self.abs2**2
+            # -(K3/2) lap (lap u)^2 has coefficient +(K3/2) |k|^2 d(k)
+            self.lap_k3 = (0.5 * params.K3) * self.abs2
         self.linear.setflags(write=False)
-        # -(K3/2) lap (lap u)^2 has coefficient +(K3/2) |k|^2 d(k)
-        self.lap_k3 = (0.5 * params.K3) * self.abs2
         self.grids = (_pad_size(self.n),)
 
     def make_plans(self, lead) -> tuple:

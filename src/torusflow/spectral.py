@@ -100,8 +100,9 @@ def _hermitian_flip(c: np.ndarray) -> np.ndarray:
 
 def hermitian_asymmetry(field_or_coeff) -> float:
     """max_k |uhat(-k) - conj(uhat(k))|; inf when the difference passes the
-    float range."""
-    c = field_or_coeff.coeff if isinstance(field_or_coeff, SpectralField) else np.asarray(field_or_coeff)
+    float range.  Of a field, only its k2 = 0 column can differ: the rest of
+    its coeff is an exact mirror."""
+    c = field_or_coeff.half[:, :1] if isinstance(field_or_coeff, SpectralField) else np.asarray(field_or_coeff)
     with np.errstate(over="ignore"):
         return float(np.max(np.abs(c - _hermitian_flip(c))))
 
@@ -186,7 +187,8 @@ class SpectralField:
         for (k1, k2), val in entries:
             if max(abs(int(k1)), abs(int(k2))) > n:
                 raise ValueError(f"mode ({k1}, {k2}) outside cutoff {n}")
-            c[int(k1) + n, int(k2) + n] += complex(val)
+            with np.errstate(over="ignore"):  # a sum past the float range is refused below
+                c[int(k1) + n, int(k2) + n] += complex(val)
         return cls(m, c)
 
 
@@ -430,10 +432,11 @@ def with_cutoff(f: SpectralField, n: int) -> SpectralField:
 
 
 def inner(f: SpectralField, g: SpectralField) -> float:
-    """L2 inner product int_{T^2} f g dx = 4 pi^2 sum_k fhat(k) conj(ghat(k))."""
+    """L2 inner product int_{T^2} f g dx = 4 pi^2 sum_k fhat(k) conj(ghat(k)),
+    over the half blocks: a k2 > 0 term stands for k and -k."""
     if f.modes != g.modes:
         raise ValueError(f"mode-set mismatch: n={f.n} vs n={g.n}")
-    return 4.0 * math.pi**2 * float(np.real(np.vdot(g.coeff, f.coeff)))
+    return 4.0 * math.pi**2 * float(np.real(np.vdot(g.half, f.half.ravel() * f.modes.twice)))
 
 
 def _snapshot_layout(n: int):

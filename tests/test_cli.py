@@ -181,6 +181,28 @@ class TestOverflowingRun:
         assert report["run"]["status"] == "numerical_failure"
 
 
+class TestSymbolsPastTheFloatRange:
+    @pytest.mark.parametrize("params, scheme, code", [
+        # z^2 of the ETD2 weights overflows
+        ({"K2": 1e160}, "ETD2", 0),
+        # (K3/2)|k|^2 overflows: the K3 term of the first step is not finite
+        ({"K2": 1.0, "K3": 1e308}, "ETD2", 3),
+        # K0|k|^2 + K2|k|^4 overflows: the rate is -inf and e^z, phi1 and phi2 are 0
+        ({"K0": 1e308, "K2": 1e308}, "ETD2", 0),
+        ({"K0": 1e308, "K2": 1e308}, "IMEX1", 0),
+    ], ids=["K2_1e160", "K3_1e308", "K0_K2_1e308", "K0_K2_1e308_imex1"])
+    def test_no_warning(self, tmp_path, capsys, params, scheme, code):
+        # no errstate here: pytest turns a RuntimeWarning into an error
+        cfgp = tmp_path / "cfg.json"
+        write_config(cfgp, n=4, params={"K1": 0.25, **params},
+                     initial_data={"kind": "random_decay", "amplitude": 0.05, "sigma": 3.0},
+                     stepper={"dt": 0.01, "t_end": 0.05, "scheme": scheme})
+        assert main(["simulate", str(cfgp)]) == code
+        assert capsys.readouterr().err == ""
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["run"]["final_time"] == (0.05 if code == 0 else 0.0)
+
+
 class TestSimulateCommand:
     def test_successful_run_writes_outputs(self, tmp_path, capsys):
         cfgp = tmp_path / "cfg.json"
@@ -352,6 +374,21 @@ class TestCheckCommand:
         for line, name in zip(lines, names):
             assert line.startswith(f"config error: initial_data: the Wiener norm {name} ")
 
+    @pytest.mark.parametrize("modes, message", [
+        ([[1, 0, 1.0, 0]], "coefficients are not Hermitian-symmetric (max deviation 1.000e+00); "
+                           "the field must represent a real function"),
+        # repeated modes accumulate past the float range
+        (_with_conjugates([[1, 0, 1e308, 0]]) * 2, "non-finite Fourier coefficient"),
+    ], ids=["no_mirror", "sum_past_the_float_range"])
+    @pytest.mark.parametrize("command", ["check", "simulate"])
+    def test_modes_the_field_refuses_are_a_config_error(self, tmp_path, capsys, command, modes,
+                                                        message):
+        cfgp = tmp_path / "cfg.json"
+        write_config(cfgp, initial_data={"kind": "modes", "modes": modes})
+        assert main([command, str(cfgp)]) == 2
+        assert capsys.readouterr() == ("", f"config error: initial_data.modes: {message}\n")
+        assert not (tmp_path / "out").exists()
+
     def test_report_to_file(self, tmp_path):
         cfgp = tmp_path / "cfg.json"
         write_config(cfgp)
@@ -424,7 +461,8 @@ class TestVerifyCommand:
         "t,a0,a2,a4,a6,mean,dt\n0,1,1,1\n",
         "t,a0,a2,a4,a6,mean,dt\n0,1,1,1,1,0,x\n",
         "t,a0,a2,a4,a6,mean,dt\n0,1,1,1,1,0,0.1\n0,1,1,1,1,0,0.1\n",
-    ], ids=["missing", "header", "short_row", "not_a_number", "repeated_time"])
+        "t,a0,a2,a4,a6,mean,dt\n0,1,1,1,inf,0,0.1\n",
+    ], ids=["missing", "header", "short_row", "not_a_number", "repeated_time", "non_finite"])
     def test_unreadable_or_malformed_trace_is_a_config_error(self, tmp_path, capsys, content):
         p = tmp_path / "trace.csv"
         if content is not None:
@@ -432,6 +470,8 @@ class TestVerifyCommand:
         assert main(["verify", str(p), "--lambda", "0.5"]) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"config error: {p}: ")
+        if content and "inf" in content:
+            assert lines[0] == f"config error: {p}: trace column a6 contains non-finite entries"
         assert main(["verify", str(tmp_path), "--lambda", "0.5"]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {tmp_path}: ")
 
@@ -448,6 +488,18 @@ class TestSweepCommand:
                      "--outdir", str(tmp_path / "sw")]) == 0
         assert (tmp_path / "sw" / "summary.csv").exists()
         assert "2 runs" in capsys.readouterr().out
+
+    def test_member_with_modes_the_field_refuses_is_a_config_error_row(self, tmp_path, capsys):
+        cfgp = tmp_path / "cfg.json"
+        write_config(cfgp, initial_data={"kind": "modes", "modes": [[1, 0, 0.1, 0]]})
+        axesp = tmp_path / "axes.json"
+        axesp.write_text(json.dumps({"axes": [{"path": "initial_data.modes", "values": [
+            [[1, 0, 0.1, 0]], [[1, 0, 0.1, 0], [-1, 0, 0.1, 0]]]}]}))
+        assert main(["sweep", str(cfgp), str(axesp), "--outdir", str(tmp_path / "sw")]) == 0
+        with open(tmp_path / "sw" / "summary.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["status"] for r in rows] == ["config_error", "completed"]
+        assert rows[0]["error"].startswith("initial_data.modes: coefficients are not Hermitian-symmetric")
 
     def test_bad_axes_file(self, tmp_path, capsys):
         cfgp = tmp_path / "cfg.json"

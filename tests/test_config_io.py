@@ -109,6 +109,18 @@ class TestParseConfig:
         again = parse_config(config_to_dict(cfg))
         assert again == cfg
 
+    @pytest.mark.parametrize("raw, errors", [
+        (minimal_epitaxial(model="thinfilm", params={"p": 3}), ["params.chi: required"]),
+        (minimal_epitaxial(params={"K1": 0.5}), ["params.K2: required"]),
+        ({"model": "epitaxial", "n": 4, "params": {"K2": 1.0}}, ["initial_data: required"]),
+        (minimal_epitaxial(initial_data="modes"), ["initial_data: must be an object"]),
+        ([minimal_epitaxial()], ["config: must be a JSON object"]),
+    ], ids=["chi", "K2", "initial_data", "initial_data_type", "config_type"])
+    def test_missing_or_mistyped_section(self, raw, errors):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(raw)
+        assert exc.value.errors == errors
+
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="no such file"):
             load_config(tmp_path / "nope.json")

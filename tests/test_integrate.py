@@ -51,6 +51,13 @@ class TestPhiFunctions:
         assert _phi1(z)[0] == 1.0
         assert _phi2(z)[0] == 0.5
 
+    def test_rates_past_the_float_range_raise_no_warning(self):
+        # z^2 overflows at -1e160; z = -inf is a symbol past the float range.
+        # Both phi functions tend to 0 there; pytest makes a warning an error
+        z = np.array([-1e160, -1e308, -np.inf])
+        assert _phi1(z).tolist() == [1e-160, 1e-308, 0.0]
+        assert _phi2(z).tolist() == [0.0, 0.0, 0.0]
+
 
 class TestStepperConfig:
     def test_domains(self):
@@ -293,6 +300,11 @@ class TestSimulateInvariants:
         assert out.final_time == 0.0
         assert np.array_equal(out.final_field.coeff, u0.coeff)
 
+    def test_record_fields_every_below_one_is_refused(self):
+        with pytest.raises(ValueError, match="^record_fields_every must be >= 1, got 0$"):
+            simulate(cos_x1(), LINEAR, StepperConfig(dt=0.01, t_end=0.1), "epitaxial",
+                     record_fields_every=0)
+
     def test_threshold_must_exceed_initial_norm(self):
         u0 = cos_x1(eps=1.0)
         with pytest.raises(ValueError, match="threshold"):
@@ -450,6 +462,10 @@ class TestTraceRows:
         peak(100)
         assert (peak(4000) - peak(2000)) / 2000 <= 64
 
+    def test_rows_of_another_width_are_refused(self):
+        with pytest.raises(ValueError, match=r"^trace rows have shape \(3, 6\), expected \(m, 7\)$"):
+            integrate.NormTrace(np.zeros((3, 6)))
+
     def test_the_trace_is_one_read_only_array_with_column_views(self):
         out = simulate(cos_x1(), LINEAR, StepperConfig(dt=0.01, t_end=0.1, record_every=3),
                        "epitaxial")
@@ -520,9 +536,9 @@ class TestSimulateBatch:
     @pytest.mark.parametrize("record_every", [1, 10])
     def test_one_verdict_pass_gives_each_member_its_solo_outcome(self, monkeypatch, record_every):
         # a blow-up, an overflow, a quiet run, and a member whose threshold is
-        # its own exact A^0 at step k: there its plain sum lies within 1e-12
-        # of the threshold, an exact norm row finds A^0 not above it, and the
-        # member blows up at step k + 1
+        # its own exact A^0 at step k: there its plain sum is not cleared, an
+        # exact norm row finds A^0 not above it, and the member blows up at
+        # step k + 1
         u0s, _ = self.members()
         stepper = StepperConfig(dt=1e-3, t_end=0.05, record_every=record_every)
         probe = simulate(u0s[2], EXPLOSIVE, replace(stepper, record_every=1), "epitaxial")
@@ -533,6 +549,7 @@ class TestSimulateBatch:
         steppers = [replace(stepper, blowup_threshold=b) for _, b in members]
 
         exact, integrate_norms = [], integrate._norms  # the A^0 of each exact row of a lone block
+        calls, integrate_verdict = [], integrate._verdict  # per step: (not cleared, rows due, rows taken)
 
         def norms(c, *a):
             got = integrate_norms(c, *a)
@@ -540,7 +557,18 @@ class TestSimulateBatch:
                 exact.append(got[0])
             return got
 
+        def verdict(c, a0, thresholds, quiet):
+            # one exact row per member the comparison does not clear, none for
+            # a non-finite block whose plain sum is non-finite
+            held = np.flatnonzero(~(a0 < quiet)).tolist()
+            due = sum(math.isfinite(a0[j]) or np.isfinite(c[j]).all() for j in held)
+            before = len(exact)
+            ended = integrate_verdict(c, a0, thresholds, quiet)
+            calls.append((len(held), due, len(exact) - before))
+            return ended
+
         monkeypatch.setattr(integrate, "_norms", norms)
+        monkeypatch.setattr(integrate, "_verdict", verdict)
         seen = [[] for _ in members]
         outs = simulate_batch([u for u, _ in members], EXPLOSIVE, steppers, "epitaxial",
                               [lambda i, t, f, s=s: s.append((i, t, f.coeff.tobytes())) for s in seen])
@@ -548,6 +576,12 @@ class TestSimulateBatch:
                                             "blowup_detected", "completed"]
         assert outs[2].final_time == (k + 1) * 1e-3
         assert threshold in exact
+        assert len(calls) == round(0.05 / 1e-3)
+        assert all(due == taken for _, due, taken in calls)
+        # the blow-up at its crossing, the overflow at its nan step (no row),
+        # the razor member at steps k and k + 1; the quiet member never
+        assert [c for c in calls if c[0]] == [(1, 1, 1), (1, 0, 0), (1, 1, 1), (1, 1, 1)]
+        assert [i for i, c in enumerate(calls, 1) if c[0]][2:] == [k, k + 1]
 
         bits = lambda a: a.view(np.int64).tolist()
         for (u0, _), member_stepper, out, steps in zip(members, steppers, outs, seen):
@@ -558,6 +592,10 @@ class TestSimulateBatch:
             assert bits(out.trace.data) == bits(solo.trace.data)
             assert bits(out.final_field.coeff) == bits(solo.final_field.coeff)
             assert steps == solo_steps
+
+        exact.clear()
+        assert simulate(u0s[0], EXPLOSIVE, stepper, "epitaxial").status == "completed"
+        assert exact == []  # a quiet run takes no exact row
 
     def test_members_must_share_the_stepper(self):
         u0s, _ = self.members()

@@ -160,6 +160,53 @@ class TestHalfBlockStorage:
         assert execute_run(cfg, str(tmp_path)).outcome.status == "completed"
         assert len(list(tmp_path.glob("snapshot_*.txt"))) == 3
 
+    def test_no_command_reads_coeff(self, tmp_path, monkeypatch, capsys):
+        import json
+        from torusflow.cli import main
+
+        monkeypatch.setattr(SpectralField, "coeff", property(lambda f: pytest.fail("coeff was read")))
+        monkeypatch.chdir(tmp_path)
+        cfg = {"model": "thinfilm", "n": 4, "params": {"chi": 0.3, "p": 3}, "seed": 1,
+               "initial_data": {"kind": "random_decay", "amplitude": 0.05, "sigma": 3.0,
+                                "normalize": {"norm": "a0", "value": 0.05}},
+               "stepper": {"dt": 0.001, "t_end": 0.01, "record_every": 5},
+               "outputs": {"directory": "o", "snapshot_every": 5}}
+        restart = {**cfg, "initial_data": {"kind": "snapshot", "path": "o/snapshot_00000005.txt"},
+                   "outputs": {"directory": "r", "snapshot_every": 5}}
+        axes = {"axes": [{"path": "initial_data.normalize.value", "values": [0.02, 0.05]}]}
+        for name, content in (("c.json", cfg), ("r.json", restart), ("axes.json", axes)):
+            (tmp_path / name).write_text(json.dumps(content))
+        for argv in (["check", "c.json"], ["simulate", "c.json"],
+                     ["sweep", "c.json", "axes.json", "--outdir", "sw"],
+                     ["convergence", "c.json", "--levels", "1"],
+                     ["verify", "o/trace.csv", "--lambda", "0.5", "--norm", "a2"],
+                     ["simulate", "r.json"]):
+            assert main(argv) == 0, argv
+        assert (tmp_path / "r" / "snapshot_00000005.txt").read_bytes() == \
+            (tmp_path / "o" / "snapshot_00000010.txt").read_bytes()
+
+    def test_theory_and_per_term_functions_read_no_coeff(self, monkeypatch):
+        from torusflow import (TimeProfile, delta_of_delta_sq, epitaxial_rhs, hessian_det2,
+                               monitor_apriori_A2, power_term, thinfilm_rhs, weak_residual)
+
+        monkeypatch.setattr(SpectralField, "coeff", property(lambda f: pytest.fail("coeff was read")))
+        u, params = random_field(5, seed=7), EpitaxialParams(K1=0.25, K2=1.0, K3=0.25)
+        for term in (hessian_det2(u), delta_of_delta_sq(u), epitaxial_rhs(u, params),
+                     power_term(u, 3), thinfilm_rhs(u, ThinFilmParams(chi=0.3, p=3))):
+            assert term.half.shape == u.half.shape
+        assert all(map(math.isfinite, monitor_apriori_A2(u, params)))
+        states = [random_field(5, seed=s) for s in range(3)]
+        assert math.isfinite(weak_residual([0.0, 0.5, 1.0], states, cos_x1(5),
+                                           TimeProfile.vanishing_at(1.0), "epitaxial", params))
+
+    def test_weak_residual_derives_no_coeff(self):
+        from torusflow import TimeProfile, weak_residual
+
+        states, phi = [random_field(16, seed=s) for s in range(5)], cos_x1(16)
+        weak_residual(np.linspace(0.0, 1.0, 5), states, phi, TimeProfile.vanishing_at(1.0),
+                      "epitaxial", EpitaxialParams(K1=0.25, K2=1.0))
+        assert not any("coeff" in vars(f) for f in (*states, phi))
+
 
 class TestProject:
     """Galerkin truncation, which a snapshot of a larger cutoff takes
@@ -642,6 +689,20 @@ class TestInner:
         f = cos_x1(4)
         g = SpectralField.from_modes(4, [((0, 1), 0.5), ((0, -1), 0.5)])
         assert abs(inner(f, g)) < 1e-15
+
+    def test_mode_set_mismatch(self):
+        with pytest.raises(ValueError, match="^mode-set mismatch: n=4 vs n=5$"):
+            inner(cos_x1(4), cos_x1(5))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 16])
+    def test_half_block_sum_matches_the_full_array(self, n):
+        # a k2 > 0 term, doubled, stands for itself and its mirror: the full
+        # sum and the half-block sum agree to roundoff
+        for seed in range(5):
+            f, g = random_field(n, seed=seed), random_field(n, seed=seed + 100, zero_mean=False)
+            full = 4.0 * np.pi**2 * float(np.real(np.vdot(g.coeff, f.coeff)))
+            scale = 4.0 * np.pi**2 * float(np.sum(np.abs(f.coeff) * np.abs(g.coeff)))
+            assert abs(inner(f, g) - full) <= 1e-15 * scale
 
 
 class TestSnapshot:

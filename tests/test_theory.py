@@ -189,6 +189,10 @@ class TestEnvelope:
         with pytest.raises(ValueError, match="lambda|tol"):
             verify_decay_envelope(trace, "a0", lam, tol)
 
+    def test_empty_trace_is_rejected(self):
+        with pytest.raises(ValueError, match="^empty trace$"):
+            verify_decay_envelope(NormTrace.from_rows([]), "a0", 0.3)
+
     def test_zero_tol_is_accepted(self):
         trace = synthetic_trace(0.3, 1.0, [0.0])
         assert verify_decay_envelope(trace, "a0", 0.3, tol=0.0).passed
@@ -243,7 +247,23 @@ class TestMonitor:
             monitor_apriori_A2(cos_x1(), EpitaxialParams(K0=0.5, K1=0, K2=1.0))
 
 
+class TestNormArguments:
+    @pytest.mark.parametrize("check, params, name", [
+        (check_epitaxial_A2, EpitaxialParams(K2=1.0), "u0_a2"),
+        (check_epitaxial_A0, EpitaxialParams(K2=1.0), "u0_a0"),
+        (check_thinfilm_A0, ThinFilmParams(chi=0.1, p=2), "v0_a0"),
+    ])
+    @pytest.mark.parametrize("x", [-0.5, math.nan, math.inf])
+    def test_a_norm_must_be_finite_and_nonnegative(self, check, params, name, x):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite nonnegative real, got {x!r}$"):
+            check(params, x)
+
+
 class TestTimeProfile:
+    def test_needs_a_coefficient(self):
+        with pytest.raises(ValueError, match="^profile needs at least one coefficient$"):
+            TimeProfile(())
+
     def test_vanishing_profile(self):
         g = TimeProfile.vanishing_at(2.0, power=3)
         assert g.value(2.0) == pytest.approx(0.0, abs=1e-15)
@@ -327,6 +347,17 @@ class TestWeakResidual:
                           ThinFilmParams(chi=0.1, p=2))
         with pytest.raises(ValueError, match=r"model must be one of \('epitaxial', 'thinfilm'\)"):
             weak_residual(times, states, cos_x1(), prof, "porous", EpitaxialParams(K2=1.0))
+
+    @pytest.mark.parametrize("times, cutoffs, message", [
+        ([0.0], [4], "need matching times/states with at least two samples"),
+        ([0.0, 0.5, 1.0], [4, 4], "need matching times/states with at least two samples"),
+        ([0.0, 0.5, 0.5, 1.0], [4] * 4, "sample times must be strictly increasing"),
+        ([0.0, 1.0], [4, 5], "test function and states must share one mode set"),
+    ], ids=["one_sample", "mismatched_lengths", "repeated_time", "mode_sets"])
+    def test_malformed_samples(self, times, cutoffs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            weak_residual(times, [SpectralField.zeros(n) for n in cutoffs], cos_x1(),
+                          TimeProfile.vanishing_at(1.0), "epitaxial", EpitaxialParams(K2=1.0))
 
     def test_must_start_at_zero(self):
         times = np.array([0.5, 1.0])
