@@ -18,7 +18,7 @@ from .models import config_lines, unknown_keys, violations
 from .output import read_trace_csv, report_text, write_report_json
 from .spectral import SpectralField, wiener_norm
 from .sweep import DEFAULT_MAX_RUNS, axis_errors, run_sweep
-from .theory import envelope_arg_errors, verify_decay_envelope
+from .theory import ENVELOPE_TOL, envelope_arg_errors, verify_decay_envelope
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -69,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("trace")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--norm", choices=("a0", "a2"), default="a2")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=ENVELOPE_TOL)
 
     p = sub.add_parser("convergence", help="fixed-step self-convergence study")
     p.add_argument("config")
@@ -129,12 +129,15 @@ def _cmd_sweep(args) -> int:
 
 
 def _read_trace(path):
-    """The trace at path; an unreadable or malformed file is a ConfigError."""
+    """The trace at path; an unreadable, malformed or empty file is a ConfigError."""
     with file_errors(path):
         try:
-            return read_trace_csv(path)
+            trace = read_trace_csv(path)
         except ValueError as e:  # read_trace_csv's messages name path
             raise ConfigError([str(e)]) from None
+    if len(trace) == 0:
+        raise ConfigError([f"{path}: empty trace"])
+    return trace
 
 
 def _cmd_verify(args) -> int:

@@ -19,8 +19,8 @@ from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 import numpy as np
 
 from .integrate import MODELS, StepperConfig
-from .models import (MAX_GRID, MAX_N, MAX_P, MAX_STEPS, N_RULE, RHS, Checked, config_lines,
-                     grid_violations, is_number, unknown_keys, violations)
+from .models import (MAX_GRID, MAX_N, MAX_P, MAX_STEPS, N_RULE, RHS, ZERO_MEAN_TOL, Checked,
+                     config_lines, grid_violations, is_number, unknown_keys, violations)
 from .spectral import ModeSet, SpectralField, read_snapshot, wiener_norm, with_cutoff
 
 __all__ = [
@@ -336,9 +336,9 @@ def prepare_initial(cfg: RunConfig, generated=None):
     if cfg.model == "epitaxial":
         return f, {"variable": "u"}
     m = f.half[cfg.n, 0]
-    if abs(m - 1.0) <= 1e-12:
+    if abs(m - 1.0) <= ZERO_MEAN_TOL:
         f = _without_mean(f)
-    elif abs(m) > 1e-12:
+    elif abs(m) > ZERO_MEAN_TOL:
         raise ConfigError([
             "initial_data: thin-film data must be u0 with mean 1 "
             f"or a zero-mean fluctuation, got mean {m!r}"

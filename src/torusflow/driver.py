@@ -21,6 +21,7 @@ from .integrate import RunOutcome, _blowup_threshold, simulate_batch
 from .output import write_report_json, write_trace_csv
 from .spectral import NormVector, _norms, _snapshot_layout, _write_snapshot
 from .theory import (
+    ENVELOPE_TOL,
     EnvelopeVerdict,
     TheoremReport,
     check_epitaxial_A0,
@@ -30,8 +31,6 @@ from .theory import (
 )
 
 __all__ = ["ExecutionResult", "theorem_reports", "check_only", "execute_run"]
-
-ENVELOPE_TOL = 1e-6
 
 THINFILM_NOTES = [
     "norms refer to the zero-mean variable v = u - 1; the mean of u is 1 + mean(v)",
@@ -191,7 +190,11 @@ def _snapshot_writers(runs) -> list:
     layout = _snapshot_layout(cfg.n)
 
     def writer(prefix):
-        return lambda step, t, field: _write_snapshot(field, f"{prefix}_{step:08d}.txt", layout)
+        def write(step, t, field):
+            path = f"{prefix}_{step:08d}.txt"
+            with file_errors(path, "output file "):
+                _write_snapshot(field, path, layout)
+        return write
 
     return [writer(os.path.join(d, c.outputs.snapshot_prefix)) for c, d, _ in runs]
 
@@ -217,8 +220,11 @@ def _finish(cfg: RunConfig, outdir, prepared, outcome: RunOutcome,
         "mean_u_final": mean_final + (1.0 if cfg.model == "thinfilm" else 0.0),
     }
 
-    write_trace_csv(outcome.trace, os.path.join(outdir, cfg.outputs.trace_csv))
-    write_report_json(report, os.path.join(outdir, cfg.outputs.report_json))
+    for write, data, name in ((write_trace_csv, outcome.trace, cfg.outputs.trace_csv),
+                              (write_report_json, report, cfg.outputs.report_json)):
+        path = os.path.join(outdir, name)
+        with file_errors(path, "output file "):
+            write(data, path)
 
     return ExecutionResult(outcome=outcome, reports=reports, envelope=envelope,
                            initial_norms=nv, report=report)

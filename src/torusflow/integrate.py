@@ -116,13 +116,15 @@ def _phi1(z: np.ndarray) -> np.ndarray:
 
 
 def _phi2(z: np.ndarray) -> np.ndarray:
-    """(e^z - 1 - z)/z^2, series for |z| < 0.1; 0 at z = -inf, its limit."""
+    """(e^z - 1 - z)/z^2, series for |z| < 0.1; divided by z twice where z^2
+    overflows; 0 at z = -inf, its limit."""
     z = np.asarray(z, dtype=np.float64)
     small = np.abs(z) < 0.1
     out = np.empty_like(z)
     zb = z[~small]
     with np.errstate(over="ignore", invalid="ignore"):  # z^2 past the float range, or inf / inf
-        out[~small] = np.where(zb == -np.inf, 0.0, (np.expm1(zb) - zb) / (zb * zb))
+        num, sq = np.expm1(zb) - zb, zb * zb
+        out[~small] = np.where(zb == -np.inf, 0.0, np.where(np.isinf(sq), num / zb / zb, num / sq))
     t = z[small]
     # sum_{j>=0} t^j / (j+2)!, eight terms: truncation about 6e-15 relative
     # at |t| = 0.1, the size of the first omitted term t^8 / 10!

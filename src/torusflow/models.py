@@ -18,8 +18,9 @@ live in tests/oracles.py.  Derivative multipliers carry the analytic signs:
 d_j <-> i k_j, lap <-> -|k|^2, lap^2 <-> |k|^4.
 
 Each equation is written once, in the terms() of its *Rhs evaluator: the
-stepper, the public right-hand sides, the a priori monitor and the weak
-residual all evaluate through it, on k2 >= 0 half blocks (2n+1, n+1).
+stepper, the public right-hand sides, the epitaxial per-term functions, the
+a priori monitor and the weak residual all evaluate through it, on k2 >= 0
+half blocks (2n+1, n+1).
 
 Each config domain and cap rule is stated once, as a row (field, integer,
 ok, message): an integer (integer=True), a real number (False) or any value
@@ -378,27 +379,22 @@ def _evaluate(rhs, u: SpectralField) -> SpectralField:
     return SpectralField._from_half(u.modes, out)
 
 
-def _det2_and_lap_sq_of(u: SpectralField) -> np.ndarray:
-    """The Galerkin coefficients of 2 det D^2 u and (lap u)^2, through the
-    plan of an epitaxial evaluator, which checks the grid caps first."""
-    rhs = make_rhs("epitaxial", u.n, EpitaxialParams())
-    return _galerkin(u.half, *rhs.plans(u.half), _det2_and_lap_sq)
-
-
 def hessian_det2(u: SpectralField) -> SpectralField:
-    """Spectral 2 det D^2 u = u,11 u,22 - (u,12)^2, doubled.
+    """Spectral 2 det D^2 u = u,11 u,22 - (u,12)^2, doubled: the one term of
+    the epitaxial evaluator with K1 = 1 alone.
 
     The k = 0 coefficient vanishes to roundoff: det D^2 u is a null
     Lagrangian, so its torus integral is zero.
     """
-    return SpectralField._from_half(u.modes, _det2_and_lap_sq_of(u)[0])
+    ((_, h),) = make_rhs("epitaxial", u.n, EpitaxialParams(K1=1.0)).terms(u.half)
+    return SpectralField._from_half(u.modes, h)
 
 
 def delta_of_delta_sq(u: SpectralField) -> SpectralField:
-    """Spectral lap (lap u)^2: the -|k|^2 multiplier applied to the Galerkin
-    coefficients of (lap u)^2."""
-    d = _det2_and_lap_sq_of(u)[1]
-    return SpectralField._from_half(u.modes, -u.modes.abs2[:, u.n :] * d)
+    """Spectral lap (lap u)^2: minus the one term of the epitaxial evaluator
+    with K3 = 2 alone, whose multiplier (K3/2)|k|^2 is then exactly |k|^2."""
+    ((_, d),) = make_rhs("epitaxial", u.n, EpitaxialParams(K3=2.0)).terms(u.half)
+    return SpectralField._from_half(u.modes, -d)
 
 
 def epitaxial_rhs(u: SpectralField, params: EpitaxialParams) -> SpectralField:

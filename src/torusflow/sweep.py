@@ -15,7 +15,7 @@ import csv
 import itertools
 import os
 
-from .config import ConfigError, parse_config
+from .config import ConfigError, file_errors, parse_config
 from .driver import _prepare, execute_batch, make_output_dir, make_run_dir
 from .integrate import _march_key
 from .models import make_rhs
@@ -170,7 +170,9 @@ def run_sweep(base: dict, axes, outdir: str, max_runs: int = DEFAULT_MAX_RUNS) -
         size = max(1, BATCH_POINTS // make_rhs(cfg.model, cfg.n, cfg.params).points)
         for k in range(0, len(group), size):  # prepared batch by batch: memory follows the cap
             _run_batch(group[k : k + size])
-    write_sweep_summary(rows, paths, os.path.join(outdir, "summary.csv"))
+    summary = os.path.join(outdir, "summary.csv")
+    with file_errors(summary, "output file "):
+        write_sweep_summary(rows, paths, summary)
     return rows
 
 

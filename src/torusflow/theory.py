@@ -36,6 +36,7 @@ EPITAXIAL_A2_K0POS = "EpitaxialA2_K0pos"
 EPITAXIAL_A0 = "EpitaxialA0"
 THINFILM_A0 = "ThinFilmA0"
 THEOREM_IDS = (EPITAXIAL_A2_K0ZERO, EPITAXIAL_A2_K0POS, EPITAXIAL_A0, THINFILM_A0)
+ENVELOPE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -50,13 +51,9 @@ class TheoremReport:
     satisfied: bool
 
     def to_dict(self) -> dict:
-        return {
-            "theorem_id": self.theorem_id,
-            "inputs": dict(self.inputs),
-            "margin": self.margin,
-            "lambda": self.lam,
-            "satisfied": self.satisfied,
-        }
+        d = asdict(self)
+        d["lambda"] = d.pop("lam")
+        return d
 
 
 @dataclass(frozen=True)
@@ -68,11 +65,7 @@ class EnvelopeVerdict:
     first_violation_t: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "worst_ratio": self.worst_ratio,
-            "first_violation_t": self.first_violation_t,
-        }
+        return asdict(self)
 
 
 def _check_norm_arg(x: float, name: str) -> float:
@@ -149,7 +142,7 @@ def envelope_arg_errors(lam, tol, names=("lambda", "tol")) -> list[str]:
 
 
 def verify_decay_envelope(trace: NormTrace, norm_index: str, lam: float,
-                          tol: float = 1e-6) -> EnvelopeVerdict:
+                          tol: float = ENVELOPE_TOL) -> EnvelopeVerdict:
     """Check norm(t) <= exp(-lam (t - t0)) * norm(t0) * (1 + tol) row by row;
     lam must be finite and tol finite and >= 0."""
     if norm_index not in ("a0", "a2"):

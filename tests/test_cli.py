@@ -1,4 +1,6 @@
 import csv
+import errno
+import importlib
 import json
 import math
 import os
@@ -462,7 +464,9 @@ class TestVerifyCommand:
         "t,a0,a2,a4,a6,mean,dt\n0,1,1,1,1,0,x\n",
         "t,a0,a2,a4,a6,mean,dt\n0,1,1,1,1,0,0.1\n0,1,1,1,1,0,0.1\n",
         "t,a0,a2,a4,a6,mean,dt\n0,1,1,1,inf,0,0.1\n",
-    ], ids=["missing", "header", "short_row", "not_a_number", "repeated_time", "non_finite"])
+        "t,a0,a2,a4,a6,mean,dt\n",
+    ], ids=["missing", "header", "short_row", "not_a_number", "repeated_time", "non_finite",
+            "header_only"])
     def test_unreadable_or_malformed_trace_is_a_config_error(self, tmp_path, capsys, content):
         p = tmp_path / "trace.csv"
         if content is not None:
@@ -472,8 +476,38 @@ class TestVerifyCommand:
         assert len(lines) == 1 and lines[0].startswith(f"config error: {p}: ")
         if content and "inf" in content:
             assert lines[0] == f"config error: {p}: trace column a6 contains non-finite entries"
+        if content == "t,a0,a2,a4,a6,mean,dt\n":
+            assert lines[0] == f"config error: {p}: empty trace"
         assert main(["verify", str(tmp_path), "--lambda", "0.5"]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {tmp_path}: ")
+
+
+class TestOutputWriteFailure:
+    """A write that fails after make_run_dir's checks passed (a full disk)."""
+
+    @pytest.mark.parametrize("module, writer, name", [
+        ("driver", "write_trace_csv", "trace.csv"),
+        ("driver", "write_report_json", "report.json"),
+        ("driver", "_write_snapshot", "snapshot_00000000.txt"),
+        ("sweep", "write_sweep_summary", "summary.csv"),
+    ])
+    def test_is_a_config_error_that_names_the_file(self, tmp_path, capsys, monkeypatch,
+                                                   module, writer, name):
+        def full(*args):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(importlib.import_module(f"torusflow.{module}"), writer, full)
+        cfgp, out = tmp_path / "cfg.json", tmp_path / "out"
+        write_config(cfgp, outputs={"directory": str(out), "snapshot_every": 10})
+        if module == "sweep":
+            axes = tmp_path / "axes.json"
+            axes.write_text(json.dumps({"axes": [{"path": "seed", "values": [1, 2]}]}))
+            argv = ["sweep", str(cfgp), str(axes), "--outdir", str(out)]
+        else:
+            argv = ["simulate", str(cfgp)]
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"config error: output file {out / name}: {os.strerror(errno.ENOSPC)}"]
 
 
 class TestSweepCommand:

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -56,7 +57,19 @@ class TestPhiFunctions:
         # Both phi functions tend to 0 there; pytest makes a warning an error
         z = np.array([-1e160, -1e308, -np.inf])
         assert _phi1(z).tolist() == [1e-160, 1e-308, 0.0]
-        assert _phi2(z).tolist() == [0.0, 0.0, 0.0]
+        assert _phi2(z).tolist() == [1e-160, 1e-308, 0.0]
+
+    def test_phi2_where_z_squared_overflows(self):
+        # (e^z - 1 - z)/z^2 is about 1/|z| there, not 0; -1.3e154 squares
+        # just inside the float range, -1.4e154 just past it
+        z = np.array([-1.3e154, -1.4e154, -2e154, -1e160, -1e300, -sys.float_info.max])
+        import mpmath
+
+        with mpmath.workdps(60):
+            for zi, p2 in zip(z, _phi2(z)):
+                x = mpmath.mpf(float(zi))
+                want2 = float((mpmath.expm1(x) - x) / x**2)
+                assert abs(p2 - want2) <= 1e-14 * abs(want2), zi
 
 
 class TestStepperConfig:

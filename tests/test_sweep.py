@@ -274,8 +274,9 @@ class TestBatchIsolation:
                             lambda u0s, *a: batches.append(len(u0s)) or march(u0s, *a))
         rows = run_sweep(base, [(AXIS, values)], str(tmp_path / "failing"))
         assert batches == [4, 1, 1, 1, 1]
-        assert rows[4]["status"] == "error"
-        assert rows[4]["error"] == "OSError: [Errno 28] No space left on device"
+        assert rows[4]["status"] == "config_error"
+        snapshot = tmp_path / "failing" / "run_0004" / "snapshot_00000010.txt"
+        assert rows[4]["error"] == f"output file {snapshot}: No space left on device"
         assert rows[:4] == want[:4]
 
     def test_a_failed_batch_reruns_each_member_from_its_prepared_state(self, tmp_path,
