@@ -47,6 +47,13 @@ class _Parser(argparse.ArgumentParser):
         return None
 
 
+def _print(text: str, end: str = "\n") -> None:
+    """print to standard output, flushed: a write that fails is a config
+    error that names it."""
+    with file_errors("standard output"):
+        print(text, end=end, flush=True)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="torusflow",
                  description="Spectral simulation and decay verification on the 2-torus")
@@ -82,12 +89,12 @@ def _cmd_simulate(args) -> int:
     result = execute_run(cfg, outdir=args.outdir)
     run = result.report["run"]
     primary = result.reports[0]
-    print(f"status: {run['status']}  final_time: {run['final_time']:g}")
-    print(f"theorem {primary.theorem_id}: margin={primary.margin:.6g} "
-          f"lambda={primary.lam:.6g} satisfied={primary.satisfied}")
+    _print(f"status: {run['status']}  final_time: {run['final_time']:g}")
+    _print(f"theorem {primary.theorem_id}: margin={primary.margin:.6g} "
+           f"lambda={primary.lam:.6g} satisfied={primary.satisfied}")
     if result.envelope is not None:
-        print(f"envelope: passed={result.envelope.passed} "
-              f"worst_ratio={result.envelope.worst_ratio:.9g}")
+        _print(f"envelope: passed={result.envelope.passed} "
+               f"worst_ratio={result.envelope.worst_ratio:.9g}")
     return _STATUS_EXIT[run["status"]]
 
 
@@ -98,7 +105,7 @@ def _cmd_check(args) -> int:
         with file_errors(args.output, "--output "):
             write_report_json(result.report, args.output)
     else:
-        sys.stdout.write(report_text(result.report))
+        _print(report_text(result.report), end="")
     return EXIT_OK
 
 
@@ -123,8 +130,8 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(errors)
     rows = run_sweep(base, axes, args.outdir, max_runs=axes_raw.get("max_runs", DEFAULT_MAX_RUNS))
     n_ok = sum(1 for r in rows if r["status"] == "completed")
-    print(f"sweep finished: {len(rows)} runs, {n_ok} completed; summary in "
-          f"{args.outdir}/summary.csv")
+    _print(f"sweep finished: {len(rows)} runs, {n_ok} completed; summary in "
+           f"{args.outdir}/summary.csv")
     return EXIT_OK
 
 
@@ -146,10 +153,10 @@ def _cmd_verify(args) -> int:
         raise ConfigError(errors)
     trace = _read_trace(args.trace)
     verdict = verify_decay_envelope(trace, args.norm, args.lam, args.tol)
-    print(f"envelope {args.norm} lambda={args.lam:g}: passed={verdict.passed} "
-          f"worst_ratio={verdict.worst_ratio:.9g}"
-          + ("" if verdict.first_violation_t is None
-             else f" first_violation_t={verdict.first_violation_t:g}"))
+    _print(f"envelope {args.norm} lambda={args.lam:g}: passed={verdict.passed} "
+           f"worst_ratio={verdict.worst_ratio:.9g}"
+           + ("" if verdict.first_violation_t is None
+              else f" first_violation_t={verdict.first_violation_t:g}"))
     return EXIT_OK if verdict.passed else EXIT_ENVELOPE
 
 
@@ -168,19 +175,19 @@ def _cmd_convergence(args) -> int:
         stepper = dataclasses.replace(cfg.stepper, dt=dt)
         out = simulate(initial, cfg.params, stepper, cfg.model)
         if out.status != "completed":
-            print(f"dt={dt:g}: {out.status}")
+            _print(f"dt={dt:g}: {out.status}")
             worst = max(worst, _STATUS_EXIT[out.status])
             finals.append(None)
             continue
         finals.append(out.final_field)
-    print(f"{'dt':>12} {'err_a0_vs_half':>16} {'ratio':>8}")
+    _print(f"{'dt':>12} {'err_a0_vs_half':>16} {'ratio':>8}")
     prev_err = None
     for i in range(len(dts) - 1):
         if finals[i] is None or finals[i + 1] is None:
             continue
         err = wiener_norm(SpectralField._from_half(finals[i].modes, finals[i].half - finals[i + 1].half), 0)
         ratio = "" if prev_err is None or err == 0 else f"{prev_err / err:8.3f}"
-        print(f"{dts[i]:12.6g} {err:16.6e} {ratio:>8}")
+        _print(f"{dts[i]:12.6g} {err:16.6e} {ratio:>8}")
         prev_err = err
     return worst
 

@@ -147,10 +147,25 @@ def _open_error(path) -> str | None:
 
 
 def make_run_dir(cfg: RunConfig, outdir) -> None:
-    """make_output_dir(outdir), then a config error for each file the run
-    writes that _open_error refuses (the trace, the report, a snapshot of a
-    step up to t_end / dt) and for two of them that os.path.normpath makes one."""
+    """make_output_dir(outdir), then a config error of the _output_errors of
+    the run, or of a snapshot folder that cannot be listed; a refused run
+    leaves no directory it made, but one that something else wrote into."""
     made = make_output_dir(outdir)
+    try:
+        errors = _output_errors(cfg, outdir)
+        if errors:
+            raise ConfigError(errors)
+    except ConfigError:
+        for path in made:
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
+        raise
+
+
+def _output_errors(cfg: RunConfig, outdir) -> list:
+    """A message for each file the run writes under outdir that _open_error
+    refuses (the trace, the report, a snapshot of a step up to t_end / dt)
+    and for two of them that os.path.normpath makes one."""
     out = cfg.outputs
     last = max(1, round(cfg.stepper.t_end / cfg.stepper.dt))
     folder, base = os.path.split(os.path.join(outdir, out.snapshot_prefix))
@@ -165,7 +180,8 @@ def make_run_dir(cfg: RunConfig, outdir) -> None:
     trace, report = os.path.join(outdir, out.trace_csv), os.path.join(outdir, out.report_json)
     paths = [trace, report]
     if out.snapshot_every > 0:  # the snapshots already there, or the first one
-        names = sorted(os.listdir(folder)) if os.path.isdir(folder) else [f"{base}_00000000.txt"]
+        with file_errors(folder, "output directory "):
+            names = sorted(os.listdir(folder)) if os.path.isdir(folder) else [f"{base}_00000000.txt"]
         paths += [p for name in names if step(p := os.path.join(folder, name)) is not None]
     errors = [f"output file {path}: {why}" for path in paths if (why := _open_error(path))]
     if os.path.normpath(trace) == os.path.normpath(report):
@@ -173,17 +189,23 @@ def make_run_dir(cfg: RunConfig, outdir) -> None:
     for field, path in (("trace_csv", trace), ("report_json", report)):
         if (i := step(path)) is not None:
             errors.append(f"output file {path}: outputs.{field} names the snapshot of step {i}")
-    for path in made if errors else ():  # a refused run leaves no directory it made
-        with contextlib.suppress(OSError):  # but one that something else wrote into
-            os.rmdir(path)
-    if errors:
-        raise ConfigError(errors)
+    return errors
 
 
-def _snapshot_writers(runs) -> list:
+def _write_output(created: list, path, write) -> None:
+    """write(), which writes the file at path, under file_errors; path joins
+    created if it did not exist before."""
+    if not os.path.exists(path):
+        created.append(path)
+    with file_errors(path, "output file "):
+        write()
+
+
+def _snapshot_writers(runs, created: list) -> list:
     """For each (cfg, outdir, _) of runs, which share n and snapshot_every,
-    the on_record that writes the config's snapshots under outdir, or None.
-    The writers share one snapshot layout, freed with them."""
+    the on_record that writes the config's snapshots under outdir (through
+    _write_output into created), or None.  The writers share one snapshot
+    layout, freed with them."""
     cfg = runs[0][0]
     if cfg.outputs.snapshot_every <= 0:
         return [None] * len(runs)
@@ -192,17 +214,17 @@ def _snapshot_writers(runs) -> list:
     def writer(prefix):
         def write(step, t, field):
             path = f"{prefix}_{step:08d}.txt"
-            with file_errors(path, "output file "):
-                _write_snapshot(field, path, layout)
+            _write_output(created, path, lambda: _write_snapshot(field, path, layout))
         return write
 
     return [writer(os.path.join(d, c.outputs.snapshot_prefix)) for c, d, _ in runs]
 
 
 def _finish(cfg: RunConfig, outdir, prepared, outcome: RunOutcome,
-            final: NormVector) -> ExecutionResult:
+            final: NormVector, created: list) -> ExecutionResult:
     """Decay envelope, report and trace of a finished march, whose final
-    field has the norms final."""
+    field has the norms final; the files go through _write_output into
+    created."""
     _, nv, reports, report = prepared
     envelope = None
     primary = reports[0]
@@ -223,8 +245,7 @@ def _finish(cfg: RunConfig, outdir, prepared, outcome: RunOutcome,
     for write, data, name in ((write_trace_csv, outcome.trace, cfg.outputs.trace_csv),
                               (write_report_json, report, cfg.outputs.report_json)):
         path = os.path.join(outdir, name)
-        with file_errors(path, "output file "):
-            write(data, path)
+        _write_output(created, path, lambda: write(data, path))
 
     return ExecutionResult(outcome=outcome, reports=reports, envelope=envelope,
                            initial_norms=nv, report=report)
@@ -244,12 +265,20 @@ def execute_batch(runs) -> list:
     entry of _prepare, stepped together in one march; the configs may
     differ only in initial data, blow-up threshold and outputs other than
     snapshot_every; each outdir has passed make_run_dir.  The final norms
-    come from one stacked pass."""
-    cfg = runs[0][0]
-    outcomes = simulate_batch([p[0] for _, _, p in runs], cfg.params,
-                              [c.stepper for c, _, _ in runs], cfg.model,
-                              _snapshot_writers(runs),
-                              cfg.outputs.snapshot_every or None)
-    finals = _norms(np.stack([o.final_field.half for o in outcomes]), outcomes[0].final_field.modes)
-    return [_finish(*run, outcome, NormVector(*final))
-            for run, outcome, final in zip(runs, outcomes, finals)]
+    come from one stacked pass.  A write that fails (a config error) first
+    removes every file the batch made; files that existed before stay."""
+    cfg, created = runs[0][0], []
+    try:
+        outcomes = simulate_batch([p[0] for _, _, p in runs], cfg.params,
+                                  [c.stepper for c, _, _ in runs], cfg.model,
+                                  _snapshot_writers(runs, created),
+                                  cfg.outputs.snapshot_every or None)
+        finals = _norms(np.stack([o.final_field.half for o in outcomes]),
+                        outcomes[0].final_field.modes)
+        return [_finish(*run, outcome, NormVector(*final), created)
+                for run, outcome, final in zip(runs, outcomes, finals)]
+    except ConfigError:
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise

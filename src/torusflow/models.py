@@ -203,13 +203,13 @@ def _symbols(n: int, *names) -> list:
     return sym
 
 
-def _galerkin(c: np.ndarray, plan: _TransformPlan, form) -> np.ndarray:
-    """Galerkin coefficients of the products form(fields) returns, a slice
-    of the fields, where fields[i] samples the plan's mult[i] * u on the
-    3n+1 grid, which is alias-free for quadratic forms.  One batched inverse
-    and one batched forward real transform; a form writes its products over
-    the fields."""
-    return plan.from_grid(form(plan.to_grid(c)))
+def _galerkin(c: np.ndarray, plan: _TransformPlan, form, *args) -> np.ndarray:
+    """Galerkin coefficients of the products form(fields, *args) returns, a
+    slice of the fields, where fields[i] samples the plan's mult[i] * u (u
+    itself, without mult) on the plan's grid; the 3n+1 grid is alias-free
+    for quadratic forms.  One batched inverse and one batched forward real
+    transform; a form writes its products over the fields."""
+    return plan.from_grid(form(plan.to_grid(c), *args))
 
 
 def _det2_and_lap_sq(fields):
@@ -230,20 +230,19 @@ def _flux(fields):
     return fields[1:]
 
 
-def _power_hat(c: np.ndarray, plan: _TransformPlan, p: int) -> np.ndarray:
-    """Galerkin coefficients of (1 + v)^p: sampled on the plan's alias-free
-    grid (N >= (p+1) n + 1), raised pointwise in place, truncated once."""
-    v = plan.to_grid(c)
+def _power(v, p: int):
+    """(1 + v)^p over the samples of v, in place; on a grid of N >= (p+1) n + 1
+    points its Galerkin coefficients are exact."""
     np.add(1.0, v, out=v)
     v **= p  # ** keeps numpy's p = 2 fast path
-    return plan.from_grid(v)
+    return v
 
 
 class _Rhs:
     """Stepper-facing evaluator of one model at cutoff n: the diagonal linear
     symbol plus the explicit nonlinearity, k = 0 output pinned to zero.  It
-    owns its multipliers (SYMBOLS, built on first use), its grids (largest
-    last) and the transform plans of its stacks; they go when it does."""
+    owns its multipliers (SYMBOLS), its grids (largest last) and its
+    transform plans, built on first use; they go when it does."""
 
     SYMBOLS = ()
     symbols = cached_property(lambda self: _symbols(self.n, *self.SYMBOLS))
@@ -253,14 +252,6 @@ class _Rhs:
         self.n = int(n)
         self.params = params
         self.abs2 = _grids(self.n)[2][:, self.n :]
-        self._plans = None, ()
-
-    def plans(self, c: np.ndarray) -> tuple:
-        """The transform plans (make_plans) of stacks shaped like c; new ones
-        when the shape changes (members left the stack) let the old go."""
-        if self._plans[0] != c.shape:
-            self._plans = c.shape, self.make_plans(c.shape[:-2])
-        return self._plans[1]
 
     def nonlinear(self, c: np.ndarray) -> np.ndarray:
         terms = self.terms(c)
@@ -290,15 +281,14 @@ class EpitaxialRhs(_Rhs):
         self.linear.setflags(write=False)
         self.grids = (_pad_size(self.n),)
 
-    def make_plans(self, lead) -> tuple:
-        return (_TransformPlan(lead, self.n, self.grids[0], self.symbols[0], 2),)
+    plans = cached_property(lambda self: (_TransformPlan(self.n, self.grids[0], self.symbols[0]),))
 
     def terms(self, c: np.ndarray) -> list:
         """Explicit terms as (label, coefficients); zero constants omitted."""
         p = self.params
         if p.K1 == 0.0 and p.K3 == 0.0:
             return []
-        h, d = _galerkin(c, *self.plans(c), _det2_and_lap_sq)
+        h, d = _galerkin(c, *self.plans, _det2_and_lap_sq)
         out = []
         if p.K1 != 0.0:
             out.append(("K1 * 2 det D^2 u", np.multiply(p.K1, h, out=h)))
@@ -324,20 +314,19 @@ class ThinFilmRhs(_Rhs):
         self.lap_chi = params.chi * self.abs2
         self.grids = (_pad_size(self.n), _fast_len((params.p + 1) * self.n + 1))
 
-    def make_plans(self, lead) -> tuple:
-        return (_TransformPlan(lead, self.n, self.grids[0], self.symbols[1], 2),
-                _TransformPlan(lead, self.n, self.grids[1]))
+    plans = cached_property(lambda self: (_TransformPlan(self.n, self.grids[0], self.symbols[1]),
+                                          _TransformPlan(self.n, self.grids[1])))
 
     def terms(self, c: np.ndarray) -> list:
         """Explicit terms as (label, coefficients)."""
-        flux_plan, power_plan = self.plans(c)
+        flux_plan, power_plan = self.plans
         # div (v grad lap v) = grad v . grad lap v + v lap^2 v is i k . F,
         # with F the Galerkin coefficients of v grad lap v
         flux = _galerkin(c, flux_plan, _flux)
         grad = self.symbols[0].reshape((2,) + (1,) * (c.ndim - 2) + c.shape[-2:])
         div = np.multiply(grad, flux, out=flux)[0]
         np.negative(np.add(div, flux[1], out=div), out=div)
-        power = _power_hat(c, power_plan, self.params.p)
+        power = _galerkin(c, power_plan, _power, self.params.p)
         return [
             ("-grad v . grad lap v - v lap^2 v", div),
             ("-chi lap (1+v)^p", np.multiply(self.lap_chi, power, out=power)),
@@ -404,11 +393,10 @@ def epitaxial_rhs(u: SpectralField, params: EpitaxialParams) -> SpectralField:
 
 def power_term(v: SpectralField, p) -> SpectralField:
     """Galerkin coefficients of (1 + v)^p for integer 2 <= p <= MAX_P, refused
-    where make_rhs refuses.  The plan is the thin-film evaluator's power plan
-    alone: its quadratic plan would go unused."""
+    where make_rhs refuses: the thin-film evaluator's power plan, run alone
+    (its flux plan, never called, allocates nothing)."""
     rhs = make_rhs("thinfilm", v.n, ThinFilmParams(chi=0.5, p=p))
-    plan = _TransformPlan((), v.n, rhs.grids[1])
-    return SpectralField._from_half(v.modes, _power_hat(v.half, plan, rhs.params.p))
+    return SpectralField._from_half(v.modes, _galerkin(v.half, rhs.plans[1], _power, rhs.params.p))
 
 
 def thinfilm_rhs(v: SpectralField, params: ThinFilmParams) -> SpectralField:

@@ -369,43 +369,49 @@ _COLUMNS = [(-2,), (), (-2,)]  # gufunc axes of a pass over k1
 
 
 class _TransformPlan:
-    """One transform pair, its arrays made once and overwritten by each call.
-    to_grid: samples u(2 pi a / N, 2 pi b / N) of lead-shaped stacks of half
-    blocks or, with mult (F, 2n+1, n+1), of the fields mult[i] * half stacked
-    on a new leading axis (the grid array).  from_grid: fresh half blocks of
-    |k| <= n of samples shaped like those or, with count, like count fields.
-    Needs N >= 2n + 1."""
+    """One transform pair, its work arrays sized from the stack it is given
+    and overwritten by each call; a plan never called allocates none.
+    to_grid: samples u(2 pi a / N, 2 pi b / N) of a stack of half blocks
+    or, with mult (F, 2n+1, n+1), of the fields mult[i] * half stacked on a
+    new leading axis (the grid array).  from_grid: fresh half blocks of
+    |k| <= n of a stack of samples.  A stack of a new shape (members left
+    the batch) gets new arrays.  Needs N >= 2n + 1."""
 
-    def __init__(self, lead, n: int, N: int, mult=None, count=None):
+    def __init__(self, n: int, N: int, mult=None):
         # bound here, not at import: importing torusflow leaves numpy.fft unloaded
         from numpy.fft import _pocketfft_umath as pfu
         self.n, self.N, self.scale, self.mult = n, N, 1.0 / (N * N), mult
         self.ifft, self.irfft, self.fft = pfu.ifft, pfu.irfft, pfu.fft
         self.rfft = pfu.rfft_n_odd if N % 2 else pfu.rfft_n_even
-        if mult is not None:
-            mult = mult.reshape(mult.shape[:1] + (1,) * len(lead) + mult.shape[1:])
-            self.mult = mult[..., n:, :], mult[..., :n, :]
-            lead = mult.shape[:1] + lead
-        self.emb = np.zeros(lead + (N, n + 1), dtype=complex)
-        self.rows = self.emb[..., : n + 1, :], self.emb[..., N - n :, :]  # k1 >= 0, k1 < 0
-        self.col = np.empty_like(self.emb)
-        self.grid = np.empty(lead + (N, N))
-        products = lead if count is None else (count,) + lead[1:]
-        self.row = np.empty(products + (N, N // 2 + 1), dtype=complex)
-        self.row_cols = self.row[..., : n + 1]
-        self.spec = np.empty(products + (N, n + 1), dtype=complex)
+        self.halves = self.samples = None  # the shapes the work arrays fit
 
     def to_grid(self, half: np.ndarray) -> np.ndarray:
-        n, (low, high) = self.n, self.rows
+        n, N = self.n, self.N
+        if half.shape != self.halves:
+            self.halves, lead = half.shape, half.shape[:-2]
+            if self.mult is not None:
+                mult = self.mult.reshape(self.mult.shape[:1] + (1,) * len(lead) + self.mult.shape[1:])
+                self.mult_rows = mult[..., n:, :], mult[..., :n, :]
+                lead = mult.shape[:1] + lead
+            self.emb = np.zeros(lead + (N, n + 1), dtype=complex)
+            self.rows = self.emb[..., : n + 1, :], self.emb[..., N - n :, :]  # k1 >= 0, k1 < 0
+            self.col = np.empty_like(self.emb)
+            self.grid = np.empty(lead + (N, N))
+        low, high = self.rows
         if self.mult is None:
             low[...], high[...] = half[..., n:, :], half[..., :n, :]
         else:
-            np.multiply(self.mult[0], half[..., n:, :], out=low)
-            np.multiply(self.mult[1], half[..., :n, :], out=high)
+            np.multiply(self.mult_rows[0], half[..., n:, :], out=low)
+            np.multiply(self.mult_rows[1], half[..., :n, :], out=high)
         self.ifft(self.emb, 1.0, axes=_COLUMNS, out=self.col)
         return self.irfft(self.col, 1.0, out=self.grid)
 
     def from_grid(self, values: np.ndarray) -> np.ndarray:
+        if values.shape != self.samples:
+            self.samples, rows = values.shape, values.shape[:-1]
+            self.row = np.empty(rows + (self.N // 2 + 1,), dtype=complex)
+            self.row_cols = self.row[..., : self.n + 1]
+            self.spec = np.empty(rows + (self.n + 1,), dtype=complex)
         self.rfft(values, self.scale, out=self.row)
         self.fft(self.row_cols, 1.0, axes=_COLUMNS, out=self.spec)
         return _extract(self.spec, self.n, self.N)

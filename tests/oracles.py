@@ -48,7 +48,7 @@ def convolve(f: SpectralField, g: SpectralField, method: str = "fft") -> Spectra
         raise ValueError(f"mode-set mismatch: n={f.n} vs n={g.n}")
     n = f.n
     if method == "fft":
-        plan = _TransformPlan((2,), n, _pad_size(n), count=1)
+        plan = _TransformPlan(n, _pad_size(n))
         grid = plan.to_grid(np.stack([f.half, g.half]))
         np.multiply(grid[0], grid[1], out=grid[0])
         return SpectralField._from_half(f.modes, plan.from_grid(grid[:1])[0])
@@ -85,7 +85,7 @@ def _times(fields):
 def _product(v: SpectralField, name: str, form) -> SpectralField:
     """One product of derivative fields of v, through a transform plan of its
     own on the 3n+1 grid."""
-    plan = _TransformPlan((), v.n, _pad_size(v.n), symbols(v.n, name), 1)
+    plan = _TransformPlan(v.n, _pad_size(v.n), symbols(v.n, name))
     return SpectralField._from_half(v.modes, _galerkin(v.half, plan, form)[0])
 
 

@@ -508,6 +508,68 @@ class TestOutputWriteFailure:
         assert main(argv) == 2
         lines = capsys.readouterr().err.splitlines()
         assert lines == [f"config error: output file {out / name}: {os.strerror(errno.ENOSPC)}"]
+        if module == "driver":  # the run removed what it wrote; its directory stays
+            assert list(out.iterdir()) == []
+
+    def test_keeps_the_files_that_were_there_before(self, tmp_path, capsys, monkeypatch):
+        cfgp, out = tmp_path / "cfg.json", tmp_path / "out"
+        write_config(cfgp, outputs={"directory": str(out), "snapshot_every": 10})
+        assert main(["simulate", str(cfgp)]) == 0
+        (out / "report.json").unlink()
+        kept = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def full(*args):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(importlib.import_module("torusflow.driver"), "write_report_json", full)
+        assert main(["simulate", str(cfgp)]) == 2
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == kept
+        assert capsys.readouterr().err.startswith("config error: output file ")
+
+
+class _FullStdout:
+    """A standard output on a full disk."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def flush(self):
+        pass
+
+
+class TestFallbackInputs:
+    """Inputs that reached cli.main's `except (OSError, ValueError)` fallback."""
+
+    @pytest.mark.parametrize("command", ["check", "simulate", "verify", "sweep", "convergence"])
+    def test_a_failed_write_to_standard_output(self, tmp_path, capsys, monkeypatch, command):
+        cfgp = tmp_path / "cfg.json"
+        write_config(cfgp)
+        assert main(["simulate", str(cfgp)]) == 0
+        axes = tmp_path / "axes.json"
+        axes.write_text(json.dumps({"axes": [{"path": "seed", "values": [1, 2]}]}))
+        argv = {"check": ["check", str(cfgp)], "simulate": ["simulate", str(cfgp)],
+                "verify": ["verify", str(tmp_path / "out" / "trace.csv"), "--lambda", "0.5"],
+                "sweep": ["sweep", str(cfgp), str(axes), "--outdir", str(tmp_path / "sw")],
+                "convergence": ["convergence", str(cfgp), "--levels", "1"]}[command]
+        capsys.readouterr()
+        monkeypatch.setattr(sys, "stdout", _FullStdout())
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"config error: standard output: {os.strerror(errno.ENOSPC)}"]
+
+    def test_an_unreadable_output_directory(self, tmp_path, capsys, monkeypatch):
+        cfgp, out = tmp_path / "cfg.json", tmp_path / "out"
+        write_config(cfgp, outputs={"directory": str(out), "snapshot_every": 10})
+
+        def denied(path):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+        with monkeypatch.context() as m:
+            m.setattr(os, "listdir", denied)
+            assert main(["simulate", str(cfgp)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"config error: output directory {out}: {os.strerror(errno.EACCES)}"]
+        assert not out.exists()  # a refused run leaves no directory it made
 
 
 class TestSweepCommand:

@@ -232,6 +232,16 @@ class TestPowerTerm:
         want = with_cutoff(SpectralField(big.modes, total), v.n)
         assert max_abs_diff(power_term(v, p), want) < 1e-12
 
+    def test_runs_the_power_plan_alone(self, monkeypatch):
+        # the evaluator's flux plan is never called, so it holds no work arrays
+        made = []
+        monkeypatch.setattr(models, "make_rhs", lambda *a: made.append(make_rhs(*a)) or made[-1])
+        power_term(random_field(6, 3), 3)
+        flux_plan, power_plan = made[0].plans
+        assert [k for k, x in vars(flux_plan).items() if isinstance(x, np.ndarray)] == ["mult"]
+        assert flux_plan.halves is flux_plan.samples is None
+        assert power_plan.halves == (13, 7) and power_plan.grid.shape == (made[0].grids[1],) * 2
+
     def test_bad_exponent(self):
         v = cos_x1()
         with pytest.raises(ValueError):

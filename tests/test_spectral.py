@@ -604,12 +604,12 @@ class TestModeMultiplier:
 
 def _to_grid(half, n, N):
     """Samples of one half block through a plan of its own."""
-    return _TransformPlan((), n, N).to_grid(half)
+    return _TransformPlan(n, N).to_grid(half)
 
 
 def _from_grid(values, n):
     """Half block of real samples on an N x N grid through a plan of its own."""
-    return _TransformPlan(values.shape[:-2], n, values.shape[-1]).from_grid(values)
+    return _TransformPlan(n, values.shape[-1]).from_grid(values)
 
 
 class TestTransforms:
@@ -881,7 +881,7 @@ class TestTransformLayer:
                 spec[..., : n + 1, : n + 1] = fields[..., n:, :]
                 spec[..., N - n :, : n + 1] = fields[..., :n, :]
                 want = sfft.irfft2(spec, s=(N, N), norm="forward")
-                plan = _TransformPlan(lead, n, N, mult, count)
+                plan = _TransformPlan(n, N, mult)
                 for _ in range(2):  # a fresh plan, then the same plan reused
                     grid = plan.to_grid(half)
                     assert grid.tobytes() == want.tobytes()
@@ -889,6 +889,20 @@ class TestTransformLayer:
                     products[...] = rng.standard_normal(products.shape)
                     back = _extract(sfft.rfft2(products, norm="forward")[..., : n + 1], n, N)
                     assert plan.from_grid(products).tobytes() == back.tobytes()
+
+    def test_a_plan_resizes_to_each_stack(self):
+        # B members, then B - 1 (members left the batch), then B again: each
+        # call gives the bytes of a fresh plan, with and without multipliers
+        n, N = 6, _pad_size(6)
+        rng = np.random.default_rng(5)
+        half = rng.standard_normal((4, 2 * n + 1, n + 1)) + 1j * rng.standard_normal((4, 2 * n + 1, n + 1))
+        for mult in (None, symbols(n, "gradlap")[:3]):
+            plan = _TransformPlan(n, N, mult)
+            for stack in (half, half[:3], half, half[1]):
+                fresh = _TransformPlan(n, N, mult)
+                grid, want = plan.to_grid(stack), fresh.to_grid(stack)
+                assert grid.tobytes() == want.tobytes()
+                assert plan.from_grid(grid[1:]).tobytes() == fresh.from_grid(want[1:]).tobytes()
 
     def test_fast_len_matches_scipy(self):
         sfft = pytest.importorskip("scipy.fft")
@@ -913,7 +927,7 @@ class TestTransformLayer:
 
     def test_returned_half_blocks_are_fresh(self):
         # ETD2 holds N(u) while the same plan computes N(a)
-        plan = _TransformPlan((), 8, 26)
+        plan = _TransformPlan(8, 26)
         first = plan.from_grid(plan.to_grid(random_field(8, 1).half))
         kept = first.copy()
         plan.from_grid(plan.to_grid(random_field(8, 2).half))

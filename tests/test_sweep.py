@@ -278,6 +278,14 @@ class TestBatchIsolation:
         snapshot = tmp_path / "failing" / "run_0004" / "snapshot_00000010.txt"
         assert rows[4]["error"] == f"output file {snapshot}: No space left on device"
         assert rows[:4] == want[:4]
+        # the failed batch removed what it wrote; the solo reruns rewrote runs 0-3
+        assert not list(snapshot.parent.glob("snapshot_*"))
+
+        def snapshots(sweep_dir, i):
+            return {p.name: p.read_bytes() for p in (tmp_path / sweep_dir / f"run_{i:04d}").glob("snapshot_*")}
+
+        assert snapshots("failing", 0)
+        assert all(snapshots("failing", i) == snapshots("ok", i) for i in range(4))
 
     def test_a_failed_batch_reruns_each_member_from_its_prepared_state(self, tmp_path,
                                                                         monkeypatch):
