@@ -8,7 +8,9 @@ Subcommands: simulate, check, sweep, verify, convergence.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import os
 import sys
 
 from .config import MAX_STEPS, ConfigError, file_errors, load_config, read_json
@@ -49,9 +51,18 @@ class _Parser(argparse.ArgumentParser):
 
 def _print(text: str, end: str = "\n") -> None:
     """print to standard output, flushed: a write that fails is a config
-    error that names it."""
+    error that names it.  The unwritten bytes stay in the stream's buffer,
+    so its descriptor then goes to os.devnull: the flush at exit would fail
+    again (exit status 120 and an "Exception ignored" on stderr)."""
     with file_errors("standard output"):
-        print(text, end=end, flush=True)
+        try:
+            print(text, end=end, flush=True)
+        except OSError:
+            with contextlib.suppress(AttributeError, OSError):  # a stream without one
+                fd, null = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+                os.dup2(null, fd)
+                os.close(null)
+            raise
 
 
 def _build_parser() -> argparse.ArgumentParser:

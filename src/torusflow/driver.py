@@ -194,8 +194,8 @@ def _output_errors(cfg: RunConfig, outdir) -> list:
 
 def _write_output(created: list, path, write) -> None:
     """write(), which writes the file at path, under file_errors; path joins
-    created if it did not exist before."""
-    if not os.path.exists(path):
+    created if nothing was there before (not even a dangling symlink)."""
+    if not os.path.lexists(path):
         created.append(path)
     with file_errors(path, "output file "):
         write()
@@ -265,8 +265,9 @@ def execute_batch(runs) -> list:
     entry of _prepare, stepped together in one march; the configs may
     differ only in initial data, blow-up threshold and outputs other than
     snapshot_every; each outdir has passed make_run_dir.  The final norms
-    come from one stacked pass.  A write that fails (a config error) first
-    removes every file the batch made; files that existed before stay."""
+    come from one stacked pass.  A batch that fails (a write, a config
+    error, or anything else) first removes every file it made; files that
+    existed before stay."""
     cfg, created = runs[0][0], []
     try:
         outcomes = simulate_batch([p[0] for _, _, p in runs], cfg.params,
@@ -277,7 +278,7 @@ def execute_batch(runs) -> list:
                         outcomes[0].final_field.modes)
         return [_finish(*run, outcome, NormVector(*final), created)
                 for run, outcome, final in zip(runs, outcomes, finals)]
-    except ConfigError:
+    except Exception:
         for path in created:
             with contextlib.suppress(OSError):
                 os.remove(path)

@@ -394,7 +394,8 @@ def epitaxial_rhs(u: SpectralField, params: EpitaxialParams) -> SpectralField:
 def power_term(v: SpectralField, p) -> SpectralField:
     """Galerkin coefficients of (1 + v)^p for integer 2 <= p <= MAX_P, refused
     where make_rhs refuses: the thin-film evaluator's power plan, run alone
-    (its flux plan, never called, allocates nothing)."""
+    (its flux plan, never called, allocates no work arrays, though building
+    the plan tuple makes its multipliers)."""
     rhs = make_rhs("thinfilm", v.n, ThinFilmParams(chi=0.5, p=p))
     return SpectralField._from_half(v.modes, _galerkin(v.half, rhs.plans[1], _power, rhs.params.p))
 

@@ -516,25 +516,34 @@ class TestOutputWriteFailure:
         write_config(cfgp, outputs={"directory": str(out), "snapshot_every": 10})
         assert main(["simulate", str(cfgp)]) == 0
         (out / "report.json").unlink()
-        kept = {p.name: p.read_bytes() for p in out.iterdir()}
+        (out / "trace.csv").unlink()
+        (out / "trace.csv").symlink_to(tmp_path / "elsewhere.csv")  # dangling
+        kept = {p.name: p.read_bytes() for p in out.iterdir() if not p.is_symlink()}
 
         def full(*args):
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
         monkeypatch.setattr(importlib.import_module("torusflow.driver"), "write_report_json", full)
         assert main(["simulate", str(cfgp)]) == 2
-        assert {p.name: p.read_bytes() for p in out.iterdir()} == kept
+        assert {p.name: p.read_bytes() for p in out.iterdir() if not p.is_symlink()} == kept
+        assert (out / "trace.csv").is_symlink()  # the run wrote through it; it was there before
         assert capsys.readouterr().err.startswith("config error: output file ")
 
 
 class _FullStdout:
-    """A standard output on a full disk."""
+    """A standard output on a full disk, with the descriptor fd."""
+
+    def __init__(self, fd):
+        self.fd = fd
 
     def write(self, text):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
     def flush(self):
         pass
+
+    def fileno(self):
+        return self.fd
 
 
 class TestFallbackInputs:
@@ -552,10 +561,34 @@ class TestFallbackInputs:
                 "sweep": ["sweep", str(cfgp), str(axes), "--outdir", str(tmp_path / "sw")],
                 "convergence": ["convergence", str(cfgp), "--levels", "1"]}[command]
         capsys.readouterr()
-        monkeypatch.setattr(sys, "stdout", _FullStdout())
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        monkeypatch.setattr(sys, "stdout", _FullStdout(fd))
         assert main(argv) == 2
         lines = capsys.readouterr().err.splitlines()
         assert lines == [f"config error: standard output: {os.strerror(errno.ENOSPC)}"]
+        # the descriptor now goes to os.devnull, so the flush at exit succeeds
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        os.close(fd)
+
+    @pytest.mark.parametrize("command", ["check", "verify"])
+    def test_a_buffered_standard_output_that_fails_exits_2(self, tmp_path, capsys, command):
+        # the bytes a failed write leaves in the buffer of a real standard
+        # output must not fail again when the interpreter flushes it at exit
+        cfgp = tmp_path / "cfg.json"
+        write_config(cfgp)
+        assert main(["simulate", str(cfgp)]) == 0
+        argv = {"check": ["check", str(cfgp)],
+                "verify": ["verify", str(tmp_path / "out" / "trace.csv"), "--lambda", "0.5"]}[command]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        r, w = os.pipe()
+        os.close(r)  # a pipe with no reader: every write fails with EPIPE
+        try:
+            proc = subprocess.run([sys.executable, "-m", "torusflow.cli", *argv], stdout=w,
+                                  stderr=subprocess.PIPE, text=True, env=env)
+        finally:
+            os.close(w)
+        assert proc.stderr.splitlines() == [f"config error: standard output: {os.strerror(errno.EPIPE)}"]
+        assert proc.returncode == 2
 
     def test_an_unreadable_output_directory(self, tmp_path, capsys, monkeypatch):
         cfgp, out = tmp_path / "cfg.json", tmp_path / "out"

@@ -287,6 +287,38 @@ class TestBatchIsolation:
         assert snapshots("failing", 0)
         assert all(snapshots("failing", i) == snapshots("ok", i) for i in range(4))
 
+    def test_a_batch_failing_otherwise_leaves_no_stale_snapshot(self, tmp_path, monkeypatch):
+        # the batch writes every member's snapshots, then raises a RuntimeError;
+        # in the solo reruns member 4's step-10 snapshot write fails, and none
+        # of the batch's snapshots of member 4 may outlive that
+        base, values = mixed_base("epitaxial"), MIXED["epitaxial"][2]
+        want = run_sweep(base, [(AXIS, values)], str(tmp_path / "ok"))
+        write, march, solo = driver._write_snapshot, driver.simulate_batch, []
+
+        def failing(field, path, layout):
+            if solo and path.endswith("run_0004/snapshot_00000010.txt"):
+                raise OSError(28, "No space left on device")
+            write(field, path, layout)
+
+        def batch_then_raise(u0s, *a):
+            outcomes = march(u0s, *a)
+            if len(u0s) > 1:
+                raise RuntimeError("after the march")
+            solo.append(1)
+            return outcomes
+
+        monkeypatch.setattr(driver, "_write_snapshot", failing)
+        monkeypatch.setattr(driver, "simulate_batch", batch_then_raise)
+        rows = run_sweep(base, [(AXIS, values)], str(tmp_path / "failing"))
+        assert rows[4]["status"] == "config_error" and rows[:4] == want[:4]
+        assert not list((tmp_path / "failing" / "run_0004").glob("snapshot_*"))
+
+        def snapshots(sweep_dir, i):
+            return {p.name: p.read_bytes() for p in (tmp_path / sweep_dir / f"run_{i:04d}").glob("snapshot_*")}
+
+        assert snapshots("failing", 0)
+        assert all(snapshots("failing", i) == snapshots("ok", i) for i in range(4))
+
     def test_a_failed_batch_reruns_each_member_from_its_prepared_state(self, tmp_path,
                                                                         monkeypatch):
         base, values = mixed_base("epitaxial"), MIXED["epitaxial"][2]
