@@ -175,30 +175,35 @@ def _cmd_convergence(args) -> int:
     cfg = load_config(args.config)
     if args.levels < 1:
         raise ConfigError(["--levels must be >= 1"])
-    # steps * 2**levels > MAX_STEPS, without forming 2**levels
-    if round(cfg.stepper.t_end / cfg.stepper.dt) > MAX_STEPS >> args.levels:
-        raise ConfigError([f"--levels: {args.levels} halvings of dt need more than {MAX_STEPS} steps"])
+    # every level's stepper before the first march; the step cap refuses a
+    # level by the 24th halving, so a huge --levels stops there
+    steppers = []
+    for i in range(args.levels + 1):
+        dt = cfg.stepper.dt / 2**i
+        try:
+            steppers.append(dataclasses.replace(cfg.stepper, dt=dt))
+        except ValueError as e:  # the step cap, or dt > 0 once dt underflows
+            raise ConfigError([f"--levels: {args.levels} halvings of dt " + (
+                f"need more than {MAX_STEPS} steps" if dt > 0 else f"break {e}")]) from None
     initial = _prepare([cfg])[0][0]
     finals = []
-    dts = [cfg.stepper.dt / 2**i for i in range(args.levels + 1)]
     worst = EXIT_OK
-    for dt in dts:
-        stepper = dataclasses.replace(cfg.stepper, dt=dt)
+    for stepper in steppers:
         out = simulate(initial, cfg.params, stepper, cfg.model)
         if out.status != "completed":
-            _print(f"dt={dt:g}: {out.status}")
+            _print(f"dt={stepper.dt:g}: {out.status}")
             worst = max(worst, _STATUS_EXIT[out.status])
             finals.append(None)
             continue
         finals.append(out.final_field)
     _print(f"{'dt':>12} {'err_a0_vs_half':>16} {'ratio':>8}")
     prev_err = None
-    for i in range(len(dts) - 1):
+    for i in range(len(steppers) - 1):
         if finals[i] is None or finals[i + 1] is None:
             continue
         err = wiener_norm(SpectralField._from_half(finals[i].modes, finals[i].half - finals[i + 1].half), 0)
         ratio = "" if prev_err is None or err == 0 else f"{prev_err / err:8.3f}"
-        _print(f"{dts[i]:12.6g} {err:16.6e} {ratio:>8}")
+        _print(f"{steppers[i].dt:12.6g} {err:16.6e} {ratio:>8}")
         prev_err = err
     return worst
 

@@ -277,16 +277,16 @@ def simulate_batch(u0s, params, steppers, model: str, on_record=None,
     dt = stepper.dt
     c = np.stack([u0.half for u0 in u0s])
     first = _trace_row(0.0, c, _moduli(c), modes, dt)
+    for row in first:
+        for name, x in zip(("a0", "a2", "a4", "a6"), row[1:5]):
+            if not math.isfinite(x):
+                raise ValueError(f"the Wiener norm {name} of the initial field overflows the float range")
     thresholds = np.array([_blowup_threshold(s, row[1]) for s, row in zip(steppers, first)])
     quiet = _quiet_levels(thresholds, modes.n)
     n_steps = max(1, round(stepper.t_end / dt))
     fields_every = record_fields_every if record_fields_every is not None else stepper.record_every
     if fields_every < 1:
         raise ValueError(f"record_fields_every must be >= 1, got {fields_every}")
-    for row in first:
-        for name, x in zip(("a0", "a2", "a4", "a6"), row[1:5]):
-            if not math.isfinite(x):
-                raise ValueError(f"the Wiener norm {name} of the initial field overflows the float range")
     # rows at step 0, at each multiple of record_every and at the last step
     traces = [np.empty((n_steps // stepper.record_every + 2, 7)) for _ in u0s]
     for trace, row in zip(traces, first):

@@ -183,26 +183,6 @@ def _require_zero_mean(v: SpectralField, what: str) -> None:
         raise ValueError(f"{what} must have zero mean, |vhat(0)| = {m:.3e}")
 
 
-def _symbols(n: int, *names) -> list:
-    """Read-only derivative multipliers for cutoff n on the k2 >= 0 half
-    plane, one stack per name, each in the order the pointwise forms unpack
-    it."""
-    k1, k2, abs2 = _grids(n)
-    h1, h2, habs2 = k1[:, n:], k2[:, n:], abs2[:, n:]
-    make = {
-        "grad": lambda: np.stack([1j * h1, 1j * h2]),
-        # u,11 u,22 u,12; real, but stored complex as the product with a
-        # complex block casts it: the same values, without a cast per call
-        "hessian": lambda: -np.stack([h1 * h1, h2 * h2, h1 * h2]).astype(np.complex128),
-        # v, d1 lap v, d2 lap v
-        "flux": lambda: np.stack([np.ones_like(habs2), -1j * h1 * habs2, -1j * h2 * habs2]),
-    }
-    sym = [make[name]() for name in names]
-    for a in sym:
-        a.setflags(write=False)
-    return sym
-
-
 def _galerkin(c: np.ndarray, plan: _TransformPlan, form, *args) -> np.ndarray:
     """Galerkin coefficients of the products form(fields, *args) returns, a
     slice of the fields, where fields[i] samples the plan's mult[i] * u (u
@@ -241,17 +221,17 @@ def _power(v, p: int):
 class _Rhs:
     """Stepper-facing evaluator of one model at cutoff n: the diagonal linear
     symbol plus the explicit nonlinearity, k = 0 output pinned to zero.  It
-    owns its multipliers (SYMBOLS), its grids (largest last) and its
-    transform plans, built on first use; they go when it does."""
+    owns its grids (largest last) and a transform plan per product, each
+    built with its multipliers the first time a term runs it; they go when
+    it does.
+    k1, k2, abs2: the k2 >= 0 halves of the wavenumber grids."""
 
-    SYMBOLS = ()
-    symbols = cached_property(lambda self: _symbols(self.n, *self.SYMBOLS))
     points = property(lambda self: 3 * self.grids[-1] ** 2)  # samples per member, largest grid
 
     def __init__(self, n: int, params):
         self.n = int(n)
         self.params = params
-        self.abs2 = _grids(self.n)[2][:, self.n :]
+        self.k1, self.k2, self.abs2 = (k[:, self.n :] for k in _grids(self.n))
 
     def nonlinear(self, c: np.ndarray) -> np.ndarray:
         terms = self.terms(c)
@@ -270,7 +250,6 @@ class EpitaxialRhs(_Rhs):
 
     params_type = EpitaxialParams
     linear_label = "K0*lap(u) - K2*lap^2(u)"
-    SYMBOLS = ("hessian",)
 
     def __init__(self, n: int, params: EpitaxialParams):
         super().__init__(n, params)
@@ -281,14 +260,20 @@ class EpitaxialRhs(_Rhs):
         self.linear.setflags(write=False)
         self.grids = (_pad_size(self.n),)
 
-    plans = cached_property(lambda self: (_TransformPlan(self.n, self.grids[0], self.symbols[0]),))
+    @cached_property
+    def plan(self) -> _TransformPlan:
+        # u,11 u,22 u,12; real, but stored complex as the product with a
+        # complex block casts it: the same values, without a cast per call
+        k1, k2 = self.k1, self.k2
+        return _TransformPlan(self.n, self.grids[0],
+                              -np.stack([k1 * k1, k2 * k2, k1 * k2]).astype(np.complex128))
 
     def terms(self, c: np.ndarray) -> list:
         """Explicit terms as (label, coefficients); zero constants omitted."""
         p = self.params
         if p.K1 == 0.0 and p.K3 == 0.0:
             return []
-        h, d = _galerkin(c, *self.plans, _det2_and_lap_sq)
+        h, d = _galerkin(c, self.plan, _det2_and_lap_sq)
         out = []
         if p.K1 != 0.0:
             out.append(("K1 * 2 det D^2 u", np.multiply(p.K1, h, out=h)))
@@ -304,7 +289,6 @@ class ThinFilmRhs(_Rhs):
 
     params_type = ThinFilmParams
     linear_label = "-lap^2 v"
-    SYMBOLS = ("grad", "flux")
 
     def __init__(self, n: int, params: ThinFilmParams):
         super().__init__(n, params)
@@ -314,19 +298,25 @@ class ThinFilmRhs(_Rhs):
         self.lap_chi = params.chi * self.abs2
         self.grids = (_pad_size(self.n), _fast_len((params.p + 1) * self.n + 1))
 
-    plans = cached_property(lambda self: (_TransformPlan(self.n, self.grids[0], self.symbols[1]),
-                                          _TransformPlan(self.n, self.grids[1])))
+    grad = cached_property(lambda self: np.stack([1j * self.k1, 1j * self.k2]))
+    power_plan = cached_property(lambda self: _TransformPlan(self.n, self.grids[1]))
+
+    @cached_property
+    def flux_plan(self) -> _TransformPlan:
+        # v, d1 lap v, d2 lap v
+        k1, k2, abs2 = self.k1, self.k2, self.abs2
+        return _TransformPlan(self.n, self.grids[0],
+                              np.stack([np.ones_like(abs2), -1j * k1 * abs2, -1j * k2 * abs2]))
 
     def terms(self, c: np.ndarray) -> list:
         """Explicit terms as (label, coefficients)."""
-        flux_plan, power_plan = self.plans
         # div (v grad lap v) = grad v . grad lap v + v lap^2 v is i k . F,
         # with F the Galerkin coefficients of v grad lap v
-        flux = _galerkin(c, flux_plan, _flux)
-        grad = self.symbols[0].reshape((2,) + (1,) * (c.ndim - 2) + c.shape[-2:])
+        flux = _galerkin(c, self.flux_plan, _flux)
+        grad = self.grad.reshape((2,) + (1,) * (c.ndim - 2) + c.shape[-2:])
         div = np.multiply(grad, flux, out=flux)[0]
         np.negative(np.add(div, flux[1], out=div), out=div)
-        power = _galerkin(c, power_plan, _power, self.params.p)
+        power = _galerkin(c, self.power_plan, _power, self.params.p)
         return [
             ("-grad v . grad lap v - v lap^2 v", div),
             ("-chi lap (1+v)^p", np.multiply(self.lap_chi, power, out=power)),
@@ -394,10 +384,9 @@ def epitaxial_rhs(u: SpectralField, params: EpitaxialParams) -> SpectralField:
 def power_term(v: SpectralField, p) -> SpectralField:
     """Galerkin coefficients of (1 + v)^p for integer 2 <= p <= MAX_P, refused
     where make_rhs refuses: the thin-film evaluator's power plan, run alone
-    (its flux plan, never called, allocates no work arrays, though building
-    the plan tuple makes its multipliers)."""
+    (its flux plan, its multipliers and grad are never built)."""
     rhs = make_rhs("thinfilm", v.n, ThinFilmParams(chi=0.5, p=p))
-    return SpectralField._from_half(v.modes, _galerkin(v.half, rhs.plans[1], _power, rhs.params.p))
+    return SpectralField._from_half(v.modes, _galerkin(v.half, rhs.power_plan, _power, rhs.params.p))
 
 
 def thinfilm_rhs(v: SpectralField, params: ThinFilmParams) -> SpectralField:

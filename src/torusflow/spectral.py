@@ -373,13 +373,16 @@ class _TransformPlan:
     and overwritten by each call; a plan never called allocates none.
     to_grid: samples u(2 pi a / N, 2 pi b / N) of a stack of half blocks
     or, with mult (F, 2n+1, n+1), of the fields mult[i] * half stacked on a
-    new leading axis (the grid array).  from_grid: fresh half blocks of
+    new leading axis (the grid array); the plan marks mult read-only.
+    from_grid: fresh half blocks of
     |k| <= n of a stack of samples.  A stack of a new shape (members left
     the batch) gets new arrays.  Needs N >= 2n + 1."""
 
     def __init__(self, n: int, N: int, mult=None):
         # bound here, not at import: importing torusflow leaves numpy.fft unloaded
         from numpy.fft import _pocketfft_umath as pfu
+        if mult is not None:
+            mult.setflags(write=False)
         self.n, self.N, self.scale, self.mult = n, N, 1.0 / (N * N), mult
         self.ifft, self.irfft, self.fft = pfu.ifft, pfu.irfft, pfu.fft
         self.rfft = pfu.rfft_n_odd if N % 2 else pfu.rfft_n_even

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from torusflow import cli, integrate
 from torusflow.cli import main
 from torusflow.output import read_trace_csv
 
@@ -603,6 +604,26 @@ class TestFallbackInputs:
         lines = capsys.readouterr().err.splitlines()
         assert lines == [f"config error: output directory {out}: {os.strerror(errno.EACCES)}"]
         assert not out.exists()  # a refused run leaves no directory it made
+
+    def test_a_convergence_level_past_the_step_cap(self, tmp_path, capsys, monkeypatch):
+        # t_end / dt = 50.4 rounds to 50 steps, within a cap of 100; halved,
+        # 100.8 rounds to 101, past it
+        monkeypatch.setattr(integrate, "MAX_STEPS", 100)
+        monkeypatch.setattr(cli, "MAX_STEPS", 100)
+        monkeypatch.setattr(cli, "simulate", lambda *a: pytest.fail("a level marched"))
+        cfgp = tmp_path / "cfg.json"
+        write_config(cfgp, stepper={"dt": 0.001, "t_end": 0.0504})
+        assert main(["convergence", str(cfgp), "--levels", "1"]) == 2
+        assert capsys.readouterr().err == ("config error: --levels: 1 halvings of dt need more "
+                                           "than 100 steps\n")
+
+    def test_a_convergence_dt_halved_to_zero(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "simulate", lambda *a: pytest.fail("a level marched"))
+        cfgp = tmp_path / "cfg.json"
+        write_config(cfgp, stepper={"dt": 5e-324, "t_end": 5e-324})
+        assert main(["convergence", str(cfgp), "--levels", "1"]) == 2
+        assert capsys.readouterr().err == ("config error: --levels: 1 halvings of dt break "
+                                           "dt: must satisfy dt > 0, got 0.0\n")
 
 
 class TestSweepCommand:

@@ -137,10 +137,16 @@ class TestStep:
             step(v, 0.01, ThinFilmParams(chi=0.1, p=2), "thinfilm")
 
     def test_infinite_a0_meets_the_threshold_rule(self):
+        # the rule refuses an infinite A^0, default threshold or not; a field
+        # whose A^0 is infinite is refused before the rule, as a norm overflow
         u = SpectralField.from_modes(4, [((1, 0), 1e308), ((-1, 0), 1e308),
                                          ((2, 0), 1e308), ((-2, 0), 1e308)])
         assert wiener_norm(u, 0) == math.inf
-        with pytest.raises(ValueError, match="blowup_threshold"):
+        for threshold in (None, 1e300):
+            stepper = StepperConfig(dt=0.01, t_end=0.01, blowup_threshold=threshold)
+            with pytest.raises(ValueError, match=r"^blowup_threshold \(.*\) must exceed .* \(inf\)$"):
+                integrate._blowup_threshold(stepper, wiener_norm(u, 0))
+        with pytest.raises(ValueError, match="^the Wiener norm a0 of the initial field overflows "):
             step(u, 0.01, LINEAR, "epitaxial")
 
 
@@ -437,6 +443,13 @@ class TestNormOverflow:
     def test_step_rejects_initial_norm_past_the_float_range(self):
         with pytest.raises(ValueError, match="Wiener norm a6 of the initial field"):
             step(corner_field(8, 1e303), 0.01, LINEAR, "epitaxial")
+
+    @pytest.mark.parametrize("threshold", [None, 1e300])
+    def test_initial_a0_past_the_float_range_is_named_before_the_threshold(self, threshold):
+        u0 = corner_field(8, 1e308)  # A^0 = 2e308 = inf
+        stepper = StepperConfig(dt=0.01, t_end=0.1, blowup_threshold=threshold)
+        with pytest.raises(ValueError, match=r"^the Wiener norm a0 of the initial field overflows "):
+            simulate(u0, LINEAR, stepper, "epitaxial")
 
     def test_norm_overflow_during_run_is_a_numerical_failure(self, monkeypatch):
         monkeypatch.setattr(integrate._Etd2, "advance", lambda self, c: c * 10.0)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -233,14 +235,14 @@ class TestPowerTerm:
         assert max_abs_diff(power_term(v, p), want) < 1e-12
 
     def test_runs_the_power_plan_alone(self, monkeypatch):
-        # the evaluator's flux plan is never called, so it holds no work arrays
+        # the evaluator builds its power plan alone: neither the flux plan,
+        # with its multipliers, nor grad
         made = []
         monkeypatch.setattr(models, "make_rhs", lambda *a: made.append(make_rhs(*a)) or made[-1])
         power_term(random_field(6, 3), 3)
-        flux_plan, power_plan = made[0].plans
-        assert [k for k, x in vars(flux_plan).items() if isinstance(x, np.ndarray)] == ["mult"]
-        assert flux_plan.halves is flux_plan.samples is None
-        assert power_plan.halves == (13, 7) and power_plan.grid.shape == (made[0].grids[1],) * 2
+        rhs = made[0]
+        assert "flux_plan" not in vars(rhs) and "grad" not in vars(rhs)
+        assert rhs.power_plan.halves == (13, 7) and rhs.power_plan.grid.shape == (rhs.grids[1],) * 2
 
     def test_bad_exponent(self):
         v = cos_x1()
@@ -475,3 +477,24 @@ class TestFusedKernels:
         EpitaxialRhs(6, EpitaxialParams(K1=0.25, K2=1.0, K3=0.5)).nonlinear(c)
         ThinFilmRhs(6, ThinFilmParams(chi=0.3, p=3)).nonlinear(c)
         assert c.tobytes() == kept.tobytes()
+
+
+class TestFieldsPerEvaluation:
+    """The fields each plan transforms per member and evaluation: sampled by
+    the inverse transform (in) and brought back by the forward one (out)."""
+
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_counts(self, batch):
+        c = random_field(6, 1, amplitude=0.1).half * np.ones(batch + (1, 1))
+        epi = EpitaxialRhs(6, EpitaxialParams(K1=0.25, K3=0.5))
+        tf = ThinFilmRhs(6, ThinFilmParams(chi=0.3, p=3))
+        epi.nonlinear(c)
+        tf.nonlinear(c)
+
+        def fields(plan):
+            shapes = plan.grid.shape, plan.samples
+            return tuple(math.prod(s[:-2]) // math.prod(batch) for s in shapes)
+
+        assert fields(epi.plan) == (3, 2)
+        assert fields(tf.flux_plan) == (3, 2)
+        assert fields(tf.power_plan) == (1, 1)

@@ -26,7 +26,7 @@ from torusflow import (
 )
 from torusflow import spectral
 from torusflow.spectral import _extract, _fast_len, _pad_size, _TransformPlan
-from torusflow.models import _symbols, make_rhs
+from torusflow.models import EpitaxialRhs, ThinFilmRhs, make_rhs
 from _helpers import brute_bilinear, held_after, max_abs_diff, random_field, w_plain
 from oracles import convolve, per_line_snapshot, row_terms, scale_modes, symbols
 
@@ -582,12 +582,15 @@ class TestConvolve:
 
 
 class TestModeMultiplier:
-    """The derivative multipliers of the kernels (models._symbols) and of the
-    term-by-term oracles (oracles.symbols), on k2 >= 0 half blocks."""
+    """The derivative multipliers of the evaluators (their plans' stacks and
+    the thin film's grad) and of the term-by-term oracles (oracles.symbols),
+    on k2 >= 0 half blocks."""
 
     def test_laplacian_eigenfunction(self):
         f = cos_x1(eps=0.5)
-        u11, u22, _ = _symbols(4, "hessian")[0]
+        plan = EpitaxialRhs(4, EpitaxialParams()).plan
+        assert not plan.mult.flags.writeable  # the plan marks its stack read-only
+        u11, u22, _ = plan.mult
         assert max_abs_diff((u11 + u22) * f.half, -f.half) < 1e-16
 
     def test_biharmonic_hand_value(self):
@@ -598,7 +601,7 @@ class TestModeMultiplier:
     def test_derivative_of_sin(self):
         # d/dx1 sin x1 = cos x1
         f = SpectralField.from_modes(4, [((1, 0), -0.5j), ((-1, 0), 0.5j)])
-        d1, _ = _symbols(4, "grad")[0]
+        d1, _ = ThinFilmRhs(4, ThinFilmParams(chi=0.5, p=2)).grad
         assert max_abs_diff(d1 * f.half, cos_x1().half) < 1e-16
 
 
