@@ -14,8 +14,8 @@ import os
 import sys
 
 from .config import MAX_STEPS, ConfigError, file_errors, load_config, read_json
-from .driver import _prepare, check_only, execute_run
-from .integrate import simulate
+from .driver import _prepare, _removing, check_only, execute_run
+from .integrate import StepperConfig, _steps, simulate
 from .models import config_lines, unknown_keys, violations
 from .output import read_trace_csv, report_text, write_report_json
 from .spectral import SpectralField, wiener_norm
@@ -97,15 +97,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    result = execute_run(cfg, outdir=args.outdir)
-    run = result.report["run"]
-    primary = result.reports[0]
-    _print(f"status: {run['status']}  final_time: {run['final_time']:g}")
-    _print(f"theorem {primary.theorem_id}: margin={primary.margin:.6g} "
-           f"lambda={primary.lam:.6g} satisfied={primary.satisfied}")
-    if result.envelope is not None:
-        _print(f"envelope: passed={result.envelope.passed} "
-               f"worst_ratio={result.envelope.worst_ratio:.9g}")
+    with _removing() as created:  # a failed write to standard output leaves no file the run made
+        result = execute_run(cfg, outdir=args.outdir, created=created)
+        run = result.report["run"]
+        primary = result.reports[0]
+        _print(f"status: {run['status']}  final_time: {run['final_time']:g}")
+        _print(f"theorem {primary.theorem_id}: margin={primary.margin:.6g} "
+               f"lambda={primary.lam:.6g} satisfied={primary.satisfied}")
+        if result.envelope is not None:
+            _print(f"envelope: passed={result.envelope.passed} "
+                   f"worst_ratio={result.envelope.worst_ratio:.9g}")
     return _STATUS_EXIT[run["status"]]
 
 
@@ -139,10 +140,11 @@ def _cmd_sweep(args) -> int:
     errors += config_lines(violations(_SWEEP_RULES, axes_raw), where)
     if errors:
         raise ConfigError(errors)
-    rows = run_sweep(base, axes, args.outdir, max_runs=axes_raw.get("max_runs", DEFAULT_MAX_RUNS))
-    n_ok = sum(1 for r in rows if r["status"] == "completed")
-    _print(f"sweep finished: {len(rows)} runs, {n_ok} completed; summary in "
-           f"{args.outdir}/summary.csv")
+    with _removing() as created:  # as in simulate
+        rows = run_sweep(base, axes, args.outdir, axes_raw.get("max_runs", DEFAULT_MAX_RUNS), created)
+        n_ok = sum(1 for r in rows if r["status"] == "completed")
+        _print(f"sweep finished: {len(rows)} runs, {n_ok} completed; summary in "
+               f"{args.outdir}/summary.csv")
     return EXIT_OK
 
 
@@ -179,12 +181,13 @@ def _cmd_convergence(args) -> int:
     # level by the 24th halving, so a huge --levels stops there
     steppers = []
     for i in range(args.levels + 1):
-        dt = cfg.stepper.dt / 2**i
+        level = {"dt": cfg.stepper.dt / 2**i, "t_end": cfg.stepper.t_end}
         try:
-            steppers.append(dataclasses.replace(cfg.stepper, dt=dt))
-        except ValueError as e:  # the step cap, or dt > 0 once dt underflows
+            steppers.append(dataclasses.replace(cfg.stepper, **level))
+        except ValueError as e:  # the step cap, unless a field rule breaks first
+            capped = not violations(StepperConfig.RULES, level) and _steps(level) is None
             raise ConfigError([f"--levels: {args.levels} halvings of dt " + (
-                f"need more than {MAX_STEPS} steps" if dt > 0 else f"break {e}")]) from None
+                f"need more than {MAX_STEPS} steps" if capped else f"break {e}")]) from None
     initial = _prepare([cfg])[0][0]
     finals = []
     worst = EXIT_OK

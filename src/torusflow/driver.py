@@ -8,7 +8,6 @@ decay envelope when a condition holds, and write trace/report/snapshots.
 from __future__ import annotations
 
 import contextlib
-import math
 import os
 import re
 import stat
@@ -17,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .config import ConfigError, RunConfig, config_to_dict, file_errors, prepare_initial
-from .integrate import RunOutcome, _blowup_threshold, simulate_batch
+from .integrate import RunOutcome, _blowup_threshold, _overflowing, simulate_batch
 from .output import write_report_json, write_trace_csv
 from .spectral import NormVector, _norms, _snapshot_layout, _write_snapshot
 from .theory import (
@@ -96,11 +95,9 @@ def _prepared(cfg: RunConfig, initial, meta: dict, norms: list):
     norms.  A norm past the float range would make the reports and the
     trace non-finite, so it is a config error naming each such norm; so is
     a blow-up threshold the initial field already meets."""
-    nv = NormVector(*norms)
-    bad = [name for name, x in asdict(nv).items() if not math.isfinite(x)]
+    nv, bad = NormVector(*norms), _overflowing(norms)
     if bad:
-        raise ConfigError([f"initial_data: the Wiener norm {name} of the initial field "
-                           "overflows the float range" for name in bad])
+        raise ConfigError([f"initial_data: {message}" for message in bad])
     try:
         _blowup_threshold(cfg.stepper, nv.a0)
     except ValueError as e:
@@ -122,6 +119,23 @@ def check_only(cfg: RunConfig) -> ExecutionResult:
     _, nv, reports, report = _prepare([cfg])[0]
     return ExecutionResult(outcome=None, reports=reports, envelope=None,
                            initial_norms=nv, report=report)
+
+
+@contextlib.contextmanager
+def _removing(created=None, remove=os.remove):
+    """Run the block with the list created (a new one if None); if it
+    raises (a write, a config error, or anything else), first remove (with
+    remove) the paths that the block added to it."""
+    created = [] if created is None else created
+    start = len(created)
+    try:
+        yield created
+    except Exception:
+        for path in created[start:]:
+            with contextlib.suppress(OSError):
+                remove(path)
+        del created[start:]
+        raise
 
 
 def make_output_dir(path) -> list:
@@ -150,16 +164,11 @@ def make_run_dir(cfg: RunConfig, outdir) -> None:
     """make_output_dir(outdir), then a config error of the _output_errors of
     the run, or of a snapshot folder that cannot be listed; a refused run
     leaves no directory it made, but one that something else wrote into."""
-    made = make_output_dir(outdir)
-    try:
+    with _removing(remove=os.rmdir) as made:
+        made += make_output_dir(outdir)
         errors = _output_errors(cfg, outdir)
         if errors:
             raise ConfigError(errors)
-    except ConfigError:
-        for path in made:
-            with contextlib.suppress(OSError):
-                os.rmdir(path)
-        raise
 
 
 def _output_errors(cfg: RunConfig, outdir) -> list:
@@ -167,7 +176,7 @@ def _output_errors(cfg: RunConfig, outdir) -> list:
     refuses (the trace, the report, a snapshot of a step up to t_end / dt)
     and for two of them that os.path.normpath makes one."""
     out = cfg.outputs
-    last = max(1, round(cfg.stepper.t_end / cfg.stepper.dt))
+    last = cfg.stepper.steps
     folder, base = os.path.split(os.path.join(outdir, out.snapshot_prefix))
 
     def step(path):
@@ -251,25 +260,25 @@ def _finish(cfg: RunConfig, outdir, prepared, outcome: RunOutcome,
                            initial_norms=nv, report=report)
 
 
-def execute_run(cfg: RunConfig, outdir=None) -> ExecutionResult:
-    """Full pipeline; writes trace CSV, report JSON and optional snapshots
-    under outdir (default: the config's output directory)."""
+def execute_run(cfg: RunConfig, outdir=None, created=None) -> ExecutionResult:
+    """Full pipeline; writes trace CSV, report JSON and optional snapshots under
+    outdir (default: the config's output directory); created: as in execute_batch."""
     outdir = cfg.outputs.directory if outdir is None else outdir
     prepared = _prepare([cfg])[0]
     make_run_dir(cfg, outdir)
-    return execute_batch([(cfg, outdir, prepared)])[0]
+    return execute_batch([(cfg, outdir, prepared)], created)[0]
 
 
-def execute_batch(runs) -> list:
+def execute_batch(runs, created=None) -> list:
     """execute_run for each (cfg, outdir, prepared) of runs, prepared an
     entry of _prepare, stepped together in one march; the configs may
     differ only in initial data, blow-up threshold and outputs other than
     snapshot_every; each outdir has passed make_run_dir.  The final norms
-    come from one stacked pass.  A batch that fails (a write, a config
-    error, or anything else) first removes every file it made; files that
-    existed before stay."""
-    cfg, created = runs[0][0], []
-    try:
+    come from one stacked pass.  The paths of the files the batch creates
+    join the list created, if given; a batch that fails removes them first
+    (_removing), and files that existed before stay."""
+    cfg = runs[0][0]
+    with _removing(created) as created:
         outcomes = simulate_batch([p[0] for _, _, p in runs], cfg.params,
                                   [c.stepper for c, _, _ in runs], cfg.model,
                                   _snapshot_writers(runs, created),
@@ -278,8 +287,3 @@ def execute_batch(runs) -> list:
                         outcomes[0].final_field.modes)
         return [_finish(*run, outcome, NormVector(*final), created)
                 for run, outcome, final in zip(runs, outcomes, finals)]
-    except Exception:
-        for path in created:
-            with contextlib.suppress(OSError):
-                os.remove(path)
-        raise

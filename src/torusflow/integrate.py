@@ -38,6 +38,13 @@ STATUS_BLOWUP = "blowup_detected"
 STATUS_FAILURE = "numerical_failure"
 
 
+def _steps(s) -> int | None:
+    """round(t_end / dt), at least 1: the steps of a march with the stepper
+    values s (dt > 0); None past the cap of MAX_STEPS."""
+    q = s["t_end"] / s["dt"]
+    return max(1, round(q)) if math.isfinite(q) and round(q) <= MAX_STEPS else None
+
+
 @dataclass(frozen=True)
 class StepperConfig(Checked):
     """Fixed-step march to t_end; no adaptivity, for reproducibility.
@@ -61,9 +68,16 @@ class StepperConfig(Checked):
     )
     CROSS = (
         ("t_end", lambda s: s["t_end"] >= s["dt"], lambda s: f"must be >= dt ({s['dt']})"),
-        ("t_end", lambda s: math.isfinite(q := s["t_end"] / s["dt"]) and round(q) <= MAX_STEPS,
+        ("t_end", lambda s: _steps(s) is not None,
          lambda s: f"t_end / dt = {s['t_end'] / s['dt']:.6g} exceeds the cap of {MAX_STEPS} steps"),
+        ("t_end", lambda s: _steps(s) is None or math.isfinite(_steps(s) * s["dt"]),  # None: the cap's row
+         lambda s: f"the time of the last step, {_steps(s)} x dt, passes the float range"),
     )
+
+    @property
+    def steps(self) -> int:
+        """The steps of the march to t_end: round(t_end / dt), at least 1."""
+        return _steps(vars(self))
 
 
 @dataclass(frozen=True)
@@ -201,6 +215,12 @@ def _blowup_threshold(stepper: StepperConfig, a0_init: float) -> float:
     return threshold
 
 
+def _overflowing(norms) -> list:
+    """The message for each initial Wiener norm a0, a2, a4, a6 past the float range."""
+    return [f"the Wiener norm {name} of the initial field overflows the float range"
+            for name, x in zip(("a0", "a2", "a4", "a6"), norms) if not math.isfinite(x)]
+
+
 def _trace_row(t: float, c: np.ndarray, a: np.ndarray, modes: ModeSet, dt: float) -> list:
     """The trace rows at time t of the stacked half blocks c (B, 2n+1, n+1)
     over modes, whose moduli are a."""
@@ -278,12 +298,11 @@ def simulate_batch(u0s, params, steppers, model: str, on_record=None,
     c = np.stack([u0.half for u0 in u0s])
     first = _trace_row(0.0, c, _moduli(c), modes, dt)
     for row in first:
-        for name, x in zip(("a0", "a2", "a4", "a6"), row[1:5]):
-            if not math.isfinite(x):
-                raise ValueError(f"the Wiener norm {name} of the initial field overflows the float range")
+        for message in _overflowing(row[1:5]):
+            raise ValueError(message)
     thresholds = np.array([_blowup_threshold(s, row[1]) for s, row in zip(steppers, first)])
     quiet = _quiet_levels(thresholds, modes.n)
-    n_steps = max(1, round(stepper.t_end / dt))
+    n_steps = stepper.steps
     fields_every = record_fields_every if record_fields_every is not None else stepper.record_every
     if fields_every < 1:
         raise ValueError(f"record_fields_every must be >= 1, got {fields_every}")

@@ -15,8 +15,8 @@ import csv
 import itertools
 import os
 
-from .config import ConfigError, file_errors, parse_config
-from .driver import _prepare, execute_batch, make_output_dir, make_run_dir
+from .config import ConfigError, parse_config
+from .driver import _prepare, _write_output, execute_batch, make_output_dir, make_run_dir
 from .integrate import _march_key
 from .models import make_rhs
 
@@ -109,9 +109,9 @@ def _fill(row: dict, result) -> None:
     })
 
 
-def _run_batch(members) -> None:
+def _run_batch(members, created: list) -> None:
     """Prepare (then make_run_dir), march and finish (row, cfg, run_dir)
-    members of one batch key, filling each row as a solo run would."""
+    members of one batch key, into created, filling each row as a solo run would."""
     runs = []
     batch = _prepare([cfg for _, cfg, _ in members], lambda i, e: _refused(members[i][0], e))
     for (row, cfg, run_dir), prepared in zip(members, batch):
@@ -120,9 +120,9 @@ def _run_batch(members) -> None:
     if not runs:
         return
     try:
-        results = execute_batch([run for _, run in runs])
+        results = execute_batch([run for _, run in runs], created)
     except Exception:  # each member on its own, as the row of a solo run
-        results = [_guarded(row, lambda: execute_batch([run])[0]) for row, run in runs]
+        results = [_guarded(row, lambda: execute_batch([run], created)[0]) for row, run in runs]
     for (row, _), result in zip(runs, results):
         if result is not None:
             _fill(row, result)
@@ -139,12 +139,13 @@ def _member_config(base: dict, combo: dict, run_dir: str) -> dict:
     return raw
 
 
-def run_sweep(base: dict, axes, outdir: str, max_runs: int = DEFAULT_MAX_RUNS) -> list[dict]:
+def run_sweep(base: dict, axes, outdir: str, max_runs: int = DEFAULT_MAX_RUNS, created=None) -> list[dict]:
     """Execute the Cartesian product of axes over a base config dict.
 
     axes: list of (parameter path, list of values).  Returns summary rows in
-    product order and writes summary.csv under outdir.
+    product order and writes summary.csv under outdir (created: as in execute_batch).
     """
+    created = [] if created is None else created
     errors = [] if isinstance(base, dict) else ["config: must be a JSON object"]
     errors += [e for i, (path, values) in enumerate(axes)
                for e in axis_errors(path, values, f"axes[{i}].", base)]
@@ -169,10 +170,9 @@ def run_sweep(base: dict, axes, outdir: str, max_runs: int = DEFAULT_MAX_RUNS) -
         cfg = group[0][1]
         size = max(1, BATCH_POINTS // make_rhs(cfg.model, cfg.n, cfg.params).points)
         for k in range(0, len(group), size):  # prepared batch by batch: memory follows the cap
-            _run_batch(group[k : k + size])
+            _run_batch(group[k : k + size], created)
     summary = os.path.join(outdir, "summary.csv")
-    with file_errors(summary, "output file "):
-        write_sweep_summary(rows, paths, summary)
+    _write_output(created, summary, lambda: write_sweep_summary(rows, paths, summary))
     return rows
 
 

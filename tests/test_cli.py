@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from torusflow import cli, integrate
+from torusflow import cli, driver, integrate
 from torusflow.cli import main
 from torusflow.output import read_trace_csv
 
@@ -511,6 +511,8 @@ class TestOutputWriteFailure:
         assert lines == [f"config error: output file {out / name}: {os.strerror(errno.ENOSPC)}"]
         if module == "driver":  # the run removed what it wrote; its directory stays
             assert list(out.iterdir()) == []
+        else:  # the sweep removed every file it wrote; its run directories stay
+            assert [p for p in out.rglob("*") if not p.is_dir()] == []
 
     def test_keeps_the_files_that_were_there_before(self, tmp_path, capsys, monkeypatch):
         cfgp, out = tmp_path / "cfg.json", tmp_path / "out"
@@ -624,6 +626,57 @@ class TestFallbackInputs:
         assert main(["convergence", str(cfgp), "--levels", "1"]) == 2
         assert capsys.readouterr().err == ("config error: --levels: 1 halvings of dt break "
                                            "dt: must satisfy dt > 0, got 0.0\n")
+
+    @pytest.mark.parametrize("command", ["check", "simulate", "sweep", "convergence"])
+    def test_a_step_schedule_past_the_float_range(self, tmp_path, capsys, monkeypatch, command):
+        # round(1.7e308 / 1.1e308) = 2 steps end at 2.2e308; at 1.2e308 the
+        # coarsest level takes 1 step and the next 3 steps of 6e307
+        def marched(*args):
+            pytest.fail("a run marched")
+
+        monkeypatch.setattr(integrate, "simulate_batch", marched)
+        monkeypatch.setattr(driver, "simulate_batch", marched)
+        cfgp, axes, sw = tmp_path / "cfg.json", tmp_path / "axes.json", tmp_path / "sw"
+        write_config(cfgp, params={"K1": 0.1, "K2": 1.0}, seed=1,
+                     initial_data={"kind": "random_decay", "amplitude": 0.05, "sigma": 3.0},
+                     stepper={"dt": 1.2e308 if command == "convergence" else 1.1e308,
+                              "t_end": 1.7e308, "record_every": 1})
+        axes.write_text(json.dumps({"axes": [{"path": "seed", "values": [1, 2]}]}))
+        argv = {"check": ["check", str(cfgp)], "simulate": ["simulate", str(cfgp)],
+                "sweep": ["sweep", str(cfgp), str(axes), "--outdir", str(sw)],
+                "convergence": ["convergence", str(cfgp), "--levels", "1"]}[command]
+        rule = "the time of the last step, 2 x dt, passes the float range"
+        if command == "sweep":
+            assert main(argv) == 0
+            with open(sw / "summary.csv") as fh:
+                rows = list(csv.DictReader(fh))
+            assert [(r["status"], r["error"]) for r in rows] == [("config_error", f"stepper.t_end: {rule}")] * 2
+            return
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [{
+            "convergence": "config error: --levels: 1 halvings of dt break t_end: "
+                           "the time of the last step, 3 x dt, passes the float range, got 1.7e+308",
+        }.get(command, f"config error: stepper.t_end: {rule}")]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_a_failed_write_to_standard_output_leaves_no_file_it_created(
+            self, tmp_path, capsys, monkeypatch, command):
+        cfgp, axes, out = tmp_path / "cfg.json", tmp_path / "axes.json", tmp_path / "out"
+        write_config(cfgp, outputs={"directory": str(out), "snapshot_every": 10})
+        axes.write_text(json.dumps({"axes": [{"path": "initial_data.normalize.value",
+                                              "values": [0.15, 0.3]}]}))
+        argv = {"simulate": ["simulate", str(cfgp)],
+                "sweep": ["sweep", str(cfgp), str(axes), "--outdir", str(out)]}[command]
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        monkeypatch.setattr(sys, "stdout", _FullStdout(fd))
+        assert main(argv) == 2
+        os.close(fd)
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: standard output: {os.strerror(errno.ENOSPC)}"]
+        assert [p for p in out.rglob("*") if not p.is_dir()] == []  # the directories stay
+        assert sorted(p.name for p in out.iterdir()) == ([] if command == "simulate"
+                                                        else ["run_0000", "run_0001"])
 
 
 class TestSweepCommand:

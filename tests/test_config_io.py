@@ -208,6 +208,22 @@ class TestResourceCaps:
         errors = parse_errors(minimal_epitaxial(stepper={"dt": 1.0, "t_end": MAX_STEPS + 1}))
         assert errors[0].startswith("stepper.t_end:")
 
+    def test_the_last_step_time_must_be_finite(self):
+        # round(1.7e308 / 1.1e308) = 2 steps: the last ends at 2.2e308
+        errors = parse_errors(minimal_epitaxial(stepper={"dt": 1.1e308, "t_end": 1.7e308}))
+        assert errors == ["stepper.t_end: the time of the last step, 2 x dt, passes the float range"]
+        with pytest.raises(ValueError, match=r"^t_end: the time of the last step, 2 x dt"):
+            StepperConfig(dt=1.1e308, t_end=1.7e308)
+        assert StepperConfig(dt=1.7e308, t_end=1.7e308).steps == 1
+        # past the cap, the cap alone is reported, though t_end / dt is inf
+        assert parse_errors(minimal_epitaxial(stepper={"dt": 5e-324, "t_end": 1e300})) == [
+            f"stepper.t_end: t_end / dt = inf exceeds the cap of {MAX_STEPS} steps"]
+
+    @pytest.mark.parametrize("dt, t_end, steps", [(1e-3, 1.0, 1000), (0.3, 0.45, 2), (0.3, 0.44, 1),
+                                                  (1.0, MAX_STEPS + 0.4, MAX_STEPS)])
+    def test_steps_is_round_t_end_over_dt(self, dt, t_end, steps):
+        assert StepperConfig(dt=dt, t_end=t_end).steps == steps
+
     def test_configs_at_the_caps_are_accepted(self):
         assert parse_config(minimal_epitaxial(n=MAX_N)).n == MAX_N
         assert 3 * MAX_N + 1 <= MAX_GRID
