@@ -75,6 +75,12 @@ def _check_norm_arg(x: float, name: str) -> float:
     return x
 
 
+def _times(c: float, x: float) -> float:
+    """c * x for a coefficient c and a norm x: 0 at a zero norm, even where c
+    is inf (inf * 0 is nan), so each margin and rate is its constant part there."""
+    return 0.0 if x == 0 else c * x
+
+
 def check_epitaxial_A2(params: EpitaxialParams, u0_a2: float) -> TheoremReport:
     """A^2 smallness margin for the epitaxial equation.
 
@@ -84,10 +90,10 @@ def check_epitaxial_A2(params: EpitaxialParams, u0_a2: float) -> TheoremReport:
     x = _check_norm_arg(u0_a2, "u0_a2")
     inputs = {**asdict(params), "u0_a2": x}
     if params.K0 == 0:
-        margin = params.K2 - 2.0 * (params.K3 + params.K1) * x
+        margin = params.K2 - _times(2.0 * (params.K3 + params.K1), x)
         tid = EPITAXIAL_A2_K0ZERO
     else:
-        margin = min(params.K2 - 2.0 * params.K3 * x, params.K0 - 2.0 * params.K1 * x)
+        margin = min(params.K2 - _times(2.0 * params.K3, x), params.K0 - _times(2.0 * params.K1, x))
         tid = EPITAXIAL_A2_K0POS
     return TheoremReport(tid, inputs, margin, margin, margin > 0)
 
@@ -105,7 +111,7 @@ def check_epitaxial_A0(params: EpitaxialParams, u0_a0: float) -> TheoremReport:
             f"the A^0 margin is only stated for K0 = 0 (got K0 = {params.K0}); refusing to guess"
         )
     x = _check_norm_arg(u0_a0, "u0_a0")
-    margin = params.K2 - 2.0 * params.K1 * x
+    margin = params.K2 - _times(2.0 * params.K1, x)
     inputs = {**asdict(params), "u0_a0": x}
     return TheoremReport(EPITAXIAL_A0, inputs, margin, margin, margin > 0)
 
@@ -127,8 +133,8 @@ def check_thinfilm_A0(params: ThinFilmParams, v0_a0: float) -> TheoremReport:
     s = x + 2.0 * geom
     base = 1.0 - params.chi - 2.0 * x
     cpfac = params.c_estimate * params.chi * math.factorial(params.p)
-    margin = base - 0.5 * cpfac * s
-    lam = base - cpfac * s
+    margin = base - _times(0.5 * cpfac, s)
+    lam = base - _times(cpfac, s)
     inputs = {**asdict(params), "v0_a0": x}
     return TheoremReport(THINFILM_A0, inputs, margin, lam, margin > 0)
 

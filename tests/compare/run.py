@@ -11,10 +11,10 @@ listed, and the exit status is 1 if any differs, else 0 (2 if git cannot
 check REV out).
 
 The matrix: the three benchmark workloads of perfbench/workloads.py at seeds
-0 and 7; the thin-film, blow-up, IMEX1-failure and K2 = 1e160 configs of the
-CI's installed-CLI block; the README's example config; three configs whose
-terms leave plans idle (epitaxial with K3 = 0, epitaxial with K1 = 0, thin
-film with p = 2); and a run from subnormal data.  On each: simulate;
+0 and 7, and the configs named in CORPUS from the config corpus, tests/configs/
+(the thin-film, blow-up, IMEX1-failure and K2 = 1e160 runs of the contract
+table, the README's example, three configs whose terms leave plans idle, and
+a run from subnormal data).  On each: simulate;
 check, to standard output and with --output; sweep (the sweep workload's
 own axis, elsewhere two values of initial_data.normalize.value);
 convergence --levels 2; and verify of the simulated trace with a0 and a2,
@@ -52,49 +52,12 @@ sys.exit(main(sys.argv[2:]))
 """
 WRONG_TREE = 99
 
-_RANDOM = {"kind": "random_decay", "amplitude": 0.1, "sigma": 2.0}
-CI_CONFIGS = {
-    "tf": {"model": "thinfilm", "n": 4, "params": {"chi": 0.3, "p": 3}, "seed": 1,
-           "initial_data": {"kind": "random_decay", "amplitude": 0.05, "sigma": 3.0,
-                            "normalize": {"norm": "a0", "value": 0.05}},
-           "stepper": {"dt": 0.001, "t_end": 0.02, "record_every": 5},
-           "outputs": {"snapshot_every": 5}},
-    "blowup": {"model": "epitaxial", "n": 8, "params": {"K1": 5.0, "K2": 0.05}, "seed": 98,
-               "initial_data": {**_RANDOM, "normalize": {"norm": "a0", "value": 4.0}},
-               "stepper": {"dt": 0.001, "t_end": 2.0, "blowup_threshold": 40.0},
-               "outputs": {"snapshot_every": 7}},
-    "failure": {"model": "epitaxial", "n": 8, "params": {"K1": 5.0, "K2": 0.05, "K3": 2.0}, "seed": 3,
-                "initial_data": {**_RANDOM, "normalize": {"norm": "a0", "value": 30.0}},
-                "stepper": {"scheme": "IMEX1", "dt": 0.01, "t_end": 5.0, "record_every": 1,
-                            "blowup_threshold": 1e300},
-                "outputs": {"snapshot_every": 7}},
-    "bigk2": {"model": "epitaxial", "n": 4, "params": {"K1": 0.25, "K2": 1e160},
-              "initial_data": {"kind": "random_decay", "amplitude": 0.05, "sigma": 3.0},
-              "stepper": {"dt": 0.01, "t_end": 0.05}},
-}
-_IDLE = {"stepper": {"dt": 0.001, "t_end": 0.5}, "outputs": {"snapshot_every": 50}}
-OTHER_CONFIGS = {
-    "readme": {"model": "epitaxial", "n": 16, "params": {"K0": 0.0, "K1": 0.25, "K2": 1.0, "K3": 0.25},
-               "initial_data": {"kind": "random_decay", "amplitude": 0.1, "sigma": 3.0, "zero_mean": True,
-                                "normalize": {"norm": "a2", "value": 0.5}},
-               "stepper": {"scheme": "ETD2", "dt": 0.001, "t_end": 5.0, "record_every": 10},
-               "outputs": {"directory": "out"}, "seed": 42},
-    # 500 steps each, snapshots every 50, with terms that leave a plan idle
-    "epi_k3zero": {"model": "epitaxial", "n": 32, "params": {"K1": 1.0, "K2": 1.0},
-                   "initial_data": {**_RANDOM, "normalize": {"norm": "a0", "value": 0.4}}, **_IDLE},
-    "epi_k1zero": {"model": "epitaxial", "n": 32, "params": {"K2": 1.0, "K3": 1.0},
-                   "initial_data": {**_RANDOM, "normalize": {"norm": "a0", "value": 0.4}}, **_IDLE},
-    "tf_p2": {"model": "thinfilm", "n": 24, "params": {"chi": 0.1, "p": 2},
-              "initial_data": {**_RANDOM, "normalize": {"norm": "a0", "value": 0.1}}, **_IDLE},
-    # every coefficient subnormal: the initial data keeps its odd subnormals
-    "subnormal": {"model": "epitaxial", "n": 3, "params": {"K2": 1.0}, "seed": 5,
-                  "initial_data": {"kind": "random_decay", "amplitude": 1e-318, "sigma": 0.0},
-                  "stepper": {"dt": 0.01, "t_end": 0.05}},
-}
+CORPUS = ("tf", "blowup", "failure", "bigk2", "readme", "epi_k3zero", "epi_k1zero", "tf_p2",
+          "subnormal")
 
 
 def matrix() -> dict:
-    """name -> (config, axes): the workloads at each seed, then the others;
+    """name -> (config, axes): the workloads at each seed, then the corpus's;
     a config without its own axis sweeps initial_data.normalize.value over
     half its value (0.05 where it sets none) and that value."""
     spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
@@ -108,7 +71,8 @@ def matrix() -> dict:
                 out[f"{w.name}_s{seed}"] = tuple(
                     json.loads(Path(paths[key]).read_text()) if key in paths else None
                     for key in ("config", "axes"))
-    out.update((name, (cfg, None)) for name, cfg in {**CI_CONFIGS, **OTHER_CONFIGS}.items())
+    out.update((name, (json.loads((ROOT / "tests" / "configs" / f"{name}.json").read_text()), None))
+               for name in CORPUS)
     for name, (cfg, axes) in out.items():
         if axes is None:
             value = cfg["initial_data"].get("normalize", {}).get("value", 0.05)

@@ -13,6 +13,8 @@ import pytest
 from torusflow import cli, driver, integrate
 from torusflow.cli import main
 from torusflow.output import read_trace_csv
+from contracts import CORPUS, corpus
+from test_contracts import with_rows
 
 
 def write_config(path, **overrides):
@@ -206,6 +208,7 @@ class TestSymbolsPastTheFloatRange:
         assert report["run"]["final_time"] == (0.05 if code == 0 else 0.0)
 
 
+@with_rows
 class TestSimulateCommand:
     def test_successful_run_writes_outputs(self, tmp_path, capsys):
         cfgp = tmp_path / "cfg.json"
@@ -257,15 +260,6 @@ class TestSimulateCommand:
         assert main(["simulate", str(cfgp)]) == 2
         assert "K2 > 0" in capsys.readouterr().err
 
-    def test_blowup_exit_code(self, tmp_path):
-        cfgp = tmp_path / "cfg.json"
-        write_config(cfgp,
-                     params={"K0": 0.0, "K1": 5.0, "K2": 0.05, "K3": 0.0},
-                     initial_data={"kind": "random_decay", "amplitude": 0.5, "sigma": 2.0,
-                                   "normalize": {"norm": "a0", "value": 4.0}},
-                     stepper={"dt": 0.001, "t_end": 2.0, "blowup_threshold": 40.0})
-        assert main(["simulate", str(cfgp)]) == 4
-
     def test_overflowing_initial_norm_is_a_config_error(self, tmp_path, capsys):
         cfgp = tmp_path / "cfg.json"
         write_config(cfgp, params={"K0": 0.0, "K1": 0.0, "K2": 1.0, "K3": 0.0},
@@ -303,9 +297,7 @@ class TestSimulateCommand:
 
 # An epitaxial run whose data are subnormal: every coefficient is a few
 # units of 2^-1074, so a pass that halved and added them would move bits.
-SUBNORMAL_RUN = {"model": "epitaxial", "n": 3, "params": {"K2": 1.0}, "seed": 5,
-                 "initial_data": {"kind": "random_decay", "amplitude": 1e-318, "sigma": 0.0},
-                 "stepper": {"dt": 0.01, "t_end": 0.05}}
+SUBNORMAL_RUN = corpus("subnormal")
 
 
 class TestSnapshotRestart:
@@ -533,65 +525,10 @@ class TestOutputWriteFailure:
         assert capsys.readouterr().err.startswith("config error: output file ")
 
 
-class _FullStdout:
-    """A standard output on a full disk, with the descriptor fd."""
-
-    def __init__(self, fd):
-        self.fd = fd
-
-    def write(self, text):
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-    def flush(self):
-        pass
-
-    def fileno(self):
-        return self.fd
-
-
+@with_rows
 class TestFallbackInputs:
-    """Inputs that reached cli.main's `except (OSError, ValueError)` fallback."""
-
-    @pytest.mark.parametrize("command", ["check", "simulate", "verify", "sweep", "convergence"])
-    def test_a_failed_write_to_standard_output(self, tmp_path, capsys, monkeypatch, command):
-        cfgp = tmp_path / "cfg.json"
-        write_config(cfgp)
-        assert main(["simulate", str(cfgp)]) == 0
-        axes = tmp_path / "axes.json"
-        axes.write_text(json.dumps({"axes": [{"path": "seed", "values": [1, 2]}]}))
-        argv = {"check": ["check", str(cfgp)], "simulate": ["simulate", str(cfgp)],
-                "verify": ["verify", str(tmp_path / "out" / "trace.csv"), "--lambda", "0.5"],
-                "sweep": ["sweep", str(cfgp), str(axes), "--outdir", str(tmp_path / "sw")],
-                "convergence": ["convergence", str(cfgp), "--levels", "1"]}[command]
-        capsys.readouterr()
-        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
-        monkeypatch.setattr(sys, "stdout", _FullStdout(fd))
-        assert main(argv) == 2
-        lines = capsys.readouterr().err.splitlines()
-        assert lines == [f"config error: standard output: {os.strerror(errno.ENOSPC)}"]
-        # the descriptor now goes to os.devnull, so the flush at exit succeeds
-        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
-        os.close(fd)
-
-    @pytest.mark.parametrize("command", ["check", "verify"])
-    def test_a_buffered_standard_output_that_fails_exits_2(self, tmp_path, capsys, command):
-        # the bytes a failed write leaves in the buffer of a real standard
-        # output must not fail again when the interpreter flushes it at exit
-        cfgp = tmp_path / "cfg.json"
-        write_config(cfgp)
-        assert main(["simulate", str(cfgp)]) == 0
-        argv = {"check": ["check", str(cfgp)],
-                "verify": ["verify", str(tmp_path / "out" / "trace.csv"), "--lambda", "0.5"]}[command]
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        r, w = os.pipe()
-        os.close(r)  # a pipe with no reader: every write fails with EPIPE
-        try:
-            proc = subprocess.run([sys.executable, "-m", "torusflow.cli", *argv], stdout=w,
-                                  stderr=subprocess.PIPE, text=True, env=env)
-        finally:
-            os.close(w)
-        assert proc.stderr.splitlines() == [f"config error: standard output: {os.strerror(errno.EPIPE)}"]
-        assert proc.returncode == 2
+    """Inputs that reached cli.main's `except (OSError, ValueError)` fallback;
+    those a console script can run too are rows of tests/contracts.py."""
 
     def test_an_unreadable_output_directory(self, tmp_path, capsys, monkeypatch):
         cfgp, out = tmp_path / "cfg.json", tmp_path / "out"
@@ -637,10 +574,9 @@ class TestFallbackInputs:
         monkeypatch.setattr(integrate, "simulate_batch", marched)
         monkeypatch.setattr(driver, "simulate_batch", marched)
         cfgp, axes, sw = tmp_path / "cfg.json", tmp_path / "axes.json", tmp_path / "sw"
-        write_config(cfgp, params={"K1": 0.1, "K2": 1.0}, seed=1,
-                     initial_data={"kind": "random_decay", "amplitude": 0.05, "sigma": 3.0},
-                     stepper={"dt": 1.2e308 if command == "convergence" else 1.1e308,
-                              "t_end": 1.7e308, "record_every": 1})
+        cfg = corpus("overflow")
+        cfg["stepper"]["dt"] = 1.2e308 if command == "convergence" else 1.1e308
+        write_config(cfgp, **cfg)
         axes.write_text(json.dumps({"axes": [{"path": "seed", "values": [1, 2]}]}))
         argv = {"check": ["check", str(cfgp)], "simulate": ["simulate", str(cfgp)],
                 "sweep": ["sweep", str(cfgp), str(axes), "--outdir", str(sw)],
@@ -659,26 +595,8 @@ class TestFallbackInputs:
         }.get(command, f"config error: stepper.t_end: {rule}")]
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command", ["simulate", "sweep"])
-    def test_a_failed_write_to_standard_output_leaves_no_file_it_created(
-            self, tmp_path, capsys, monkeypatch, command):
-        cfgp, axes, out = tmp_path / "cfg.json", tmp_path / "axes.json", tmp_path / "out"
-        write_config(cfgp, outputs={"directory": str(out), "snapshot_every": 10})
-        axes.write_text(json.dumps({"axes": [{"path": "initial_data.normalize.value",
-                                              "values": [0.15, 0.3]}]}))
-        argv = {"simulate": ["simulate", str(cfgp)],
-                "sweep": ["sweep", str(cfgp), str(axes), "--outdir", str(out)]}[command]
-        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
-        monkeypatch.setattr(sys, "stdout", _FullStdout(fd))
-        assert main(argv) == 2
-        os.close(fd)
-        assert capsys.readouterr().err.splitlines() == [
-            f"config error: standard output: {os.strerror(errno.ENOSPC)}"]
-        assert [p for p in out.rglob("*") if not p.is_dir()] == []  # the directories stay
-        assert sorted(p.name for p in out.iterdir()) == ([] if command == "simulate"
-                                                        else ["run_0000", "run_0001"])
 
-
+@with_rows
 class TestSweepCommand:
     def test_sweep_runs_and_summarizes(self, tmp_path, capsys):
         cfgp = tmp_path / "cfg.json"
@@ -704,29 +622,6 @@ class TestSweepCommand:
         assert [r["status"] for r in rows] == ["config_error", "completed"]
         assert rows[0]["error"].startswith("initial_data.modes: coefficients are not Hermitian-symmetric")
 
-    def test_bad_axes_file(self, tmp_path, capsys):
-        cfgp = tmp_path / "cfg.json"
-        write_config(cfgp)
-        axesp = tmp_path / "axes.json"
-        axesp.write_text(json.dumps({"axes": "nope"}))
-        assert main(["sweep", str(cfgp), str(axesp)]) == 2
-
-    @pytest.mark.parametrize("extra", [
-        '"max_runs": Infinity',
-        '"max_runs": 1e400',
-        '"workers": 1e400',
-        '"max_runs": true',
-        '"workers": 0',
-    ])
-    def test_bad_axes_number_is_a_config_error(self, tmp_path, capsys, extra):
-        cfgp = tmp_path / "cfg.json"
-        write_config(cfgp)
-        axesp = tmp_path / "axes.json"
-        axesp.write_text('{"axes": [{"path": "seed", "values": [1]}], ' + extra + "}")
-        assert main(["sweep", str(cfgp), str(axesp), "--outdir", str(tmp_path / "sw")]) == 2
-        assert capsys.readouterr().err.startswith("config error: ")
-        assert not (tmp_path / "sw").exists()
-
     def test_axes_errors_reported_at_once(self, tmp_path, capsys):
         cfgp = tmp_path / "cfg.json"
         write_config(cfgp)
@@ -740,35 +635,7 @@ class TestSweepCommand:
         assert err.count("config error: ") == 4
 
 
-    def test_axis_rules_reported_with_the_other_errors(self, tmp_path, capsys):
-        cfgp = tmp_path / "cfg.json"
-        write_config(cfgp)
-        axesp = tmp_path / "axes.json"
-        axesp.write_text(json.dumps({"axes": [{"path": 5, "values": [1]},
-                                              {"path": "seed", "values": []}],
-                                     "max_runs": 0}))
-        assert main(["sweep", str(cfgp), str(axesp)]) == 2
-        assert capsys.readouterr().err.splitlines() == [
-            f"config error: {axesp}: axes[0].path: must be a nonempty string, got 5",
-            f"config error: {axesp}: axes[1].values: must be a nonempty list",
-            f"config error: {axesp}: max_runs: must be an integer >= 1",
-        ]
-
-
-    def test_axis_path_through_a_scalar_is_a_config_error(self, tmp_path, capsys):
-        cfgp = tmp_path / "cfg.json"
-        write_config(cfgp)
-        axesp = tmp_path / "axes.json"
-        axesp.write_text(json.dumps({"axes": [{"path": "seed", "values": [1]},
-                                              {"path": "params.K1.x", "values": [1]}]}))
-        assert main(["sweep", str(cfgp), str(axesp), "--outdir", str(tmp_path / "sw")]) == 2
-        assert capsys.readouterr().err.splitlines() == [
-            f"config error: {axesp}: axes[1].path: parameter path 'params.K1.x' "
-            "descends into non-object 'K1'",
-        ]
-        assert not (tmp_path / "sw").exists()
-
-
+@with_rows
 class TestConvergenceCommand:
     def test_prints_ratio_table(self, tmp_path, capsys):
         cfgp = tmp_path / "cfg.json"
@@ -781,109 +648,34 @@ class TestConvergenceCommand:
         assert "err_a0_vs_half" in out
         assert len(out.strip().splitlines()) >= 3
 
-    @pytest.mark.parametrize("levels", [40, 10**9, 10**23 - 1])  # the last past any machine integer
-    def test_step_count_cap(self, tmp_path, capsys, levels):
-        cfgp = tmp_path / "cfg.json"
-        write_config(cfgp)  # 40 steps at the coarsest dt
-        assert main(["convergence", str(cfgp), "--levels", str(levels)]) == 2
-        assert capsys.readouterr().err == (f"config error: --levels: {levels} halvings of dt "
-                                           "need more than 10000000 steps\n")
-
     def test_no_level_completes(self, tmp_path, capsys):
         # quadratic growth far past the smallness condition: every level
         # crosses the threshold, so no error row can be formed
-        cfgp = tmp_path / "cfg.json"
-        write_config(cfgp, n=8, seed=98, params={"K0": 0.0, "K1": 5.0, "K2": 0.05, "K3": 0.0},
-                     initial_data={"kind": "random_decay", "amplitude": 0.1, "sigma": 2.0,
-                                   "normalize": {"norm": "a0", "value": 4.0}},
-                     stepper={"dt": 0.001, "t_end": 2.0, "blowup_threshold": 40.0})
-        assert main(["convergence", str(cfgp), "--levels", "2"]) == 4
+        assert main(["convergence", str(CORPUS / "blowup.json"), "--levels", "2"]) == 4
         assert capsys.readouterr().out.splitlines() == [
             "dt=0.001: blowup_detected", "dt=0.0005: blowup_detected",
             "dt=0.00025: blowup_detected", f"{'dt':>12} {'err_a0_vs_half':>16} {'ratio':>8}"]
 
-    @pytest.mark.parametrize("levels", [0, -3])
-    def test_levels_below_one(self, tmp_path, capsys, levels):
-        cfgp = tmp_path / "cfg.json"
-        write_config(cfgp)
-        assert main(["convergence", str(cfgp), "--levels", str(levels)]) == 2
-        assert capsys.readouterr().err == "config error: --levels must be >= 1\n"
-
-
-def _snapshot_text(header, first=None):
-    """A cutoff-1 snapshot of zeros under header, its first mode line replaced by first."""
-    lines = [f"{k1} {k2} 0 0" for k1 in (-1, 0, 1) for k2 in (-1, 0, 1)]
-    if first is not None:
-        lines[0] = first
-    return "\n".join([f"torusflow-spectral v1 {header}", *lines]) + "\n"
-
-
+@with_rows
 class TestFileErrors:
     """A file that cannot be read or parsed on the way to a config is a
-    config error that names it, exit 2, from every command that reads it."""
-
-    @staticmethod
-    def _snapshot_config(tmp_path, path):
-        cfgp = tmp_path / "cfg.json"
-        write_config(cfgp, initial_data={"kind": "snapshot", "path": str(path)})
-        return cfgp
-
-    def _config_error(self, capsys, argv, want):
-        assert main(argv) == 2
-        assert capsys.readouterr().err == f"config error: {want}\n"
-
-    @pytest.mark.parametrize("command", ["check", "simulate", "convergence"])
-    def test_config_is_a_directory(self, tmp_path, capsys, command):
-        self._config_error(capsys, [command, str(tmp_path)], f"{tmp_path}: Is a directory")
+    config error that names it, exit 2, from every command that reads it;
+    most of these contracts are rows of tests/contracts.py."""
 
     def test_sweep_files_are_directories(self, tmp_path, capsys):
         cfgp = tmp_path / "cfg.json"
         write_config(cfgp)
-        self._config_error(capsys, ["sweep", str(tmp_path), str(cfgp)],
-                           f"{tmp_path}: Is a directory")
-        self._config_error(capsys, ["sweep", str(cfgp), str(tmp_path)],
-                           f"{tmp_path}: Is a directory")
-
-    @pytest.mark.parametrize("command", ["check", "simulate"])
-    def test_missing_snapshot(self, tmp_path, capsys, command):
-        missing = tmp_path / "nope.txt"
-        cfgp = self._snapshot_config(tmp_path, missing)
-        self._config_error(capsys, [command, str(cfgp)],
-                           f"initial_data.path: {missing}: no such file")
-
-    def test_snapshot_is_a_directory(self, tmp_path, capsys):
-        cfgp = self._snapshot_config(tmp_path, tmp_path)
-        self._config_error(capsys, ["check", str(cfgp)],
-                           f"initial_data.path: {tmp_path}: Is a directory")
-
-    @pytest.mark.parametrize("content, message", [
-        ("", "empty snapshot file"),
-        ("not a snapshot\n", "bad snapshot header 'not a snapshot'"),
-        ("torusflow-spectral v1 n=1\n0 0 1 0\n", "expected 9 mode lines, found 1"),
-        (b"\xff\xfe\x00", "not a text snapshot file"),
-        (_snapshot_text("n=one"), "bad cutoff in header 'torusflow-spectral v1 n=one'"),
-        (_snapshot_text("n=0"), "cutoff must be >= 1, got 0"),
-        (_snapshot_text("n=1", "-1 -1 0"), "malformed mode line '-1 -1 0'"),
-        (_snapshot_text("n=1", "-1 -1 zero 0"), "malformed mode line '-1 -1 zero 0'"),
-        (_snapshot_text("n=1", "2 -1 0 0"), "mode (2, -1) outside cutoff 1"),
-        (_snapshot_text("n=1", "-1 -1 nan 0"), "non-finite coefficient"),
-    ], ids=["empty", "header", "short", "binary", "cutoff_text", "cutoff_below_one", "field_count",
-            "non_numeric", "outside_cutoff", "non_finite"])
-    def test_malformed_snapshot(self, tmp_path, capsys, content, message):
-        snap = tmp_path / "snap.txt"
-        if isinstance(content, bytes):
-            snap.write_bytes(content)
-        else:
-            snap.write_text(content)
-        cfgp = self._snapshot_config(tmp_path, snap)
-        self._config_error(capsys, ["check", str(cfgp)], f"initial_data.path: {snap}: {message}")
+        for argv in (["sweep", str(tmp_path), str(cfgp)], ["sweep", str(cfgp), str(tmp_path)]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"config error: {tmp_path}: Is a directory\n"
 
     def test_sweep_member_with_a_missing_snapshot(self, tmp_path, capsys):
         from torusflow import SpectralField, write_snapshot
 
         good = tmp_path / "good.txt"
         write_snapshot(SpectralField.from_modes(4, [((1, 0), 0.01), ((-1, 0), 0.01)]), good)
-        cfgp = self._snapshot_config(tmp_path, good)
+        cfgp = tmp_path / "cfg.json"
+        write_config(cfgp, initial_data={"kind": "snapshot", "path": str(good)})
         axesp = tmp_path / "axes.json"
         axesp.write_text(json.dumps({"axes": [{"path": "initial_data.path",
                                                "values": [str(tmp_path / "nope.txt"),
@@ -893,90 +685,6 @@ class TestFileErrors:
             rows = list(csv.DictReader(fh))
         assert [r["status"] for r in rows] == ["config_error", "completed"]
         assert rows[0]["error"] == f"initial_data.path: {tmp_path / 'nope.txt'}: no such file"
-
-    def test_check_output_is_a_directory(self, tmp_path, capsys):
-        cfgp = tmp_path / "cfg.json"
-        write_config(cfgp)
-        self._config_error(capsys, ["check", str(cfgp), "--output", str(tmp_path)],
-                           f"--output {tmp_path}: Is a directory")
-
-    @pytest.mark.parametrize("command", ["simulate", "sweep"])
-    def test_outdir_is_a_file(self, tmp_path, capsys, command):
-        cfgp, axesp, taken = tmp_path / "cfg.json", tmp_path / "axes.json", tmp_path / "taken"
-        write_config(cfgp)
-        axesp.write_text(json.dumps({"axes": [{"path": "seed", "values": [1]}]}))
-        taken.write_text("")
-        argv = [command, str(cfgp)] + ([str(axesp)] if command == "sweep" else [])
-        self._config_error(capsys, argv + ["--outdir", str(taken)],
-                           f"output directory {taken}: File exists")
-
-    @pytest.mark.parametrize("name", ["trace.csv", "report.json", "snapshot_00000020.txt"])
-    def test_output_file_is_a_directory(self, tmp_path, capsys, name):
-        # reported before the first step, so no file is written
-        cfgp, out = tmp_path / "cfg.json", tmp_path / "out"
-        write_config(cfgp, outputs={"directory": str(out), "snapshot_every": 20})
-        (out / name).mkdir(parents=True)
-        self._config_error(capsys, ["simulate", str(cfgp)], f"output file {out / name}: Is a directory")
-        assert not [p for p in out.iterdir() if p.is_file()]
-
-    @pytest.mark.parametrize("outputs, name, why", [
-        ({"trace_csv": "sub/t.csv"}, "sub/t.csv", "No such file or directory"),
-        ({"snapshot_prefix": "snaps/s"}, "snaps/s_00000000.txt", "No such file or directory"),
-        ({"report_json": "../afile/r.json"}, "../afile/r.json", "Not a directory"),
-        ({"trace_csv": "report.json"}, "report.json",
-         "named by both outputs.trace_csv and outputs.report_json"),
-        ({"trace_csv": "snapshot_00000020.txt"}, "snapshot_00000020.txt",
-         "outputs.trace_csv names the snapshot of step 20"),
-        ({"report_json": "./snapshot_00000040.txt"}, "./snapshot_00000040.txt",
-         "outputs.report_json names the snapshot of step 40"),
-    ], ids=["missing-trace-parent", "missing-snapshot-parent", "report-parent-is-a-file",
-            "trace-is-report", "trace-is-snapshot", "report-is-snapshot"])
-    def test_output_file_that_cannot_be_written(self, tmp_path, capsys, outputs, name, why):
-        # a missing parent, a parent that is a file, or a file that two outputs
-        # name: reported before the first step, so no file is written
-        cfgp, out = tmp_path / "cfg.json", tmp_path / "out"
-        write_config(cfgp, outputs={"directory": str(out), "snapshot_every": 20, **outputs})
-        (tmp_path / "afile").write_text("")
-        self._config_error(capsys, ["simulate", str(cfgp)], f"output file {out}/{name}: {why}")
-        assert not [p for p in out.rglob("*") if p.is_file()]
-
-    @pytest.mark.parametrize("outdir, made", [("o_x", "o_x"), ("a/b", "a"), ("kept/c/", "kept/c")])
-    def test_a_refused_run_leaves_none_of_the_directories_it_made(self, tmp_path, capsys,
-                                                                  monkeypatch, outdir, made):
-        monkeypatch.chdir(tmp_path)
-        write_config(tmp_path / "cfg.json", outputs={"trace_csv": "sub/t.csv"})
-        (tmp_path / "kept").mkdir()  # there before the run, so it stays
-        self._config_error(capsys, ["simulate", "cfg.json", "--outdir", outdir],
-                           f"output file {os.path.join(outdir, 'sub/t.csv')}: No such file or directory")
-        assert not (tmp_path / made).exists()
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "kept"]
-
-    def test_sweep_member_with_an_output_that_cannot_be_written(self, tmp_path, capsys):
-        cfgp, axesp, sw = tmp_path / "cfg.json", tmp_path / "axes.json", tmp_path / "sw"
-        write_config(cfgp)
-        axesp.write_text(json.dumps({"axes": [{"path": "outputs.trace_csv",
-                                               "values": ["sub/t.csv", "report.json", "t.csv"]}]}))
-        assert main(["sweep", str(cfgp), str(axesp), "--outdir", str(sw)]) == 0
-        with open(sw / "summary.csv") as fh:
-            rows = list(csv.DictReader(fh))
-        assert [r["status"] for r in rows] == ["config_error", "config_error", "completed"]
-        assert rows[0]["error"] == f"output file {sw / 'run_0000' / 'sub' / 't.csv'}: No such file or directory"
-        assert rows[1]["error"] == (f"output file {sw / 'run_0001' / 'report.json'}: "
-                                    "named by both outputs.trace_csv and outputs.report_json")
-        # a refused member leaves no directory behind
-        assert sorted(p.name for p in sw.iterdir()) == ["run_0002", "summary.csv"]
-
-    def test_sweep_member_directory_that_cannot_be_made(self, tmp_path, capsys):
-        cfgp, axesp = tmp_path / "cfg.json", tmp_path / "axes.json"
-        write_config(cfgp)
-        axesp.write_text(json.dumps({"axes": [{"path": "seed", "values": [1, 2]}]}))
-        (tmp_path / "sw").mkdir()
-        (tmp_path / "sw" / "run_0000").write_text("")
-        assert main(["sweep", str(cfgp), str(axesp), "--outdir", str(tmp_path / "sw")]) == 0
-        with open(tmp_path / "sw" / "summary.csv") as fh:
-            rows = list(csv.DictReader(fh))
-        assert [r["status"] for r in rows] == ["config_error", "completed"]
-        assert rows[0]["error"] == f"output directory {tmp_path / 'sw' / 'run_0000'}: File exists"
 
 
 class TestEntryPoint:
@@ -1010,19 +718,11 @@ class TestEntryPoint:
         assert scope["verdict"].passed
 
     def test_runtime_imports_no_scipy(self, tmp_path):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        readme_cfg = tmp_path / "readme.json"
-        readme_cfg.write_text(readme.split("```json\n", 1)[1].split("```", 1)[0])
-        tf = tmp_path / "tf.json"
-        write_config(tf, model="thinfilm", params={"chi": 0.3, "p": 3},
-                     initial_data={"kind": "random_decay", "amplitude": 0.05, "sigma": 3.0,
-                                   "normalize": {"norm": "a0", "value": 0.05}},
-                     stepper={"dt": 0.001, "t_end": 0.005})
         code = (
             "import sys, torusflow\n"
             "from torusflow.cli import main\n"
-            f"torusflow.check_only(torusflow.load_config({str(readme_cfg)!r}))\n"
-            f"assert main(['simulate', {str(tf)!r}, '--outdir', {str(tmp_path / 'out')!r}]) == 0\n"
+            f"torusflow.check_only(torusflow.load_config({str(CORPUS / 'readme.json')!r}))\n"
+            f"assert main(['simulate', {str(CORPUS / 'tf.json')!r}, '--outdir', {str(tmp_path)!r}]) == 0\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,24 +167,20 @@ class TestHalfBlockStorage:
 
         monkeypatch.setattr(SpectralField, "coeff", property(lambda f: pytest.fail("coeff was read")))
         monkeypatch.chdir(tmp_path)
-        cfg = {"model": "thinfilm", "n": 4, "params": {"chi": 0.3, "p": 3}, "seed": 1,
-               "initial_data": {"kind": "random_decay", "amplitude": 0.05, "sigma": 3.0,
-                                "normalize": {"norm": "a0", "value": 0.05}},
-               "stepper": {"dt": 0.001, "t_end": 0.01, "record_every": 5},
-               "outputs": {"directory": "o", "snapshot_every": 5}}
-        restart = {**cfg, "initial_data": {"kind": "snapshot", "path": "o/snapshot_00000005.txt"},
-                   "outputs": {"directory": "r", "snapshot_every": 5}}
-        axes = {"axes": [{"path": "initial_data.normalize.value", "values": [0.02, 0.05]}]}
-        for name, content in (("c.json", cfg), ("r.json", restart), ("axes.json", axes)):
-            (tmp_path / name).write_text(json.dumps(content))
-        for argv in (["check", "c.json"], ["simulate", "c.json"],
-                     ["sweep", "c.json", "axes.json", "--outdir", "sw"],
-                     ["convergence", "c.json", "--levels", "1"],
+        configs = Path(__file__).resolve().parent / "configs"
+        tf, axes = str(configs / "tf.json"), str(configs / "axes.json")
+        restart = json.loads((configs / "tf.json").read_text())
+        restart["initial_data"] = {"kind": "snapshot", "path": "o/snapshot_00000010.txt"}
+        restart["stepper"]["t_end"] = 0.01
+        (tmp_path / "r.json").write_text(json.dumps(restart))
+        for argv in (["check", tf], ["simulate", tf, "--outdir", "o"],
+                     ["sweep", tf, axes, "--outdir", "sw"],
+                     ["convergence", tf, "--levels", "1"],
                      ["verify", "o/trace.csv", "--lambda", "0.5", "--norm", "a2"],
-                     ["simulate", "r.json"]):
+                     ["simulate", "r.json", "--outdir", "r"]):
             assert main(argv) == 0, argv
-        assert (tmp_path / "r" / "snapshot_00000005.txt").read_bytes() == \
-            (tmp_path / "o" / "snapshot_00000010.txt").read_bytes()
+        assert (tmp_path / "r" / "snapshot_00000010.txt").read_bytes() == \
+            (tmp_path / "o" / "snapshot_00000020.txt").read_bytes()
 
     def test_theory_and_per_term_functions_read_no_coeff(self, monkeypatch):
         from torusflow import (TimeProfile, delta_of_delta_sq, epitaxial_rhs, hessian_det2,

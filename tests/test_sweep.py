@@ -505,3 +505,32 @@ class TestBatchIsolation:
         rows = run_sweep(mixed_base("epitaxial"), [(AXIS, MIXED["epitaxial"][2])], str(tmp_path))
         ran = [str(tmp_path / f"run_{r['run_id']:04d}") for r in rows if r["status"] != "config_error"]
         assert len(ran) == 4 and checked == ran
+
+    def test_a_member_whose_march_raises_otherwise_is_an_error_row(self, tmp_path, monkeypatch):
+        # the sweep's own catch-all: any batch that holds member 1 raises a
+        # RuntimeError, alone too; the other members write a sweep's bytes
+        # without it
+        axis, march = "stepper.blowup_threshold", driver.simulate_batch
+        base = base_config()
+        base["outputs"]["snapshot_every"] = 5
+
+        def failing(u0s, params, steppers, *args):
+            if any(s.blowup_threshold == 2e3 for s in steppers):
+                raise RuntimeError("injected fault")
+            return march(u0s, params, steppers, *args)
+
+        run_sweep(base, [(axis, [1e3, 3e3])], str(tmp_path / "without"))
+        monkeypatch.setattr(driver, "simulate_batch", failing)
+        rows = run_sweep(base, [(axis, [1e3, 2e3, 3e3])], str(tmp_path / "with"))
+        assert [(r["status"], r["error"]) for r in rows] == [
+            ("completed", None), ("error", "RuntimeError: injected fault"), ("completed", None)]
+        lines = {d: (tmp_path / d / "summary.csv").read_text().splitlines() for d in ("with", "without")}
+        for got, want in ((0, 0), (2, 1)):
+            assert lines["with"][got + 1].split(",")[1:] == lines["without"][want + 1].split(",")[1:]
+            got_dir = tmp_path / "with" / f"run_{got:04d}"
+            want_dir = tmp_path / "without" / f"run_{want:04d}"
+            files = sorted(p.name for p in want_dir.iterdir())
+            assert sorted(p.name for p in got_dir.iterdir()) == files and "snapshot_00000020.txt" in files
+            for name in files:
+                assert (got_dir / name).read_bytes() == (want_dir / name).read_bytes().replace(
+                    str(want_dir).encode(), str(got_dir).encode()), name

@@ -45,6 +45,14 @@ class TestEpitaxialA2Checker:
         assert r.margin == pytest.approx(1.3)
         assert r.satisfied
 
+    @pytest.mark.parametrize("K0, want", [(0.0, 1.0), (2.0, 1.0), (0.5, 0.5)])
+    def test_zero_data_with_an_overflowing_coefficient(self, K0, want):
+        # 2 K1 and 2 K3 are inf, and inf * 0 is nan: at a zero norm each
+        # margin is its constant part, K2 or min(K2, K0)
+        r = check_epitaxial_A2(EpitaxialParams(K0=K0, K1=1e308, K2=1.0, K3=1e308), 0.0)
+        assert r.margin == r.lam == want
+        assert r.satisfied
+
     def test_boundary_not_satisfied(self):
         r = check_epitaxial_A2(EpitaxialParams(K0=0, K1=0.5, K2=1.0, K3=0.5), 0.5)
         assert r.margin == pytest.approx(0.0)
@@ -78,6 +86,12 @@ class TestEpitaxialA0Checker:
         assert r.lam == pytest.approx(0.8)
         assert r.satisfied
 
+    def test_zero_data_with_an_overflowing_coefficient(self):
+        r = check_epitaxial_A0(EpitaxialParams(K1=1e308, K2=1.0), 0.0)
+        assert r.margin == r.lam == 1.0
+        assert r.satisfied
+        assert check_epitaxial_A0(EpitaxialParams(K1=1e308, K2=1.0), 5e-324).margin == -math.inf
+
     def test_rejects_k3(self):
         with pytest.raises(ValueError, match="K3"):
             check_epitaxial_A0(EpitaxialParams(K0=0, K1=1.0, K2=1.0, K3=0.1), 0.4)
@@ -101,6 +115,12 @@ class TestThinFilmChecker:
         r = check_thinfilm_A0(ThinFilmParams(chi=0.3, p=4, c_estimate=2.0), 0.0)
         assert r.margin == pytest.approx(0.7)
         assert r.lam == pytest.approx(0.7)
+        assert r.satisfied
+
+    def test_zero_data_with_an_overflowing_coefficient(self):
+        # c chi p! is inf, and inf * 0 is nan: at a zero norm both are 1 - chi
+        r = check_thinfilm_A0(ThinFilmParams(chi=0.5, p=170, c_estimate=1e300), 0.0)
+        assert r.margin == r.lam == 0.5
         assert r.satisfied
 
     def test_hand_value(self):
