@@ -2,7 +2,9 @@
 
 Subcommands: simulate, check, sweep, verify, convergence.  Exit codes:
 0 success, 2 config error, 3 numerical failure, 4 blow-up detected,
-5 envelope violation (verify).
+5 envelope violation (verify).  Outside data is checked where it enters,
+so main maps only a ConfigError to exit 2; any other error is a bug, and
+ends in a traceback with exit 1.
 """
 
 from __future__ import annotations
@@ -50,13 +52,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _print(text: str, end: str = "\n") -> None:
-    """print to standard output, flushed: a write that fails is a config
-    error that names it.  The unwritten bytes stay in the stream's buffer,
-    so its descriptor then goes to os.devnull: the flush at exit would fail
-    again (exit status 120 and an "Exception ignored" on stderr)."""
+    """print to standard output, flushed: a write that fails, or a name
+    from the command line that its encoding cannot take, is a config error
+    that names it.  The unwritten bytes stay in the stream's buffer, so its
+    descriptor then goes to os.devnull: the flush at exit would fail again
+    (exit status 120 and an "Exception ignored" on stderr)."""
     with file_errors("standard output"):
         try:
             print(text, end=end, flush=True)
+        except UnicodeEncodeError as e:  # raised before the text is buffered
+            raise ConfigError([f"standard output: {e}"]) from None
         except OSError:
             with contextlib.suppress(AttributeError, OSError):  # a stream without one
                 fd, null = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
@@ -148,23 +153,11 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _read_trace(path):
-    """The trace at path; an unreadable, malformed or empty file is a ConfigError."""
-    with file_errors(path):
-        try:
-            trace = read_trace_csv(path)
-        except ValueError as e:  # read_trace_csv's messages name path
-            raise ConfigError([str(e)]) from None
-    if len(trace) == 0:
-        raise ConfigError([f"{path}: empty trace"])
-    return trace
-
-
 def _cmd_verify(args) -> int:
     errors = envelope_arg_errors(args.lam, args.tol, ("--lambda", "--tol"))
     if errors:
         raise ConfigError(errors)
-    trace = _read_trace(args.trace)
+    trace = read_trace_csv(args.trace)
     verdict = verify_decay_envelope(trace, args.norm, args.lam, args.tol)
     _print(f"envelope {args.norm} lambda={args.lam:g}: passed={verdict.passed} "
            f"worst_ratio={verdict.worst_ratio:.9g}"
@@ -225,9 +218,6 @@ def main(argv=None) -> int:
     except ConfigError as e:
         for msg in e.errors:
             print(f"config error: {msg}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 
@@ -46,6 +47,11 @@ KINDS = {"modes": ("modes",), "random_decay": ("amplitude", "sigma"), "snapshot"
 # what a kind's field reads when it is left out, besides "required"
 _ABSENT = {"modes": "must be a nonempty list of [k1, k2, re, im]",
            "path": "snapshot kind requires a file path"}
+PATH_RULE = "must be a nonempty string the file system can name"
+# The schema nests about 5 levels (7 for an axes file whose values are
+# initial_data objects with modes); deeper JSON is refused before anything
+# walks it recursively.
+MAX_JSON_DEPTH = 32
 
 
 class ConfigError(ValueError):
@@ -66,6 +72,15 @@ def file_errors(path, prefix: str = ""):
         raise ConfigError([f"{prefix}{path}: no such file"]) from None
     except OSError as e:
         raise ConfigError([f"{prefix}{path}: {e.strerror or e}"]) from None
+
+
+def is_path(v) -> bool:
+    """A nonempty string that the file system can name: os.fsencode takes
+    it, and it holds no NUL."""
+    try:
+        return isinstance(v, str) and v != "" and b"\0" not in os.fsencode(v)
+    except UnicodeError:  # a lone surrogate that surrogateescape cannot encode
+        return False
 
 
 def mode_violations(modes, n=None) -> list:
@@ -129,7 +144,7 @@ class InitialDataSpec(Checked):
              ("modes", None, lambda v: isinstance(v, (list, tuple)) and len(v) > 0, _ABSENT["modes"]),
              ("amplitude", False, lambda v: v > 0, "must be > 0"),
              ("sigma", False, lambda v: v >= 0, "must be >= 0"),
-             ("path", None, lambda v: isinstance(v, str) and v != "", _ABSENT["path"]),
+             ("path", None, is_path, PATH_RULE),
              _kind_fields,
              ("zero_mean", None, lambda v: isinstance(v, bool), "must be a boolean"))
     SECTIONS = (("normalize", lambda s: NormalizeSpec, ("norm", "value")),)
@@ -148,7 +163,7 @@ class OutputSpec(Checked):
     snapshot_every: int = 0
     snapshot_prefix: str = "snapshot"
 
-    RULES = (*((key, None, lambda v: isinstance(v, str) and v != "", "must be a nonempty string")
+    RULES = (*((key, None, is_path, PATH_RULE)
                for key in ("directory", "trace_csv", "report_json", "snapshot_prefix")),
              ("snapshot_every", True, lambda v: v >= 0, "must be an integer >= 0"))
 
@@ -212,13 +227,23 @@ def parse_config(raw: dict) -> RunConfig:
 
 
 def read_json(path):
-    """Parsed JSON file contents; a file that cannot be read, or bad JSON,
-    is a ConfigError."""
+    """Parsed JSON file contents; a file that cannot be read, bad JSON, or
+    JSON nested deeper than MAX_JSON_DEPTH, is a ConfigError."""
+    deep = ConfigError([f"{path}: JSON nested deeper than {MAX_JSON_DEPTH} levels"])
     with file_errors(path), open(path) as fh:
         try:
-            return json.load(fh)
+            data = json.load(fh)
         except ValueError as e:  # JSONDecodeError, or an integer too long to convert
             raise ConfigError([f"{path}: invalid JSON ({e})"]) from None
+        except RecursionError:
+            raise deep from None
+    level = [data]  # the values at each depth in turn, without recursion
+    for _ in range(MAX_JSON_DEPTH):
+        level = [v for c in level if isinstance(c, (dict, list))
+                 for v in (c.values() if isinstance(c, dict) else c)]
+    if any(isinstance(c, (dict, list)) for c in level):
+        raise deep
+    return data
 
 
 def load_config(path) -> RunConfig:

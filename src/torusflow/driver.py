@@ -139,20 +139,28 @@ def _removing(created=None, remove=os.remove):
 
 
 def make_output_dir(path) -> list:
-    """Create directory path (a config error if it cannot be); return those made, deepest first."""
+    """Create directory path; return those made, deepest first.  If it
+    cannot be, that is a config error, and those made are removed first."""
     made, head = [], os.fspath(path).rstrip(os.sep) or os.sep
     while not os.path.exists(head):  # what os.makedirs makes; rmdir refuses . and ..
         made, head = made + [head], os.path.dirname(head) or os.curdir
-    with file_errors(path, "output directory "):
+    with _removing(remove=os.rmdir) as created, file_errors(path, "output directory "):
+        created += made
         os.makedirs(path, exist_ok=True)
     return made
 
 
 def _open_error(path) -> str | None:
-    """Why opening path to write would fail, when it is a directory or its
-    parent is missing or is not a directory; else None."""
-    if os.path.isdir(path):
-        return "Is a directory"
+    """Why opening path to write would fail, when it is a directory, cannot
+    be looked up (a name too long), or its parent is missing or is not a
+    directory; else None."""
+    try:
+        if stat.S_ISDIR(os.stat(path).st_mode):
+            return "Is a directory"
+    except FileNotFoundError:  # its parent is checked below
+        pass
+    except OSError as e:
+        return e.strerror
     try:
         parent = os.stat(os.path.dirname(path) or ".")
     except OSError as e:

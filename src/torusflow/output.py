@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 
+from .config import ConfigError, file_errors
 from .integrate import NormTrace
+from .spectral import _text_lines
 
 __all__ = [
     "CSV_HEADER",
@@ -27,21 +29,25 @@ def write_trace_csv(trace: NormTrace, path) -> None:
 
 
 def read_trace_csv(path) -> NormTrace:
-    """The trace in a CSV file; a malformed file is a ValueError naming path."""
-    try:
-        with open(path) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-        if not lines or lines[0] != CSV_HEADER:
-            raise ValueError(f"bad trace header {(lines or [''])[0]!r}, expected {CSV_HEADER!r}")
-        rows = []
-        for ln in lines[1:]:
-            parts = ln.split(",")
-            if len(parts) != 7:
-                raise ValueError(f"malformed trace row {ln!r}")
-            rows.append([float(p) for p in parts])
-        return NormTrace.from_rows(rows)
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
+    """The trace in a CSV file; a file that cannot be read, is malformed or
+    has no row is a ConfigError (a ValueError) naming path."""
+    with file_errors(path):
+        try:
+            with open(path) as fh:
+                lines = [ln.strip() for ln in _text_lines(fh)]
+            if not lines or lines[0] != CSV_HEADER:
+                raise ValueError(f"bad trace header {(lines or [''])[0]!r}, expected {CSV_HEADER!r}")
+            if len(lines) == 1:
+                raise ValueError("empty trace")
+            rows = []
+            for ln in lines[1:]:
+                parts = ln.split(",")
+                if len(parts) != 7:
+                    raise ValueError(f"malformed trace row {ln!r}")
+                rows.append([float(p) for p in parts])
+            return NormTrace.from_rows(rows)
+        except ValueError as e:
+            raise ConfigError([f"{path}: {e}"]) from None
 
 
 def report_text(report: dict) -> str:

@@ -33,6 +33,9 @@ __all__ = [
 
 SNAPSHOT_MAGIC = "torusflow-spectral v1"
 SNAPSHOT_HERMITIAN_TOL = 1e-10
+# Characters in one line of a snapshot or trace file: a device such as
+# /dev/zero gives one line that never ends.
+LINE_MAX = 4096
 
 # Constructor rejection threshold, relative to the largest coefficient.
 _HERMITIAN_RTOL = 1e-10
@@ -485,50 +488,70 @@ def _write_snapshot(f: SpectralField, path, layout) -> None:
             fh.write(lines % (*mirror[m : m + w][::-1], *strings[2 * r : 2 * r + 2], *strings[u : u + w]))
 
 
+def _text_lines(fh):
+    """The nonblank lines of the text file fh, without their newline, read
+    one at a time; a line past LINE_MAX characters is a ValueError."""
+    for i, line in enumerate(iter(lambda: fh.readline(LINE_MAX + 1), ""), 1):
+        if len(line.rstrip("\n")) > LINE_MAX:
+            raise ValueError(f"line {i} is longer than {LINE_MAX} characters")
+        if line.strip():
+            yield line.rstrip("\n")
+
+
 def read_snapshot(path) -> SpectralField:
-    """Parse a snapshot file, rejecting malformed or non-Hermitian data."""
-    with open(path) as fh:
-        try:
-            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-        except UnicodeDecodeError:
-            raise ValueError(f"{path}: not a text snapshot file") from None
-    if not lines:
-        raise ValueError(f"{path}: empty snapshot file")
-    header = lines[0]
+    """Parse a snapshot file, rejecting malformed or non-Hermitian data with a
+    ValueError that names path; it reads no further than one line past the
+    mode lines its header states."""
+    try:
+        with open(path) as fh:
+            return _parse_snapshot(_text_lines(fh))
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not a text snapshot file") from None
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+
+
+def _parse_snapshot(lines) -> SpectralField:
+    """read_snapshot of the nonblank lines of a snapshot file."""
+    header = next(lines, None)
+    if header is None:
+        raise ValueError("empty snapshot file")
     prefix = SNAPSHOT_MAGIC + " n="
     if not header.startswith(prefix):
-        raise ValueError(f"{path}: bad snapshot header {header!r}")
+        raise ValueError(f"bad snapshot header {header!r}")
     try:
         n = int(header[len(prefix):])
     except ValueError:
-        raise ValueError(f"{path}: bad cutoff in header {header!r}") from None
+        raise ValueError(f"bad cutoff in header {header!r}") from None
     if n < 1:
-        raise ValueError(f"{path}: cutoff must be >= 1, got {n}")
+        raise ValueError(f"cutoff must be >= 1, got {n}")
     size = 2 * n + 1
-    if len(lines) - 1 != size * size:
-        raise ValueError(f"{path}: expected {size * size} mode lines, found {len(lines) - 1}")
+    body = [ln for _, ln in zip(range(size * size + 1), lines)]  # to one line past the count
+    if len(body) != size * size:
+        raise ValueError(f"expected {size * size} mode lines, found "
+                         + ("more" if len(body) > size * size else str(len(body))))
     c = np.zeros((size, size), dtype=np.complex128)
     seen = np.zeros((size, size), dtype=bool)
-    for ln in lines[1:]:
+    for ln in body:
         parts = ln.split()
         if len(parts) != 4:
-            raise ValueError(f"{path}: malformed mode line {ln!r}")
+            raise ValueError(f"malformed mode line {ln!r}")
         try:
             k1, k2 = int(parts[0]), int(parts[1])
             re, im = float(parts[2]), float(parts[3])
         except ValueError:
-            raise ValueError(f"{path}: malformed mode line {ln!r}") from None
+            raise ValueError(f"malformed mode line {ln!r}") from None
         if max(abs(k1), abs(k2)) > n:
-            raise ValueError(f"{path}: mode ({k1}, {k2}) outside cutoff {n}")
+            raise ValueError(f"mode ({k1}, {k2}) outside cutoff {n}")
         if seen[k1 + n, k2 + n]:
-            raise ValueError(f"{path}: duplicate mode ({k1}, {k2})")
+            raise ValueError(f"duplicate mode ({k1}, {k2})")
         seen[k1 + n, k2 + n] = True
         c[k1 + n, k2 + n] = complex(re, im)
     if not np.isfinite(c).all():
-        raise ValueError(f"{path}: non-finite coefficient")
+        raise ValueError("non-finite coefficient")
     asym = hermitian_asymmetry(c)
     if asym > SNAPSHOT_HERMITIAN_TOL:
         raise ValueError(
-            f"{path}: snapshot violates Hermitian symmetry (max deviation {asym:.3e} > {SNAPSHOT_HERMITIAN_TOL})"
+            f"snapshot violates Hermitian symmetry (max deviation {asym:.3e} > {SNAPSHOT_HERMITIAN_TOL})"
         )
     return SpectralField(ModeSet(n), c)

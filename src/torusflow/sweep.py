@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 import csv
 import itertools
+import math
 import os
 
 from .config import ConfigError, parse_config
@@ -151,11 +152,10 @@ def run_sweep(base: dict, axes, outdir: str, max_runs: int = DEFAULT_MAX_RUNS, c
                for e in axis_errors(path, values, f"axes[{i}].", base)]
     if errors:
         raise ConfigError(errors)
+    size = math.prod(len(values) for _, values in axes)  # before any member is built
+    if size > max_runs:
+        raise ConfigError([f"sweep size {size} exceeds the cap of {max_runs} runs"])
     paths, combos = expand_axes(axes)
-    if len(combos) > max_runs:
-        raise ConfigError([
-            f"sweep size {len(combos)} exceeds the cap of {max_runs} runs"
-        ])
     make_output_dir(outdir)
     rows, groups = [], {}
     for i, combo in enumerate(combos):
@@ -187,8 +187,10 @@ def _cell(v) -> str:
 
 
 def write_sweep_summary(rows, axis_paths, path) -> None:
+    """One row per run; a lone surrogate in an axis or a message (a file
+    name the file system takes) is written as its backslash escape."""
     fields = ["run_id", *axis_paths, *SUMMARY_FIXED_FIELDS]
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", errors="backslashreplace") as fh:
         writer = csv.writer(fh)
         writer.writerow(fields)
         for row in rows:

@@ -160,6 +160,11 @@ UNWRITABLE_OUTPUTS = (  # a missing parent, a parent that is a file, a file two 
      "./snapshot_00000040.txt: outputs.report_json names the snapshot of step 40"),
 )
 SIMULATE_TF = "simulate tf.json --outdir tf_out"
+UNNAMEABLE = [("nul", "trace_csv", "a\0b.csv"), ("nul", "directory", "d\0"), ("nul", "snapshot_prefix", "s\0"),
+              ("surrogate", "report_json", "r\ud800.json")]
+PATH_RULE = "must be a nonempty string the file system can name"
+DEEP = "[" * 100000 + "]" * 100000
+DEEP_KEY = json.dumps(corpus("tf"))[:-1] + ', "deep": ' + '{"k": ' * 600 + "1" + "}" * 600 + "}"
 OVERFLOW = "the time of the last step, 2 x dt, passes the float range"
 SNAPSHOT_AT = {"snap.json": ("nosnap", {"initial_data.path": "snap.txt"})}
 FILE_ERRORS = "TestFileErrors::"
@@ -323,6 +328,48 @@ ROWS = [
     *(Row(f"TestConvergenceCommand::test_levels_below_one[{levels}]", f"convergence tf.json --levels {levels}",
           2, ["config error: --levels must be >= 1"])
       for levels in (0, -3)),
+    # outside data is refused where it enters, before any directory is made:
+    # an output name with a NUL or a lone surrogate (check and simulate alike),
+    # and a sweep member's
+    *(Row(f"{case}-in-outputs-{field}-{argv.split()[0]}", argv, 2,
+          [f"config error: outputs.{field}: {PATH_RULE}, got {value!r}"],
+          configs={"cfg.json": ("tf", {f"outputs.{field}": value})}, left=(listing(".", "cfg.json"),))
+      for case, field, value in UNNAMEABLE for argv in ("check cfg.json", "simulate cfg.json --outdir o9")),
+    Row("nul-in-a-sweep-member-output", "sweep tf.json nul.json --outdir sw", 0,
+        files={"nul.json": json.dumps({"axes": [{"path": "outputs.trace_csv", "values": ["a\0b.csv", "t.csv"]}]})},
+        left=(column("sw/summary.csv", "status", ["config_error", "completed"]),
+              column("sw/summary.csv", "error", [f"outputs.trace_csv: {PATH_RULE}, got 'a\\x00b.csv'", ""]),
+              listing("sw", "run_0001", "summary.csv"))),
+    # JSON nested past the bound: a config, an axes file, a key of a sweep's base
+    Row("config-nested-100000-deep", "check deep.json", 2,
+        ["config error: deep.json: JSON nested deeper than 32 levels"], files={"deep.json": DEEP}),
+    Row("axes-nested-100000-deep", "sweep tf.json deep.json --outdir sw", 2,
+        ["config error: deep.json: JSON nested deeper than 32 levels"], files={"deep.json": DEEP},
+        left=(absent("sw"),)),
+    Row("sweep-base-with-a-600-deep-key", "sweep base.json axes.json --outdir sw", 2,
+        ["config error: base.json: JSON nested deeper than 32 levels"], files={"base.json": DEEP_KEY},
+        left=(absent("sw"),)),
+    # a device read as a snapshot or a trace: each line is read with a bound
+    Row("snapshot-from-dev-full", "check full.json", 2,
+        ["config error: initial_data.path: /dev/full: line 1 is longer than 4096 characters"],
+        configs={"full.json": ("nosnap", {"initial_data.path": "/dev/full"})}),
+    Row("trace-from-dev-zero", "verify /dev/zero --lambda 1", 2,
+        ["config error: /dev/zero: line 1 is longer than 4096 characters"]),
+    # the sweep cap is checked before the product is built (10^8 members)
+    Row("sweep-size-past-the-cap", "sweep tf.json big.json --outdir sw", 2,
+        ["config error: sweep size 100000000 exceeds the cap of 256 runs"],
+        files={"big.json": json.dumps({"axes": [{"path": path, "values": list(range(1, 101))} for path in
+                                                ("seed", "stepper.record_every", "outputs.snapshot_every", "n")]})},
+        left=(absent("sw"),)),
+    # an output file name past the file system's limit is refused before the march
+    Row("trace-name-too-long", "simulate cfg.json --outdir o9", 2,
+        [f"config error: output file o9/{'t' * 300}: {os.strerror(errno.ENAMETOOLONG)}"],
+        configs={"cfg.json": ("tf", {"outputs.trace_csv": "t" * 300})}, left=(absent("o9"),)),
+    # an output directory that cannot be made leaves none of the directories made for it
+    *(Row(f"output-directory-name-too-long-{cmd.split()[0]}", f"{cmd} --outdir {top}/{name}", 2,
+          [f"config error: output directory {top}/{name}: {os.strerror(errno.ENAMETOOLONG)}"],
+          left=(absent(top),))
+      for cmd, top, name in (("simulate tf.json", "out7", "x" * 300), ("sweep tf.json axes.json", "s4", "y" * 300))),
 ]
 
 

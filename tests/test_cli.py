@@ -1,6 +1,7 @@
 import csv
 import errno
 import importlib
+import io
 import json
 import math
 import os
@@ -527,8 +528,9 @@ class TestOutputWriteFailure:
 
 @with_rows
 class TestFallbackInputs:
-    """Inputs that reached cli.main's `except (OSError, ValueError)` fallback;
-    those a console script can run too are rows of tests/contracts.py."""
+    """Inputs that reached cli.main's `except (OSError, ValueError)` fallback
+    before it was deleted; those a console script can run too are rows of
+    tests/contracts.py."""
 
     def test_an_unreadable_output_directory(self, tmp_path, capsys, monkeypatch):
         cfgp, out = tmp_path / "cfg.json", tmp_path / "out"
@@ -609,6 +611,19 @@ class TestSweepCommand:
                      "--outdir", str(tmp_path / "sw")]) == 0
         assert (tmp_path / "sw" / "summary.csv").exists()
         assert "2 runs" in capsys.readouterr().out
+
+    def test_an_outdir_standard_output_cannot_encode(self, tmp_path, monkeypatch):
+        # a name from the command line that is not UTF-8 (as os.fsdecode gives it)
+        # on a strict standard output: a config error, and the files it wrote go
+        cfgp, axesp, sw = tmp_path / "cfg.json", tmp_path / "axes.json", tmp_path / "sw\udcff"
+        write_config(cfgp)
+        axesp.write_text(json.dumps({"axes": [{"path": "seed", "values": [1, 2]}]}))
+        out, err = io.TextIOWrapper(io.BytesIO(), "utf-8", "strict"), io.StringIO()
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(sys, "stderr", err)
+        assert main(["sweep", str(cfgp), str(axesp), "--outdir", str(sw)]) == 2
+        assert err.getvalue().startswith("config error: standard output: 'utf-8' codec can't encode")
+        assert [p for p in sw.rglob("*") if not p.is_dir()] == []
 
     def test_member_with_modes_the_field_refuses_is_a_config_error_row(self, tmp_path, capsys):
         cfgp = tmp_path / "cfg.json"

@@ -27,8 +27,8 @@ from torusflow import (
     write_report_json,
     write_trace_csv,
 )
-from torusflow.config import (KINDS, MAX_GRID, MAX_N, MAX_P, MAX_STEPS, InitialDataSpec,
-                              NormalizeSpec, OutputSpec, RunConfig)
+from torusflow.config import (KINDS, MAX_GRID, MAX_JSON_DEPTH, MAX_N, MAX_P, MAX_STEPS, PATH_RULE,
+                              InitialDataSpec, NormalizeSpec, OutputSpec, RunConfig, is_path, read_json)
 from torusflow.models import make_rhs
 from torusflow.output import CSV_HEADER
 from _helpers import random_field
@@ -521,6 +521,45 @@ class TestTraceCsv:
         p.write_text("time,a0\n0,1\n")
         with pytest.raises(ValueError, match="header"):
             read_trace_csv(p)
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "no such file"), ("t,a0,a2,a4,a6,mean,dt\n", "empty trace"),
+        ("1" * 4097, "line 1 is longer than 4096 characters")])
+    def test_refusals_are_config_errors_that_name_the_path(self, tmp_path, content, message):
+        p = tmp_path / "trace.csv"
+        if content is not None:
+            p.write_text(content)
+        with pytest.raises(ConfigError) as e:
+            read_trace_csv(p)
+        assert e.value.errors == [f"{p}: {message}"]
+
+
+class TestReadJson:
+    def test_nesting_past_the_bound_is_a_config_error(self, tmp_path):
+        p = tmp_path / "deep.json"
+        p.write_text("[" * MAX_JSON_DEPTH + "]" * MAX_JSON_DEPTH)
+        assert json.dumps(read_json(p)) == p.read_text()
+        p.write_text("[" + p.read_text() + "]")
+        with pytest.raises(ConfigError) as e:
+            read_json(p)
+        assert e.value.errors == [f"{p}: JSON nested deeper than {MAX_JSON_DEPTH} levels"]
+
+
+class TestPathRule:
+    @pytest.mark.parametrize("value, ok", [
+        ("trace.csv", True), ("\udcff", True),  # a byte os.fsdecode escapes
+        ("a\0b", False), ("\ud800", False), ("", False), (5, False), (None, False)])
+    def test_one_rule_for_every_path_field(self, value, ok):
+        assert is_path(value) is ok
+        cases = [("outputs", field, {field: value})
+                 for field in ("directory", "trace_csv", "report_json", "snapshot_prefix")]
+        cases.append(("initial_data", "path", {"kind": "snapshot", "path": value}))
+        for name, field, section in cases:
+            cfg = minimal_epitaxial(**{name: section})
+            if ok:
+                assert getattr(getattr(parse_config(cfg), name), field) == value
+            else:
+                assert parse_errors(cfg) == [f"{name}.{field}: {PATH_RULE}, got {value!r}"]
 
 
 class TestReportJson:

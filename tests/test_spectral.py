@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -737,6 +738,19 @@ class TestSnapshot:
         lines = p.read_text().splitlines()
         p.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(ValueError, match="expected"):
+            read_snapshot(p)
+
+    def test_reads_no_further_than_one_line_past_the_count(self, tmp_path):
+        # a mode line too many, then a line no bounded read would end: the
+        # count is refused before that line is reached
+        f = SpectralField.zeros(1)
+        p = tmp_path / "field.txt"
+        write_snapshot(f, p)
+        p.write_text(p.read_text() + "0 0 0 0\n" + "1" * 10**6)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: expected 9 mode lines, found more$"):
+            read_snapshot(p)
+        p.write_text(p.read_text().splitlines(True)[0] + "1" * 4097)
+        with pytest.raises(ValueError, match="line 2 is longer than 4096 characters$"):
             read_snapshot(p)
 
     def test_duplicate_mode_rejected(self, tmp_path):
