@@ -52,6 +52,9 @@ PATH_RULE = "must be a nonempty string the file system can name"
 # initial_data objects with modes); deeper JSON is refused before anything
 # walks it recursively.
 MAX_JSON_DEPTH = 32
+# The largest corpus config is under 400 bytes; a longer file (a device that
+# never ends, say) is refused after this many characters are read.
+MAX_JSON_CHARS = 2**24
 
 
 class ConfigError(ValueError):
@@ -227,16 +230,20 @@ def parse_config(raw: dict) -> RunConfig:
 
 
 def read_json(path):
-    """Parsed JSON file contents; a file that cannot be read, bad JSON, or
-    JSON nested deeper than MAX_JSON_DEPTH, is a ConfigError."""
+    """Parsed JSON file contents; a file that cannot be read, is longer than
+    MAX_JSON_CHARS characters, holds bad JSON, or JSON nested deeper than
+    MAX_JSON_DEPTH, is a ConfigError."""
     deep = ConfigError([f"{path}: JSON nested deeper than {MAX_JSON_DEPTH} levels"])
     with file_errors(path), open(path) as fh:
         try:
-            data = json.load(fh)
-        except ValueError as e:  # JSONDecodeError, or an integer too long to convert
+            text = fh.read(MAX_JSON_CHARS + 1)
+            data = json.loads(text) if len(text) <= MAX_JSON_CHARS else None
+        except ValueError as e:  # not text, JSONDecodeError, or an integer too long to convert
             raise ConfigError([f"{path}: invalid JSON ({e})"]) from None
         except RecursionError:
             raise deep from None
+    if len(text) > MAX_JSON_CHARS:
+        raise ConfigError([f"{path}: longer than {MAX_JSON_CHARS} characters"])
     level = [data]  # the values at each depth in turn, without recursion
     for _ in range(MAX_JSON_DEPTH):
         level = [v for c in level if isinstance(c, (dict, list))

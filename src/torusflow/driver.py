@@ -11,12 +11,13 @@ import contextlib
 import os
 import re
 import stat
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .config import ConfigError, RunConfig, config_to_dict, file_errors, prepare_initial
 from .integrate import RunOutcome, _blowup_threshold, _overflowing, simulate_batch
+from .models import make_rhs
 from .output import write_report_json, write_trace_csv
 from .spectral import NormVector, _norms, _snapshot_layout, _write_snapshot
 from .theory import (
@@ -38,6 +39,12 @@ THINFILM_NOTES = [
     "the claimed decay exponent carries c*chi*p! while the smallness margin carries "
     "c*chi*p!/2; both are reported without reconciliation",
 ]
+
+# Samples per batched transform (members x 3 fields x N^2, larger grid).  One
+# batched ETD2 step over as many solo steps (2-vCPU host; CHANGES.md has the
+# scan at n = 8, 16, 32): below the cap every batch won, e.g. epitaxial n=16
+# 0.73 at 9 members; past it some lost, e.g. 1.05 at 16.
+BATCH_POINTS = 65536
 
 
 @dataclass(frozen=True)
@@ -64,29 +71,29 @@ def _envelope_norm(report: TheoremReport) -> str:
     return "a2" if report.theorem_id.startswith("EpitaxialA2") else "a0"
 
 
+def _attempt(refuse, i, make):
+    """make(); if it raises, that is raised, or, given refuse, None once
+    refuse(i, e) has been given what refused config i."""
+    try:
+        return make()
+    except Exception as e:  # handled in place: a kept exception keeps its frames alive
+        if refuse is None:
+            raise
+        refuse(i, e)
+        return None
+
+
 def _prepare(cfgs, refuse=None) -> list:
     """For each config of a batch, which shares n: the initial field, its
     norms, the theorem reports and the report skeleton, as the config alone
-    would get them; or None for a config refused, once refuse(i, e) has
-    been given what refused config i (without refuse, that is raised).
-    Each distinct initial datum is generated once, and held only while the
-    batch is prepared; the initial norms of the batch come from one stacked
-    pass."""
-
-    def attempt(i, make):
-        try:
-            return make()
-        except Exception as e:  # handled in place: a kept exception keeps its frames alive
-            if refuse is None:
-                raise
-            refuse(i, e)
-            return None
-
+    would get them; or None for a config refused (_attempt).  Each distinct
+    initial datum is generated once, and held only while the batch is
+    prepared; the initial norms of the batch come from one stacked pass."""
     generated = {}
-    fields = [attempt(i, lambda: prepare_initial(cfg, generated)) for i, cfg in enumerate(cfgs)]
+    fields = [_attempt(refuse, i, lambda: prepare_initial(cfg, generated)) for i, cfg in enumerate(cfgs)]
     made = [field[0] for field in fields if field is not None]
     norms = iter(_norms(np.stack([f.half for f in made]), made[0].modes) if made else ())
-    return [None if field is None else attempt(i, lambda: _prepared(cfg, *field, next(norms)))
+    return [None if field is None else _attempt(refuse, i, lambda: _prepared(cfg, *field, next(norms)))
             for i, (cfg, field) in enumerate(zip(cfgs, fields))]
 
 
@@ -270,20 +277,58 @@ def _finish(cfg: RunConfig, outdir, prepared, outcome: RunOutcome,
 
 def execute_run(cfg: RunConfig, outdir=None, created=None) -> ExecutionResult:
     """Full pipeline; writes trace CSV, report JSON and optional snapshots under
-    outdir (default: the config's output directory); created: as in execute_batch."""
-    outdir = cfg.outputs.directory if outdir is None else outdir
-    prepared = _prepare([cfg])[0]
-    make_run_dir(cfg, outdir)
-    return execute_batch([(cfg, outdir, prepared)], created)[0]
+    outdir (default: the config's output directory); created: as in _march."""
+    ((_, result),) = execute_batch([cfg], [cfg.outputs.directory if outdir is None else outdir], created)
+    return result
 
 
-def execute_batch(runs, created=None) -> list:
-    """execute_run for each (cfg, outdir, prepared) of runs, prepared an
-    entry of _prepare, stepped together in one march; the configs may
-    differ only in initial data, blow-up threshold and outputs other than
-    snapshot_every; each outdir has passed make_run_dir.  The final norms
-    come from one stacked pass.  The paths of the files the batch creates
-    join the list created, if given; a batch that fails removes them first
+def _batch_key(cfg: RunConfig) -> tuple:
+    """What the configs marched as one batch share: all but initial data,
+    seed, blow-up threshold and the outputs other than snapshot_every."""
+    return (cfg.model, cfg.n, cfg.params, replace(cfg.stepper, blowup_threshold=None),
+            cfg.outputs.snapshot_every)
+
+
+def execute_batch(cfgs, outdirs, created=None, refuse=None):
+    """Run each config cfgs[i] under outdirs[i] as execute_run would, and
+    yield (i, its ExecutionResult) once its chunk is finished: the configs
+    of one _batch_key are prepared, checked (make_run_dir), marched and
+    finished together, in chunks of at most BATCH_POINTS samples per
+    transform.  A config refused by _prepare, by make_run_dir, or by its
+    solo rerun after its chunk's march raised is not yielded, but given to
+    refuse(i, e); without refuse, the error is raised.  The files the runs
+    create join created: as in _march."""
+    groups = {}
+    for i, cfg in enumerate(cfgs):
+        groups.setdefault(_batch_key(cfg), []).append(i)
+    for group in groups.values():
+        cfg = cfgs[group[0]]
+        size = max(1, BATCH_POINTS // make_rhs(cfg.model, cfg.n, cfg.params).points)
+        for k in range(0, len(group), size):
+            yield from _run_chunk(group[k : k + size], cfgs, outdirs, created, refuse)
+
+
+def _run_chunk(chunk, cfgs, outdirs, created, refuse) -> list:
+    """execute_batch's (i, result) pairs of the configs i of chunk; what the
+    chunk prepared goes when it returns, so memory follows the cap."""
+    prepared = _prepare([cfgs[i] for i in chunk], refuse and (lambda j, e: refuse(chunk[j], e)))
+    runs = {i: (cfgs[i], outdirs[i], p) for i, p in zip(chunk, prepared)
+            if p is not None and _attempt(refuse, i, lambda: make_run_dir(cfgs[i], outdirs[i]) or True)}
+    try:
+        return list(zip(runs, _march(list(runs.values()), created) if runs else ()))
+    except Exception:  # each config on its own, as its solo run
+        if refuse is None:
+            raise
+        return [(i, result) for i, run in runs.items()
+                if (result := _attempt(refuse, i, lambda: _march([run], created)[0])) is not None]
+
+
+def _march(runs, created) -> list:
+    """The ExecutionResult of each (cfg, outdir, prepared) of runs, which
+    share a _batch_key, prepared an entry of _prepare and outdir passed
+    make_run_dir, stepped together in one march.  The final norms come from
+    one stacked pass.  The paths of the files the march creates join the
+    list created, if given; a march that fails removes them first
     (_removing), and files that existed before stay."""
     cfg = runs[0][0]
     with _removing(created) as created:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -196,12 +196,6 @@ def step(state: SpectralField, dt: float, params, model: str,
     return out.final_field
 
 
-def _march_key(stepper: StepperConfig) -> tuple:
-    """The fields of stepper that members marched together share: all but
-    blowup_threshold."""
-    return tuple(v for k, v in vars(stepper).items() if k != "blowup_threshold")
-
-
 def _blowup_threshold(stepper: StepperConfig, a0_init: float) -> float:
     """The A^0 level past which a run from data of norm a0_init is a
     blow-up; ValueError unless it exceeds a0_init."""
@@ -287,7 +281,7 @@ def simulate_batch(u0s, params, steppers, model: str, on_record=None,
     and cut to the rows written when the march ends."""
     on_record = on_record or [None] * len(u0s)
     rhs = make_rhs(model, u0s[0].n, params)
-    if len({u.n for u in u0s}) > 1 or len(set(map(_march_key, steppers))) > 1:
+    if len({u.n for u in u0s}) > 1 or len({replace(s, blowup_threshold=None) for s in steppers}) > 1:
         raise ValueError("batched members must share n and the stepper apart from blowup_threshold")
     if model == "thinfilm":
         for u0 in u0s:

@@ -2,10 +2,8 @@
 
 Every combination has its own output directory and summary row, in product
 order; a failure (config violation, numerical failure, blow-up) becomes a
-row rather than aborting the sweep.  Members that share model, n, params,
-stepper (but for blowup_threshold) and snapshot cadence are prepared,
-stepped and finished as one batch; if a prepared batch raises, its members
-rerun alone, for their solo rows.
+row rather than aborting the sweep.  The members run through one call of
+driver.execute_batch, which marches those that share a system as batches.
 """
 
 from __future__ import annotations
@@ -17,19 +15,11 @@ import math
 import os
 
 from .config import ConfigError, parse_config
-from .driver import _prepare, _write_output, execute_batch, make_output_dir, make_run_dir
-from .integrate import _march_key
-from .models import make_rhs
+from .driver import _write_output, execute_batch, make_output_dir
 
 __all__ = ["set_by_path", "expand_axes", "run_sweep", "write_sweep_summary"]
 
 DEFAULT_MAX_RUNS = 256
-
-# Samples per batched transform (members x 3 fields x N^2, larger grid).  One
-# batched ETD2 step over as many solo steps (2-vCPU host; CHANGES.md has the
-# scan at n = 8, 16, 32): below the cap every batch won, e.g. epitaxial n=16
-# 0.73 at 9 members; past it some lost, e.g. 1.05 at 16.
-BATCH_POINTS = 65536
 
 SUMMARY_FIXED_FIELDS = ("status", "margin", "lambda", "satisfied",
                         "envelope_passed", "worst_ratio", "final_a0", "final_a2", "error")
@@ -56,10 +46,13 @@ def set_by_path(d: dict, path: str, value) -> None:
 def axis_errors(path, values, where: str, base) -> list[str]:
     """Violations of the rules for one (path, values) axis, each message
     prefixed by where, a path that cannot be set in the base config dict
-    among them."""
-    errors = []
+    among them.  The sweep sets each member's outputs.directory, so an axis
+    may not: not at that path or under it, nor by an outputs value."""
+    errors, own = [], "the sweep sets outputs.directory to each member's run directory"
     if not isinstance(path, str) or not path:
         errors.append(f"{where}path: must be a nonempty string, got {path!r}")
+    elif path == "outputs.directory" or path.startswith("outputs.directory."):
+        errors.append(f"{where}path: {path!r}: {own}")
     elif isinstance(base, dict):
         try:
             set_by_path(copy.deepcopy(base), path, None)
@@ -67,6 +60,9 @@ def axis_errors(path, values, where: str, base) -> list[str]:
             errors += [f"{where}path: {msg}" for msg in e.errors]
     if not isinstance(values, (list, tuple)) or not values:
         errors.append(f"{where}values: must be a nonempty list")
+    elif path == "outputs":
+        errors += [f"{where}values[{j}]: sets directory; {own}" for j, value in enumerate(values)
+                   if isinstance(value, dict) and "directory" in value]
     return errors
 
 
@@ -85,15 +81,6 @@ def _refused(row: dict, e: Exception) -> None:
         row.update(status="error", error=f"{type(e).__name__}: {e}")
 
 
-def _guarded(row: dict, fn):
-    """fn(), or None with the row's status and error set from what it raised."""
-    try:
-        return fn()
-    except Exception as e:  # per-run isolation: never abort the sweep
-        _refused(row, e)
-    return None
-
-
 def _fill(row: dict, result) -> None:
     primary = result.reports[0]
     fnv = result.report["run"]["final_norms"]
@@ -108,25 +95,6 @@ def _fill(row: dict, result) -> None:
         "final_a2": fnv["a2"],
         "error": None,
     })
-
-
-def _run_batch(members, created: list) -> None:
-    """Prepare (then make_run_dir), march and finish (row, cfg, run_dir)
-    members of one batch key, into created, filling each row as a solo run would."""
-    runs = []
-    batch = _prepare([cfg for _, cfg, _ in members], lambda i, e: _refused(members[i][0], e))
-    for (row, cfg, run_dir), prepared in zip(members, batch):
-        if prepared is not None and _guarded(row, lambda: make_run_dir(cfg, run_dir) or True):
-            runs.append((row, (cfg, run_dir, prepared)))
-    if not runs:
-        return
-    try:
-        results = execute_batch([run for _, run in runs], created)
-    except Exception:  # each member on its own, as the row of a solo run
-        results = [_guarded(row, lambda: execute_batch([run], created)[0]) for row, run in runs]
-    for (row, _), result in zip(runs, results):
-        if result is not None:
-            _fill(row, result)
 
 
 def _member_config(base: dict, combo: dict, run_dir: str) -> dict:
@@ -157,20 +125,17 @@ def run_sweep(base: dict, axes, outdir: str, max_runs: int = DEFAULT_MAX_RUNS, c
         raise ConfigError([f"sweep size {size} exceeds the cap of {max_runs} runs"])
     paths, combos = expand_axes(axes)
     make_output_dir(outdir)
-    rows, groups = [], {}
+    rows, cfgs, ids = [], [], []  # ids[j]: the row of cfgs[j]
     for i, combo in enumerate(combos):
         rows.append({"run_id": i, **combo, **dict.fromkeys(SUMMARY_FIXED_FIELDS)})
-        run_dir = os.path.join(outdir, f"run_{i:04d}")
-        cfg = _guarded(rows[-1], lambda: parse_config(_member_config(base, combo, run_dir)))
-        if cfg is not None:
-            key = (cfg.model, cfg.n, cfg.params, _march_key(cfg.stepper),
-                   cfg.outputs.snapshot_every)  # what one batched march must share
-            groups.setdefault(key, []).append((rows[-1], cfg, run_dir))
-    for group in groups.values():
-        cfg = group[0][1]
-        size = max(1, BATCH_POINTS // make_rhs(cfg.model, cfg.n, cfg.params).points)
-        for k in range(0, len(group), size):  # prepared batch by batch: memory follows the cap
-            _run_batch(group[k : k + size], created)
+        try:
+            cfgs.append(parse_config(_member_config(base, combo, os.path.join(outdir, f"run_{i:04d}"))))
+            ids.append(i)
+        except Exception as e:  # per-run isolation: never abort the sweep
+            _refused(rows[i], e)
+    for j, result in execute_batch(cfgs, [cfg.outputs.directory for cfg in cfgs], created,
+                                   lambda k, e: _refused(rows[ids[k]], e)):
+        _fill(rows[ids[j]], result)
     summary = os.path.join(outdir, "summary.csv")
     _write_output(created, summary, lambda: write_sweep_summary(rows, paths, summary))
     return rows

@@ -340,6 +340,22 @@ ROWS = [
         left=(column("sw/summary.csv", "status", ["config_error", "completed"]),
               column("sw/summary.csv", "error", [f"outputs.trace_csv: {PATH_RULE}, got 'a\\x00b.csv'", ""]),
               listing("sw", "run_0001", "summary.csv"))),
+    # a sweep sets each member's outputs.directory, so an axis may not: at that
+    # path, under it, or by an outputs value
+    *(Row(f"sweep-axis-sets-the-member-directory-{case}", "sweep tf.json dir.json --outdir sw", 2,
+          [f"config error: dir.json: axes[0].{where}the sweep sets outputs.directory to each "
+           "member's run directory"],
+          files={"dir.json": json.dumps({"axes": [{"path": path, "values": values}]})},
+          left=(absent("sw"), absent("mine_a")))
+      for case, path, values, where in (
+          ("path", "outputs.directory", ["mine_a", "mine_b"], "path: 'outputs.directory': "),
+          ("under-it", "outputs.directory.x", [1], "path: 'outputs.directory.x': "),
+          ("outputs-value", "outputs", [{"snapshot_every": 5}, {"directory": "mine_a"}],
+           "values[1]: sets directory; "))),
+    # a config or an axes file is read with a bound: a device that never ends
+    *(Row(f"{kind}-from-dev-zero", argv, 2, ["config error: /dev/zero: longer than 16777216 characters"],
+          left=(absent("sw"),))
+      for kind, argv in (("config", "check /dev/zero"), ("axes", "sweep tf.json /dev/zero --outdir sw"))),
     # JSON nested past the bound: a config, an axes file, a key of a sweep's base
     Row("config-nested-100000-deep", "check deep.json", 2,
         ["config error: deep.json: JSON nested deeper than 32 levels"], files={"deep.json": DEEP}),

@@ -336,7 +336,6 @@ class TestBatchIsolation:
 
         monkeypatch.setattr(driver, "simulate_batch", solo_only)
         monkeypatch.setattr(driver, "_prepare", counted)
-        monkeypatch.setattr(sweep, "_prepare", counted)
         got = run_sweep(base, [(AXIS, values)], str(tmp_path / "solo"))
         assert prepared == values  # once each, the initial data generated once
         assert got == want
@@ -373,8 +372,9 @@ class TestBatchIsolation:
                 assert (batch_dir / name).read_bytes() == (solo_dir / name).read_bytes(), (i, name)
 
     def test_snapshots_are_the_per_line_writers_bytes(self, tmp_path, monkeypatch):
-        # two members at n = 3, then two at n = 5, each pair one batch whose
-        # writers share one snapshot layout, built for that batch
+        # two members at n = 3 and two at n = 5, interleaved in product order,
+        # each pair one batch whose writers share one snapshot layout, built
+        # for that batch
         base = {
             "model": "thinfilm", "n": 3, "params": {"chi": 0.3, "p": 3}, "seed": 4,
             "initial_data": {"kind": "random_decay", "amplitude": 0.05, "sigma": 3.0,
@@ -392,7 +392,7 @@ class TestBatchIsolation:
         monkeypatch.setattr(driver, "_write_snapshot", oracle)
         monkeypatch.setattr(driver, "simulate_batch",
                             lambda u0s, *a: batches.append(len(u0s)) or march(u0s, *a))
-        rows = run_sweep(base, [("n", [3, 5]), (AXIS, [0.02, 0.05])], str(tmp_path / "sweep"))
+        rows = run_sweep(base, [(AXIS, [0.02, 0.05]), ("n", [3, 5])], str(tmp_path / "sweep"))
         assert [r["status"] for r in rows] == ["completed"] * 4
         assert batches == [2, 2]
         written = sorted(str(p) for p in (tmp_path / "sweep").glob("run_*/snapshot_*.txt"))
@@ -485,15 +485,15 @@ class TestBatchIsolation:
         march = driver.simulate_batch
         monkeypatch.setattr(driver, "simulate_batch",
                             lambda u0s, *a: batches.append(len(u0s)) or march(u0s, *a))
-        monkeypatch.setattr(sweep, "BATCH_POINTS", 2 * make_rhs("epitaxial", 6, EpitaxialParams(
+        monkeypatch.setattr(driver, "BATCH_POINTS", 2 * make_rhs("epitaxial", 6, EpitaxialParams(
             **base["params"])).points)
         got = run_sweep(base, [(AXIS, values)], str(tmp_path / "capped"))
         assert batches == [2, 1, 1]  # member 3 is a config error
         assert got == want
 
     def test_each_member_checks_its_outputs_once(self, tmp_path, monkeypatch):
-        # _run_batch checks them, so that a refused member is a config_error
-        # row; the march does not check them again
+        # execute_batch checks them before the march, so that a refused member
+        # is a config_error row; the march does not check them again
         checked, check = [], driver.make_run_dir
 
         def counting(cfg, outdir):
@@ -501,7 +501,6 @@ class TestBatchIsolation:
             return check(cfg, outdir)
 
         monkeypatch.setattr(driver, "make_run_dir", counting)
-        monkeypatch.setattr(sweep, "make_run_dir", counting)
         rows = run_sweep(mixed_base("epitaxial"), [(AXIS, MIXED["epitaxial"][2])], str(tmp_path))
         ran = [str(tmp_path / f"run_{r['run_id']:04d}") for r in rows if r["status"] != "config_error"]
         assert len(ran) == 4 and checked == ran
@@ -534,3 +533,74 @@ class TestBatchIsolation:
             for name in files:
                 assert (got_dir / name).read_bytes() == (want_dir / name).read_bytes().replace(
                     str(want_dir).encode(), str(got_dir).encode()), name
+
+    def test_one_call_runs_each_config_of_interleaved_keys_as_alone(self, tmp_path, monkeypatch):
+        # two batch keys (n = 6 and n = 4) interleaved in one execute_batch
+        # call, each config yielded with its own result; config 2's snapshot is missing (_prepare refuses it), config
+        # 3's snapshot path is a directory (make_run_dir), and any march that
+        # holds config 5 raises, alone too
+        cfgs, outdirs, march = [], [], driver.simulate_batch
+        for i, (n, value) in enumerate([(6, 0.1), (4, 0.1), (6, None), (4, 0.2), (6, 0.5), (4, 0.3)]):
+            raw = mixed_base("epitaxial")
+            raw["n"] = n
+            if value is None:
+                raw["initial_data"] = {"kind": "snapshot", "path": str(tmp_path / "missing.txt")}
+            else:
+                raw["initial_data"]["normalize"]["value"] = value
+            raw["stepper"]["blowup_threshold"] = 2e3 if i == 5 else 20.0
+            cfgs.append(parse_config(raw))
+            outdirs.append(str(tmp_path / "batch" / f"c{i}"))
+        block_snapshot(tmp_path / "batch" / "c3")
+
+        def failing(u0s, params, steppers, *args):
+            batches.append(len(u0s))
+            if any(s.blowup_threshold == 2e3 for s in steppers):
+                raise RuntimeError("injected fault")
+            return march(u0s, params, steppers, *args)
+
+        batches, refused = [], []
+        monkeypatch.setattr(driver, "simulate_batch", failing)
+        done = list(driver.execute_batch(cfgs, outdirs, refuse=lambda i, e: refused.append((i, e))))
+        assert batches == [2, 2, 1, 1]  # configs 0 and 4; 1 and 5, then each alone
+        assert [(i, type(e).__name__) for i, e in refused] == [
+            (2, "ConfigError"), (3, "ConfigError"), (5, "RuntimeError")]
+        assert "missing.txt: no such file" in str(refused[0][1])
+        assert str(refused[1][1]).endswith("snapshot_00000010.txt: Is a directory")
+        assert [i for i, _ in done] == [0, 4, 1]  # chunk by chunk, in input order within each
+        results = dict(done)
+        assert [results[i].outcome.status for i in (0, 1, 4)] == ["completed", "completed", "blowup_detected"]
+        assert not (tmp_path / "batch" / "c2").exists()
+        assert not [p for p in (tmp_path / "batch" / "c5").iterdir()]  # the failed march's files are gone
+
+        for i in (0, 1, 4):  # each config's bytes are its solo run's
+            solo = tmp_path / "solo" / f"c{i}"
+            assert execute_run(cfgs[i], str(solo)).report == results[i].report
+            names = sorted(p.name for p in solo.iterdir())
+            assert sorted(p.name for p in (tmp_path / "batch" / f"c{i}").iterdir()) == names
+            for name in names:
+                assert (tmp_path / "batch" / f"c{i}" / name).read_bytes() == (solo / name).read_bytes(), (i, name)
+
+    @pytest.mark.parametrize("case", ["prepare", "make_run_dir", "march"])
+    def test_without_refuse_a_refused_config_raises_and_leaves_no_file(self, tmp_path, monkeypatch, case):
+        # config 1 of two that share a batch key is refused; without refuse,
+        # execute_batch raises what refused it
+        raws = [mixed_base("epitaxial"), mixed_base("epitaxial")]
+        if case == "prepare":
+            raws[1]["initial_data"] = {"kind": "snapshot", "path": str(tmp_path / "missing.txt")}
+        elif case == "make_run_dir":
+            raws[1]["outputs"]["trace_csv"] = "sub/t.csv"
+        else:
+            march = driver.simulate_batch
+
+            def failing(u0s, *args):
+                march(u0s, *args)  # every snapshot is written, then the march fails
+                raise RuntimeError("injected fault")
+
+            monkeypatch.setattr(driver, "simulate_batch", failing)
+        outdirs = [str(tmp_path / "c0"), str(tmp_path / "c1")]
+        with pytest.raises(RuntimeError if case == "march" else ConfigError):
+            list(driver.execute_batch([parse_config(raw) for raw in raws], outdirs))
+        if case == "march":  # the directories made before the march stay, empty
+            assert [sorted(p.iterdir()) for p in (tmp_path / "c0", tmp_path / "c1")] == [[], []]
+        else:
+            assert not (tmp_path / "c1").exists()
